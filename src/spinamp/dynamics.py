@@ -1,6 +1,11 @@
-"""Fixed-step RK4 integration of the Lindblad master equation.
+"""Fixed-step RK4 integration of the Lindblad master equation, and the RK4
+core every solver in the package shares.
 
-The integrator tracks, alongside the density matrix, the running integral
+``rk4`` is the one classical RK4 loop, ``check_stability`` the one row-sum
+stability guard (dt * omega_max <= STABILITY_LIMIT) and ``TimeGrid.sized``
+the one step-count rule; ``evolve`` here and both oracle solvers use them.
+
+``evolve`` tracks, alongside the density matrix, the running integral
 of the first observable with the same RK4 stage weights. For the collective
 number operator and a sqrt(gamma)*A collapse channel this makes the quanta
 bookkeeping
@@ -83,7 +88,13 @@ class TimeGrid:
              dt_factor: float = DT_FACTOR) -> "TimeGrid":
         """Grid with dt chosen so dt * omega_max <= dt_factor, rounded up to a
         multiple of n_record."""
-        wmax = omega_max(h, collapse or [])
+        return cls.sized(omega_max(h, collapse or []), t_start, t_end, n_record,
+                         dt_factor)
+
+    @classmethod
+    def sized(cls, wmax: float, t_start: float, t_end: float, n_record: int,
+              dt_factor: float) -> "TimeGrid":
+        """Grid with dt * wmax <= dt_factor, rounded up to a multiple of n_record."""
         n = max(n_record, int(np.ceil((t_end - t_start) * wmax / dt_factor)))
         n = ((n + n_record - 1) // n_record) * n_record
         return cls(t_start, t_end, n, record_every=n // n_record)
@@ -121,6 +132,44 @@ def omega_max(h: Operator, collapse: list[Operator] | None = None) -> float:
     return w
 
 
+def check_stability(grid: TimeGrid, wmax: float) -> None:
+    """Raise StabilityError when dt * wmax exceeds STABILITY_LIMIT."""
+    if grid.dt * wmax > STABILITY_LIMIT:
+        # the fewest passing steps, rounded up to a multiple of record_every
+        need = TimeGrid.sized(wmax, grid.t_start, grid.t_end, grid.record_every,
+                              STABILITY_LIMIT).n_steps
+        raise StabilityError(
+            f"dt*omega_max = {grid.dt * wmax:.3g} exceeds {STABILITY_LIMIT}; "
+            f"n_steps >= {need} required", required_n_steps=need)
+
+
+def rk4(rhs, y0: np.ndarray, grid: TimeGrid, record, integrand=None) -> None:
+    """Classical RK4 for dy/dt = rhs(y) from y0 over grid.
+
+    record(i, y, integral) is called at the i-th recorded point (i = 0 is y0).
+    integral is the running integral of the scalar integrand(y), accumulated
+    with the RK4 stage weights of the same steps (0 without an integrand).
+    """
+    dt = grid.dt
+    y = np.array(y0, dtype=complex)
+    acc = 0.0
+    record(0, y, acc)
+    for step in range(grid.n_steps):
+        k1 = rhs(y)
+        y2 = y + (0.5 * dt) * k1
+        k2 = rhs(y2)
+        y3 = y + (0.5 * dt) * k2
+        k3 = rhs(y3)
+        y4 = y + dt * k3
+        k4 = rhs(y4)
+        if integrand is not None:
+            acc += (dt / 6.0) * (integrand(y) + 2.0 * integrand(y2)
+                                 + 2.0 * integrand(y3) + integrand(y4))
+        y += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if (step + 1) % grid.record_every == 0:
+            record((step + 1) // grid.record_every, y, acc)
+
+
 def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
            grid: TimeGrid, observables: list[Operator],
            gamma: float = 0.0) -> Trajectory:
@@ -152,14 +201,7 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
                 f"dimension mismatch: {op.dims.factors} vs state {rho0.dims.factors}"
             )
 
-    wmax = omega_max(h, collapse)
-    if grid.dt * wmax > STABILITY_LIMIT:
-        need = int(np.ceil((grid.t_end - grid.t_start) * wmax / STABILITY_LIMIT))
-        k = grid.record_every
-        need = ((need + k - 1) // k) * k
-        raise StabilityError(
-            f"dt*omega_max = {grid.dt * wmax:.3g} exceeds {STABILITY_LIMIT}; "
-            f"n_steps >= {need} required", required_n_steps=need)
+    check_stability(grid, omega_max(h, collapse))
 
     heff = -1j * h.mat.astype(complex)
     jumps = [(ell.mat, ell.mat.conj().T) for ell in collapse]
@@ -186,11 +228,7 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
     def tr_obs(op, y):
         return float(np.einsum("ij,ji->", op.mat, y).real)
 
-    dt = grid.dt
     n_rec = grid.n_record
-    rho = rho0.mat.astype(complex).copy()
-    acc = 0.0
-
     n_extra = max(0, len(observables) - 2)
     rec = {
         "collective_n": np.empty(n_rec + 1),
@@ -220,19 +258,7 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
                 f"positivity violated at t={grid.times[i]:.6g}: "
                 f"min eig {rec['min_eig'][i]:.3g}, trace err {rec['trace_err'][i]:.3g}")
 
-    record(0, rho, acc)
-    for step in range(grid.n_steps):
-        k1 = rhs(rho); q1 = tr_num(rho)
-        y2 = rho + (0.5 * dt) * k1
-        k2 = rhs(y2); q2 = tr_num(y2)
-        y3 = rho + (0.5 * dt) * k2
-        k3 = rhs(y3); q3 = tr_num(y3)
-        y4 = rho + dt * k3
-        k4 = rhs(y4); q4 = tr_num(y4)
-        rho += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        acc += (dt / 6.0) * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
-        if (step + 1) % grid.record_every == 0:
-            record((step + 1) // grid.record_every, rho, acc)
+    rk4(rhs, rho0.mat, grid, record, integrand=tr_num)
 
     if rec["trace_err"][-1] > TRACE_TOL:
         raise IntegrationError(f"final trace error {rec['trace_err'][-1]:.3g} > {TRACE_TOL}")

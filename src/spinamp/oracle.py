@@ -3,8 +3,9 @@
 Two regimes: an exact single-excitation solver for large sampled ensembles
 (N ~ thousands, closed (N+1)-dimensional Schrodinger system), and a full
 product-space model for tiny ensembles (n <= 4 modes) including the drive.
-Both use the same classical RK4 scheme and row-sum stability guard as the
-density-matrix integrator.
+Both run on the density-matrix integrator's RK4 core: ``dynamics.rk4`` steps
+them, ``dynamics.check_stability`` guards them with their own row-sum bound,
+and ``dynamics.TimeGrid.sized`` sizes the single-excitation grid.
 """
 
 from __future__ import annotations
@@ -127,10 +128,8 @@ def auto_grid(sample: EnsembleSample, delta_target: float, t_end: float,
     """Grid sized for the single-excitation solver. The row-sum bound is very
     loose for the arrowhead system, but 0.05 keeps the RK4 amplitude damping
     of far-detuned components below the 1e-8 norm-conservation contract."""
-    wmax = arrowhead_omega_max(sample, delta_target, gamma_s)
-    n = max(n_record, int(np.ceil(t_end * wmax / dt_factor)))
-    n = ((n + n_record - 1) // n_record) * n_record
-    return dynamics.TimeGrid(0.0, t_end, n, record_every=n // n_record)
+    return dynamics.TimeGrid.sized(arrowhead_omega_max(sample, delta_target, gamma_s),
+                                   0.0, t_end, n_record, dt_factor)
 
 
 def single_excitation_evolve(sample: EnsembleSample, delta_target: float,
@@ -146,14 +145,7 @@ def single_excitation_evolve(sample: EnsembleSample, delta_target: float,
     """
     g = sample.couplings
     dj = (sample.freqs - sample.omega_bar) - 0.5j * gamma_s
-    wmax = arrowhead_omega_max(sample, delta_target, gamma_s)
-    if grid.dt * wmax > dynamics.STABILITY_LIMIT:
-        need = int(np.ceil((grid.t_end - grid.t_start) * wmax / dynamics.STABILITY_LIMIT))
-        k = grid.record_every
-        need = ((need + k - 1) // k) * k
-        raise dynamics.StabilityError(
-            f"dt*omega_max = {grid.dt * wmax:.3g} exceeds {dynamics.STABILITY_LIMIT}; "
-            f"n_steps >= {need} required", required_n_steps=need)
+    dynamics.check_stability(grid, arrowhead_omega_max(sample, delta_target, gamma_s))
 
     def rhs(c):
         out = np.empty_like(c)
@@ -161,29 +153,20 @@ def single_excitation_evolve(sample: EnsembleSample, delta_target: float,
         out[1:] = -1j * (dj * c[1:] + g * c[0])
         return out
 
-    dt = grid.dt
     g_norm = sample.g_collective
-    c = np.zeros(sample.n + 1, dtype=complex)
-    c[0] = 1.0
+    c0 = np.zeros(sample.n + 1, dtype=complex)
+    c0[0] = 1.0
     n_rec = grid.n_record
     c_e = np.empty(n_rec + 1, dtype=complex)
     coll = np.empty(n_rec + 1, dtype=complex)
     norm = np.empty(n_rec + 1)
 
-    def record(i, c):
+    def record(i, c, _):
         c_e[i] = c[0]
         coll[i] = (g @ c[1:]) / g_norm
         norm[i] = float(np.sum(np.abs(c) ** 2))
 
-    record(0, c)
-    for step in range(grid.n_steps):
-        k1 = rhs(c)
-        k2 = rhs(c + (0.5 * dt) * k1)
-        k3 = rhs(c + (0.5 * dt) * k2)
-        k4 = rhs(c + dt * k3)
-        c = c + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if (step + 1) % grid.record_every == 0:
-            record((step + 1) // grid.record_every, c)
+    dynamics.rk4(rhs, c0, grid, record)
     return SingleExcitationResult(times=grid.times, c_e=c_e, collective=coll,
                                   norm=norm)
 
@@ -286,39 +269,21 @@ def full_model_evolve(sample: EnsembleSample, per_mode_cutoff: int,
                                qubit_excited=traj.qubit_excited,
                                total_mode_n=total, per_mode_n=per_mode)
 
-    wmax = dynamics.omega_max(h)
-    if grid.dt * wmax > dynamics.STABILITY_LIMIT:
-        need = int(np.ceil((grid.t_end - grid.t_start) * wmax / dynamics.STABILITY_LIMIT))
-        k = grid.record_every
-        need = ((need + k - 1) // k) * k
-        raise dynamics.StabilityError(
-            f"dt*omega_max = {grid.dt * wmax:.3g} exceeds {dynamics.STABILITY_LIMIT}; "
-            f"n_steps >= {need} required", required_n_steps=need)
-
+    dynamics.check_stability(grid, dynamics.omega_max(h))
     m = -1j * h.mat
-    psi = np.zeros(dims.dim, dtype=complex)
-    psi[dims.index(q, *([0] * sample.n))] = 1.0
-    dt = grid.dt
+    psi0 = np.zeros(dims.dim, dtype=complex)
+    psi0[dims.index(q, *([0] * sample.n))] = 1.0
     n_rec = grid.n_record
     bright = np.empty(n_rec + 1)
     qubit = np.empty(n_rec + 1)
     per_mode = np.empty((n_rec + 1, sample.n))
 
-    def record(i, psi):
+    def record(i, psi, _):
         bright[i] = float(np.real(np.vdot(psi, bright_num.mat @ psi)))
         qubit[i] = float(np.real(np.vdot(psi, qubit_proj.mat @ psi)))
         for j, op in enumerate(mode_nums):
             per_mode[i, j] = float(np.real(np.vdot(psi, op.mat @ psi)))
 
-    record(0, psi)
-    for step in range(grid.n_steps):
-        k1 = m @ psi
-        k2 = m @ (psi + (0.5 * dt) * k1)
-        k3 = m @ (psi + (0.5 * dt) * k2)
-        k4 = m @ (psi + dt * k3)
-        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if (step + 1) % grid.record_every == 0:
-            record((step + 1) // grid.record_every, psi)
-
+    dynamics.rk4(lambda psi: m @ psi, psi0, grid, record)
     return FullModelRecord(times=grid.times, bright_n=bright, qubit_excited=qubit,
                            total_mode_n=per_mode.sum(axis=1), per_mode_n=per_mode)

@@ -1,11 +1,12 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 from spinamp.cli import (ConfigError, DEFAULT_CONFIG, apply_overrides,
                          envelope_deviation, load_config, main,
-                         resolve_config, _fmt)
+                         resolve_config, _fmt, _n_workers)
 
 TWO_PI = 2.0 * np.pi
 
@@ -248,3 +249,66 @@ class TestValidateCommand:
         report = json.loads(open(out, encoding="utf-8").read())
         by_name = {c["name"]: c for c in report["checks"]}
         assert by_name["cutoff_convergence"]["passed"] is False
+
+
+# One case per config hole: each was either a traceback or silently accepted.
+# The small settings come first so that the hole's own override wins.
+SMALL_RUN = ["--override", "fock_cutoff=4", "--override", "grid.t_end_us=0.001",
+             "--override", "grid.n_record=10", "--override", "oracle_n=50",
+             "--override", "seeds=[11]"]
+
+
+class TestConfigHoles:
+    @pytest.mark.parametrize("experiment, override, message", [
+        ("spectrum", "params=5", "params must be an object"),
+        ("spectrum", "grid.n_steps=-500", "grid.n_steps must be an integer >= 0"),
+        ("spectrum", "grid.t_end_us=x", "grid.t_end_us must be null or a finite"),
+        ("spectrum", "grid.t_end_us=NaN", "grid.t_end_us must be null or a finite"),
+        ("spectrum", "fock_cutoff=2.7", "fock_cutoff must be an integer"),
+        ("spectrum", "grid.n_record=2.5", "grid.n_record must be an integer"),
+        ("spectrum", 'convergence_checks="false"', "convergence_checks must be true"),
+        ("spectrum", "params.g=true", "params.g must be a finite number"),
+        ("spectrum", "seeds=[]", "seeds must be a non-empty list"),
+        ("spectrum", 'seeds="ab"', "seeds must be a non-empty list"),
+        ("spectrum", "oracle_n=0", "oracle_n must be an integer >= 1"),
+        ("spectrum", "n_levels=0", "n_levels must be an integer >= 1"),
+        ("validate", "params.gamma=0", "params.gamma must be > 0 for validate"),
+    ])
+    def test_exits_2_with_message(self, tmp_path, capsys, experiment, override,
+                                  message):
+        out = str(tmp_path / "out")
+        argv = [experiment, *SMALL_RUN, "--override", override, "--out", out]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert message in err
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_thread_count_exits_2(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("SPINAMP_THREADS", value)
+        out = str(tmp_path / "spec.csv")
+        assert main(["spectrum", *SMALL_RUN, "--out", out]) == 2
+        assert "config error: SPINAMP_THREADS must be a positive integer" in \
+            capsys.readouterr().err
+
+    def test_thread_count(self, monkeypatch):
+        monkeypatch.setenv("SPINAMP_THREADS", "3")
+        assert _n_workers() == 3
+        monkeypatch.delenv("SPINAMP_THREADS")
+        assert _n_workers() == (os.cpu_count() or 1)
+
+
+class TestThreadDeterminism:
+    def test_figure2_bytes_independent_of_thread_count(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, FAST_FIG2)
+        outputs = []
+        for threads in ("1", None, "2"):
+            if threads is None:
+                monkeypatch.delenv("SPINAMP_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("SPINAMP_THREADS", threads)
+            out = str(tmp_path / f"fig2-{threads}.csv")
+            assert main(["figure2", "--config", cfg, "--out", out]) == 0
+            outputs.append((open(out, "rb").read(),
+                            open(out + ".meta.json", "rb").read()))
+        assert outputs[0] == outputs[1] == outputs[2]

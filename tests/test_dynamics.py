@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spinamp.analytic import excited_population, ground_population, lambda_eff
-from spinamp.dynamics import (StabilityError, TimeGrid, evolve, omega_max,
+from spinamp.dynamics import (StabilityError, TimeGrid, evolve, omega_max, rk4,
                               readout_gain, total_excitations)
 from spinamp.hilbert import (DensityMatrix, Operator, SpaceDims, identity,
                              kron, ladder)
@@ -263,3 +263,51 @@ class TestReadoutGain:
         gain = readout_gain(traj_e, traj_g)
         assert np.all(gain <= 1.0 + 1e-9)
         assert np.all(gain >= -1e-9)
+
+
+class TestRK4Core:
+    """The shared RK4 driver on the scalar ODE y' = lam * y."""
+
+    LAM = -3.0 + 40.0j
+
+    def taylor4(self, dt):
+        z = self.LAM * dt
+        return 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+
+    def run(self, grid, integrand=None):
+        seen = {}
+
+        def record(i, y, integral):
+            seen[i] = (complex(y[0]), integral)
+
+        rk4(lambda y: self.LAM * y, np.array([1.0 + 0.0j]), grid, record, integrand)
+        return seen
+
+    def test_one_step_is_the_fourth_order_taylor_factor(self):
+        grid = TimeGrid(0.0, 0.01, 1)
+        seen = self.run(grid)
+        assert sorted(seen) == [0, 1]
+        assert seen[0] == (1.0, 0.0)
+        factor = self.taylor4(grid.dt)
+        assert abs(seen[1][0] - factor) <= 4 * np.finfo(float).eps * abs(factor)
+        assert seen[1][1] == 0.0  # no integrand, no accumulation
+
+    def test_accumulator_is_the_stage_weighted_sum(self):
+        grid = TimeGrid(0.0, 0.01, 1)
+        dt = grid.dt
+        z = self.LAM * dt
+        y1 = 1.0
+        y2 = 1 + z / 2 * y1
+        y3 = 1 + z / 2 * y2
+        y4 = 1 + z * y3
+        expected = dt / 6 * (y1 + 2 * y2 + 2 * y3 + y4)
+        seen = self.run(grid, integrand=lambda y: y[0])
+        assert abs(seen[1][1] - expected) <= 4 * np.finfo(float).eps * abs(expected)
+
+    def test_records_every_record_every_steps(self):
+        grid = TimeGrid(0.0, 0.01, 12, record_every=4)
+        factor = self.taylor4(grid.dt)
+        seen = self.run(grid)
+        assert sorted(seen) == [0, 1, 2, 3]
+        for i in range(4):
+            np.testing.assert_allclose(seen[i][0], factor ** (4 * i), rtol=1e-13)

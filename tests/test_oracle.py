@@ -296,3 +296,17 @@ class TestFullModel:
         rec = full_model_evolve(s, 2, p, grid)
         total = rec.qubit_excited + rec.total_mode_n
         assert total[-1] < total[0] - 0.1
+
+    def test_pure_state_stability_guard(self):
+        p = self.small_params()  # gamma_s = 0: the pure-state branch
+        s = self.spread_sample(p)
+        h, *_ = build_full_model(s, p, 3)
+        grid = dynamics.TimeGrid(0.0, 0.01, 40, record_every=4)
+        with pytest.raises(dynamics.StabilityError) as err:
+            full_model_evolve(s, 3, p, grid)
+        need = err.value.required_n_steps
+        assert need > 40 and need % 4 == 0
+        # the suggested step count satisfies the guard
+        ok = dynamics.TimeGrid(0.0, 0.01, need, record_every=4)
+        assert ok.dt * dynamics.omega_max(h) <= 0.25 + 1e-12
+        assert full_model_evolve(s, 3, p, ok).bright_n.shape == (need // 4 + 1,)
