@@ -342,6 +342,14 @@ def _convergence(rc: RunConfig, runs: list) -> dict:
     return checks
 
 
+def _hygiene(trajs) -> dict:
+    """Extrema of the per-record state diagnostics over the written runs."""
+    trajs = list(trajs)
+    return {"trace_err_max": max(float(t.trace_err.max()) for t in trajs),
+            "herm_err_max": max(float(t.herm_err.max()) for t in trajs),
+            "min_eig_min": min(float(t.min_eig.min()) for t in trajs)}
+
+
 # ---------------------------------------------------------------------------
 # output
 # ---------------------------------------------------------------------------
@@ -393,7 +401,8 @@ def run_figure2(rc: RunConfig, out: str) -> dict:
     rows = zip(times, traj_e.collective_n, ana_e, traj_g.collective_n, ana_g)
     write_csv(out, ["t_us", "n_num_e", "n_ana_e", "n_num_g", "n_ana_g"], rows)
     meta = {"n_steps": grid.n_steps, "dt_us": grid.dt,
-            "record_every": grid.record_every, "checks": checks}
+            "record_every": grid.record_every, "checks": checks,
+            "hygiene": _hygiene((traj_e, traj_g))}
     write_meta(out, rc, meta)
     return meta
 
@@ -428,6 +437,7 @@ def run_figure3(rc: RunConfig, out: str) -> dict:
     meta = {"n_steps": {str(g): grid.n_steps for g, _, _, grid in runs},
             "dt_us": {str(g): grid.dt for g, _, _, grid in runs},
             "gamma_sweep_mhz": rc.gamma_sweep, "checks": checks,
+            "hygiene": _hygiene(t for _, _, trajs, _ in runs for t in trajs.values()),
             "sweep_note": "gamma set and 1 us duration are artifact defaults, "
                           "not asserted values"}
     write_meta(out, rc, meta)
@@ -444,7 +454,8 @@ def run_sweep(rc: RunConfig, out: str) -> dict:
                      trajs["e"].total_n[-1], trajs["g"].total_n[-1]))
     write_csv(out, ["gamma_mhz", "max_gain", "t_at_max_us", "total_e_final",
                     "total_g_final"], rows)
-    meta = {"n_steps": {str(g): grid.n_steps for g, _, _, grid in runs}}
+    meta = {"n_steps": {str(g): grid.n_steps for g, _, _, grid in runs},
+            "hygiene": _hygiene(t for _, _, trajs, _ in runs for t in trajs.values())}
     write_meta(out, rc, meta)
     return meta
 

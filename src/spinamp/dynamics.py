@@ -5,6 +5,13 @@ core every solver in the package shares.
 stability guard (dt * omega_max <= STABILITY_LIMIT) and ``TimeGrid.sized``
 the one step-count rule; ``evolve`` here and both oracle solvers use them.
 
+``evolve`` steps the row-major vectorised density matrix,
+vec(rho) = rho.reshape(-1), with one sparse matvec per RK4 stage on the
+generator ``liouvillian`` builds once per call from
+vec(A rho B) = (A ⊗ Bᵀ) vec(rho). Expectation values are dots with vec(Aᵀ),
+and the per-record hygiene checks (trace, Hermiticity, eigenvalues) run on a
+reshaped view of the same vector.
+
 ``evolve`` tracks, alongside the density matrix, the running integral
 of the first observable with the same RK4 stage weights. For the collective
 number operator and a sqrt(gamma)*A collapse channel this makes the quanta
@@ -20,9 +27,10 @@ any quadrature on the recording grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
+from scipy import sparse
 
 from .hilbert import DensityMatrix, Operator
 
@@ -135,8 +143,10 @@ def omega_max(h: Operator, collapse: list[Operator] | None = None) -> float:
 def check_stability(grid: TimeGrid, wmax: float) -> None:
     """Raise StabilityError when dt * wmax exceeds STABILITY_LIMIT."""
     if grid.dt * wmax > STABILITY_LIMIT:
-        # the fewest passing steps, rounded up to a multiple of record_every
-        need = TimeGrid.sized(wmax, grid.t_start, grid.t_end, grid.record_every,
+        # the fewest passing steps that both the recording stride and the
+        # record count divide, so the config accepts the suggestion
+        need = TimeGrid.sized(wmax, grid.t_start, grid.t_end,
+                              lcm(grid.record_every, grid.n_record),
                               STABILITY_LIMIT).n_steps
         raise StabilityError(
             f"dt*omega_max = {grid.dt * wmax:.3g} exceeds {STABILITY_LIMIT}; "
@@ -168,6 +178,24 @@ def rk4(rhs, y0: np.ndarray, grid: TimeGrid, record, integrand=None) -> None:
         y += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if (step + 1) % grid.record_every == 0:
             record((step + 1) // grid.record_every, y, acc)
+
+
+def liouvillian(h: Operator, collapse: list[Operator]) -> sparse.csr_array:
+    """Sparse generator of drho/dt = -i[H,rho] + sum_k (J rho J† - {J†J, rho}/2)
+    on the row-major vec(rho) = rho.reshape(-1):
+
+        L = K ⊗ I + I ⊗ conj(K) + sum_k J_k ⊗ conj(J_k),  K = -iH - ½ sum_k J_k†J_k,
+
+    from vec(A rho B) = (A ⊗ Bᵀ) vec(rho) applied to K rho, rho K† and J rho J†.
+    """
+    k = -1j * h.mat
+    for ell in collapse:
+        k = k - 0.5 * (ell.mat.conj().T @ ell.mat)
+    eye = sparse.eye_array(h.dim, dtype=complex, format="csr")
+    lv = sparse.kron(k, eye) + sparse.kron(eye, k.conj())
+    for ell in collapse:
+        lv = lv + sparse.kron(ell.mat, ell.mat.conj())
+    return sparse.csr_array(lv)
 
 
 def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
@@ -203,30 +231,11 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
 
     check_stability(grid, omega_max(h, collapse))
 
-    heff = -1j * h.mat.astype(complex)
-    jumps = [(ell.mat, ell.mat.conj().T) for ell in collapse]
-    for lmat, ldag in jumps:
-        heff -= 0.5 * (ldag @ lmat)
-
-    def rhs(y):
-        m = heff @ y
-        out = m + m.conj().T
-        for lmat, ldag in jumps:
-            out += (lmat @ y) @ ldag
-        return out
-
-    num = observables[0].mat
-    num_diag = None
-    if np.count_nonzero(num - np.diag(np.diagonal(num))) == 0:
-        num_diag = np.real(np.diagonal(num)).copy()
-
-    def tr_num(y):
-        if num_diag is not None:
-            return float(np.real(np.dot(num_diag, np.diagonal(y))))
-        return float(np.einsum("ij,ji->", num, y).real)
-
-    def tr_obs(op, y):
-        return float(np.einsum("ij,ji->", op.mat, y).real)
+    lv = liouvillian(h, collapse)
+    # row k is vec(O_kᵀ), so readout @ vec(rho) = [Tr(O_k rho)]_k
+    readout = np.array([op.mat.T.reshape(-1) for op in observables])
+    num_vec = readout[0]
+    dim = rho0.dims.dim
 
     n_rec = grid.n_record
     n_extra = max(0, len(observables) - 2)
@@ -241,24 +250,26 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
     extra = np.empty((n_rec + 1, n_extra)) if n_extra else None
 
     def record(i, y, integral):
-        rec["collective_n"][i] = tr_num(y)
+        values = (readout @ y).real
+        rec["collective_n"][i] = values[0]
         if len(observables) > 1:
-            rec["qubit_excited"][i] = tr_obs(observables[1], y)
-        rec["subradiant_n"][i] = gamma * integral
-        tr = np.trace(y)
-        rec["trace_err"][i] = abs(tr - 1.0)
-        rec["herm_err"][i] = float(np.max(np.abs(y - y.conj().T)))
-        w = np.linalg.eigvalsh(0.5 * (y + y.conj().T))
-        rec["min_eig"][i] = float(w[0])
+            rec["qubit_excited"][i] = values[1]
         if extra is not None:
-            for j, op in enumerate(observables[2:]):
-                extra[i, j] = tr_obs(op, y)
+            extra[i] = values[2:]
+        rec["subradiant_n"][i] = gamma * integral
+        rho = y.reshape(dim, dim)
+        tr = np.trace(rho)
+        rec["trace_err"][i] = abs(tr - 1.0)
+        rec["herm_err"][i] = float(np.max(np.abs(rho - rho.conj().T)))
+        w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
+        rec["min_eig"][i] = float(w[0])
         if rec["min_eig"][i] < -POSITIVITY_TOL:
             raise IntegrationError(
                 f"positivity violated at t={grid.times[i]:.6g}: "
                 f"min eig {rec['min_eig'][i]:.3g}, trace err {rec['trace_err'][i]:.3g}")
 
-    rk4(rhs, rho0.mat, grid, record, integrand=tr_num)
+    rk4(lambda y: lv @ y, rho0.mat.reshape(-1), grid, record,
+        integrand=lambda y: float(np.dot(num_vec, y).real))
 
     if rec["trace_err"][-1] > TRACE_TOL:
         raise IntegrationError(f"final trace error {rec['trace_err'][-1]:.3g} > {TRACE_TOL}")
@@ -274,7 +285,9 @@ def total_excitations(collective_n: np.ndarray, gamma: float,
     times = np.asarray(times, dtype=float)
     if collective_n.shape != times.shape:
         raise ValueError("series and time grid must have matching shapes")
-    integral = cumulative_trapezoid(collective_n, times, initial=0.0)
+    integral = np.zeros_like(collective_n)
+    np.cumsum(np.diff(times) * (collective_n[1:] + collective_n[:-1]) / 2.0,
+              out=integral[1:])
     return collective_n + gamma * integral
 
 

@@ -1,12 +1,17 @@
 import json
 import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import spinamp
 from spinamp.cli import (ConfigError, DEFAULT_CONFIG, apply_overrides,
                          envelope_deviation, load_config, main,
                          resolve_config, _fmt, _n_workers)
+from spinamp.dynamics import POSITIVITY_TOL, TRACE_TOL
 
 TWO_PI = 2.0 * np.pi
 
@@ -312,3 +317,45 @@ class TestThreadDeterminism:
             outputs.append((open(out, "rb").read(),
                             open(out + ".meta.json", "rb").read()))
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+class TestStabilitySuggestion:
+    ARGV = ["figure2", "--override", "fock_cutoff=8", "--override", "grid.t_end_us=0.01",
+            "--override", "grid.n_record=20"]
+
+    def test_suggested_n_steps_is_a_valid_config(self, tmp_path, capsys):
+        out = str(tmp_path / "f.csv")
+        assert main([*self.ARGV, "--override", "grid.n_steps=20", "--out", out]) == 1
+        err = capsys.readouterr().err
+        need = int(re.search(r"n_steps >= (\d+) required", err).group(1))
+        assert need == 160  # a multiple of grid.n_record = 20
+        retry = [*self.ARGV, "--override", f"grid.n_steps={need}", "--out", out]
+        assert main([*retry, "--override", "convergence_checks=false"]) == 0
+        # the guard's minimum is far coarser than the accuracy the step
+        # halving check demands
+        assert main(retry) == 1
+        assert "timestep_convergence failed" in capsys.readouterr().err
+
+
+class TestHygieneExtrema:
+    @pytest.mark.parametrize("experiment", ["figure2", "figure3", "sweep"])
+    def test_sidecar_records_extrema(self, tmp_path, experiment):
+        out = str(tmp_path / "out.csv")
+        assert main([experiment, "--override", "fock_cutoff=6",
+                     "--override", "grid.t_end_us=0.01", "--override", "grid.n_record=10",
+                     "--override", "gamma_sweep_mhz=[10.0, 25.0]",
+                     "--override", "convergence_checks=false", "--out", out]) == 0
+        meta = json.loads(open(out + ".meta.json", encoding="utf-8").read())
+        hygiene = meta["hygiene"]
+        assert set(hygiene) == {"trace_err_max", "herm_err_max", "min_eig_min"}
+        assert 0.0 <= hygiene["trace_err_max"] <= TRACE_TOL
+        assert 0.0 <= hygiene["herm_err_max"] <= 1e-9
+        assert hygiene["min_eig_min"] >= -POSITIVITY_TOL
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    src = os.path.dirname(os.path.dirname(spinamp.__file__))
+    code = "import sys, spinamp.cli; print('scipy.integrate' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+    assert res.stdout.strip() == "False"

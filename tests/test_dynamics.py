@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from spinamp.analytic import excited_population, ground_population, lambda_eff
-from spinamp.dynamics import (StabilityError, TimeGrid, evolve, omega_max, rk4,
-                              readout_gain, total_excitations)
+from spinamp.dynamics import (StabilityError, TimeGrid, evolve, liouvillian,
+                              omega_max, rk4, readout_gain, total_excitations)
 from spinamp.hilbert import (DensityMatrix, Operator, SpaceDims, identity,
                              kron, ladder)
 from spinamp.model import SystemParams, build_anc, build_drive, build_hc, collapse_ops
@@ -221,6 +222,15 @@ class TestTotalExcitations:
         with pytest.raises(ValueError):
             total_excitations(np.zeros(5), 1.0, np.zeros(6))
 
+    def test_matches_scipy_cumulative_trapezoid(self):
+        rng = np.random.default_rng(7)
+        t = np.cumsum(rng.uniform(0.001, 0.1, 200))  # non-uniform grid
+        series = np.sin(40.0 * t) ** 2 + rng.uniform(0.0, 0.1, t.size)
+        gamma = 78.5
+        expected = series + gamma * cumulative_trapezoid(series, t, initial=0.0)
+        np.testing.assert_allclose(total_excitations(series, gamma, t), expected,
+                                   rtol=1e-14, atol=0.0)
+
 
 class TestReadoutGain:
     def test_identical_trajectories_zero_gain(self, fig_params):
@@ -311,3 +321,77 @@ class TestRK4Core:
         assert sorted(seen) == [0, 1, 2, 3]
         for i in range(4):
             np.testing.assert_allclose(seen[i][0], factor ** (4 * i), rtol=1e-13)
+
+
+class TestLiouvillian:
+    """The sparse vectorised generator against the matrix-form Lindblad map."""
+
+    @staticmethod
+    def lindblad(h, jumps, rho):
+        out = -1j * (h @ rho - rho @ h)
+        for j in jumps:
+            jdj = j.conj().T @ j
+            out += j @ rho @ j.conj().T - 0.5 * (jdj @ rho + rho @ jdj)
+        return out
+
+    def test_matches_commutator_form(self):
+        rng = np.random.default_rng(3)
+        dims = SpaceDims((3,))
+
+        def cplx(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        x = cplx(3, 3)
+        h = Operator(dims, x + x.conj().T, hermitian=True)
+        jumps = [Operator(dims, cplx(3, 3)) for _ in range(2)]
+        rho = cplx(3, 3)  # neither Hermitian nor unit trace: L is linear
+        lv = liouvillian(h, jumps)
+        got = (lv @ rho.reshape(-1)).reshape(3, 3)
+        expected = self.lindblad(h.mat, [j.mat for j in jumps], rho)
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-13)
+
+    def test_evolve_matches_matrix_form_rk4(self):
+        p = SystemParams.from_mhz(nu_t=412.5, nu_bar=0.0, g=75.0, lambda_d=40.0,
+                                  gamma=12.5, gamma_s=3.0)
+        d = 4
+        h = build_hc(p, d) + build_drive(p, d)
+        ops = collapse_ops(p, d)
+        assert len(ops) == 2
+        a = ladder(d)
+        quad = kron(identity(SpaceDims((2,))), a + a.dag())  # not diagonal
+        quad = Operator(quad.dims, quad.mat, hermitian=True)
+        _, qubit = joint_observables(d)
+        rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1, 0)
+        grid = TimeGrid.auto(h, 0.0, 0.005, n_record=20, collapse=ops)
+        traj = evolve(h, ops, rho0, grid, [quad, qubit], gamma=p.gamma)
+
+        # classical RK4 on the matrix form, with the stage-weighted integral
+        jumps = [j.mat for j in ops]
+
+        def rhs(rho):
+            return self.lindblad(h.mat, jumps, rho)
+
+        def observe(rho, integral):
+            ref["collective_n"].append(np.trace(quad.mat @ rho).real)
+            ref["qubit_excited"].append(np.trace(qubit.mat @ rho).real)
+            ref["subradiant_n"].append(p.gamma * integral)
+
+        ref = {"collective_n": [], "qubit_excited": [], "subradiant_n": []}
+        dt, rho, acc = grid.dt, rho0.mat.copy(), 0.0
+        observe(rho, acc)
+        for step in range(grid.n_steps):
+            k1 = rhs(rho)
+            r2 = rho + 0.5 * dt * k1
+            k2 = rhs(r2)
+            r3 = rho + 0.5 * dt * k2
+            k3 = rhs(r3)
+            r4 = rho + dt * k3
+            k4 = rhs(r4)
+            n = [np.trace(quad.mat @ r).real for r in (rho, r2, r3, r4)]
+            acc += dt / 6 * (n[0] + 2 * n[1] + 2 * n[2] + n[3])
+            rho = rho + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            if (step + 1) % grid.record_every == 0:
+                observe(rho, acc)
+        for name, values in ref.items():
+            np.testing.assert_allclose(getattr(traj, name), values,
+                                       rtol=0.0, atol=1e-12, err_msg=name)
