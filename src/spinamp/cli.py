@@ -151,6 +151,8 @@ def load_config(path: str | None) -> dict:
             user = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(user, dict):
@@ -268,25 +270,37 @@ def _joint_observables(d: int):
     return num, qubit
 
 
+def _cheaper(fixed: dynamics.TimeGrid, plan: dynamics.TimeGrid) -> dynamics.TimeGrid:
+    """The grid with fewer generator products; a tie keeps the fixed grid."""
+    return plan if plan.applications < fixed.applications else fixed
+
+
 def _grid(h: Operator, ops: list[Operator], t_start: float, t_end: float,
-          n_record: int, n_steps: int = 0,
-          dt_factor: float = dynamics.DT_FACTOR) -> dynamics.TimeGrid:
-    """The grid with n_steps steps when n_steps is set, else the auto grid."""
+          n_record: int, n_steps: int = 0, dt_factor: float = dynamics.DT_FACTOR,
+          degree: int = 4, taylor: bool = True) -> dynamics.TimeGrid:
+    """n_steps steps of the given degree when n_steps is set; else the RK4
+    auto grid or, with `taylor`, the unit-roundoff Taylor plan of the
+    Liouvillian when that is cheaper."""
     if n_steps:
         return dynamics.TimeGrid(t_start, t_end, n_steps,
-                                 record_every=n_steps // n_record)
-    return dynamics.TimeGrid.auto(h, t_start, t_end, n_record, ops, dt_factor)
+                                 record_every=n_steps // n_record, degree=degree)
+    grid = dynamics.TimeGrid.auto(h, t_start, t_end, n_record, ops, dt_factor)
+    if not taylor:
+        return grid
+    norm1 = dynamics.norm1(dynamics.liouvillian(h, ops))
+    return _cheaper(grid, dynamics.TimeGrid.taylor(norm1, t_start, t_end, n_record))
 
 
 def _run_branch_meta(p: SystemParams, d: int, state: str, t_start: float,
                      t_end: float, n_record: int, n_steps: int = 0,
-                     dt_factor: float = dynamics.DT_FACTOR, drive: bool = True):
+                     dt_factor: float = dynamics.DT_FACTOR, drive: bool = True,
+                     degree: int = 4):
     """One reduced-model Lindblad run from |state, 0>; returns (Trajectory, grid)."""
     h = build_hc(p, d)
     if drive:
         h = h + build_drive(p, d)
     ops = collapse_ops(p, d)
-    grid = _grid(h, ops, t_start, t_end, n_record, n_steps, dt_factor)
+    grid = _grid(h, ops, t_start, t_end, n_record, n_steps, dt_factor, degree)
     num, qubit = _joint_observables(d)
     rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1 if state == "e" else 0, 0)
     traj = dynamics.evolve(h, ops, rho0, grid, [num, qubit], gamma=p.gamma)
@@ -311,9 +325,9 @@ def _check_cutoff(p, d, states, t_start, t_end, n_record, base: dict) -> float:
 
 def _check_timestep(p, d, t_start, t_end, n_record, base, grid) -> float:
     """Max-normalized change of the excited-branch <A†A> curve `base`, run
-    on `grid`, under step halving."""
+    on `grid`, under step halving at the same degree."""
     half, _ = _run_branch_meta(p, d, "e", t_start, t_end, n_record,
-                               n_steps=2 * grid.n_steps)
+                               n_steps=2 * grid.n_steps, degree=grid.degree)
     return _max_normalized_dev(base.collective_n, half.collective_n)
 
 
@@ -340,6 +354,18 @@ def _convergence(rc: RunConfig, runs: list) -> dict:
             f"timestep_convergence failed: curve change {dev_t:.3g} > {TIMESTEP_TOL}; "
             f"retry with grid.n_steps={2 * grid.n_steps}")
     return checks
+
+
+def _plan(grid: dynamics.TimeGrid) -> dict:
+    return {"degree": grid.degree, "n_steps": grid.n_steps,
+            "applications": grid.applications}
+
+
+def _generator_work(grids, d: int) -> dict:
+    """Generator products summed over the grids of the written runs, and the
+    dimension of the Liouvillian they apply (vec(rho) at cutoff d)."""
+    return {"generator_applications": sum(g.applications for g in grids),
+            "generator_dim": (2 * d) ** 2}
 
 
 def _hygiene(trajs) -> dict:
@@ -392,7 +418,7 @@ def run_figure2(rc: RunConfig, out: str) -> dict:
     def run(state):
         return _run_branch_meta(p, rc.fock_cutoff, state, rc.t_start, rc.t_end,
                                 rc.n_record, n_steps=rc.n_steps)
-    (traj_e, grid), (traj_g, _) = _pmap(run, ("e", "g"))
+    (traj_e, grid), (traj_g, grid_g) = _pmap(run, ("e", "g"))
     checks = _convergence(rc, [(p, {"e": traj_e, "g": traj_g}, grid)])
 
     times = traj_e.times
@@ -400,15 +426,17 @@ def run_figure2(rc: RunConfig, out: str) -> dict:
     ana_g = analytic.ground_population(times, p)
     rows = zip(times, traj_e.collective_n, ana_e, traj_g.collective_n, ana_g)
     write_csv(out, ["t_us", "n_num_e", "n_ana_e", "n_num_g", "n_ana_g"], rows)
-    meta = {"n_steps": grid.n_steps, "dt_us": grid.dt,
+    meta = {"n_steps": grid.n_steps, "dt_us": grid.dt, "degree": grid.degree,
             "record_every": grid.record_every, "checks": checks,
-            "hygiene": _hygiene((traj_e, traj_g))}
+            "hygiene": _hygiene((traj_e, traj_g)),
+            **_generator_work((grid, grid_g), rc.fock_cutoff)}
     write_meta(out, rc, meta)
     return meta
 
 
 def _figure3_runs(rc: RunConfig) -> list:
-    """(gamma_mhz, params, {state: Trajectory}, grid) per sweep value."""
+    """(gamma_mhz, params, {state: Trajectory}, grid) per sweep value; both
+    branches of a sweep value share its grid."""
     params = {g: SystemParams.from_mhz(**{**rc.params_mhz, "gamma": g})
               for g in rc.gamma_sweep}
     tasks = [(g_mhz, state) for g_mhz in rc.gamma_sweep for state in ("e", "g")]
@@ -436,8 +464,11 @@ def run_figure3(rc: RunConfig, out: str) -> dict:
     write_csv(out, ["t_us", "gamma_mhz", "total_e", "total_g", "gain"], rows)
     meta = {"n_steps": {str(g): grid.n_steps for g, _, _, grid in runs},
             "dt_us": {str(g): grid.dt for g, _, _, grid in runs},
+            "degree": {str(g): grid.degree for g, _, _, grid in runs},
             "gamma_sweep_mhz": rc.gamma_sweep, "checks": checks,
             "hygiene": _hygiene(t for _, _, trajs, _ in runs for t in trajs.values()),
+            **_generator_work((grid for _, _, trajs, grid in runs for _ in trajs),
+                              rc.fock_cutoff),
             "sweep_note": "gamma set and 1 us duration are artifact defaults, "
                           "not asserted values"}
     write_meta(out, rc, meta)
@@ -455,7 +486,10 @@ def run_sweep(rc: RunConfig, out: str) -> dict:
     write_csv(out, ["gamma_mhz", "max_gain", "t_at_max_us", "total_e_final",
                     "total_g_final"], rows)
     meta = {"n_steps": {str(g): grid.n_steps for g, _, _, grid in runs},
-            "hygiene": _hygiene(t for _, _, trajs, _ in runs for t in trajs.values())}
+            "degree": {str(g): grid.degree for g, _, _, grid in runs},
+            "hygiene": _hygiene(t for _, _, trajs, _ in runs for t in trajs.values()),
+            **_generator_work((grid for _, _, trajs, grid in runs for _ in trajs),
+                              rc.fock_cutoff)}
     write_meta(out, rc, meta)
     return meta
 
@@ -508,17 +542,19 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
     p = rc.params
     d = rc.fock_cutoff
     checks = []
+    plans = {}
 
     h = build_hc(p, d) + build_drive(p, d)
     ops = collapse_ops(p, d)
-    grid = _grid(h, ops, rc.t_start, rc.t_end, rc.n_record, rc.n_steps)
+    grid = _grid(h, ops, rc.t_start, rc.t_end, rc.n_record, rc.n_steps, taylor=False)
     checks.append(_check("timestep_guard", grid.dt * dynamics.omega_max(h, ops),
                          dynamics.STABILITY_LIMIT))
 
     # conservation bookkeeping (undriven, initial |e,0>) plus state hygiene
     p0 = SystemParams(omega_t=p.omega_t, omega_bar=p.omega_bar, omega_d=p.omega_d,
                       g_collective=p.g_collective, lambda_d=0.0, gamma=p.gamma)
-    traj0, _ = _run_branch_meta(p0, d, "e", 0.0, rc.t_end, rc.n_record, drive=False)
+    traj0, plans["conservation"] = _run_branch_meta(p0, d, "e", 0.0, rc.t_end,
+                                                    rc.n_record, drive=False)
     q = traj0.qubit_excited + traj0.total_n
     checks.append(_check("conservation", np.max(np.abs(q - 1.0)), CONSERVATION_TOL))
     checks.append(_check("trace_error", traj0.trace_err.max(), dynamics.TRACE_TOL))
@@ -528,6 +564,7 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
     # short driven windows for the convergence checks
     t_short = min(rc.t_end, 0.2)
     base, g_short = _run_branch_meta(p, d, "e", 0.0, t_short, 200)
+    plans["short_window"] = g_short
     try:
         dev_c = _check_cutoff(p, d, ("e",), 0.0, t_short, 200, {"e": base})
         checks.append(_check("cutoff_convergence", dev_c, CUTOFF_TOL))
@@ -554,7 +591,8 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
                        ("g", analytic.ground_population)):
         h_anc = build_anc(p, state, d)
         anc_ops = collapse_ops(p, d, include_qubit=False)
-        g_anc = dynamics.TimeGrid.auto(h_anc, 0.0, t_steady, 200, anc_ops)
+        g_anc = _grid(h_anc, anc_ops, 0.0, t_steady, 200)
+        plans[f"analytic_steady_{state}"] = g_anc
         a = ladder(d)
         num = Operator(SpaceDims((d,)), (a.dag() @ a).mat, hermitian=True)
         rho0 = DensityMatrix.basis(SpaceDims((d,)), 0)
@@ -570,7 +608,10 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
     for seed in rc.seeds:
         sample = oracle.sample_frequencies(rc.oracle_n, p.omega_bar, p.gamma,
                                            seed, g_collective=p.g_collective)
-        s_grid = oracle.auto_grid(sample, p.delta, t_oracle, n_record=400)
+        s_grid = _cheaper(oracle.auto_grid(sample, p.delta, t_oracle, n_record=400),
+                          dynamics.TimeGrid.taylor(oracle.arrowhead_omega_max(
+                              sample, p.delta), 0.0, t_oracle, 400))
+        plans[f"oracle_seed_{seed}"] = s_grid
         res = oracle.single_excitation_evolve(sample, p.delta, s_grid)
         _, c_red = oracle.reduced_single_excitation(p.delta, p.g_collective,
                                                     p.gamma, res.times)
@@ -583,6 +624,7 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
 
     all_passed = all(c["passed"] for c in checks)
     report = {"code_version": __version__, "passed": all_passed, "checks": checks,
+              "plans": {name: _plan(g) for name, g in plans.items()},
               "config": rc.resolved}
     text = json.dumps(report, indent=2, sort_keys=True)
     if out:
@@ -635,23 +677,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output(out: str | None) -> None:
+    """Reject an output path that cannot be written, before any run."""
+    if out is None:
+        return
+    folder = os.path.dirname(out) or "."
+    if not os.path.isdir(folder):
+        raise ConfigError(f"output directory does not exist: {folder}")
+    if os.path.isdir(out):
+        raise ConfigError(f"output path is a directory: {out}")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = apply_overrides(load_config(args.config), args.override)
         rc = resolve_config(cfg, args.command)
         _n_workers()
+        out = args.out or rc.output_path
+        if out is None and rc.experiment != "validate":
+            out = f"{rc.experiment}.csv"
+        _check_output(out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    out = args.out or rc.output_path
     try:
         if rc.experiment == "validate":
             _, ok = run_validate(rc, out)
             return 0 if ok else 1
-        if out is None:
-            out = f"{rc.experiment}.csv"
         runner = {"figure2": run_figure2, "figure3": run_figure3,
                   "sweep": run_sweep, "spectrum": run_spectrum}[rc.experiment]
         runner(rc, out)

@@ -1,19 +1,31 @@
-"""Fixed-step RK4 integration of the Lindblad master equation, and the RK4
+"""Fixed-step integration of the Lindblad master equation, and the Taylor
 core every solver in the package shares.
 
-``rk4`` is the one classical RK4 loop, ``check_stability`` the one row-sum
-stability guard (dt * omega_max <= STABILITY_LIMIT) and ``TimeGrid.sized``
-the one step-count rule; ``evolve`` here and both oracle solvers use them.
+Every generator here is constant, so one step of size h is the degree-m
+truncated Taylor series of exp(hA) applied to y. ``rk4`` is that one loop;
+at the default degree m = 4 it is the classical RK4 map. A grid's degree
+picks the rule:
+
+- degree 4: ``TimeGrid.auto``/``TimeGrid.sized`` size the step so that
+  dt * omega_max <= dt_factor, and ``check_stability`` guards
+  dt * omega_max <= STABILITY_LIMIT (the row-sum RK4 stability bound);
+- degree m > 4: ``TimeGrid.taylor`` picks, per record interval, the degree
+  and substep count with the fewest generator products such that
+  dt * ||A||_1 <= TAYLOR_THETA[m], the unit-roundoff bound of Al-Mohy &
+  Higham (SIAM J. Sci. Comput. 2011); ``check_stability`` guards that bound.
+
+``evolve`` here and both oracle solvers use these.
 
 ``evolve`` steps the row-major vectorised density matrix,
-vec(rho) = rho.reshape(-1), with one sparse matvec per RK4 stage on the
+vec(rho) = rho.reshape(-1), with one sparse matvec per Taylor term on the
 generator ``liouvillian`` builds once per call from
 vec(A rho B) = (A ⊗ Bᵀ) vec(rho). Expectation values are dots with vec(Aᵀ),
 and the per-record hygiene checks (trace, Hermiticity, eigenvalues) run on a
 reshaped view of the same vector.
 
 ``evolve`` tracks, alongside the density matrix, the running integral
-of the first observable with the same RK4 stage weights. For the collective
+of the first observable, integrating each Taylor term exactly (at degree 4
+these are the RK4 stage weights). For the collective
 number operator and a sqrt(gamma)*A collapse channel this makes the quanta
 bookkeeping
 
@@ -40,6 +52,18 @@ DT_FACTOR_COARSE = 0.08  # companion convergence-check runs (1e-3 tolerances)
 TRACE_TOL = 1e-7
 POSITIVITY_TOL = 1e-6
 
+# theta_m: the largest ||hA||_1 for which the degree-m truncated Taylor series
+# of exp(hA) has backward error below the double-precision unit roundoff
+# (Higham, Functions of Matrices, 2008, Table A.3 for m <= 30; Al-Mohy &
+# Higham, SIAM J. Sci. Comput. 2011, Table 3.1 for m >= 35)
+TAYLOR_THETA = {
+    4: 3.40e-4, 5: 2.40e-3, 6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2,
+    10: 1.44e-1, 11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1,
+    15: 6.41e-1, 16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
+    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43, 26: 2.64, 27: 2.86,
+    28: 3.08, 29: 3.31, 30: 3.54, 35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+}
+
 
 class StabilityError(ValueError):
     """Grid too coarse for the stability guard; carries the passing n_steps."""
@@ -55,8 +79,9 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Integration grid [t_start, t_end] with n_steps RK4 steps; observables
-    are recorded every record_every-th step (plus the initial point).
+    """Integration grid [t_start, t_end] with n_steps Taylor steps of the
+    given degree (4: classical RK4); observables are recorded every
+    record_every-th step (plus the initial point).
 
     The recorded times depend only on (t_start, t_end, n_record), not on
     n_steps, so two grids over the same window with the same number of
@@ -66,6 +91,7 @@ class TimeGrid:
     t_end: float
     n_steps: int
     record_every: int = 1
+    degree: int = 4
 
     def __post_init__(self):
         if self.t_end <= self.t_start:
@@ -76,6 +102,9 @@ class TimeGrid:
             raise ValueError(
                 f"record_every ({self.record_every}) must divide n_steps ({self.n_steps})"
             )
+        if self.degree not in TAYLOR_THETA:
+            raise ValueError(f"degree must be one of {sorted(TAYLOR_THETA)}, "
+                             f"got {self.degree}")
 
     @property
     def dt(self) -> float:
@@ -84,6 +113,11 @@ class TimeGrid:
     @property
     def n_record(self) -> int:
         return self.n_steps // self.record_every
+
+    @property
+    def applications(self) -> int:
+        """Generator products over the whole grid: degree per step."""
+        return self.degree * self.n_steps
 
     @property
     def times(self) -> np.ndarray:
@@ -107,13 +141,26 @@ class TimeGrid:
         n = ((n + n_record - 1) // n_record) * n_record
         return cls(t_start, t_end, n, record_every=n // n_record)
 
+    @classmethod
+    def taylor(cls, norm1: float, t_start: float, t_end: float,
+               n_record: int) -> "TimeGrid":
+        """The unit-roundoff Taylor plan with the fewest generator products:
+        degree m >= 4 and s substeps per record interval dt_rec minimising
+        m * s subject to s * TAYLOR_THETA[m] >= norm1 * dt_rec, where norm1
+        is the generator's 1-norm (ties go to the lower degree)."""
+        span = norm1 * (t_end - t_start) / n_record
+        plans = ((max(1, int(np.ceil(span / theta))), m)
+                 for m, theta in TAYLOR_THETA.items())
+        s, m = min(plans, key=lambda sm: (sm[0] * sm[1], sm[1]))
+        return cls(t_start, t_end, s * n_record, record_every=s, degree=m)
+
 
 @dataclass(frozen=True)
 class Trajectory:
     """Recorded expectation values and per-point diagnostics.
 
     total_n = collective_n + subradiant_n by construction; subradiant_n is
-    gamma times the stage-accumulated integral of collective_n.
+    gamma times the step-accumulated integral of collective_n.
     """
 
     times: np.ndarray
@@ -140,42 +187,52 @@ def omega_max(h: Operator, collapse: list[Operator] | None = None) -> float:
     return w
 
 
-def check_stability(grid: TimeGrid, wmax: float) -> None:
-    """Raise StabilityError when dt * wmax exceeds STABILITY_LIMIT."""
-    if grid.dt * wmax > STABILITY_LIMIT:
+def check_stability(grid: TimeGrid, wmax: float, norm1: float | None = None) -> None:
+    """Raise StabilityError when the step is too long for the grid's degree:
+    dt * wmax > STABILITY_LIMIT at degree 4 (RK4), or dt * norm1 >
+    TAYLOR_THETA[m] at degree m > 4. norm1 is the generator's 1-norm and
+    defaults to wmax, which it equals for a Hermitian or symmetric generator."""
+    m = grid.degree
+    if m == 4:
+        name, scale, limit = "omega_max", wmax, STABILITY_LIMIT
+    else:
+        name, scale, limit = "norm1", wmax if norm1 is None else norm1, TAYLOR_THETA[m]
+    if grid.dt * scale > limit:
         # the fewest passing steps that both the recording stride and the
         # record count divide, so the config accepts the suggestion
-        need = TimeGrid.sized(wmax, grid.t_start, grid.t_end,
-                              lcm(grid.record_every, grid.n_record),
-                              STABILITY_LIMIT).n_steps
+        need = TimeGrid.sized(scale, grid.t_start, grid.t_end,
+                              lcm(grid.record_every, grid.n_record), limit).n_steps
+        bound = limit if m == 4 else f"theta_{m} = {limit}"
         raise StabilityError(
-            f"dt*omega_max = {grid.dt * wmax:.3g} exceeds {STABILITY_LIMIT}; "
+            f"dt*{name} = {grid.dt * scale:.3g} exceeds {bound}; "
             f"n_steps >= {need} required", required_n_steps=need)
 
 
 def rk4(rhs, y0: np.ndarray, grid: TimeGrid, record, integrand=None) -> None:
-    """Classical RK4 for dy/dt = rhs(y) from y0 over grid.
+    """Taylor steps of degree m = grid.degree for the linear dy/dt = rhs(y) = A y
+    from y0 over grid: y <- sum_{k<=m} (hA)^k y / k! with h = grid.dt, which
+    at m = 4 is the classical RK4 map.
 
     record(i, y, integral) is called at the i-th recorded point (i = 0 is y0).
-    integral is the running integral of the scalar integrand(y), accumulated
-    with the RK4 stage weights of the same steps (0 without an integrand).
+    integral is the running integral of the linear scalar integrand(y): a step
+    adds h * sum_{k<m} integrand((hA)^k y / k!) / (k + 1), the exact integral
+    over the step of the Taylor polynomial (at m = 4, RK4's stage-weighted
+    sum); 0 without an integrand.
     """
     dt = grid.dt
     y = np.array(y0, dtype=complex)
     acc = 0.0
     record(0, y, acc)
     for step in range(grid.n_steps):
-        k1 = rhs(y)
-        y2 = y + (0.5 * dt) * k1
-        k2 = rhs(y2)
-        y3 = y + (0.5 * dt) * k2
-        k3 = rhs(y3)
-        y4 = y + dt * k3
-        k4 = rhs(y4)
-        if integrand is not None:
-            acc += (dt / 6.0) * (integrand(y) + 2.0 * integrand(y2)
-                                 + 2.0 * integrand(y3) + integrand(y4))
-        y += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        term = y
+        y = y.copy()
+        gain = 0.0
+        for k in range(1, grid.degree + 1):
+            if integrand is not None:
+                gain += integrand(term) / k
+            term = (dt / k) * rhs(term)
+            y += term
+        acc += dt * gain
         if (step + 1) % grid.record_every == 0:
             record((step + 1) // grid.record_every, y, acc)
 
@@ -198,6 +255,11 @@ def liouvillian(h: Operator, collapse: list[Operator]) -> sparse.csr_array:
     return sparse.csr_array(lv)
 
 
+def norm1(a: sparse.csr_array) -> float:
+    """The 1-norm (max column sum) of a sparse generator, exactly."""
+    return float(abs(a).sum(axis=0).max())
+
+
 def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
            grid: TimeGrid, observables: list[Operator],
            gamma: float = 0.0) -> Trajectory:
@@ -212,7 +274,7 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
     rho0 : DensityMatrix
         Initial state.
     grid : TimeGrid
-        Fixed-step grid; rejected if dt * omega_max > 0.25.
+        Fixed-step grid of any degree; rejected by ``check_stability``.
     observables : list of Operator
         observables[0] must be the collective number operator (it feeds the
         subradiant accumulator); observables[1], when present, the qubit
@@ -229,9 +291,8 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
                 f"dimension mismatch: {op.dims.factors} vs state {rho0.dims.factors}"
             )
 
-    check_stability(grid, omega_max(h, collapse))
-
     lv = liouvillian(h, collapse)
+    check_stability(grid, omega_max(h, collapse), norm1(lv))
     # row k is vec(O_kᵀ), so readout @ vec(rho) = [Tr(O_k rho)]_k
     readout = np.array([op.mat.T.reshape(-1) for op in observables])
     num_vec = readout[0]

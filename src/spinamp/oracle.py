@@ -3,9 +3,10 @@
 Two regimes: an exact single-excitation solver for large sampled ensembles
 (N ~ thousands, closed (N+1)-dimensional Schrodinger system), and a full
 product-space model for tiny ensembles (n <= 4 modes) including the drive.
-Both run on the density-matrix integrator's RK4 core: ``dynamics.rk4`` steps
-them, ``dynamics.check_stability`` guards them with their own row-sum bound,
-and ``dynamics.TimeGrid.sized`` sizes the single-excitation grid.
+Both run on the density-matrix integrator's Taylor core: ``dynamics.rk4``
+steps them, ``dynamics.check_stability`` guards them with their own row-sum
+bound (which is also their generator's exact 1-norm), and
+``dynamics.TimeGrid.sized`` sizes the single-excitation RK4 grid.
 """
 
 from __future__ import annotations
@@ -114,7 +115,9 @@ class SingleExcitationResult:
 
 def arrowhead_omega_max(sample: EnsembleSample, delta_target: float,
                         gamma_s: float = 0.0) -> float:
-    """Row-sum frequency estimate of the single-excitation system."""
+    """Row-sum frequency estimate of the single-excitation system. The
+    generator is complex symmetric, so this is also its exact 1-norm, the
+    norm ``dynamics.TimeGrid.taylor`` plans with."""
     g = sample.couplings
     deltas = sample.freqs - sample.omega_bar
     row_e = abs(delta_target) + float(np.sum(np.abs(g)))

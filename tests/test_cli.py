@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import spinamp
+from spinamp import cli
 from spinamp.cli import (ConfigError, DEFAULT_CONFIG, apply_overrides,
                          envelope_deviation, load_config, main,
-                         resolve_config, _fmt, _n_workers)
-from spinamp.dynamics import POSITIVITY_TOL, TRACE_TOL
+                         resolve_config, _fmt, _grid, _n_workers)
+from spinamp.dynamics import POSITIVITY_TOL, TRACE_TOL, TimeGrid
+from spinamp.model import build_drive, build_hc, collapse_ops
 
 TWO_PI = 2.0 * np.pi
 
@@ -359,3 +361,73 @@ def test_cli_import_leaves_out_scipy_integrate():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
     assert res.stdout.strip() == "False"
+
+
+class TestPlanChoice:
+    def grid(self, fig_params, t_end, n_record, d=16):
+        h = build_hc(fig_params, d) + build_drive(fig_params, d)
+        ops = collapse_ops(fig_params, d)
+        return _grid(h, ops, 0.0, t_end, n_record), TimeGrid.auto(h, 0.0, t_end,
+                                                                    n_record, ops)
+
+    # at d=32 the Taylor plan (degree 8, one step per record) ties with RK4
+    # (two steps per record), and a tie keeps RK4
+    @pytest.mark.parametrize("d", [16, 32])
+    def test_record_dense_shape_keeps_rk4(self, fig_params, d):
+        grid, rk = self.grid(fig_params, 0.0025, 1000, d)
+        assert grid == rk and grid.degree == 4
+
+    def test_step_heavy_shape_takes_the_taylor_plan(self, fig_params):
+        grid, rk = self.grid(fig_params, 0.005, 50)
+        assert grid.degree > 4
+        assert grid.applications < rk.applications
+
+
+class TestPlanTelemetry:
+    ARGV = ["--override", "fock_cutoff=6", "--override", "grid.t_end_us=0.01",
+            "--override", "grid.n_record=10", "--override", "gamma_sweep_mhz=[10.0, 25.0]",
+            "--override", "convergence_checks=false"]
+
+    @pytest.mark.parametrize("experiment", ["figure2", "figure3", "sweep"])
+    def test_sidecar_records_the_plan(self, tmp_path, experiment):
+        out = str(tmp_path / "out.csv")
+        assert main([experiment, *self.ARGV, "--out", out]) == 0
+        meta = json.loads(open(out + ".meta.json", encoding="utf-8").read())
+        assert meta["generator_dim"] == (2 * 6) ** 2
+        if experiment == "figure2":
+            per_run = [(meta["degree"], meta["n_steps"])]
+        else:
+            assert set(meta["degree"]) == set(meta["n_steps"]) == {"10.0", "25.0"}
+            per_run = [(meta["degree"][g], meta["n_steps"][g]) for g in meta["degree"]]
+        # two branches (excited and ground) per written run
+        assert meta["generator_applications"] == sum(2 * m * n for m, n in per_run)
+
+    def test_validate_report_records_the_plans(self, tmp_path):
+        cfg = write_config(tmp_path, {"fock_cutoff": 8, "seeds": [11],
+                                      "grid": {"t_end_us": 0.1, "n_record": 100}})
+        out = str(tmp_path / "report.json")
+        assert main(["validate", "--config", cfg, "--out", out]) == 0
+        report = json.loads(open(out, encoding="utf-8").read())
+        assert set(report["plans"]) == {"conservation", "short_window",
+                                        "analytic_steady_e", "analytic_steady_g",
+                                        "oracle_seed_11"}
+        for plan in report["plans"].values():
+            assert set(plan) == {"degree", "n_steps", "applications"}
+            assert plan["applications"] == plan["degree"] * plan["n_steps"]
+        assert len(report["checks"]) == 12
+
+
+class TestPathErrors:
+    def test_config_directory_exits_2(self, tmp_path, capsys):
+        assert main(["spectrum", "--config", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot read config")
+
+    def test_missing_output_directory_exits_2_before_any_run(self, tmp_path, capsys,
+                                                             monkeypatch):
+        def no_run(*_):
+            raise AssertionError("ran before the output path was checked")
+        monkeypatch.setattr(cli, "run_figure2", no_run)
+        out = str(tmp_path / "missing" / "f.csv")
+        assert main(["figure2", *SMALL_RUN, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: output directory does not exist")

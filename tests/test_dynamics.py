@@ -1,10 +1,14 @@
+from math import factorial
+
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_trapezoid
+from scipy.linalg import expm
 
 from spinamp.analytic import excited_population, ground_population, lambda_eff
-from spinamp.dynamics import (StabilityError, TimeGrid, evolve, liouvillian,
-                              omega_max, rk4, readout_gain, total_excitations)
+from spinamp.dynamics import (DT_FACTOR, TAYLOR_THETA, StabilityError, TimeGrid,
+                              evolve, liouvillian, norm1, omega_max, rk4,
+                              readout_gain, total_excitations)
 from spinamp.hilbert import (DensityMatrix, Operator, SpaceDims, identity,
                              kron, ladder)
 from spinamp.model import SystemParams, build_anc, build_drive, build_hc, collapse_ops
@@ -395,3 +399,120 @@ class TestLiouvillian:
         for name, values in ref.items():
             np.testing.assert_allclose(getattr(traj, name), values,
                                        rtol=0.0, atol=1e-12, err_msg=name)
+
+
+class TestTaylorCore:
+    """The shared stepper at degrees above 4, on y' = lam * y."""
+
+    LAM = -3.0 + 40.0j
+
+    @pytest.mark.parametrize("degree", [6, 16, 55])
+    def test_step_and_accumulator_are_the_taylor_sums(self, degree):
+        grid = TimeGrid(0.0, 0.01, 1, degree=degree)
+        dt = grid.dt
+        z = self.LAM * dt
+        factor = sum(z**k / factorial(k) for k in range(degree + 1))
+        integral = dt * sum(z**k / factorial(k + 1) for k in range(degree))
+        seen = {}
+
+        def record(i, y, acc):
+            seen[i] = (complex(y[0]), acc)
+
+        rk4(lambda y: self.LAM * y, np.array([1.0 + 0.0j]), grid, record,
+            integrand=lambda y: y[0])
+        eps = np.finfo(float).eps
+        assert abs(seen[1][0] - factor) <= 4 * eps * abs(factor)
+        assert abs(seen[1][1] - integral) <= 4 * eps * abs(integral)
+
+
+def driven_model(d=6):
+    p = SystemParams.from_mhz(nu_t=412.5, nu_bar=0.0, g=75.0, lambda_d=40.0,
+                              gamma=12.5, gamma_s=3.0)
+    h = build_hc(p, d) + build_drive(p, d)
+    return p, h, collapse_ops(p, d)
+
+
+class TestTaylorPlan:
+    @pytest.mark.parametrize("norm, t_end, n_record", [
+        (7870.65, 0.005, 50), (7870.65, 0.0025, 1000), (23700.0, 0.0382, 400),
+        (11423.2, 0.5, 500), (1.0, 1e-6, 10), (5e5, 1.0, 3),
+        (110.4, 1.0, 1)])  # fewest products (13, 50) beats fewest substeps (12, 55)
+    def test_fewest_products_at_unit_roundoff(self, norm, t_end, n_record):
+        grid = TimeGrid.taylor(norm, 0.0, t_end, n_record)
+        s, m = grid.record_every, grid.degree
+        assert grid.n_record == n_record and grid.n_steps == s * n_record
+        span = norm * t_end / n_record
+        assert s * TAYLOR_THETA[m] >= span
+        for other, theta in TAYLOR_THETA.items():
+            fewest = max(1, int(np.ceil(span / theta)))
+            assert other * fewest >= m * s
+
+    @pytest.mark.parametrize("degree", [1, 3, 31, 56])
+    def test_degree_outside_theta_table_rejected(self, degree):
+        with pytest.raises(ValueError, match="degree"):
+            TimeGrid(0.0, 1.0, 10, degree=degree)
+
+    def test_guard_rejects_a_long_taylor_step(self):
+        p, h, ops = driven_model()
+        rho0 = DensityMatrix.basis(SpaceDims((2, 6)), 1, 0)
+        num, _ = joint_observables(6)
+        norm = norm1(liouvillian(h, ops))
+        # 1.1 times the longest degree-16 step: too long for ||L||_1, though
+        # not for the smaller row-sum bound omega_max
+        t_end = 11 * TAYLOR_THETA[16] / norm
+        grid = TimeGrid(0.0, t_end, 10, degree=16)
+        assert grid.dt * omega_max(h, ops) < TAYLOR_THETA[16] < grid.dt * norm
+        with pytest.raises(StabilityError, match="theta_16") as err:
+            evolve(h, ops, rho0, grid, [num])
+        need = err.value.required_n_steps
+        assert need > 10 and need % 10 == 0
+        ok = TimeGrid(0.0, t_end, need, record_every=need // 10, degree=16)
+        evolve(h, ops, rho0, ok, [num])
+
+    def test_driven_run_matches_augmented_expm(self):
+        # Van Loan: exp(dt [[L, 0], [n, 0]]) carries [vec rho; int <n>] over
+        # one record interval exactly
+        p, h, ops = driven_model()
+        num, qubit = joint_observables(6)
+        rho0 = DensityMatrix.basis(SpaceDims((2, 6)), 1, 0)
+        t_end, n_record = 0.02, 40
+        lv = liouvillian(h, ops)
+        grid = TimeGrid.taylor(norm1(lv), 0.0, t_end, n_record)
+        assert grid.degree > 4
+        traj = evolve(h, ops, rho0, grid, [num, qubit], gamma=p.gamma)
+
+        n_row = num.mat.T.reshape(-1)
+        q_row = qubit.mat.T.reshape(-1)
+        dim = lv.shape[0]
+        aug = np.zeros((dim + 1, dim + 1), dtype=complex)
+        aug[:dim, :dim] = lv.toarray()
+        aug[dim, :dim] = n_row
+        step = expm(aug * (t_end / n_record))
+        z = np.append(rho0.mat.reshape(-1), 0.0)
+        ref = {"collective_n": [], "qubit_excited": [], "subradiant_n": []}
+        for _ in range(n_record + 1):
+            ref["collective_n"].append((n_row @ z[:dim]).real)
+            ref["qubit_excited"].append((q_row @ z[:dim]).real)
+            ref["subradiant_n"].append(p.gamma * z[dim].real)
+            z = step @ z
+        for name, values in ref.items():
+            np.testing.assert_allclose(getattr(traj, name), values,
+                                       rtol=0.0, atol=1e-12, err_msg=name)
+
+
+    def test_plan_matches_the_rk4_production_grid(self, fig_params):
+        # the figure-2 benchmark shape at the production cutoff: the plan
+        # moves no curve by more than 1e-9 of its maximum
+        d = 16
+        h = build_hc(fig_params, d) + build_drive(fig_params, d)
+        ops = collapse_ops(fig_params, d)
+        num, qubit = joint_observables(d)
+        rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1, 0)
+        plan = TimeGrid.taylor(norm1(liouvillian(h, ops)), 0.0, 0.005, 50)
+        rk = TimeGrid.auto(h, 0.0, 0.005, 50, ops, DT_FACTOR)
+        assert plan.applications < rk.applications
+        a = evolve(h, ops, rho0, plan, [num, qubit], gamma=fig_params.gamma)
+        b = evolve(h, ops, rho0, rk, [num, qubit], gamma=fig_params.gamma)
+        for name in ("collective_n", "qubit_excited", "subradiant_n"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert np.max(np.abs(x - y)) <= 1e-9 * np.max(np.abs(y)), name

@@ -6,7 +6,8 @@ from spinamp import dynamics
 from spinamp.cli import envelope_deviation
 from spinamp.hilbert import DensityMatrix, Operator, SpaceDims, identity, kron, ladder
 from spinamp.model import SystemParams, build_drive, build_hc, collapse_ops
-from spinamp.oracle import (EnsembleSample, auto_grid, build_full_model,
+from spinamp.oracle import (EnsembleSample, arrowhead_omega_max, auto_grid,
+                            build_full_model,
                             full_model_evolve, lorentzian_ppf,
                             reduced_single_excitation, sample_frequencies,
                             single_excitation_evolve)
@@ -184,6 +185,27 @@ class TestSingleExcitation:
                                            fig_params.gamma, res.times)
         dev = envelope_deviation(res.times, np.abs(res.collective), np.abs(c_a))
         assert dev < 0.05
+
+
+class TestTaylorPlanOracle:
+    def test_matches_arrowhead_eigendecomposition(self, fig_params):
+        p = fig_params
+        s = sample_frequencies(200, p.omega_bar, p.gamma, seed=11,
+                               g_collective=p.g_collective)
+        t_end = 3.0 / p.gamma
+        grid = dynamics.TimeGrid.taylor(arrowhead_omega_max(s, p.delta), 0.0,
+                                        t_end, 100)
+        assert grid.degree > 4
+        res = single_excitation_evolve(s, p.delta, grid)
+
+        arrow = np.diag(np.concatenate(([p.delta], s.freqs - s.omega_bar)))
+        arrow[0, 1:] = arrow[1:, 0] = s.couplings
+        w, v = np.linalg.eigh(arrow)
+        c = (np.exp(-1j * np.outer(res.times, w)) * v[0]) @ v.T
+        np.testing.assert_allclose(res.c_e, c[:, 0], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(res.collective, c[:, 1:] @ s.couplings / s.g_collective,
+                                   rtol=0.0, atol=1e-12)
+        assert np.max(np.abs(res.norm - 1.0)) < 1e-13
 
 
 class TestFullModel:
