@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import argparse
 import copy
+import ctypes
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -237,36 +237,44 @@ def resolve_config(cfg: dict, experiment: str) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def _n_workers() -> int:
-    """Worker threads for independent runs: SPINAMP_THREADS, else every core."""
-    env = os.environ.get("SPINAMP_THREADS")
-    if not env:
-        return os.cpu_count() or 1
-    try:
-        n = int(env)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ConfigError(f"SPINAMP_THREADS must be a positive integer, got {env!r}")
-    return n
+    """Workers that run `_pmap`'s items: one."""
+    return 1
 
 
 def _pmap(fn, items):
-    items = list(items)
-    workers = min(_n_workers(), len(items)) or 1
-    if workers == 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """fn over items, in order, in this thread: each item is a Python loop
+    that holds the GIL, so threads would contend instead of overlapping."""
+    return [fn(it) for it in items]
+
+
+def _blas_threads(pin: bool = False) -> int:
+    """The most threads of any OpenBLAS loaded in this process, 0 if none is.
+    With `pin`, every copy is first set to one thread: per-record calls as
+    small as a 32x32 eigvalsh only make a second thread spin-wait."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+    except OSError:
+        return 0
+    threads = 0
+    for lib in map(ctypes.CDLL, paths):
+        # scipy-openblas (numpy's and scipy's wheels) prefixes the names, ILP64 suffixes them
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            if hasattr(lib, name.format("get")):
+                if pin:
+                    getattr(lib, name.format("set"))(1)
+                threads = max(threads, getattr(lib, name.format("get"))())
+                break
+    return threads
 
 
 def _joint_observables(d: int):
     a = ladder(d)
     idq = identity(SpaceDims((2,)))
     num = kron(idq, a.dag() @ a)
-    num = Operator(num.dims, num.mat, hermitian=True)
     proj_e = Operator(SpaceDims((2,)), np.diag([0.0, 1.0]), hermitian=True)
     qubit = kron(proj_e, identity(SpaceDims((d,))))
-    qubit = Operator(qubit.dims, qubit.mat, hermitian=True)
     return num, qubit
 
 
@@ -277,17 +285,15 @@ def _cheaper(fixed: dynamics.TimeGrid, plan: dynamics.TimeGrid) -> dynamics.Time
 
 def _grid(h: Operator, ops: list[Operator], t_start: float, t_end: float,
           n_record: int, n_steps: int = 0, dt_factor: float = dynamics.DT_FACTOR,
-          degree: int = 4, taylor: bool = True) -> dynamics.TimeGrid:
+          degree: int = 4, lv=None) -> dynamics.TimeGrid:
     """n_steps steps of the given degree when n_steps is set; else the RK4
-    auto grid or, with `taylor`, the unit-roundoff Taylor plan of the
-    Liouvillian when that is cheaper."""
+    auto grid or the unit-roundoff Taylor plan of the Liouvillian `lv` (built
+    here when not given), whichever is cheaper."""
     if n_steps:
         return dynamics.TimeGrid(t_start, t_end, n_steps,
                                  record_every=n_steps // n_record, degree=degree)
     grid = dynamics.TimeGrid.auto(h, t_start, t_end, n_record, ops, dt_factor)
-    if not taylor:
-        return grid
-    norm1 = dynamics.norm1(dynamics.liouvillian(h, ops))
+    norm1 = dynamics.norm1(dynamics.liouvillian(h, ops) if lv is None else lv)
     return _cheaper(grid, dynamics.TimeGrid.taylor(norm1, t_start, t_end, n_record))
 
 
@@ -300,10 +306,11 @@ def _run_branch_meta(p: SystemParams, d: int, state: str, t_start: float,
     if drive:
         h = h + build_drive(p, d)
     ops = collapse_ops(p, d)
-    grid = _grid(h, ops, t_start, t_end, n_record, n_steps, dt_factor, degree)
+    lv = dynamics.liouvillian(h, ops)
+    grid = _grid(h, ops, t_start, t_end, n_record, n_steps, dt_factor, degree, lv=lv)
     num, qubit = _joint_observables(d)
     rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1 if state == "e" else 0, 0)
-    traj = dynamics.evolve(h, ops, rho0, grid, [num, qubit], gamma=p.gamma)
+    traj = dynamics.evolve(h, ops, rho0, grid, [num, qubit], gamma=p.gamma, lv=lv)
     return traj, grid
 
 
@@ -314,13 +321,11 @@ def _max_normalized_dev(a: np.ndarray, b: np.ndarray) -> float:
 
 def _check_cutoff(p, d, states, t_start, t_end, n_record, base: dict) -> float:
     """Max-normalized change of <A†A> curves under cutoff doubling."""
-    def run(state):
-        traj, _ = _run_branch_meta(p, 2 * d, state, t_start, t_end, n_record,
-                                   dt_factor=dynamics.DT_FACTOR_COARSE)
-        return traj
-    doubled = dict(zip(states, _pmap(run, states)))
-    return max(_max_normalized_dev(base[s].collective_n, doubled[s].collective_n)
-               for s in states)
+    def dev(state):
+        doubled, _ = _run_branch_meta(p, 2 * d, state, t_start, t_end, n_record,
+                                      dt_factor=dynamics.DT_FACTOR_COARSE)
+        return _max_normalized_dev(base[state].collective_n, doubled.collective_n)
+    return max(_pmap(dev, states))
 
 
 def _check_timestep(p, d, t_start, t_end, n_record, base, grid) -> float:
@@ -354,11 +359,6 @@ def _convergence(rc: RunConfig, runs: list) -> dict:
             f"timestep_convergence failed: curve change {dev_t:.3g} > {TIMESTEP_TOL}; "
             f"retry with grid.n_steps={2 * grid.n_steps}")
     return checks
-
-
-def _plan(grid: dynamics.TimeGrid) -> dict:
-    return {"degree": grid.degree, "n_steps": grid.n_steps,
-            "applications": grid.applications}
 
 
 def _generator_work(grids, d: int) -> dict:
@@ -401,6 +401,7 @@ def write_meta(out_path: str, rc: RunConfig, extra: dict) -> None:
         "config": rc.resolved,
         "units": {"config_frequencies": "MHz", "time": "us",
                   "internal": "rad/us (omega = 2*pi*nu)"},
+        "threads": {"workers": _n_workers(), "blas": _blas_threads()},
     }
     meta.update(extra)
     with open(out_path + ".meta.json", "w", encoding="utf-8", newline="") as fh:
@@ -437,18 +438,12 @@ def run_figure2(rc: RunConfig, out: str) -> dict:
 def _figure3_runs(rc: RunConfig) -> list:
     """(gamma_mhz, params, {state: Trajectory}, grid) per sweep value; both
     branches of a sweep value share its grid."""
-    params = {g: SystemParams.from_mhz(**{**rc.params_mhz, "gamma": g})
-              for g in rc.gamma_sweep}
-    tasks = [(g_mhz, state) for g_mhz in rc.gamma_sweep for state in ("e", "g")]
-
-    def run(task):
-        g_mhz, state = task
-        return _run_branch_meta(params[g_mhz], rc.fock_cutoff, state, rc.t_start,
-                                rc.t_end, rc.n_record, n_steps=rc.n_steps)
-
-    results = dict(zip(tasks, _pmap(run, tasks)))
-    return [(g, params[g], {s: results[(g, s)][0] for s in ("e", "g")},
-             results[(g, "e")][1]) for g in rc.gamma_sweep]
+    def run(g_mhz):
+        p = SystemParams.from_mhz(**{**rc.params_mhz, "gamma": g_mhz})
+        runs = {s: _run_branch_meta(p, rc.fock_cutoff, s, rc.t_start, rc.t_end,
+                                    rc.n_record, n_steps=rc.n_steps) for s in ("e", "g")}
+        return g_mhz, p, {s: traj for s, (traj, _) in runs.items()}, runs["e"][1]
+    return _pmap(run, rc.gamma_sweep)
 
 
 def run_figure3(rc: RunConfig, out: str) -> dict:
@@ -494,17 +489,25 @@ def run_sweep(rc: RunConfig, out: str) -> dict:
     return meta
 
 
-def numeric_doublet(h: Operator, d: int, n: int) -> tuple[float, float]:
-    """Eigenvalues of the (n+1)-excitation block of the joint Hamiltonian,
-    classified by the conserved total-excitation number."""
+def numeric_doublet(h: Operator, d: int, n_max: int) -> list[tuple[float, float]]:
+    """Eigenvalues of the (n+1)-excitation block of the joint Hamiltonian for
+    n = 0..n_max, classified by the conserved total-excitation number, from
+    one diagonalisation."""
     w, v = eig_hermitian(h)
     num, qubit = _joint_observables(d)
     ntot = qubit.mat + num.mat
     exc = np.real(np.einsum("ij,jk,ki->i", v.conj().T, ntot, v))
-    block = np.sort(w[np.abs(exc - (n + 1)) < 0.5])
-    if len(block) != 2:
-        raise RuntimeError(f"excitation block {n + 1} has {len(block)} levels")
-    return float(block[0]), float(block[1])
+    blocks = [np.sort(w[np.abs(exc - (n + 1)) < 0.5]) for n in range(n_max + 1)]
+    for n, block in enumerate(blocks):
+        if len(block) != 2:
+            raise RuntimeError(f"excitation block {n + 1} has {len(block)} levels")
+    return [(float(lo), float(hi)) for lo, hi in blocks]
+
+
+def _doublet_gap(level: analytic.JcLevel, lo: float, hi: float) -> float:
+    """Relative gap of a numerical doublet to the closed-form level."""
+    return max(abs(level.omega_minus - lo) / max(abs(level.omega_minus), 1e-300),
+               abs(level.omega_plus - hi) / max(abs(level.omega_plus), 1e-300))
 
 
 def run_spectrum(rc: RunConfig, out: str) -> dict:
@@ -514,13 +517,10 @@ def run_spectrum(rc: RunConfig, out: str) -> dict:
     h = build_hc(p, d)
     rows = []
     two_pi = 2.0 * np.pi
-    for n in range(n_max + 1):
+    for n, (lo, hi) in enumerate(numeric_doublet(h, d, n_max)):
         level = analytic.jc_spectrum(n, p)
-        lo, hi = numeric_doublet(h, d, n)
-        gap = max(abs(level.omega_minus - lo) / max(abs(level.omega_minus), 1e-300),
-                  abs(level.omega_plus - hi) / max(abs(level.omega_plus), 1e-300))
         rows.append((n, level.omega_plus / two_pi, level.omega_minus / two_pi,
-                     level.phi_n, hi / two_pi, lo / two_pi, gap))
+                     level.phi_n, hi / two_pi, lo / two_pi, _doublet_gap(level, lo, hi)))
     write_csv(out, ["n", "Omega_plus_mhz", "Omega_minus_mhz", "phi_n_rad",
                     "num_plus_mhz", "num_minus_mhz", "rel_gap"], rows)
     meta = {"n_levels": n_max + 1}
@@ -546,7 +546,8 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
 
     h = build_hc(p, d) + build_drive(p, d)
     ops = collapse_ops(p, d)
-    grid = _grid(h, ops, rc.t_start, rc.t_end, rc.n_record, rc.n_steps, taylor=False)
+    grid = (dynamics.TimeGrid(rc.t_start, rc.t_end, rc.n_steps) if rc.n_steps
+            else dynamics.TimeGrid.auto(h, rc.t_start, rc.t_end, rc.n_record, ops))
     checks.append(_check("timestep_guard", grid.dt * dynamics.omega_max(h, ops),
                          dynamics.STABILITY_LIMIT))
 
@@ -575,14 +576,9 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
     checks.append(_check("timestep_convergence", dev_t, TIMESTEP_TOL))
 
     # closed-form spectrum vs numerical diagonalization
-    h_c = build_hc(p, d)
-    gap = 0.0
-    for n in range(min(10, d - 2) + 1):
-        level = analytic.jc_spectrum(n, p)
-        lo, hi = numeric_doublet(h_c, d, n)
-        gap = max(gap,
-                  abs(level.omega_minus - lo) / max(abs(level.omega_minus), 1e-300),
-                  abs(level.omega_plus - hi) / max(abs(level.omega_plus), 1e-300))
+    doublets = numeric_doublet(build_hc(p, d), d, min(10, d - 2))
+    gap = max(_doublet_gap(analytic.jc_spectrum(n, p), lo, hi)
+              for n, (lo, hi) in enumerate(doublets))
     checks.append(_check("jc_spectrum_match", gap, 1e-9))
 
     # analytic steady values vs the integrator under the frozen-qubit model
@@ -591,12 +587,13 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
                        ("g", analytic.ground_population)):
         h_anc = build_anc(p, state, d)
         anc_ops = collapse_ops(p, d, include_qubit=False)
-        g_anc = _grid(h_anc, anc_ops, 0.0, t_steady, 200)
+        lv = dynamics.liouvillian(h_anc, anc_ops)
+        g_anc = _grid(h_anc, anc_ops, 0.0, t_steady, 200, lv=lv)
         plans[f"analytic_steady_{state}"] = g_anc
         a = ladder(d)
         num = Operator(SpaceDims((d,)), (a.dag() @ a).mat, hermitian=True)
         rho0 = DensityMatrix.basis(SpaceDims((d,)), 0)
-        traj = dynamics.evolve(h_anc, anc_ops, rho0, g_anc, [num], gamma=p.gamma)
+        traj = dynamics.evolve(h_anc, anc_ops, rho0, g_anc, [num], gamma=p.gamma, lv=lv)
         ref = float(ana(np.array([t_steady]), p)[0])
         checks.append(_check(f"analytic_steady_{state}",
                              abs(traj.collective_n[-1] - ref), ANALYTIC_STEADY_TOL))
@@ -624,7 +621,9 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
 
     all_passed = all(c["passed"] for c in checks)
     report = {"code_version": __version__, "passed": all_passed, "checks": checks,
-              "plans": {name: _plan(g) for name, g in plans.items()},
+              "plans": {name: {"degree": g.degree, "n_steps": g.n_steps,
+                               "applications": g.applications} for name, g in plans.items()},
+              "threads": {"workers": _n_workers(), "blas": _blas_threads()},
               "config": rc.resolved}
     text = json.dumps(report, indent=2, sort_keys=True)
     if out:
@@ -693,7 +692,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = apply_overrides(load_config(args.config), args.override)
         rc = resolve_config(cfg, args.command)
-        _n_workers()
         out = args.out or rc.output_path
         if out is None and rc.experiment != "validate":
             out = f"{rc.experiment}.csv"
@@ -702,6 +700,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
+    _blas_threads(pin=True)
     try:
         if rc.experiment == "validate":
             _, ok = run_validate(rc, out)

@@ -18,7 +18,7 @@ picks the rule:
 
 ``evolve`` steps the row-major vectorised density matrix,
 vec(rho) = rho.reshape(-1), with one sparse matvec per Taylor term on the
-generator ``liouvillian`` builds once per call from
+generator that ``liouvillian`` builds, once per run, from
 vec(A rho B) = (A ⊗ Bᵀ) vec(rho). Expectation values are dots with vec(Aᵀ),
 and the per-record hygiene checks (trace, Hermiticity, eigenvalues) run on a
 reshaped view of the same vector.
@@ -262,7 +262,7 @@ def norm1(a: sparse.csr_array) -> float:
 
 def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
            grid: TimeGrid, observables: list[Operator],
-           gamma: float = 0.0) -> Trajectory:
+           gamma: float = 0.0, lv: sparse.csr_array | None = None) -> Trajectory:
     """Integrate drho/dt = -i[H,rho] + sum_k (L rho L† - {L†L, rho}/2).
 
     Parameters
@@ -282,6 +282,8 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
     gamma : float
         Bookkeeping rate for the subradiant accounting,
         subradiant_n(t) = gamma * int_0^t <observables[0]> dt'.
+    lv : sparse.csr_array, optional
+        ``liouvillian(h, collapse)``, when the caller has built it already.
     """
     if not observables:
         raise ValueError("need at least the collective number observable")
@@ -291,7 +293,8 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
                 f"dimension mismatch: {op.dims.factors} vs state {rho0.dims.factors}"
             )
 
-    lv = liouvillian(h, collapse)
+    if lv is None:
+        lv = liouvillian(h, collapse)
     check_stability(grid, omega_max(h, collapse), norm1(lv))
     # row k is vec(O_kᵀ), so readout @ vec(rho) = [Tr(O_k rho)]_k
     readout = np.array([op.mat.T.reshape(-1) for op in observables])

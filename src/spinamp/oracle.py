@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dynamics
-from .hilbert import Operator, SpaceDims, identity, kron, ladder
+from .hilbert import DensityMatrix, Operator, SpaceDims, identity, kron, ladder
 from .model import SystemParams, sigma_minus, sigma_plus, sigma_x, sigma_z
 
 FULL_MODEL_MAX_DIM = 162  # 2 * 3^4
@@ -260,8 +260,6 @@ def full_model_evolve(sample: EnsembleSample, per_mode_cutoff: int,
     q = 1 if initial_qubit == "e" else 0
 
     if p.gamma_s > 0:
-        from .hilbert import DensityMatrix
-
         collapse = [np.sqrt(p.gamma_s) * aj for aj in modes]
         rho0 = DensityMatrix.basis(dims, q, *([0] * sample.n))
         obs = [bright_num, qubit_proj] + mode_nums

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import spinamp
-from spinamp import cli
+from spinamp import cli, dynamics
 from spinamp.cli import (ConfigError, DEFAULT_CONFIG, apply_overrides,
                          envelope_deviation, load_config, main,
                          resolve_config, _fmt, _grid, _n_workers)
@@ -290,35 +290,117 @@ class TestConfigHoles:
         assert err.startswith("config error: ")
         assert message in err
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-    def test_bad_thread_count_exits_2(self, tmp_path, capsys, monkeypatch, value):
-        monkeypatch.setenv("SPINAMP_THREADS", value)
-        out = str(tmp_path / "spec.csv")
-        assert main(["spectrum", *SMALL_RUN, "--out", out]) == 2
-        assert "config error: SPINAMP_THREADS must be a positive integer" in \
-            capsys.readouterr().err
 
-    def test_thread_count(self, monkeypatch):
-        monkeypatch.setenv("SPINAMP_THREADS", "3")
-        assert _n_workers() == 3
-        monkeypatch.delenv("SPINAMP_THREADS")
-        assert _n_workers() == (os.cpu_count() or 1)
+SRC = os.path.dirname(os.path.dirname(spinamp.__file__))
+REPO = os.path.dirname(SRC)
+
+
+def run_python(args, blas_threads=None, cwd=None):
+    """A fresh interpreter with spinamp on its path; OpenBLAS reads its
+    thread variable when numpy loads, so each setting needs its own."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = SRC
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, cwd=cwd, check=True, timeout=300)
 
 
 class TestThreadDeterminism:
-    def test_figure2_bytes_independent_of_thread_count(self, tmp_path, monkeypatch):
+    def test_figure2_bytes_independent_of_thread_count(self, tmp_path):
         cfg = write_config(tmp_path, FAST_FIG2)
         outputs = []
-        for threads in ("1", None, "2"):
-            if threads is None:
-                monkeypatch.delenv("SPINAMP_THREADS", raising=False)
-            else:
-                monkeypatch.setenv("SPINAMP_THREADS", threads)
+        for threads in (None, "1", "2"):
             out = str(tmp_path / f"fig2-{threads}.csv")
-            assert main(["figure2", "--config", cfg, "--out", out]) == 0
+            run_python(["-m", "spinamp.cli", "figure2", "--config", cfg, "--out", out],
+                       blas_threads=threads)
             outputs.append((open(out, "rb").read(),
                             open(out + ".meta.json", "rb").read()))
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+# Reads the thread count of every loaded OpenBLAS copy after cli.main, with
+# scipy's copy loaded before main starts; prints {path: threads} and main's
+# exit code. It finds the getters the way the benchmark's invoke.py does.
+BLAS_READBACK = """
+import ctypes, json, sys
+import scipy.linalg
+from spinamp import cli
+code = cli.main(sys.argv[1:])
+names = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+         "openblas_get_num_threads64_", "openblas_get_num_threads")
+try:
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+except OSError:
+    paths = []
+threads = {}
+for path in paths:
+    lib = ctypes.CDLL(path)
+    for name in names:
+        if hasattr(lib, name):
+            threads[path] = int(getattr(lib, name)())
+            break
+print(json.dumps({"exit": code, "threads": threads}))
+"""
+
+
+class TestThreadPolicy:
+    def test_main_pins_every_openblas_to_one_thread(self, tmp_path):
+        out = str(tmp_path / "fig2.csv")
+        res = run_python(["-c", BLAS_READBACK, "figure2", *SMALL_RUN,
+                          "--override", "convergence_checks=false", "--out", out],
+                         blas_threads="2")
+        result = json.loads(res.stdout.strip().splitlines()[-1])
+        assert result["exit"] == 0
+        threads = result["threads"]
+        if not any("numpy" in path for path in threads):
+            pytest.skip("no OpenBLAS thread getter found in numpy's libraries")
+        assert set(threads.values()) == {1}
+        meta = json.loads(open(out + ".meta.json", encoding="utf-8").read())
+        assert meta["threads"] == {"workers": 1, "blas": 1}
+
+    def test_branches_run_serially(self):
+        assert _n_workers() == 1
+        assert cli._pmap(lambda x: 2 * x, iter([3, 1, 2])) == [6, 2, 4]
+
+    @pytest.mark.parametrize("experiment", ["figure2", "figure3", "sweep", "validate"])
+    def test_artifacts_record_threads(self, tmp_path, experiment):
+        out = str(tmp_path / "out")
+        main([experiment, *SMALL_RUN, "--override", "convergence_checks=false",
+              "--out", out])
+        path = out if experiment == "validate" else out + ".meta.json"
+        artifact = json.loads(open(path, encoding="utf-8").read())
+        assert artifact["threads"] == {"workers": 1, "blas": cli._blas_threads()}
+        if experiment == "validate":
+            assert len(artifact["checks"]) == 12
+
+    def test_figure2_branch_builds_the_liouvillian_once(self, fig_params, monkeypatch):
+        calls = []
+        build = dynamics.liouvillian
+
+        def counted(h, ops):
+            calls.append(h.dim)
+            return build(h, ops)
+        monkeypatch.setattr(dynamics, "liouvillian", counted)
+        _, grid = cli._run_branch_meta(fig_params, 6, "e", 0.0, 0.005, 10)
+        assert calls == [12]
+        assert grid.degree > 4  # planned on the norm of that one build
+
+
+def test_benchmark_hook_traces_a_serial_figure2(tmp_path):
+    """The benchmark's invoke.py wraps cli and dynamics names (cli._pmap,
+    dynamics.evolve, ...); a rename that breaks it fails here."""
+    result, spans = tmp_path / "result.json", tmp_path / "spans.json"
+    run_python([os.path.join(REPO, "perfbench", "invoke.py"), "run", str(result),
+                "--spans", str(spans), "--", "figure2", *SMALL_RUN,
+                "--out", str(tmp_path / "fig2.csv")], cwd=tmp_path)
+    measured = json.loads(result.read_text(encoding="utf-8"))
+    assert measured["exit"] == 0
+    assert measured["pool_workers"] == 1
+    names = {span["name"] for span in json.loads(spans.read_text(encoding="utf-8"))}
+    assert {"cli._pmap", "cli._pmap.task", "dynamics.evolve"} <= names
 
 
 class TestStabilitySuggestion:
