@@ -278,23 +278,22 @@ def _joint_observables(d: int):
     return num, qubit
 
 
-def _cheaper(fixed: dynamics.TimeGrid, plan: dynamics.TimeGrid) -> dynamics.TimeGrid:
-    """The grid with fewer generator products; a tie keeps the fixed grid."""
-    return plan if plan.applications < fixed.applications else fixed
-
-
 def _grid(h: Operator, ops: list[Operator], t_start: float, t_end: float,
           n_record: int, n_steps: int = 0, dt_factor: float = dynamics.DT_FACTOR,
-          degree: int = 4, lv=None) -> dynamics.TimeGrid:
-    """n_steps steps of the given degree when n_steps is set; else the RK4
-    auto grid or the unit-roundoff Taylor plan of the Liouvillian `lv` (built
-    here when not given), whichever is cheaper."""
+          degree: int = 4, lv=None) -> tuple[dynamics.TimeGrid, float | None]:
+    """(grid, norm). n_steps steps of the given degree when n_steps is set,
+    with norm None; else the RK4 auto grid or the unit-roundoff Taylor plan of
+    the Liouvillian `lv` (built here when not given), whichever has fewer
+    generator products (a tie keeps RK4), with the norm its guard checks, so
+    that `evolve` need not compute it again."""
     if n_steps:
-        return dynamics.TimeGrid(t_start, t_end, n_steps,
-                                 record_every=n_steps // n_record, degree=degree)
-    grid = dynamics.TimeGrid.auto(h, t_start, t_end, n_record, ops, dt_factor)
+        return dynamics.TimeGrid(t_start, t_end, n_steps, record_every=n_steps // n_record,
+                                 degree=degree), None
+    wmax = dynamics.omega_max(h, ops)
     norm1 = dynamics.norm1(dynamics.liouvillian(h, ops) if lv is None else lv)
-    return _cheaper(grid, dynamics.TimeGrid.taylor(norm1, t_start, t_end, n_record))
+    rk4 = dynamics.TimeGrid.sized(wmax, t_start, t_end, n_record, dt_factor)
+    plan = dynamics.TimeGrid.taylor(norm1, t_start, t_end, n_record)
+    return (plan, norm1) if plan.applications < rk4.applications else (rk4, wmax)
 
 
 def _run_branch_meta(p: SystemParams, d: int, state: str, t_start: float,
@@ -307,10 +306,11 @@ def _run_branch_meta(p: SystemParams, d: int, state: str, t_start: float,
         h = h + build_drive(p, d)
     ops = collapse_ops(p, d)
     lv = dynamics.liouvillian(h, ops)
-    grid = _grid(h, ops, t_start, t_end, n_record, n_steps, dt_factor, degree, lv=lv)
+    grid, norm = _grid(h, ops, t_start, t_end, n_record, n_steps, dt_factor, degree, lv=lv)
     num, qubit = _joint_observables(d)
     rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1 if state == "e" else 0, 0)
-    traj = dynamics.evolve(h, ops, rho0, grid, [num, qubit], gamma=p.gamma, lv=lv)
+    traj = dynamics.evolve(h, ops, rho0, grid, [num, qubit], gamma=p.gamma, lv=lv,
+                           norm=norm)
     return traj, grid
 
 
@@ -546,10 +546,11 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
 
     h = build_hc(p, d) + build_drive(p, d)
     ops = collapse_ops(p, d)
+    wmax = dynamics.omega_max(h, ops)
     grid = (dynamics.TimeGrid(rc.t_start, rc.t_end, rc.n_steps) if rc.n_steps
-            else dynamics.TimeGrid.auto(h, rc.t_start, rc.t_end, rc.n_record, ops))
-    checks.append(_check("timestep_guard", grid.dt * dynamics.omega_max(h, ops),
-                         dynamics.STABILITY_LIMIT))
+            else dynamics.TimeGrid.sized(wmax, rc.t_start, rc.t_end, rc.n_record,
+                                         dynamics.DT_FACTOR))
+    checks.append(_check("timestep_guard", grid.dt * wmax, dynamics.STABILITY_LIMIT))
 
     # conservation bookkeeping (undriven, initial |e,0>) plus state hygiene
     p0 = SystemParams(omega_t=p.omega_t, omega_bar=p.omega_bar, omega_d=p.omega_d,
@@ -588,41 +589,45 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
         h_anc = build_anc(p, state, d)
         anc_ops = collapse_ops(p, d, include_qubit=False)
         lv = dynamics.liouvillian(h_anc, anc_ops)
-        g_anc = _grid(h_anc, anc_ops, 0.0, t_steady, 200, lv=lv)
+        g_anc, norm = _grid(h_anc, anc_ops, 0.0, t_steady, 200, lv=lv)
         plans[f"analytic_steady_{state}"] = g_anc
         a = ladder(d)
         num = Operator(SpaceDims((d,)), (a.dag() @ a).mat, hermitian=True)
         rho0 = DensityMatrix.basis(SpaceDims((d,)), 0)
-        traj = dynamics.evolve(h_anc, anc_ops, rho0, g_anc, [num], gamma=p.gamma, lv=lv)
+        traj = dynamics.evolve(h_anc, anc_ops, rho0, g_anc, [num], gamma=p.gamma, lv=lv,
+                               norm=norm)
         ref = float(ana(np.array([t_steady]), p)[0])
         checks.append(_check(f"analytic_steady_{state}",
                              abs(traj.collective_n[-1] - ref), ANALYTIC_STEADY_TOL))
 
     # oracle trace-out: collective-amplitude envelope over gamma*t <= 3
     t_oracle = 3.0 / p.gamma
-    worst_env = 0.0
-    worst_norm = 0.0
+    per_seed = {}
     for seed in rc.seeds:
         sample = oracle.sample_frequencies(rc.oracle_n, p.omega_bar, p.gamma,
                                            seed, g_collective=p.g_collective)
-        s_grid = _cheaper(oracle.auto_grid(sample, p.delta, t_oracle, n_record=400),
-                          dynamics.TimeGrid.taylor(oracle.arrowhead_omega_max(
-                              sample, p.delta), 0.0, t_oracle, 400))
+        bound = oracle.arrowhead_norm(sample, p.delta)
+        s_grid = dynamics.TimeGrid.taylor(bound, 0.0, t_oracle, 400)
         plans[f"oracle_seed_{seed}"] = s_grid
         res = oracle.single_excitation_evolve(sample, p.delta, s_grid)
         _, c_red = oracle.reduced_single_excitation(p.delta, p.g_collective,
                                                     p.gamma, res.times)
-        worst_env = max(worst_env, envelope_deviation(res.times,
-                                                      np.abs(res.collective),
-                                                      np.abs(c_red)))
-        worst_norm = max(worst_norm, float(np.max(np.abs(res.norm - 1.0))))
-    checks.append(_check("oracle_traceout", worst_env, ORACLE_TOL))
-    checks.append(_check("oracle_norm", worst_norm, 1e-8))
+        per_seed[str(seed)] = {
+            "envelope_deviation": envelope_deviation(res.times, np.abs(res.collective),
+                                                     np.abs(c_red)),
+            "norm_drift": float(np.max(np.abs(res.norm - 1.0))),
+            "plan_norm": bound,
+            "row_sum": oracle.arrowhead_omega_max(sample, p.delta)}
+    checks.append(_check("oracle_traceout", max(
+        r["envelope_deviation"] for r in per_seed.values()), ORACLE_TOL))
+    checks.append(_check("oracle_norm", max(r["norm_drift"] for r in per_seed.values()),
+                         1e-8))
 
     all_passed = all(c["passed"] for c in checks)
     report = {"code_version": __version__, "passed": all_passed, "checks": checks,
               "plans": {name: {"degree": g.degree, "n_steps": g.n_steps,
                                "applications": g.applications} for name, g in plans.items()},
+              "oracle": per_seed,
               "threads": {"workers": _n_workers(), "blas": _blas_threads()},
               "config": rc.resolved}
     text = json.dumps(report, indent=2, sort_keys=True)

@@ -11,8 +11,10 @@ picks the rule:
   dt * omega_max <= STABILITY_LIMIT (the row-sum RK4 stability bound);
 - degree m > 4: ``TimeGrid.taylor`` picks, per record interval, the degree
   and substep count with the fewest generator products such that
-  dt * ||A||_1 <= TAYLOR_THETA[m], the unit-roundoff bound of Al-Mohy &
-  Higham (SIAM J. Sci. Comput. 2011); ``check_stability`` guards that bound.
+  dt * ||A|| <= TAYLOR_THETA[m], the unit-roundoff bound of Al-Mohy &
+  Higham (SIAM J. Sci. Comput. 2011), which holds in any consistent norm
+  (the 1-norm for a Liouvillian, a 2-norm bound for the arrowhead oracle);
+  ``check_stability`` guards that bound.
 
 ``evolve`` here and both oracle solvers use these.
 
@@ -52,8 +54,9 @@ DT_FACTOR_COARSE = 0.08  # companion convergence-check runs (1e-3 tolerances)
 TRACE_TOL = 1e-7
 POSITIVITY_TOL = 1e-6
 
-# theta_m: the largest ||hA||_1 for which the degree-m truncated Taylor series
-# of exp(hA) has backward error below the double-precision unit roundoff
+# theta_m: the largest ||hA||, in any consistent norm, for which the degree-m
+# truncated Taylor series of exp(hA) has backward error below the
+# double-precision unit roundoff
 # (Higham, Functions of Matrices, 2008, Table A.3 for m <= 30; Al-Mohy &
 # Higham, SIAM J. Sci. Comput. 2011, Table 3.1 for m >= 35)
 TAYLOR_THETA = {
@@ -142,13 +145,14 @@ class TimeGrid:
         return cls(t_start, t_end, n, record_every=n // n_record)
 
     @classmethod
-    def taylor(cls, norm1: float, t_start: float, t_end: float,
+    def taylor(cls, norm: float, t_start: float, t_end: float,
                n_record: int) -> "TimeGrid":
         """The unit-roundoff Taylor plan with the fewest generator products:
         degree m >= 4 and s substeps per record interval dt_rec minimising
-        m * s subject to s * TAYLOR_THETA[m] >= norm1 * dt_rec, where norm1
-        is the generator's 1-norm (ties go to the lower degree)."""
-        span = norm1 * (t_end - t_start) / n_record
+        m * s subject to s * TAYLOR_THETA[m] >= norm * dt_rec, where norm
+        bounds the generator in any consistent norm (ties go to the lower
+        degree)."""
+        span = norm * (t_end - t_start) / n_record
         plans = ((max(1, int(np.ceil(span / theta))), m)
                  for m, theta in TAYLOR_THETA.items())
         s, m = min(plans, key=lambda sm: (sm[0] * sm[1], sm[1]))
@@ -187,16 +191,18 @@ def omega_max(h: Operator, collapse: list[Operator] | None = None) -> float:
     return w
 
 
-def check_stability(grid: TimeGrid, wmax: float, norm1: float | None = None) -> None:
+def check_stability(grid: TimeGrid, wmax: float, bound: float | None = None) -> None:
     """Raise StabilityError when the step is too long for the grid's degree:
-    dt * wmax > STABILITY_LIMIT at degree 4 (RK4), or dt * norm1 >
-    TAYLOR_THETA[m] at degree m > 4. norm1 is the generator's 1-norm and
-    defaults to wmax, which it equals for a Hermitian or symmetric generator."""
+    dt * wmax > STABILITY_LIMIT at degree 4 (RK4), or dt * bound >
+    TAYLOR_THETA[m] at degree m > 4. bound is an upper bound on the
+    generator in any consistent norm, since the theta_m backward-error bound
+    holds in every such norm; it defaults to wmax, the row sum, which is the
+    exact 1-norm of a Hermitian or complex-symmetric generator."""
     m = grid.degree
     if m == 4:
         name, scale, limit = "omega_max", wmax, STABILITY_LIMIT
     else:
-        name, scale, limit = "norm1", wmax if norm1 is None else norm1, TAYLOR_THETA[m]
+        name, scale, limit = "norm", wmax if bound is None else bound, TAYLOR_THETA[m]
     if grid.dt * scale > limit:
         # the fewest passing steps that both the recording stride and the
         # record count divide, so the config accepts the suggestion
@@ -262,7 +268,8 @@ def norm1(a: sparse.csr_array) -> float:
 
 def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
            grid: TimeGrid, observables: list[Operator],
-           gamma: float = 0.0, lv: sparse.csr_array | None = None) -> Trajectory:
+           gamma: float = 0.0, lv: sparse.csr_array | None = None,
+           norm: float | None = None) -> Trajectory:
     """Integrate drho/dt = -i[H,rho] + sum_k (L rho L† - {L†L, rho}/2).
 
     Parameters
@@ -284,6 +291,10 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
         subradiant_n(t) = gamma * int_0^t <observables[0]> dt'.
     lv : sparse.csr_array, optional
         ``liouvillian(h, collapse)``, when the caller has built it already.
+    norm : float, optional
+        The norm the guard checks at the grid's degree, ``omega_max(h,
+        collapse)`` at degree 4 and ``norm1(lv)`` above, when the caller has
+        computed it already; otherwise only that one norm is computed here.
     """
     if not observables:
         raise ValueError("need at least the collective number observable")
@@ -295,7 +306,9 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
 
     if lv is None:
         lv = liouvillian(h, collapse)
-    check_stability(grid, omega_max(h, collapse), norm1(lv))
+    if norm is None:
+        norm = omega_max(h, collapse) if grid.degree == 4 else norm1(lv)
+    check_stability(grid, norm)
     # row k is vec(O_kᵀ), so readout @ vec(rho) = [Tr(O_k rho)]_k
     readout = np.array([op.mat.T.reshape(-1) for op in observables])
     num_vec = readout[0]

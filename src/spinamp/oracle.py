@@ -4,9 +4,10 @@ Two regimes: an exact single-excitation solver for large sampled ensembles
 (N ~ thousands, closed (N+1)-dimensional Schrodinger system), and a full
 product-space model for tiny ensembles (n <= 4 modes) including the drive.
 Both run on the density-matrix integrator's Taylor core: ``dynamics.rk4``
-steps them, ``dynamics.check_stability`` guards them with their own row-sum
-bound (which is also their generator's exact 1-norm), and
-``dynamics.TimeGrid.sized`` sizes the single-excitation RK4 grid.
+steps them and ``dynamics.check_stability`` guards them. The RK4 rule takes
+each generator's row sum (also its exact 1-norm), and ``auto_grid`` sizes
+single-excitation RK4 grids on it. Single-excitation Taylor plans and their
+guard take ``arrowhead_norm``, a 2-norm bound that does not grow with N.
 """
 
 from __future__ import annotations
@@ -115,14 +116,38 @@ class SingleExcitationResult:
 
 def arrowhead_omega_max(sample: EnsembleSample, delta_target: float,
                         gamma_s: float = 0.0) -> float:
-    """Row-sum frequency estimate of the single-excitation system. The
-    generator is complex symmetric, so this is also its exact 1-norm, the
-    norm ``dynamics.TimeGrid.taylor`` plans with."""
+    """Row-sum frequency estimate of the single-excitation system, the norm
+    of its degree-4 (RK4) rule. The generator is complex symmetric, so this
+    is also its exact 1-norm; the coupling row alone adds G sqrt(N) for
+    uniform couplings."""
     g = sample.couplings
     deltas = sample.freqs - sample.omega_bar
     row_e = abs(delta_target) + float(np.sum(np.abs(g)))
     row_j = float(np.max(np.abs(deltas - 0.5j * gamma_s) + np.abs(g)))
     return max(row_e, row_j)
+
+
+def arrowhead_norm(sample: EnsembleSample, delta_target: float,
+                   gamma_s: float = 0.0) -> float:
+    """Upper bound on the 2-norm of the single-excitation generator, the norm
+    its Taylor plans and their guard use:
+
+        max(|delta_target|, max_j |delta_j - i gamma_s/2|) + G.
+
+    The generator is -i(D + C) with D diagonal and C the coupling arrow
+    (g in the first row and column). ||D||_2 is its largest entry modulus,
+    and C = e_0 g^T + g e_0^T has eigenvalues +-||g||_2, so ||C||_2 = G
+    exactly; the triangle inequality gives the bound. Planning in the 2-norm
+    keeps unit-roundoff accuracy: Al-Mohy & Higham (SIAM J. Sci. Comput.
+    2011, section 3; Higham, Functions of Matrices, 2008, section 10.3)
+    state the backward-error bound behind theta_m,
+    ||dA|| / ||A|| <= h~_{m+1}(||s^-1 A||) / ||s^-1 A||, for any consistent
+    matrix norm: h~_{m+1} is a power series with non-negative coefficients,
+    and ||X^k|| <= ||X||^k in every such norm.
+    """
+    deltas = sample.freqs - sample.omega_bar
+    diag = max(abs(delta_target), float(np.max(np.abs(deltas - 0.5j * gamma_s))))
+    return diag + sample.g_collective
 
 
 def auto_grid(sample: EnsembleSample, delta_target: float, t_end: float,
@@ -147,13 +172,18 @@ def single_excitation_evolve(sample: EnsembleSample, delta_target: float,
     ensemble center; the overall frame only shifts a global phase).
     """
     g = sample.couplings
-    dj = (sample.freqs - sample.omega_bar) - 0.5j * gamma_s
-    dynamics.check_stability(grid, arrowhead_omega_max(sample, delta_target, gamma_s))
+    dynamics.check_stability(grid, arrowhead_omega_max(sample, delta_target, gamma_s),
+                             arrowhead_norm(sample, delta_target, gamma_s))
+    # the generator's entries, complex once here rather than on every call
+    ig = -1j * g
+    idj = -1j * ((sample.freqs - sample.omega_bar) - 0.5j * gamma_s)
+    i_delta = -1j * delta_target
 
     def rhs(c):
         out = np.empty_like(c)
-        out[0] = -1j * (delta_target * c[0] + g @ c[1:])
-        out[1:] = -1j * (dj * c[1:] + g * c[0])
+        out[0] = i_delta * c[0] + ig @ c[1:]
+        np.multiply(idj, c[1:], out=out[1:])
+        out[1:] += ig * c[0]
         return out
 
     g_norm = sample.g_collective

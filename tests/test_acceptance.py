@@ -24,7 +24,7 @@ from spinamp.hilbert import (DensityMatrix, Operator, SpaceDims, eig_hermitian,
                              identity, kron, ladder)
 from spinamp.model import (SystemParams, build_anc, build_drive, build_hc,
                            collapse_ops)
-from spinamp.oracle import (auto_grid, reduced_single_excitation,
+from spinamp.oracle import (arrowhead_norm, reduced_single_excitation,
                             sample_frequencies, single_excitation_evolve)
 
 TWO_PI = 2.0 * np.pi
@@ -123,11 +123,12 @@ def oracle_runs():
     for seed in SEEDS:
         sample = sample_frequencies(2000, p.omega_bar, p.gamma, seed,
                                     g_collective=p.g_collective)
-        long_grid = auto_grid(sample, p.delta, 1.0, n_record=500)
+        bound = arrowhead_norm(sample, p.delta)
+        long_grid = dynamics.TimeGrid.taylor(bound, 0.0, 1.0, 500)
         long = single_excitation_evolve(sample, p.delta, long_grid)
         c_e_red, _ = reduced_single_excitation(p.delta, p.g_collective,
                                                p.gamma, long.times)
-        fine_grid = auto_grid(sample, p.delta, 3.0 / p.gamma, n_record=400)
+        fine_grid = dynamics.TimeGrid.taylor(bound, 0.0, 3.0 / p.gamma, 400)
         fine = single_excitation_evolve(sample, p.delta, fine_grid)
         _, c_a_red = reduced_single_excitation(p.delta, p.g_collective,
                                                p.gamma, fine.times)

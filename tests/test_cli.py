@@ -14,6 +14,7 @@ from spinamp.cli import (ConfigError, DEFAULT_CONFIG, apply_overrides,
                          resolve_config, _fmt, _grid, _n_workers)
 from spinamp.dynamics import POSITIVITY_TOL, TRACE_TOL, TimeGrid
 from spinamp.model import build_drive, build_hc, collapse_ops
+from spinamp.oracle import arrowhead_norm, arrowhead_omega_max, sample_frequencies
 
 TWO_PI = 2.0 * np.pi
 
@@ -449,8 +450,8 @@ class TestPlanChoice:
     def grid(self, fig_params, t_end, n_record, d=16):
         h = build_hc(fig_params, d) + build_drive(fig_params, d)
         ops = collapse_ops(fig_params, d)
-        return _grid(h, ops, 0.0, t_end, n_record), TimeGrid.auto(h, 0.0, t_end,
-                                                                    n_record, ops)
+        return _grid(h, ops, 0.0, t_end, n_record)[0], TimeGrid.auto(h, 0.0, t_end,
+                                                                       n_record, ops)
 
     # at d=32 the Taylor plan (degree 8, one step per record) ties with RK4
     # (two steps per record), and a tie keeps RK4
@@ -463,6 +464,21 @@ class TestPlanChoice:
         grid, rk = self.grid(fig_params, 0.005, 50)
         assert grid.degree > 4
         assert grid.applications < rk.applications
+
+    @pytest.mark.parametrize("n_steps, calls", [(0, {"omega_max": 1, "norm1": 1}),
+                                                (400, {"omega_max": 1, "norm1": 0})])
+    def test_branch_computes_each_norm_once(self, fig_params, monkeypatch, n_steps,
+                                            calls):
+        # a planned run computes both norms to choose its grid and hands the
+        # chosen one to the guard; a fixed RK4 grid needs only omega_max
+        counts = {"omega_max": 0, "norm1": 0}
+        for name in counts:
+            def counted(*args, _name=name, _fn=getattr(dynamics, name)):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(dynamics, name, counted)
+        cli._run_branch_meta(fig_params, 6, "e", 0.0, 0.005, 10, n_steps=n_steps)
+        assert counts == calls
 
 
 class TestPlanTelemetry:
@@ -496,6 +512,33 @@ class TestPlanTelemetry:
         for plan in report["plans"].values():
             assert set(plan) == {"degree", "n_steps", "applications"}
             assert plan["applications"] == plan["degree"] * plan["n_steps"]
+        assert len(report["checks"]) == 12
+
+    def test_validate_report_records_the_oracle_per_seed(self, tmp_path):
+        cfg = write_config(tmp_path, {"fock_cutoff": 8, "seeds": [11, 13],
+                                      "grid": {"t_end_us": 0.1, "n_record": 100}})
+        out = str(tmp_path / "report.json")
+        assert main(["validate", "--config", cfg, "--out", out]) == 0
+        report = json.loads(open(out, encoding="utf-8").read())
+        checks = {c["name"]: c["value"] for c in report["checks"]}
+        per_seed = report["oracle"]
+        assert set(per_seed) == {"11", "13"}
+        for seed, entry in per_seed.items():
+            assert set(entry) == {"envelope_deviation", "norm_drift", "plan_norm",
+                                  "row_sum"}
+            p = resolve_config(load_config(cfg), "validate").params
+            sample = sample_frequencies(2000, p.omega_bar, p.gamma, int(seed),
+                                        g_collective=p.g_collective)
+            assert entry["plan_norm"] == arrowhead_norm(sample, p.delta)
+            assert entry["row_sum"] == arrowhead_omega_max(sample, p.delta)
+            assert entry["plan_norm"] < entry["row_sum"] / 5
+            assert 0.0 <= entry["norm_drift"] < 1e-12
+            plan = report["plans"][f"oracle_seed_{seed}"]
+            assert plan["applications"] == TimeGrid.taylor(
+                entry["plan_norm"], 0.0, 3.0 / p.gamma, 400).applications
+        assert checks["oracle_traceout"] == max(e["envelope_deviation"]
+                                                for e in per_seed.values())
+        assert checks["oracle_norm"] == max(e["norm_drift"] for e in per_seed.values())
         assert len(report["checks"]) == 12
 
 

@@ -6,8 +6,8 @@ from spinamp import dynamics
 from spinamp.cli import envelope_deviation
 from spinamp.hilbert import DensityMatrix, Operator, SpaceDims, identity, kron, ladder
 from spinamp.model import SystemParams, build_drive, build_hc, collapse_ops
-from spinamp.oracle import (EnsembleSample, arrowhead_omega_max, auto_grid,
-                            build_full_model,
+from spinamp.oracle import (EnsembleSample, arrowhead_norm, arrowhead_omega_max,
+                            auto_grid, build_full_model,
                             full_model_evolve, lorentzian_ppf,
                             reduced_single_excitation, sample_frequencies,
                             single_excitation_evolve)
@@ -206,6 +206,150 @@ class TestTaylorPlanOracle:
         np.testing.assert_allclose(res.collective, c[:, 1:] @ s.couplings / s.g_collective,
                                    rtol=0.0, atol=1e-12)
         assert np.max(np.abs(res.norm - 1.0)) < 1e-13
+
+
+def dense_arrowhead(s, delta_target, gamma_s=0.0):
+    """-i(D + C) of the single-excitation system, as a dense matrix."""
+    arrow = np.diag(np.concatenate(([delta_target],
+                                    s.freqs - s.omega_bar - 0.5j * gamma_s)))
+    arrow[0, 1:] = arrow[1:, 0] = s.couplings
+    return -1j * arrow
+
+
+class TestArrowheadNorm:
+    @pytest.mark.parametrize("n", [1, 2, 50, 400])
+    @pytest.mark.parametrize("seed", [3, 11, 17])
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("gamma_s", [0.0, TWO_PI * 20.0])
+    def test_bounds_the_spectral_norm(self, fig_params, n, seed, sigma, gamma_s):
+        p = fig_params
+        s = sample_frequencies(n, p.omega_bar, p.gamma, seed=seed,
+                               g_collective=p.g_collective, coupling_sigma=sigma)
+        exact = np.linalg.norm(dense_arrowhead(s, p.delta, gamma_s), 2)
+        assert arrowhead_norm(s, p.delta, gamma_s) >= exact
+
+    @pytest.mark.parametrize("gamma_s", [0.0, TWO_PI * 20.0])
+    def test_bounds_the_spectral_norm_when_the_qubit_detuning_dominates(
+            self, fig_params, gamma_s):
+        p = fig_params
+        s = sample_frequencies(50, p.omega_bar, p.gamma, seed=5,
+                               g_collective=p.g_collective, truncation_k=10.0)
+        delta = 100.0 * p.gamma
+        bound = arrowhead_norm(s, delta, gamma_s)
+        assert bound == pytest.approx(delta + p.g_collective, rel=1e-15)
+        assert bound >= np.linalg.norm(dense_arrowhead(s, delta, gamma_s), 2)
+
+    def test_guard_admits_a_plan_the_row_sum_rejects(self, fig_params):
+        p = fig_params
+        s = sample_frequencies(2000, p.omega_bar, p.gamma, seed=11,
+                               g_collective=p.g_collective)
+        grid = dynamics.TimeGrid.taylor(arrowhead_norm(s, p.delta), 0.0, 0.01, 20)
+        assert grid.degree > 4
+        assert grid.dt * arrowhead_omega_max(s, p.delta) > dynamics.TAYLOR_THETA[grid.degree]
+        res = single_excitation_evolve(s, p.delta, grid)
+        assert np.max(np.abs(res.norm - 1.0)) < 1e-12
+
+    def test_guard_rejects_a_step_over_the_bound(self, fig_params):
+        p = fig_params
+        s = sample_frequencies(400, p.omega_bar, p.gamma, seed=11,
+                               g_collective=p.g_collective)
+        bound = arrowhead_norm(s, p.delta)
+        t_end, m = 0.01, 12
+        n = int(0.9 * t_end * bound / dynamics.TAYLOR_THETA[m])
+        grid = dynamics.TimeGrid(0.0, t_end, n, degree=m)
+        assert grid.dt * bound > dynamics.TAYLOR_THETA[m]
+        with pytest.raises(dynamics.StabilityError,
+                           match=r"dt\*norm = .* exceeds theta_12") as err:
+            single_excitation_evolve(s, p.delta, grid)
+        ok = dynamics.TimeGrid(0.0, t_end, err.value.required_n_steps, degree=m)
+        assert ok.dt * bound <= dynamics.TAYLOR_THETA[m]
+        single_excitation_evolve(s, p.delta, ok)
+
+    def test_rk4_guard_keeps_the_row_sum_and_its_message(self, fig_params):
+        p = fig_params
+        s = sample_frequencies(50, p.omega_bar, p.gamma, seed=8,
+                               g_collective=p.g_collective)
+        grid = dynamics.TimeGrid(0.0, 1.0, 10, record_every=1)
+        with pytest.raises(dynamics.StabilityError,
+                           match=r"^dt\*omega_max = \S+ exceeds 0\.25; "
+                                 r"n_steps >= \d+ required$") as err:
+            single_excitation_evolve(s, p.delta, grid)
+        # the fewest steps (a multiple of the 10 records) with dt * row sum <= 0.25
+        need = err.value.required_n_steps
+        assert need - 10 < arrowhead_omega_max(s, p.delta) / 0.25 <= need
+
+    def test_spectral_plan_matches_arrowhead_eigendecomposition(self, fig_params):
+        p = fig_params
+        s = sample_frequencies(200, p.omega_bar, p.gamma, seed=11,
+                               g_collective=p.g_collective)
+        t_end = 3.0 / p.gamma
+        grid = dynamics.TimeGrid.taylor(arrowhead_norm(s, p.delta), 0.0, t_end, 100)
+        row_sum_plan = dynamics.TimeGrid.taylor(arrowhead_omega_max(s, p.delta), 0.0,
+                                                t_end, 100)
+        assert grid.degree > 4
+        assert grid.applications < row_sum_plan.applications
+        res = single_excitation_evolve(s, p.delta, grid)
+
+        w, v = np.linalg.eigh(1j * dense_arrowhead(s, p.delta))
+        c = (np.exp(-1j * np.outer(res.times, w)) * v[0]) @ v.T
+        np.testing.assert_allclose(res.c_e, c[:, 0], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(res.collective, c[:, 1:] @ s.couplings / s.g_collective,
+                                   rtol=0.0, atol=1e-12)
+        assert np.max(np.abs(res.norm - 1.0)) < 1e-13
+
+    def test_decaying_spins_match_the_matrix_exponential(self, fig_params):
+        from scipy.linalg import expm
+
+        p = fig_params
+        gamma_s = TWO_PI * 20.0
+        s = sample_frequencies(60, p.omega_bar, p.gamma, seed=13,
+                               g_collective=p.g_collective, coupling_sigma=0.5)
+        grid = dynamics.TimeGrid.taylor(arrowhead_norm(s, p.delta, gamma_s), 0.0,
+                                        3.0 / p.gamma, 40)
+        assert grid.degree > 4
+        res = single_excitation_evolve(s, p.delta, grid, gamma_s=gamma_s)
+
+        a = dense_arrowhead(s, p.delta, gamma_s)
+        c = np.array([expm(a * t)[:, 0] for t in res.times])
+        np.testing.assert_allclose(res.c_e, c[:, 0], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(res.collective, c[:, 1:] @ s.couplings / s.g_collective,
+                                   rtol=0.0, atol=1e-12)
+        assert res.norm[-1] < 0.9  # the spins' decay shows
+
+    def test_fused_right_hand_side_is_bitwise_the_plain_one(self, fig_params):
+        # the plain form -i(delta c_e + g.c), -i(d_j c_j + g_j c_e); multiplying
+        # by -1j only swaps and negates components, so with real d_j (gamma_s
+        # = 0, as in validate) the fused form, which multiplies the entries by
+        # -1j once, gives the same bits. With complex d_j the complex products
+        # may round differently (fused multiply-add), and the expm test above
+        # covers that case.
+        p = fig_params
+        s = sample_frequencies(300, p.omega_bar, p.gamma, seed=17,
+                               g_collective=p.g_collective, coupling_sigma=0.5)
+        grid = dynamics.TimeGrid.taylor(arrowhead_norm(s, p.delta), 0.0, 0.05, 50)
+        res = single_excitation_evolve(s, p.delta, grid)
+
+        g = s.couplings
+        dj = (s.freqs - s.omega_bar) - 0.5j * 0.0
+
+        def rhs(c):
+            out = np.empty_like(c)
+            out[0] = -1j * (p.delta * c[0] + g @ c[1:])
+            out[1:] = -1j * (dj * c[1:] + g * c[0])
+            return out
+
+        c_e = np.empty(grid.n_record + 1, dtype=complex)
+        coll = np.empty(grid.n_record + 1, dtype=complex)
+
+        def record(i, c, _):
+            c_e[i] = c[0]
+            coll[i] = (g @ c[1:]) / s.g_collective
+
+        c0 = np.zeros(s.n + 1, dtype=complex)
+        c0[0] = 1.0
+        dynamics.rk4(rhs, c0, grid, record)
+        np.testing.assert_array_equal(res.c_e, c_e)
+        np.testing.assert_array_equal(res.collective, coll)
 
 
 class TestFullModel:
