@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -275,43 +275,37 @@ def _joint_observables(d: int):
     num = kron(idq, a.dag() @ a)
     proj_e = Operator(SpaceDims((2,)), np.diag([0.0, 1.0]), hermitian=True)
     qubit = kron(proj_e, identity(SpaceDims((d,))))
-    return num, qubit
+    return [num, qubit]
 
 
-def _grid(h: Operator, ops: list[Operator], t_start: float, t_end: float,
-          n_record: int, n_steps: int = 0, dt_factor: float = dynamics.DT_FACTOR,
-          degree: int = 4, lv=None) -> tuple[dynamics.TimeGrid, float | None]:
-    """(grid, norm). n_steps steps of the given degree when n_steps is set,
-    with norm None; else the RK4 auto grid or the unit-roundoff Taylor plan of
-    the Liouvillian `lv` (built here when not given), whichever has fewer
-    generator products (a tie keeps RK4), with the norm its guard checks, so
-    that `evolve` need not compute it again."""
+def _run(h: Operator, ops: list[Operator], rho0: DensityMatrix, observables: list,
+         gamma: float, t_start: float, t_end: float, n_record: int, n_steps: int = 0,
+         dt_factor: float = dynamics.DT_FACTOR, degree: int = 4):
+    """One Lindblad run; returns (Trajectory, grid). The Liouvillian is built
+    once. With n_steps set the grid is n_steps steps of the given degree;
+    otherwise it is `TimeGrid.plan` on the run's row sum and 1-norm, and
+    `evolve`'s guard reuses the norm it reads."""
+    lv = dynamics.liouvillian(h, ops)
+    wmax = norm = None
     if n_steps:
-        return dynamics.TimeGrid(t_start, t_end, n_steps, record_every=n_steps // n_record,
-                                 degree=degree), None
-    wmax = dynamics.omega_max(h, ops)
-    norm1 = dynamics.norm1(dynamics.liouvillian(h, ops) if lv is None else lv)
-    rk4 = dynamics.TimeGrid.sized(wmax, t_start, t_end, n_record, dt_factor)
-    plan = dynamics.TimeGrid.taylor(norm1, t_start, t_end, n_record)
-    return (plan, norm1) if plan.applications < rk4.applications else (rk4, wmax)
+        grid = dynamics.TimeGrid(t_start, t_end, n_steps, record_every=n_steps // n_record,
+                                 degree=degree)
+    else:
+        wmax, norm = dynamics.omega_max(h, ops), dynamics.norm1(lv)
+        grid = dynamics.TimeGrid.plan(wmax, norm, t_start, t_end, n_record, dt_factor)
+    traj = dynamics.evolve(h, ops, rho0, grid, observables, gamma=gamma, lv=lv,
+                           wmax=wmax, norm=norm)
+    return traj, grid
 
 
 def _run_branch_meta(p: SystemParams, d: int, state: str, t_start: float,
                      t_end: float, n_record: int, n_steps: int = 0,
-                     dt_factor: float = dynamics.DT_FACTOR, drive: bool = True,
-                     degree: int = 4):
-    """One reduced-model Lindblad run from |state, 0>; returns (Trajectory, grid)."""
-    h = build_hc(p, d)
-    if drive:
-        h = h + build_drive(p, d)
-    ops = collapse_ops(p, d)
-    lv = dynamics.liouvillian(h, ops)
-    grid, norm = _grid(h, ops, t_start, t_end, n_record, n_steps, dt_factor, degree, lv=lv)
-    num, qubit = _joint_observables(d)
+                     dt_factor: float = dynamics.DT_FACTOR, degree: int = 4):
+    """One driven reduced-model run from |state, 0>; returns (Trajectory, grid)."""
+    h = build_hc(p, d) + build_drive(p, d)
     rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1 if state == "e" else 0, 0)
-    traj = dynamics.evolve(h, ops, rho0, grid, [num, qubit], gamma=p.gamma, lv=lv,
-                           norm=norm)
-    return traj, grid
+    return _run(h, collapse_ops(p, d), rho0, _joint_observables(d), p.gamma, t_start,
+                t_end, n_record, n_steps, dt_factor, degree)
 
 
 def _max_normalized_dev(a: np.ndarray, b: np.ndarray) -> float:
@@ -361,19 +355,29 @@ def _convergence(rc: RunConfig, runs: list) -> dict:
     return checks
 
 
-def _generator_work(grids, d: int) -> dict:
-    """Generator products summed over the grids of the written runs, and the
-    dimension of the Liouvillian they apply (vec(rho) at cutoff d)."""
-    return {"generator_applications": sum(g.applications for g in grids),
-            "generator_dim": (2 * d) ** 2}
-
-
-def _hygiene(trajs) -> dict:
-    """Extrema of the per-record state diagnostics over the written runs."""
-    trajs = list(trajs)
-    return {"trace_err_max": max(float(t.trace_err.max()) for t in trajs),
-            "herm_err_max": max(float(t.herm_err.max()) for t in trajs),
-            "min_eig_min": min(float(t.min_eig.min()) for t in trajs)}
+def _runs_meta(runs: list, d: int, per_gamma: bool = True) -> dict:
+    """Sidecar entries of the written (gamma_mhz, params, {state: Trajectory},
+    grid) runs: each run's grid (keyed by gamma, or bare for a single run
+    with its recording stride), the extrema of the per-record state
+    diagnostics, and the generator products summed over every branch with
+    the dimension of the Liouvillian they apply (vec(rho) at cutoff d)."""
+    grids = {str(g): grid for g, _, _, grid in runs}
+    if per_gamma:
+        meta = {"n_steps": {g: grid.n_steps for g, grid in grids.items()},
+                "dt_us": {g: grid.dt for g, grid in grids.items()},
+                "degree": {g: grid.degree for g, grid in grids.items()}}
+    else:
+        [grid] = grids.values()
+        meta = {"n_steps": grid.n_steps, "dt_us": grid.dt, "degree": grid.degree,
+                "record_every": grid.record_every}
+    trajs = [t for _, _, branches, _ in runs for t in branches.values()]
+    meta["hygiene"] = {"trace_err_max": max(float(t.trace_err.max()) for t in trajs),
+                       "herm_err_max": max(float(t.herm_err.max()) for t in trajs),
+                       "min_eig_min": min(float(t.min_eig.min()) for t in trajs)}
+    meta["generator_applications"] = sum(grid.applications * len(branches)
+                                         for _, _, branches, grid in runs)
+    meta["generator_dim"] = (2 * d) ** 2
+    return meta
 
 
 # ---------------------------------------------------------------------------
@@ -413,41 +417,35 @@ def write_meta(out_path: str, rc: RunConfig, extra: dict) -> None:
 # experiments
 # ---------------------------------------------------------------------------
 
-def run_figure2(rc: RunConfig, out: str) -> dict:
-    p = rc.params
-
-    def run(state):
-        return _run_branch_meta(p, rc.fock_cutoff, state, rc.t_start, rc.t_end,
-                                rc.n_record, n_steps=rc.n_steps)
-    (traj_e, grid), (traj_g, grid_g) = _pmap(run, ("e", "g"))
-    checks = _convergence(rc, [(p, {"e": traj_e, "g": traj_g}, grid)])
-
-    times = traj_e.times
-    ana_e = analytic.excited_population(times, p)
-    ana_g = analytic.ground_population(times, p)
-    rows = zip(times, traj_e.collective_n, ana_e, traj_g.collective_n, ana_g)
-    write_csv(out, ["t_us", "n_num_e", "n_ana_e", "n_num_g", "n_ana_g"], rows)
-    meta = {"n_steps": grid.n_steps, "dt_us": grid.dt, "degree": grid.degree,
-            "record_every": grid.record_every, "checks": checks,
-            "hygiene": _hygiene((traj_e, traj_g)),
-            **_generator_work((grid, grid_g), rc.fock_cutoff)}
-    write_meta(out, rc, meta)
-    return meta
-
-
-def _figure3_runs(rc: RunConfig) -> list:
-    """(gamma_mhz, params, {state: Trajectory}, grid) per sweep value; both
-    branches of a sweep value share its grid."""
+def _branch_runs(rc: RunConfig, gammas) -> list:
+    """(gamma_mhz, params, {state: Trajectory}, grid) per gamma value, one
+    `_pmap` task each; both branches of a gamma value share its grid."""
     def run(g_mhz):
         p = SystemParams.from_mhz(**{**rc.params_mhz, "gamma": g_mhz})
         runs = {s: _run_branch_meta(p, rc.fock_cutoff, s, rc.t_start, rc.t_end,
                                     rc.n_record, n_steps=rc.n_steps) for s in ("e", "g")}
         return g_mhz, p, {s: traj for s, (traj, _) in runs.items()}, runs["e"][1]
-    return _pmap(run, rc.gamma_sweep)
+    return _pmap(run, gammas)
+
+
+def run_figure2(rc: RunConfig, out: str) -> dict:
+    runs = _branch_runs(rc, [rc.params_mhz["gamma"]])
+    [(_, p, trajs, _)] = runs
+    checks = _convergence(rc, [run[1:] for run in runs])
+
+    traj_e, traj_g = trajs["e"], trajs["g"]
+    times = traj_e.times
+    ana_e = analytic.excited_population(times, p)
+    ana_g = analytic.ground_population(times, p)
+    rows = zip(times, traj_e.collective_n, ana_e, traj_g.collective_n, ana_g)
+    write_csv(out, ["t_us", "n_num_e", "n_ana_e", "n_num_g", "n_ana_g"], rows)
+    meta = {"checks": checks, **_runs_meta(runs, rc.fock_cutoff, per_gamma=False)}
+    write_meta(out, rc, meta)
+    return meta
 
 
 def run_figure3(rc: RunConfig, out: str) -> dict:
-    runs = _figure3_runs(rc)
+    runs = _branch_runs(rc, rc.gamma_sweep)
     checks = _convergence(rc, [run[1:] for run in runs])
 
     rows = []
@@ -457,13 +455,8 @@ def run_figure3(rc: RunConfig, out: str) -> dict:
         for i, t in enumerate(traj_e.times):
             rows.append((t, g_mhz, traj_e.total_n[i], traj_g.total_n[i], gain[i]))
     write_csv(out, ["t_us", "gamma_mhz", "total_e", "total_g", "gain"], rows)
-    meta = {"n_steps": {str(g): grid.n_steps for g, _, _, grid in runs},
-            "dt_us": {str(g): grid.dt for g, _, _, grid in runs},
-            "degree": {str(g): grid.degree for g, _, _, grid in runs},
-            "gamma_sweep_mhz": rc.gamma_sweep, "checks": checks,
-            "hygiene": _hygiene(t for _, _, trajs, _ in runs for t in trajs.values()),
-            **_generator_work((grid for _, _, trajs, grid in runs for _ in trajs),
-                              rc.fock_cutoff),
+    meta = {"gamma_sweep_mhz": rc.gamma_sweep, "checks": checks,
+            **_runs_meta(runs, rc.fock_cutoff),
             "sweep_note": "gamma set and 1 us duration are artifact defaults, "
                           "not asserted values"}
     write_meta(out, rc, meta)
@@ -471,7 +464,7 @@ def run_figure3(rc: RunConfig, out: str) -> dict:
 
 
 def run_sweep(rc: RunConfig, out: str) -> dict:
-    runs = _figure3_runs(rc)
+    runs = _branch_runs(rc, rc.gamma_sweep)
     rows = []
     for g_mhz, _, trajs, _ in runs:
         gain = dynamics.readout_gain(trajs["e"], trajs["g"])
@@ -480,11 +473,7 @@ def run_sweep(rc: RunConfig, out: str) -> dict:
                      trajs["e"].total_n[-1], trajs["g"].total_n[-1]))
     write_csv(out, ["gamma_mhz", "max_gain", "t_at_max_us", "total_e_final",
                     "total_g_final"], rows)
-    meta = {"n_steps": {str(g): grid.n_steps for g, _, _, grid in runs},
-            "degree": {str(g): grid.degree for g, _, _, grid in runs},
-            "hygiene": _hygiene(t for _, _, trajs, _ in runs for t in trajs.values()),
-            **_generator_work((grid for _, _, trajs, grid in runs for _ in trajs),
-                              rc.fock_cutoff)}
+    meta = _runs_meta(runs, rc.fock_cutoff)
     write_meta(out, rc, meta)
     return meta
 
@@ -553,10 +542,8 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
     checks.append(_check("timestep_guard", grid.dt * wmax, dynamics.STABILITY_LIMIT))
 
     # conservation bookkeeping (undriven, initial |e,0>) plus state hygiene
-    p0 = SystemParams(omega_t=p.omega_t, omega_bar=p.omega_bar, omega_d=p.omega_d,
-                      g_collective=p.g_collective, lambda_d=0.0, gamma=p.gamma)
-    traj0, plans["conservation"] = _run_branch_meta(p0, d, "e", 0.0, rc.t_end,
-                                                    rc.n_record, drive=False)
+    p0 = replace(p, lambda_d=0.0, gamma_s=0.0)
+    traj0, plans["conservation"] = _run_branch_meta(p0, d, "e", 0.0, rc.t_end, rc.n_record)
     q = traj0.qubit_excited + traj0.total_n
     checks.append(_check("conservation", np.max(np.abs(q - 1.0)), CONSERVATION_TOL))
     checks.append(_check("trace_error", traj0.trace_err.max(), dynamics.TRACE_TOL))
@@ -584,18 +571,14 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
 
     # analytic steady values vs the integrator under the frozen-qubit model
     t_steady = 10.0 / p.gamma
+    a = ladder(d)
+    num = Operator(SpaceDims((d,)), (a.dag() @ a).mat, hermitian=True)
+    anc_ops = collapse_ops(p, d, include_qubit=False)
+    rho0 = DensityMatrix.basis(SpaceDims((d,)), 0)
     for state, ana in (("e", analytic.excited_population),
                        ("g", analytic.ground_population)):
-        h_anc = build_anc(p, state, d)
-        anc_ops = collapse_ops(p, d, include_qubit=False)
-        lv = dynamics.liouvillian(h_anc, anc_ops)
-        g_anc, norm = _grid(h_anc, anc_ops, 0.0, t_steady, 200, lv=lv)
-        plans[f"analytic_steady_{state}"] = g_anc
-        a = ladder(d)
-        num = Operator(SpaceDims((d,)), (a.dag() @ a).mat, hermitian=True)
-        rho0 = DensityMatrix.basis(SpaceDims((d,)), 0)
-        traj = dynamics.evolve(h_anc, anc_ops, rho0, g_anc, [num], gamma=p.gamma, lv=lv,
-                               norm=norm)
+        traj, plans[f"analytic_steady_{state}"] = _run(
+            build_anc(p, state, d), anc_ops, rho0, [num], p.gamma, 0.0, t_steady, 200)
         ref = float(ana(np.array([t_steady]), p)[0])
         checks.append(_check(f"analytic_steady_{state}",
                              abs(traj.collective_n[-1] - ref), ANALYTIC_STEADY_TOL))
@@ -607,7 +590,8 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
         sample = oracle.sample_frequencies(rc.oracle_n, p.omega_bar, p.gamma,
                                            seed, g_collective=p.g_collective)
         bound = oracle.arrowhead_norm(sample, p.delta)
-        s_grid = dynamics.TimeGrid.taylor(bound, 0.0, t_oracle, 400)
+        row_sum = oracle.arrowhead_omega_max(sample, p.delta)
+        s_grid = dynamics.TimeGrid.plan(row_sum, bound, 0.0, t_oracle, 400)
         plans[f"oracle_seed_{seed}"] = s_grid
         res = oracle.single_excitation_evolve(sample, p.delta, s_grid)
         _, c_red = oracle.reduced_single_excitation(p.delta, p.g_collective,
@@ -617,7 +601,7 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
                                                      np.abs(c_red)),
             "norm_drift": float(np.max(np.abs(res.norm - 1.0))),
             "plan_norm": bound,
-            "row_sum": oracle.arrowhead_omega_max(sample, p.delta)}
+            "row_sum": row_sum}
     checks.append(_check("oracle_traceout", max(
         r["envelope_deviation"] for r in per_seed.values()), ORACLE_TOL))
     checks.append(_check("oracle_norm", max(r["norm_drift"] for r in per_seed.values()),

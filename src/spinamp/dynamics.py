@@ -16,7 +16,8 @@ picks the rule:
   (the 1-norm for a Liouvillian, a 2-norm bound for the arrowhead oracle);
   ``check_stability`` guards that bound.
 
-``evolve`` here and both oracle solvers use these.
+``TimeGrid.plan`` chooses between the two by generator products. ``evolve``
+here and both oracle solvers use these.
 
 ``evolve`` steps the row-major vectorised density matrix,
 vec(rho) = rho.reshape(-1), with one sparse matvec per Taylor term on the
@@ -158,6 +159,17 @@ class TimeGrid:
         s, m = min(plans, key=lambda sm: (sm[0] * sm[1], sm[1]))
         return cls(t_start, t_end, s * n_record, record_every=s, degree=m)
 
+    @classmethod
+    def plan(cls, wmax: float, norm: float, t_start: float, t_end: float,
+             n_record: int, dt_factor: float = DT_FACTOR) -> "TimeGrid":
+        """The grid with fewer generator products of two: the RK4 grid with
+        dt * wmax <= dt_factor (wmax the row-sum scale ``check_stability``
+        guards at degree 4) and the unit-roundoff Taylor plan on norm, a
+        bound on the generator in any consistent norm. A tie keeps RK4."""
+        rk4 = cls.sized(wmax, t_start, t_end, n_record, dt_factor)
+        taylor = cls.taylor(norm, t_start, t_end, n_record)
+        return taylor if taylor.applications < rk4.applications else rk4
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -269,7 +281,7 @@ def norm1(a: sparse.csr_array) -> float:
 def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
            grid: TimeGrid, observables: list[Operator],
            gamma: float = 0.0, lv: sparse.csr_array | None = None,
-           norm: float | None = None) -> Trajectory:
+           wmax: float | None = None, norm: float | None = None) -> Trajectory:
     """Integrate drho/dt = -i[H,rho] + sum_k (L rho L† - {L†L, rho}/2).
 
     Parameters
@@ -291,10 +303,10 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
         subradiant_n(t) = gamma * int_0^t <observables[0]> dt'.
     lv : sparse.csr_array, optional
         ``liouvillian(h, collapse)``, when the caller has built it already.
-    norm : float, optional
-        The norm the guard checks at the grid's degree, ``omega_max(h,
-        collapse)`` at degree 4 and ``norm1(lv)`` above, when the caller has
-        computed it already; otherwise only that one norm is computed here.
+    wmax, norm : float, optional
+        ``omega_max(h, collapse)`` and ``norm1(lv)``, when the caller has
+        computed them already. The guard reads wmax at degree 4 and norm
+        above; only the one it reads is computed here when missing.
     """
     if not observables:
         raise ValueError("need at least the collective number observable")
@@ -306,9 +318,11 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
 
     if lv is None:
         lv = liouvillian(h, collapse)
-    if norm is None:
-        norm = omega_max(h, collapse) if grid.degree == 4 else norm1(lv)
-    check_stability(grid, norm)
+    if grid.degree == 4 and wmax is None:
+        wmax = omega_max(h, collapse)
+    if grid.degree > 4 and norm is None:
+        norm = norm1(lv)
+    check_stability(grid, wmax, norm)
     # row k is vec(O_kᵀ), so readout @ vec(rho) = [Tr(O_k rho)]_k
     readout = np.array([op.mat.T.reshape(-1) for op in observables])
     num_vec = readout[0]
@@ -352,20 +366,6 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
         raise IntegrationError(f"final trace error {rec['trace_err'][-1]:.3g} > {TRACE_TOL}")
 
     return Trajectory(times=grid.times, extra=extra, **rec)
-
-
-def total_excitations(collective_n: np.ndarray, gamma: float,
-                      times: np.ndarray) -> np.ndarray:
-    """Total ensemble excitation from a recorded <A†A> series:
-    <A†A>(t) + gamma * cumulative trapezoid of <A†A> on the recording grid."""
-    collective_n = np.asarray(collective_n, dtype=float)
-    times = np.asarray(times, dtype=float)
-    if collective_n.shape != times.shape:
-        raise ValueError("series and time grid must have matching shapes")
-    integral = np.zeros_like(collective_n)
-    np.cumsum(np.diff(times) * (collective_n[1:] + collective_n[:-1]) / 2.0,
-              out=integral[1:])
-    return collective_n + gamma * integral
 
 
 def readout_gain(traj_e: Trajectory, traj_g: Trajectory) -> np.ndarray:

@@ -8,7 +8,7 @@ order. A product basis state |q, n1, n2, ...> sits at the row given by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 
 import numpy as np
@@ -107,23 +107,21 @@ class DensityMatrix:
 
     dims: SpaceDims
     mat: np.ndarray
-    validate: bool = field(default=True, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.mat, dtype=complex)
         object.__setattr__(self, "mat", m)
         if m.shape != (self.dims.dim, self.dims.dim):
             raise ValueError(f"density matrix shape {m.shape} vs dims {self.dims.factors}")
-        if self.validate:
-            herm = np.max(np.abs(m - m.conj().T))
-            if herm > RHO_HERM_TOL:
-                raise ValueError(f"density matrix not Hermitian: |rho - rho†| = {herm:.3g}")
-            tr = np.trace(m)
-            if abs(tr - 1.0) > RHO_TRACE_TOL:
-                raise ValueError(f"density matrix trace {tr:.12g} != 1")
-            w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-            if w.min() < -RHO_EIG_TOL:
-                raise ValueError(f"density matrix min eigenvalue {w.min():.3g}")
+        herm = np.max(np.abs(m - m.conj().T))
+        if herm > RHO_HERM_TOL:
+            raise ValueError(f"density matrix not Hermitian: |rho - rho†| = {herm:.3g}")
+        tr = np.trace(m)
+        if abs(tr - 1.0) > RHO_TRACE_TOL:
+            raise ValueError(f"density matrix trace {tr:.12g} != 1")
+        w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
+        if w.min() < -RHO_EIG_TOL:
+            raise ValueError(f"density matrix min eigenvalue {w.min():.3g}")
 
     @classmethod
     def pure(cls, dims: SpaceDims, ket: np.ndarray) -> "DensityMatrix":
@@ -155,15 +153,6 @@ def kron(a: Operator, b: Operator) -> Operator:
     dims = SpaceDims(a.dims.factors + b.dims.factors)
     return Operator(dims, np.kron(a.mat, b.mat),
                     hermitian=a.hermitian and b.hermitian)
-
-
-def expectation(rho: DensityMatrix, obs: Operator) -> complex:
-    """Tr(rho * obs)."""
-    if rho.dims != obs.dims:
-        raise ValueError(
-            f"dimension mismatch: {rho.dims.factors} vs {obs.dims.factors}"
-        )
-    return complex(np.einsum("ij,ji->", rho.mat, obs.mat))
 
 
 def eig_hermitian(m: Operator) -> tuple[np.ndarray, np.ndarray]:

@@ -36,27 +36,6 @@ def sigma_x() -> Operator:
 
 
 @dataclass(frozen=True)
-class DriveChoice:
-    """Drive frequency policy: explicit omega_d, or matched to the
-    excited-state-shifted collective resonance omega_bar + G^2/Delta."""
-
-    mode: str = "matched"          # "matched" | "explicit"
-    omega_d: float | None = None   # rad/us, explicit mode only
-
-    def resolve(self, omega_t: float, omega_bar: float, g_collective: float) -> float:
-        if self.mode == "explicit":
-            if self.omega_d is None:
-                raise ValueError("explicit drive requires omega_d")
-            return self.omega_d
-        if self.mode == "matched":
-            delta = omega_t - omega_bar
-            if delta == 0.0:
-                raise ValueError("matched drive requires a nonzero detuning")
-            return omega_bar + g_collective**2 / delta
-        raise ValueError(f"unknown drive mode {self.mode!r}")
-
-
-@dataclass(frozen=True)
 class SystemParams:
     """Physical rates and frequencies of the readout protocol (rad/us).
 
@@ -92,11 +71,15 @@ class SystemParams:
         omega_t = TWO_PI * nu_t
         omega_bar = TWO_PI * nu_bar
         g_c = TWO_PI * g
-        if isinstance(drive, str):
-            choice = DriveChoice(mode=drive)
+        if not isinstance(drive, str):
+            omega_d = TWO_PI * float(drive)
+        elif drive != "matched":
+            raise ValueError(f"unknown drive mode {drive!r}")
+        elif omega_t == omega_bar:
+            raise ValueError("matched drive requires a nonzero detuning")
         else:
-            choice = DriveChoice(mode="explicit", omega_d=TWO_PI * float(drive))
-        omega_d = choice.resolve(omega_t, omega_bar, g_c)
+            # the excited-state-shifted collective resonance omega_bar + G^2/Delta
+            omega_d = omega_bar + g_c**2 / (omega_t - omega_bar)
         return cls(omega_t=omega_t, omega_bar=omega_bar, omega_d=omega_d,
                    g_collective=g_c, lambda_d=TWO_PI * lambda_d,
                    gamma=TWO_PI * gamma, gamma_s=TWO_PI * gamma_s)

@@ -19,7 +19,7 @@ import pytest
 from spinamp import dynamics
 from spinamp.analytic import (excited_population, ground_population,
                               jc_spectrum, lambda_eff)
-from spinamp.cli import envelope_deviation
+from spinamp.cli import _run, _run_branch_meta, envelope_deviation
 from spinamp.hilbert import (DensityMatrix, Operator, SpaceDims, eig_hermitian,
                              identity, kron, ladder)
 from spinamp.model import (SystemParams, build_anc, build_drive, build_hc,
@@ -56,13 +56,9 @@ def joint_observables(d):
 
 
 def run_branch(p, d, state, t_end, n_record, dt_factor=dynamics.DT_FACTOR):
-    h = build_hc(p, d)
-    h = Operator(h.dims, (h + build_drive(p, d)).mat, hermitian=True)
-    ops = collapse_ops(p, d)
-    grid = dynamics.TimeGrid.auto(h, 0.0, t_end, n_record, ops, dt_factor)
-    num, qubit = joint_observables(d)
-    rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1 if state == "e" else 0, 0)
-    return dynamics.evolve(h, ops, rho0, grid, [num, qubit], gamma=p.gamma)
+    """A driven reduced-model branch on the CLI's run path and plan."""
+    return _run_branch_meta(p, d, state, 0.0, t_end, n_record,
+                            dt_factor=dt_factor)[0]
 
 
 @pytest.fixture(scope="module")
@@ -89,30 +85,20 @@ def fig3():
 
 @pytest.fixture(scope="module")
 def conservation_run():
-    p = params(lambda_d=0.0)
-    d = 8
-    h = build_hc(p, d)
-    ops = collapse_ops(p, d)
-    grid = dynamics.TimeGrid.auto(h, 0.0, 1.0, 500, ops)
-    num, qubit = joint_observables(d)
-    rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1, 0)
-    return dynamics.evolve(h, ops, rho0, grid, [num, qubit], gamma=p.gamma)
+    # lambda_d = 0: the drive term vanishes and the run is the undriven model
+    return run_branch(params(lambda_d=0.0), 8, "e", 1.0, 500)
 
 
 @pytest.fixture(scope="module")
 def anc_runs():
     p = params()
-    out = {}
-    for state in ("e", "g"):
-        d = 16
-        h = build_anc(p, state, d)
-        ops = collapse_ops(p, d, include_qubit=False)
-        grid = dynamics.TimeGrid.auto(h, 0.0, 0.3, 300, ops)
-        a = ladder(d)
-        num = Operator(SpaceDims((d,)), (a.dag() @ a).mat, hermitian=True)
-        rho0 = DensityMatrix.basis(SpaceDims((d,)), 0)
-        out[state] = dynamics.evolve(h, ops, rho0, grid, [num], gamma=p.gamma)
-    return out
+    d = 16
+    a = ladder(d)
+    num = Operator(SpaceDims((d,)), (a.dag() @ a).mat, hermitian=True)
+    rho0 = DensityMatrix.basis(SpaceDims((d,)), 0)
+    return {state: _run(build_anc(p, state, d), collapse_ops(p, d, include_qubit=False),
+                        rho0, [num], p.gamma, 0.0, 0.3, 300)[0]
+            for state in ("e", "g")}
 
 
 @pytest.fixture(scope="module")
@@ -291,6 +277,28 @@ class TestCriterion7NumericalHygiene:
         passed = 16.0 * 0.7 <= ratio <= 16.0 * 1.3
         report("criterion-7 RK4 order", passed,
                f"step-halving error ratio {ratio:.1f} (16 +- 30%)")
+        assert passed
+
+
+class TestPlanAgainstRK4:
+    def test_figure2_plan_matches_rk4(self):
+        # the production plan against the RK4 grid it replaced, at the
+        # figure 2 working point over the first 0.05 us
+        p = params()
+        d = 16
+        plan, grid = _run_branch_meta(p, d, "e", 0.0, 0.05, 50)
+        h = build_hc(p, d) + build_drive(p, d)
+        ops = collapse_ops(p, d)
+        rk4 = dynamics.evolve(h, ops, DensityMatrix.basis(SpaceDims((2, d)), 1, 0),
+                              dynamics.TimeGrid.auto(h, 0.0, 0.05, 50, ops),
+                              list(joint_observables(d)), gamma=p.gamma)
+        worst = max(np.max(np.abs(getattr(plan, c) - getattr(rk4, c)))
+                    / np.max(np.abs(getattr(rk4, c)))
+                    for c in ("collective_n", "qubit_excited", "subradiant_n"))
+        passed = grid.degree > 4 and worst < 1e-9
+        report("plan against RK4", passed,
+               f"degree-{grid.degree} plan vs RK4 at d=16 over t<=0.05us: "
+               f"{worst:.2e} of the curve maximum (limit 1e-9)")
         assert passed
 
 

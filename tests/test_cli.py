@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ import spinamp
 from spinamp import cli, dynamics
 from spinamp.cli import (ConfigError, DEFAULT_CONFIG, apply_overrides,
                          envelope_deviation, load_config, main,
-                         resolve_config, _fmt, _grid, _n_workers)
+                         resolve_config, _fmt, _n_workers)
 from spinamp.dynamics import POSITIVITY_TOL, TRACE_TOL, TimeGrid
+from spinamp.hilbert import DensityMatrix, SpaceDims
 from spinamp.model import build_drive, build_hc, collapse_ops
 from spinamp.oracle import arrowhead_norm, arrowhead_omega_max, sample_frequencies
 
@@ -234,6 +236,31 @@ class TestValidateCommand:
                 "analytic_steady_e", "analytic_steady_g"} <= names
         assert "PASS conservation" in capsys.readouterr().out
 
+    def test_conservation_run_is_the_undriven_model(self, tmp_path, monkeypatch):
+        # the run behind the conservation check, recorded from inside validate,
+        # is bit for bit an evolve of the undriven build_hc on its own grid
+        runs = []
+        branch = cli._run_branch_meta
+
+        def recorded(p, d, *args, **kwargs):
+            result = branch(p, d, *args, **kwargs)
+            runs.append((p, d, *result))
+            return result
+        monkeypatch.setattr(cli, "_run_branch_meta", recorded)
+        argv = ["validate", *SMALL_RUN, "--override", "fock_cutoff=6",
+                "--override", "oracle_n=500", "--out", str(tmp_path / "report.json")]
+        assert main(argv) == 0
+        p = resolve_config(load_config(None), "validate").params
+        (q, d, traj, grid), = [run for run in runs if run[0].lambda_d == 0.0]
+        assert q == replace(p, lambda_d=0.0, gamma_s=0.0) and d == 6
+        num, qubit = cli._joint_observables(d)
+        ref = dynamics.evolve(build_hc(p, d), collapse_ops(p, d),
+                              DensityMatrix.basis(SpaceDims((2, d)), 1, 0), grid,
+                              [num, qubit], gamma=p.gamma)
+        for name in ("collective_n", "qubit_excited", "subradiant_n", "trace_err",
+                     "min_eig", "herm_err"):
+            np.testing.assert_array_equal(getattr(traj, name), getattr(ref, name))
+
     def test_bad_timestep_named_failure(self, tmp_path):
         cfg = write_config(tmp_path, {
             "fock_cutoff": 8,
@@ -390,18 +417,27 @@ class TestThreadPolicy:
         assert grid.degree > 4  # planned on the norm of that one build
 
 
-def test_benchmark_hook_traces_a_serial_figure2(tmp_path):
-    """The benchmark's invoke.py wraps cli and dynamics names (cli._pmap,
-    dynamics.evolve, ...); a rename that breaks it fails here."""
+@pytest.mark.parametrize("experiment, overrides, traced", [
+    ("figure2", [], {"cli._pmap", "cli._pmap.task", "cli._run_branch_meta"}),
+    ("figure3", [], {"cli._pmap", "cli._pmap.task", "cli._run_branch_meta"}),
+    # a validate config that passes, so every check's path runs
+    ("validate", ["fock_cutoff=6", "oracle_n=500"],
+     {"cli._check_cutoff", "cli._run_branch_meta", "oracle.single_excitation_evolve"}),
+], ids=["figure2", "figure3", "validate"])
+def test_benchmark_hook_traces_a_serial_figure2(tmp_path, experiment, overrides, traced):
+    """The benchmark's invoke.py wraps cli, dynamics and oracle names
+    (cli._pmap, dynamics.evolve, ...) and reads some of their parameters; a
+    rename that breaks it fails here."""
     result, spans = tmp_path / "result.json", tmp_path / "spans.json"
+    extra = [arg for item in overrides for arg in ("--override", item)]
     run_python([os.path.join(REPO, "perfbench", "invoke.py"), "run", str(result),
-                "--spans", str(spans), "--", "figure2", *SMALL_RUN,
-                "--out", str(tmp_path / "fig2.csv")], cwd=tmp_path)
+                "--spans", str(spans), "--", experiment, *SMALL_RUN, *extra,
+                "--out", str(tmp_path / "out")], cwd=tmp_path)
     measured = json.loads(result.read_text(encoding="utf-8"))
     assert measured["exit"] == 0
     assert measured["pool_workers"] == 1
     names = {span["name"] for span in json.loads(spans.read_text(encoding="utf-8"))}
-    assert {"cli._pmap", "cli._pmap.task", "dynamics.evolve"} <= names
+    assert {"dynamics.evolve", "dynamics.omega_max", *traced} <= names
 
 
 class TestStabilitySuggestion:
@@ -448,10 +484,13 @@ def test_cli_import_leaves_out_scipy_integrate():
 
 class TestPlanChoice:
     def grid(self, fig_params, t_end, n_record, d=16):
+        # the grid the production run path chooses, without integrating on it
         h = build_hc(fig_params, d) + build_drive(fig_params, d)
         ops = collapse_ops(fig_params, d)
-        return _grid(h, ops, 0.0, t_end, n_record)[0], TimeGrid.auto(h, 0.0, t_end,
-                                                                       n_record, ops)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dynamics, "evolve", lambda *args, **kwargs: None)
+            _, grid = cli._run_branch_meta(fig_params, d, "e", 0.0, t_end, n_record)
+        return grid, TimeGrid.auto(h, 0.0, t_end, n_record, ops)
 
     # at d=32 the Taylor plan (degree 8, one step per record) ties with RK4
     # (two steps per record), and a tie keeps RK4
@@ -496,6 +535,7 @@ class TestPlanTelemetry:
             per_run = [(meta["degree"], meta["n_steps"])]
         else:
             assert set(meta["degree"]) == set(meta["n_steps"]) == {"10.0", "25.0"}
+            assert meta["dt_us"] == {g: 0.01 / n for g, n in meta["n_steps"].items()}
             per_run = [(meta["degree"][g], meta["n_steps"][g]) for g in meta["degree"]]
         # two branches (excited and ground) per written run
         assert meta["generator_applications"] == sum(2 * m * n for m, n in per_run)

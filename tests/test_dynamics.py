@@ -2,13 +2,12 @@ from math import factorial
 
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import expm
 
-from spinamp.analytic import excited_population, ground_population, lambda_eff
+from spinamp.analytic import excited_population, ground_population
 from spinamp.dynamics import (DT_FACTOR, TAYLOR_THETA, StabilityError, TimeGrid,
                               evolve, liouvillian, norm1, omega_max, rk4,
-                              readout_gain, total_excitations)
+                              readout_gain)
 from spinamp.hilbert import (DensityMatrix, Operator, SpaceDims, identity,
                              kron, ladder)
 from spinamp.model import SystemParams, build_anc, build_drive, build_hc, collapse_ops
@@ -190,50 +189,6 @@ class TestConvergence:
         e1 = np.max(np.abs(coarse - ref))
         e2 = np.max(np.abs(half - ref))
         assert e1 / e2 == pytest.approx(16.0, rel=0.30)
-
-
-class TestTotalExcitations:
-    def test_constant_series(self):
-        t = np.linspace(0.0, 2.0, 101)
-        c, gamma = 0.7, 1.3
-        out = total_excitations(np.full_like(t, c), gamma, t)
-        np.testing.assert_allclose(out, c + gamma * c * t, rtol=1e-12)
-
-    def test_zero_series(self):
-        t = np.linspace(0.0, 1.0, 11)
-        np.testing.assert_array_equal(total_excitations(np.zeros_like(t), 2.0, t),
-                                      np.zeros_like(t))
-
-    def test_excited_closed_form_total(self, fig_params):
-        # gamma * integral of the excited-state curve has the closed form
-        # C [(1-e^{-gt/2})^2 + gt - 4(1-e^{-gt/2}) + (1-e^{-gt})]
-        gamma = fig_params.gamma
-        lam = lambda_eff(fig_params)
-        t = np.linspace(0.0, 0.8, 20001)
-        series = excited_population(t, fig_params)
-        out = total_excitations(series, gamma, t)
-        c = 4 * lam**2 / gamma**2
-        half = np.exp(-0.5 * gamma * t)
-        expected = c * ((1 - half) ** 2 + gamma * t - 4 * (1 - half)
-                        + (1 - half**2))
-        # pointwise-relative agreement once the integral has support; the
-        # first few points compare a quadrature against ~t^3 values
-        body = expected > 1e-3 * expected[-1]
-        np.testing.assert_allclose(out[body], expected[body], rtol=1e-5)
-        np.testing.assert_allclose(out[~body], expected[~body], atol=1e-6)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            total_excitations(np.zeros(5), 1.0, np.zeros(6))
-
-    def test_matches_scipy_cumulative_trapezoid(self):
-        rng = np.random.default_rng(7)
-        t = np.cumsum(rng.uniform(0.001, 0.1, 200))  # non-uniform grid
-        series = np.sin(40.0 * t) ** 2 + rng.uniform(0.0, 0.1, t.size)
-        gamma = 78.5
-        expected = series + gamma * cumulative_trapezoid(series, t, initial=0.0)
-        np.testing.assert_allclose(total_excitations(series, gamma, t), expected,
-                                   rtol=1e-14, atol=0.0)
 
 
 class TestReadoutGain:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from spinamp.hilbert import (DensityMatrix, Operator, SpaceDims, eig_hermitian,
-                             expectation, identity, kron, ladder)
+                             identity, kron, ladder)
 
 
 def test_space_dims_product():
@@ -88,46 +88,6 @@ class TestKron:
         right = kron(ops[0], kron(ops[1], ops[2]))
         np.testing.assert_array_equal(left.mat, right.mat)
         assert left.dims == right.dims
-
-
-class TestExpectation:
-    def test_vacuum(self):
-        d = 4
-        a = ladder(d)
-        num = a.dag() @ a
-        rho = DensityMatrix.basis(SpaceDims((d,)), 0)
-        assert expectation(rho, num) == 0
-
-    def test_fock_one(self):
-        d = 4
-        num = ladder(d).dag() @ ladder(d)
-        rho = DensityMatrix.basis(SpaceDims((d,)), 1)
-        assert expectation(rho, num).real == pytest.approx(1.0, abs=1e-14)
-
-    def test_mixture_convexity(self):
-        d = 4
-        num = ladder(d).dag() @ ladder(d)
-        dims = SpaceDims((d,))
-        rho = DensityMatrix(dims, 0.5 * DensityMatrix.basis(dims, 0).mat
-                            + 0.5 * DensityMatrix.basis(dims, 2).mat)
-        assert expectation(rho, num).real == pytest.approx(1.0, abs=1e-14)
-
-    def test_identity_gives_trace(self):
-        rng = np.random.default_rng(3)
-        d = 5
-        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        rho_m = m @ m.conj().T
-        rho_m /= np.trace(rho_m)
-        dims = SpaceDims((d,))
-        rho = DensityMatrix(dims, rho_m)
-        val = expectation(rho, identity(dims))
-        assert val.real == pytest.approx(np.trace(rho_m).real, abs=1e-12)
-        assert abs(val.imag) < 1e-9
-
-    def test_dimension_mismatch(self):
-        rho = DensityMatrix.basis(SpaceDims((3,)), 0)
-        with pytest.raises(ValueError, match="mismatch"):
-            expectation(rho, identity(SpaceDims((4,))))
 
 
 class TestEigHermitian:

@@ -3,9 +3,8 @@ import pytest
 
 from spinamp.analytic import jc_spectrum
 from spinamp.hilbert import SpaceDims, eig_hermitian
-from spinamp.model import (DriveChoice, SystemParams, build_anc,
-                           build_dispersive, build_drive, build_hc,
-                           collapse_ops)
+from spinamp.model import (SystemParams, build_anc, build_dispersive, build_drive,
+                           build_hc, collapse_ops)
 
 TWO_PI = 2.0 * np.pi
 
@@ -28,12 +27,10 @@ def test_explicit_drive():
 
 
 def test_drive_choice_errors():
-    with pytest.raises(ValueError, match="omega_d"):
-        DriveChoice(mode="explicit").resolve(1.0, 0.0, 1.0)
     with pytest.raises(ValueError, match="detuning"):
-        DriveChoice(mode="matched").resolve(5.0, 5.0, 1.0)
+        params_mhz(nu_t=5.0, nu_bar=5.0)
     with pytest.raises(ValueError, match="unknown"):
-        DriveChoice(mode="resonant").resolve(1.0, 0.0, 1.0)
+        params_mhz(drive="resonant")
 
 
 def test_params_validation():
