@@ -280,32 +280,29 @@ def _joint_observables(d: int):
 
 def _run(h: Operator, ops: list[Operator], rho0: DensityMatrix, observables: list,
          gamma: float, t_start: float, t_end: float, n_record: int, n_steps: int = 0,
-         dt_factor: float = dynamics.DT_FACTOR, degree: int = 4):
+         degree: int = 4):
     """One Lindblad run; returns (Trajectory, grid). The Liouvillian is built
     once. With n_steps set the grid is n_steps steps of the given degree;
-    otherwise it is `TimeGrid.plan` on the run's row sum and 1-norm, and
-    `evolve`'s guard reuses the norm it reads."""
+    otherwise it is the `TimeGrid.taylor` plan on the run's 1-norm, which
+    `evolve`'s guard reuses."""
     lv = dynamics.liouvillian(h, ops)
-    wmax = norm = None
+    norm = None
     if n_steps:
-        grid = dynamics.TimeGrid(t_start, t_end, n_steps, record_every=n_steps // n_record,
-                                 degree=degree)
+        grid = dynamics.TimeGrid(t_start, t_end, n_steps, degree=degree, n_record=n_record)
     else:
-        wmax, norm = dynamics.omega_max(h, ops), dynamics.norm1(lv)
-        grid = dynamics.TimeGrid.plan(wmax, norm, t_start, t_end, n_record, dt_factor)
-    traj = dynamics.evolve(h, ops, rho0, grid, observables, gamma=gamma, lv=lv,
-                           wmax=wmax, norm=norm)
+        norm = dynamics.norm1(lv)
+        grid = dynamics.TimeGrid.taylor(norm, t_start, t_end, n_record, size=lv.shape[0])
+    traj = dynamics.evolve(h, ops, rho0, grid, observables, gamma=gamma, lv=lv, norm=norm)
     return traj, grid
 
 
 def _run_branch_meta(p: SystemParams, d: int, state: str, t_start: float,
-                     t_end: float, n_record: int, n_steps: int = 0,
-                     dt_factor: float = dynamics.DT_FACTOR, degree: int = 4):
+                     t_end: float, n_record: int, n_steps: int = 0, degree: int = 4):
     """One driven reduced-model run from |state, 0>; returns (Trajectory, grid)."""
     h = build_hc(p, d) + build_drive(p, d)
     rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1 if state == "e" else 0, 0)
     return _run(h, collapse_ops(p, d), rho0, _joint_observables(d), p.gamma, t_start,
-                t_end, n_record, n_steps, dt_factor, degree)
+                t_end, n_record, n_steps, degree)
 
 
 def _max_normalized_dev(a: np.ndarray, b: np.ndarray) -> float:
@@ -316,8 +313,7 @@ def _max_normalized_dev(a: np.ndarray, b: np.ndarray) -> float:
 def _check_cutoff(p, d, states, t_start, t_end, n_record, base: dict) -> float:
     """Max-normalized change of <A†A> curves under cutoff doubling."""
     def dev(state):
-        doubled, _ = _run_branch_meta(p, 2 * d, state, t_start, t_end, n_record,
-                                      dt_factor=dynamics.DT_FACTOR_COARSE)
+        doubled, _ = _run_branch_meta(p, 2 * d, state, t_start, t_end, n_record)
         return _max_normalized_dev(base[state].collective_n, doubled.collective_n)
     return max(_pmap(dev, states))
 
@@ -357,19 +353,19 @@ def _convergence(rc: RunConfig, runs: list) -> dict:
 
 def _runs_meta(runs: list, d: int, per_gamma: bool = True) -> dict:
     """Sidecar entries of the written (gamma_mhz, params, {state: Trajectory},
-    grid) runs: each run's grid (keyed by gamma, or bare for a single run
-    with its recording stride), the extrema of the per-record state
-    diagnostics, and the generator products summed over every branch with
-    the dimension of the Liouvillian they apply (vec(rho) at cutoff d)."""
+    grid) runs: each run's plan (keyed by gamma, or bare for a single run),
+    with the state vectors its step buffer held, the extrema of the
+    per-record state diagnostics, and the generator products summed over
+    every branch with the dimension of the Liouvillian they apply (vec(rho)
+    at cutoff d)."""
     grids = {str(g): grid for g, _, _, grid in runs}
+    plan = {"n_steps": "n_steps", "dt_us": "dt", "degree": "degree", "step_buffer": "buffer"}
     if per_gamma:
-        meta = {"n_steps": {g: grid.n_steps for g, grid in grids.items()},
-                "dt_us": {g: grid.dt for g, grid in grids.items()},
-                "degree": {g: grid.degree for g, grid in grids.items()}}
+        meta = {key: {g: getattr(grid, attr) for g, grid in grids.items()}
+                for key, attr in plan.items()}
     else:
         [grid] = grids.values()
-        meta = {"n_steps": grid.n_steps, "dt_us": grid.dt, "degree": grid.degree,
-                "record_every": grid.record_every}
+        meta = {key: getattr(grid, attr) for key, attr in plan.items()}
     trajs = [t for _, _, branches, _ in runs for t in branches.values()]
     meta["hygiene"] = {"trace_err_max": max(float(t.trace_err.max()) for t in trajs),
                        "herm_err_max": max(float(t.herm_err.max()) for t in trajs),
@@ -590,8 +586,7 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
         sample = oracle.sample_frequencies(rc.oracle_n, p.omega_bar, p.gamma,
                                            seed, g_collective=p.g_collective)
         bound = oracle.arrowhead_norm(sample, p.delta)
-        row_sum = oracle.arrowhead_omega_max(sample, p.delta)
-        s_grid = dynamics.TimeGrid.plan(row_sum, bound, 0.0, t_oracle, 400)
+        s_grid = dynamics.TimeGrid.taylor(bound, 0.0, t_oracle, 400, size=sample.n + 1)
         plans[f"oracle_seed_{seed}"] = s_grid
         res = oracle.single_excitation_evolve(sample, p.delta, s_grid)
         _, c_red = oracle.reduced_single_excitation(p.delta, p.g_collective,
@@ -601,7 +596,7 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
                                                      np.abs(c_red)),
             "norm_drift": float(np.max(np.abs(res.norm - 1.0))),
             "plan_norm": bound,
-            "row_sum": row_sum}
+            "row_sum": oracle.arrowhead_omega_max(sample, p.delta)}
     checks.append(_check("oracle_traceout", max(
         r["envelope_deviation"] for r in per_seed.values()), ORACLE_TOL))
     checks.append(_check("oracle_norm", max(r["norm_drift"] for r in per_seed.values()),
@@ -610,7 +605,8 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
     all_passed = all(c["passed"] for c in checks)
     report = {"code_version": __version__, "passed": all_passed, "checks": checks,
               "plans": {name: {"degree": g.degree, "n_steps": g.n_steps,
-                               "applications": g.applications} for name, g in plans.items()},
+                               "applications": g.applications, "step_buffer": g.buffer}
+                        for name, g in plans.items()},
               "oracle": per_seed,
               "threads": {"workers": _n_workers(), "blas": _blas_threads()},
               "config": rc.resolved}

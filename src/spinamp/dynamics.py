@@ -9,15 +9,20 @@ picks the rule:
 - degree 4: ``TimeGrid.auto``/``TimeGrid.sized`` size the step so that
   dt * omega_max <= dt_factor, and ``check_stability`` guards
   dt * omega_max <= STABILITY_LIMIT (the row-sum RK4 stability bound);
-- degree m > 4: ``TimeGrid.taylor`` picks, per record interval, the degree
-  and substep count with the fewest generator products such that
+- degree m > 4: ``TimeGrid.taylor`` picks, over the whole window, the degree
+  and step count with the fewest generator products such that
   dt * ||A|| <= TAYLOR_THETA[m], the unit-roundoff bound of Al-Mohy &
   Higham (SIAM J. Sci. Comput. 2011), which holds in any consistent norm
   (the 1-norm for a Liouvillian, a 2-norm bound for the arrowhead oracle);
   ``check_stability`` guards that bound.
 
-``TimeGrid.plan`` chooses between the two by generator products. ``evolve``
-here and both oracle solvers use these.
+Steps and records are independent. The theta_m bound holds at every point
+inside a step, so ``rk4`` reads a record that falls inside a step off that
+step's Taylor terms, with vector sums instead of generator products; a plan
+spans as many records per step as its bound allows. The step buffer this
+needs is bounded by STEP_BUFFER_BYTES, and ``TimeGrid.taylor`` plans within
+it. Planned runs (``cli``, the validate oracle) are Taylor plans; RK4 grids
+serve explicit step counts and the RK4 reference tests.
 
 ``evolve`` steps the row-major vectorised density matrix,
 vec(rho) = rho.reshape(-1), with one sparse matvec per Taylor term on the
@@ -28,9 +33,9 @@ reshaped view of the same vector.
 
 ``evolve`` tracks, alongside the density matrix, the running integral
 of the first observable, integrating each Taylor term exactly (at degree 4
-these are the RK4 stage weights). For the collective
-number operator and a sqrt(gamma)*A collapse channel this makes the quanta
-bookkeeping
+these are the RK4 stage weights), up to a record inside a step too. For the
+collective number operator and a sqrt(gamma)*A collapse channel this makes
+the quanta bookkeeping
 
     <s+s->(t) + <A†A>(t) + gamma * int_0^t <A†A> dt'
 
@@ -42,7 +47,7 @@ any quadrature on the recording grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import ceil, gcd, lcm
 
 import numpy as np
 from scipy import sparse
@@ -51,9 +56,14 @@ from .hilbert import DensityMatrix, Operator
 
 STABILITY_LIMIT = 0.25   # hard guard on dt * omega_max
 DT_FACTOR = 0.015        # default accuracy target for production curves
-DT_FACTOR_COARSE = 0.08  # companion convergence-check runs (1e-3 tolerances)
 TRACE_TOL = 1e-7
 POSITIVITY_TOL = 1e-6
+# the most memory one Taylor step may hold to read records off its terms
+STEP_BUFFER_BYTES = 1 << 20
+TERM_BLOCK = 4           # terms an accumulating step adds into its records at once
+# the highest degree a plan takes: at degree 55 the terms of a full step peak
+# near e^9.9 ~ 2e4 times the state, and their cancellation shows above rounding
+PLAN_MAX_DEGREE = 50
 
 # theta_m: the largest ||hA||, in any consistent norm, for which the degree-m
 # truncated Taylor series of exp(hA) has backward error below the
@@ -81,11 +91,30 @@ class IntegrationError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
+def _inner_records(n_steps: int, n_record: int) -> int:
+    """The most records that fall strictly inside one step, with records at
+    k/n_record and steps at j/n_steps of the window: the multiples of n_steps
+    in an open interval (j n_record, (j+1) n_record)."""
+    return (n_record - gcd(n_steps, n_record) - 1) // n_steps + 1
+
+
+def _held(degree: int, inner: int) -> int:
+    """State vectors a step holds to read `inner` records off its terms: its
+    degree + 1 terms or, when fewer, one accumulator per record, a block of
+    TERM_BLOCK terms and the block's product with up to TERM_BLOCK records."""
+    if not inner:
+        return 0
+    return min(degree + 1, inner + TERM_BLOCK + min(inner, TERM_BLOCK))
+
+
+@dataclass(frozen=True, init=False)
 class TimeGrid:
-    """Integration grid [t_start, t_end] with n_steps Taylor steps of the
-    given degree (4: classical RK4); observables are recorded every
-    record_every-th step (plus the initial point).
+    """Integration grid over [t_start, t_end]: n_steps Taylor steps of the
+    given degree (4: classical RK4) and n_record + 1 records (the initial
+    point included) at t_start + k (t_end - t_start) / n_record. The two
+    counts are independent: a record that falls inside a step is read off
+    that step's Taylor terms. record_every=r spells the grid that records at
+    every r-th step end.
 
     The recorded times depend only on (t_start, t_end, n_record), not on
     n_steps, so two grids over the same window with the same number of
@@ -94,34 +123,51 @@ class TimeGrid:
     t_start: float
     t_end: float
     n_steps: int
-    record_every: int = 1
+    n_record: int
     degree: int = 4
 
-    def __post_init__(self):
-        if self.t_end <= self.t_start:
+    def __init__(self, t_start: float, t_end: float, n_steps: int,
+                 record_every: int | None = None, degree: int = 4,
+                 n_record: int | None = None):
+        if t_end <= t_start:
             raise ValueError("t_end must exceed t_start")
-        if self.n_steps < 1:
+        if n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        if self.record_every < 1 or self.n_steps % self.record_every:
-            raise ValueError(
-                f"record_every ({self.record_every}) must divide n_steps ({self.n_steps})"
-            )
-        if self.degree not in TAYLOR_THETA:
+        if n_record is None:
+            every = 1 if record_every is None else record_every
+            if every < 1 or n_steps % every:
+                raise ValueError(
+                    f"record_every ({every}) must divide n_steps ({n_steps})")
+            n_record = n_steps // every
+        elif record_every is not None:
+            raise ValueError("give record_every or n_record, not both")
+        if n_record < 1:
+            raise ValueError("n_record must be >= 1")
+        if degree not in TAYLOR_THETA:
             raise ValueError(f"degree must be one of {sorted(TAYLOR_THETA)}, "
-                             f"got {self.degree}")
+                             f"got {degree}")
+        for name, value in (("t_start", t_start), ("t_end", t_end), ("n_steps", n_steps),
+                            ("n_record", n_record), ("degree", degree)):
+            object.__setattr__(self, name, value)
 
     @property
     def dt(self) -> float:
         return (self.t_end - self.t_start) / self.n_steps
 
     @property
-    def n_record(self) -> int:
-        return self.n_steps // self.record_every
+    def record_every(self) -> int:
+        """Steps per record when every record falls on a step end, else 0."""
+        return 0 if self.n_steps % self.n_record else self.n_steps // self.n_record
 
     @property
     def applications(self) -> int:
         """Generator products over the whole grid: degree per step."""
         return self.degree * self.n_steps
+
+    @property
+    def buffer(self) -> int:
+        """State vectors the step buffer of ``rk4`` holds on this grid."""
+        return _held(self.degree, _inner_records(self.n_steps, self.n_record))
 
     @property
     def times(self) -> np.ndarray:
@@ -143,32 +189,30 @@ class TimeGrid:
         """Grid with dt * wmax <= dt_factor, rounded up to a multiple of n_record."""
         n = max(n_record, int(np.ceil((t_end - t_start) * wmax / dt_factor)))
         n = ((n + n_record - 1) // n_record) * n_record
-        return cls(t_start, t_end, n, record_every=n // n_record)
+        return cls(t_start, t_end, n, n_record=n_record)
 
     @classmethod
-    def taylor(cls, norm: float, t_start: float, t_end: float,
-               n_record: int) -> "TimeGrid":
-        """The unit-roundoff Taylor plan with the fewest generator products:
-        degree m >= 4 and s substeps per record interval dt_rec minimising
-        m * s subject to s * TAYLOR_THETA[m] >= norm * dt_rec, where norm
-        bounds the generator in any consistent norm (ties go to the lower
-        degree)."""
-        span = norm * (t_end - t_start) / n_record
-        plans = ((max(1, int(np.ceil(span / theta))), m)
-                 for m, theta in TAYLOR_THETA.items())
+    def taylor(cls, norm: float, t_start: float, t_end: float, n_record: int,
+               size: int = 1) -> "TimeGrid":
+        """The unit-roundoff Taylor plan with the fewest generator products
+        over the whole window: degree 4 <= m <= PLAN_MAX_DEGREE and s steps
+        minimising m * s subject to s * TAYLOR_THETA[m] >= norm * (t_end -
+        t_start), where norm bounds the generator in any consistent norm, and
+        to the step buffer fitting STEP_BUFFER_BYTES for state vectors of
+        `size` entries (ties go to the lower degree)."""
+        span = norm * (t_end - t_start)
+        room = STEP_BUFFER_BYTES // (16 * size)
+        plans = []
+        for m, theta in TAYLOR_THETA.items():
+            if m > PLAN_MAX_DEGREE:
+                break
+            s = max(1, ceil(span / theta))
+            # more steps hold fewer records each; with n_record | s none
+            while _held(m, _inner_records(s, n_record)) > room:
+                s += 1
+            plans.append((s, m))
         s, m = min(plans, key=lambda sm: (sm[0] * sm[1], sm[1]))
-        return cls(t_start, t_end, s * n_record, record_every=s, degree=m)
-
-    @classmethod
-    def plan(cls, wmax: float, norm: float, t_start: float, t_end: float,
-             n_record: int, dt_factor: float = DT_FACTOR) -> "TimeGrid":
-        """The grid with fewer generator products of two: the RK4 grid with
-        dt * wmax <= dt_factor (wmax the row-sum scale ``check_stability``
-        guards at degree 4) and the unit-roundoff Taylor plan on norm, a
-        bound on the generator in any consistent norm. A tie keeps RK4."""
-        rk4 = cls.sized(wmax, t_start, t_end, n_record, dt_factor)
-        taylor = cls.taylor(norm, t_start, t_end, n_record)
-        return taylor if taylor.applications < rk4.applications else rk4
+        return cls(t_start, t_end, s, degree=m, n_record=n_record)
 
 
 @dataclass(frozen=True)
@@ -216,10 +260,11 @@ def check_stability(grid: TimeGrid, wmax: float, bound: float | None = None) -> 
     else:
         name, scale, limit = "norm", wmax if bound is None else bound, TAYLOR_THETA[m]
     if grid.dt * scale > limit:
-        # the fewest passing steps that both the recording stride and the
-        # record count divide, so the config accepts the suggestion
-        need = TimeGrid.sized(scale, grid.t_start, grid.t_end,
-                              lcm(grid.record_every, grid.n_record), limit).n_steps
+        # the fewest passing steps that the record count divides, so the
+        # config accepts the suggestion, and that keep the recording stride
+        # of a grid recording at step ends
+        unit = lcm(grid.record_every or 1, grid.n_record)
+        need = TimeGrid.sized(scale, grid.t_start, grid.t_end, unit, limit).n_steps
         bound = limit if m == 4 else f"theta_{m} = {limit}"
         raise StabilityError(
             f"dt*{name} = {grid.dt * scale:.3g} exceeds {bound}; "
@@ -228,31 +273,108 @@ def check_stability(grid: TimeGrid, wmax: float, bound: float | None = None) -> 
 
 def rk4(rhs, y0: np.ndarray, grid: TimeGrid, record, integrand=None) -> None:
     """Taylor steps of degree m = grid.degree for the linear dy/dt = rhs(y) = A y
-    from y0 over grid: y <- sum_{k<=m} (hA)^k y / k! with h = grid.dt, which
-    at m = 4 is the classical RK4 map.
+    from y0 over grid: with h = grid.dt and the terms T_k = (hA)^k y / k!, a
+    step maps y to sum_{k<=m} T_k, which at m = 4 is the classical RK4 map.
 
     record(i, y, integral) is called at the i-th recorded point (i = 0 is y0).
     integral is the running integral of the linear scalar integrand(y): a step
-    adds h * sum_{k<m} integrand((hA)^k y / k!) / (k + 1), the exact integral
-    over the step of the Taylor polynomial (at m = 4, RK4's stage-weighted
-    sum); 0 without an integrand.
+    adds h * sum_{k<m} integrand(T_k) / (k + 1), the exact integral over the
+    step of the Taylor polynomial (at m = 4, RK4's stage-weighted sum); 0
+    without an integrand. A record at fraction x in (0, 1) of a step is read
+    off the step's terms without further generator products: y = sum_k x^k
+    T_k and integral + h * sum_{k<m} x^(k+1) integrand(T_k) / (k + 1), the
+    same polynomial and its exact integral.
     """
-    dt = grid.dt
+    h, m = grid.dt, grid.degree
+    n_steps, n_rec = grid.n_steps, grid.n_record
     y = np.array(y0, dtype=complex)
     acc = 0.0
     record(0, y, acc)
-    for step in range(grid.n_steps):
+    dense = _DenseOutput(grid, y.size)
+    i = 1  # the next record
+    for step in range(n_steps):
+        first = i
+        while i <= n_rec and i * n_steps < (step + 1) * n_rec:
+            i += 1
         term = y
         y = y.copy()
+        if i > first:
+            gain = dense.step(rhs, integrand, y, step, first, i, record, acc)
+        else:
+            gain = 0.0
+            for k in range(1, m + 1):
+                if integrand is not None:
+                    gain += integrand(term) / k
+                term = (h / k) * rhs(term)
+                y += term
+        acc += h * gain
+        if i <= n_rec and i * n_steps == (step + 1) * n_rec:
+            record(i, y, acc)
+            i += 1
+
+
+class _DenseOutput:
+    """The records inside the steps of a grid, read off each step's terms as
+    sum_k x^k T_k within a buffer of grid.buffer vectors: the step computes
+    its terms into the buffer, which keeps all m + 1 of them when that holds
+    fewer vectors, each record then being one product with them; otherwise
+    every TERM_BLOCK terms are added into one accumulator per record."""
+
+    def __init__(self, grid: TimeGrid, size: int):
+        self.grid, m = grid, grid.degree
+        buf = np.empty((grid.buffer, size), dtype=complex)
+        self.keep = len(buf) == m + 1
+        if self.keep:
+            self.terms = buf
+            self.rows, self.adds = list(buf), [False] * (m + 1)
+        elif len(buf):
+            inner = _inner_records(grid.n_steps, grid.n_record)
+            self.block, self.sums = buf[:TERM_BLOCK], buf[len(buf) - inner:]
+            self.product = buf[TERM_BLOCK:len(buf) - inner]
+            self.rows = [self.block[k % TERM_BLOCK] for k in range(m + 1)]
+            self.adds = [k % TERM_BLOCK == TERM_BLOCK - 1 or k == m for k in range(m + 1)]
+
+    def step(self, rhs, integrand, y: np.ndarray, step: int, first: int, stop: int,
+             record, acc: float) -> float:
+        """Take the step from the state y, adding its terms into y in place in
+        the order of ``rk4``'s plain step, and record first..stop - 1 off
+        them (acc is the integral at the step start); return the step's
+        integral gain over h."""
+        grid = self.grid
+        h, m = grid.dt, grid.degree
+        x = (np.arange(first, stop) * grid.n_steps - step * grid.n_record) / grid.n_record
+        self.powers = x[:, None] ** np.arange(m + 1)
+        self.weights = self.powers.astype(complex)
+        rows = self.rows
+        rows[0][:] = y
+        if not self.keep:
+            self.sums[:stop - first] = 0.0
+        term = rows[0]
         gain = 0.0
-        for k in range(1, grid.degree + 1):
+        gains = []
+        for k in range(1, m + 1):
             if integrand is not None:
-                gain += integrand(term) / k
-            term = (dt / k) * rhs(term)
+                gains.append(integrand(term))
+                gain += gains[-1] / k
+            term = np.multiply(rhs(term), h / k, out=rows[k])
             y += term
-        acc += dt * gain
-        if (step + 1) % grid.record_every == 0:
-            record((step + 1) // grid.record_every, y, acc)
+            if self.adds[k]:
+                self.add_block(k)
+        integrals = (acc + h * ((self.powers[:, 1:] / np.arange(1, m + 1)) @ gains)
+                     if gains else [acc] * (stop - first))
+        values = ((w @ self.terms for w in self.weights) if self.keep else self.sums)
+        for j, (value, integral) in enumerate(zip(values, integrals)):
+            record(first + j, value, integral)
+        return gain
+
+    def add_block(self, k: int) -> None:
+        """Add the block of terms that ends with T_k into the accumulators."""
+        lo, n = k - k % TERM_BLOCK, len(self.powers)
+        for r in range(0, n, TERM_BLOCK):
+            rows = slice(r, min(n, r + TERM_BLOCK))
+            out = self.product[:rows.stop - r]
+            np.matmul(self.weights[rows, lo:k + 1], self.block[:k + 1 - lo], out=out)
+            self.sums[rows] += out
 
 
 def liouvillian(h: Operator, collapse: list[Operator]) -> sparse.csr_array:

@@ -55,10 +55,9 @@ def joint_observables(d):
     return num, Operator(qubit.dims, qubit.mat, hermitian=True)
 
 
-def run_branch(p, d, state, t_end, n_record, dt_factor=dynamics.DT_FACTOR):
+def run_branch(p, d, state, t_end, n_record):
     """A driven reduced-model branch on the CLI's run path and plan."""
-    return _run_branch_meta(p, d, state, 0.0, t_end, n_record,
-                            dt_factor=dt_factor)[0]
+    return _run_branch_meta(p, d, state, 0.0, t_end, n_record)[0]
 
 
 @pytest.fixture(scope="module")
@@ -67,9 +66,7 @@ def fig2():
     t0 = time.perf_counter()
     traj = {s: run_branch(p, 16, s, 0.5, 500) for s in ("e", "g")}
     runtime = time.perf_counter() - t0
-    doubled = {s: run_branch(p, 32, s, 0.5, 500,
-                             dt_factor=dynamics.DT_FACTOR_COARSE)
-               for s in ("e", "g")}
+    doubled = {s: run_branch(p, 32, s, 0.5, 500) for s in ("e", "g")}
     return {"p": p, "traj": traj, "doubled": doubled, "runtime": runtime}
 
 
@@ -77,9 +74,7 @@ def fig2():
 def fig3():
     p = params(gamma_mhz=GAIN_GAMMA_MHZ)
     traj = {s: run_branch(p, 16, s, 1.0, 250) for s in ("e", "g")}
-    doubled = {s: run_branch(p, 32, s, 1.0, 250,
-                             dt_factor=dynamics.DT_FACTOR_COARSE)
-               for s in ("e", "g")}
+    doubled = {s: run_branch(p, 32, s, 1.0, 250) for s in ("e", "g")}
     return {"p": p, "traj": traj, "doubled": doubled}
 
 

@@ -15,7 +15,7 @@ from spinamp.cli import (ConfigError, DEFAULT_CONFIG, apply_overrides,
                          resolve_config, _fmt, _n_workers)
 from spinamp.dynamics import POSITIVITY_TOL, TRACE_TOL, TimeGrid
 from spinamp.hilbert import DensityMatrix, SpaceDims
-from spinamp.model import build_drive, build_hc, collapse_ops
+from spinamp.model import SystemParams, build_drive, build_hc, collapse_ops
 from spinamp.oracle import arrowhead_norm, arrowhead_omega_max, sample_frequencies
 
 TWO_PI = 2.0 * np.pi
@@ -420,9 +420,11 @@ class TestThreadPolicy:
 @pytest.mark.parametrize("experiment, overrides, traced", [
     ("figure2", [], {"cli._pmap", "cli._pmap.task", "cli._run_branch_meta"}),
     ("figure3", [], {"cli._pmap", "cli._pmap.task", "cli._run_branch_meta"}),
-    # a validate config that passes, so every check's path runs
+    # a validate config that passes, so every check's path runs; its
+    # timestep_guard is the one caller of omega_max, as planned runs need none
     ("validate", ["fock_cutoff=6", "oracle_n=500"],
-     {"cli._check_cutoff", "cli._run_branch_meta", "oracle.single_excitation_evolve"}),
+     {"cli._check_cutoff", "cli._run_branch_meta", "dynamics.omega_max",
+      "oracle.single_excitation_evolve"}),
 ], ids=["figure2", "figure3", "validate"])
 def test_benchmark_hook_traces_a_serial_figure2(tmp_path, experiment, overrides, traced):
     """The benchmark's invoke.py wraps cli, dynamics and oracle names
@@ -437,7 +439,7 @@ def test_benchmark_hook_traces_a_serial_figure2(tmp_path, experiment, overrides,
     assert measured["exit"] == 0
     assert measured["pool_workers"] == 1
     names = {span["name"] for span in json.loads(spans.read_text(encoding="utf-8"))}
-    assert {"dynamics.evolve", "dynamics.omega_max", *traced} <= names
+    assert {"dynamics.evolve", *traced} <= names
 
 
 class TestStabilitySuggestion:
@@ -492,24 +494,27 @@ class TestPlanChoice:
             _, grid = cli._run_branch_meta(fig_params, d, "e", 0.0, t_end, n_record)
         return grid, TimeGrid.auto(h, 0.0, t_end, n_record, ops)
 
-    # at d=32 the Taylor plan (degree 8, one step per record) ties with RK4
-    # (two steps per record), and a tie keeps RK4
+    # records far denser than the dynamics: a Taylor step spans many records
+    # and reads them off its terms, so the plan beats RK4's 4-8 products per
+    # record; at d=32 the step buffer caps the records per step
     @pytest.mark.parametrize("d", [16, 32])
-    def test_record_dense_shape_keeps_rk4(self, fig_params, d):
+    def test_record_dense_shape_takes_a_multi_record_taylor_plan(self, fig_params, d):
         grid, rk = self.grid(fig_params, 0.0025, 1000, d)
-        assert grid == rk and grid.degree == 4
+        assert grid.degree > 4 and grid.n_steps < grid.n_record
+        assert grid.applications < rk.applications
+        assert grid.buffer * 16 * (2 * d) ** 2 <= dynamics.STEP_BUFFER_BYTES
 
     def test_step_heavy_shape_takes_the_taylor_plan(self, fig_params):
         grid, rk = self.grid(fig_params, 0.005, 50)
         assert grid.degree > 4
         assert grid.applications < rk.applications
 
-    @pytest.mark.parametrize("n_steps, calls", [(0, {"omega_max": 1, "norm1": 1}),
+    @pytest.mark.parametrize("n_steps, calls", [(0, {"omega_max": 0, "norm1": 1}),
                                                 (400, {"omega_max": 1, "norm1": 0})])
     def test_branch_computes_each_norm_once(self, fig_params, monkeypatch, n_steps,
                                             calls):
-        # a planned run computes both norms to choose its grid and hands the
-        # chosen one to the guard; a fixed RK4 grid needs only omega_max
+        # a planned run computes the 1-norm it plans on and hands it to the
+        # guard; a fixed RK4 grid needs only omega_max
         counts = {"omega_max": 0, "norm1": 0}
         for name in counts:
             def counted(*args, _name=name, _fn=getattr(dynamics, name)):
@@ -518,6 +523,48 @@ class TestPlanChoice:
             monkeypatch.setattr(dynamics, name, counted)
         cli._run_branch_meta(fig_params, 6, "e", 0.0, 0.005, 10, n_steps=n_steps)
         assert counts == calls
+
+    def test_step_halving_of_a_plan_whose_steps_span_records(self, fig_params,
+                                                              monkeypatch):
+        base, grid = cli._run_branch_meta(fig_params, 6, "e", 0.0, 0.005, 50)
+        assert 50 % grid.n_steps and 50 % (2 * grid.n_steps)  # records inside steps
+        reruns = []
+        branch = cli._run_branch_meta
+
+        def recorded(*args, **kwargs):
+            result = branch(*args, **kwargs)
+            reruns.append(result[1])
+            return result
+        monkeypatch.setattr(cli, "_run_branch_meta", recorded)
+        dev = cli._check_timestep(fig_params, 6, 0.0, 0.005, 50, base, grid)
+        [half] = reruns
+        assert (half.n_steps, half.n_record, half.degree) == (2 * grid.n_steps, 50,
+                                                              grid.degree)
+        assert 0.0 < dev < cli.TIMESTEP_TOL
+
+    # the benchmark shapes, the default figure 2 and figure 3 windows at the
+    # production cutoff and its doubling, for every swept gamma
+    @pytest.mark.parametrize("t_end, n_record", [(0.005, 50), (0.0025, 1000),
+                                                 (0.01, 200), (0.5, 500), (1.0, 500)])
+    @pytest.mark.parametrize("d", [16, 32])
+    def test_no_plan_buffer_exceeds_the_constant(self, fig_params, t_end, n_record, d):
+        for gamma in (5.0, 10.0, 12.5, 25.0, 50.0):
+            p = SystemParams.from_mhz(nu_t=412.5, nu_bar=0.0, g=75.0, lambda_d=40.0,
+                                      gamma=gamma)
+            grid, _ = self.grid(p, t_end, n_record, d)
+            assert grid.buffer * 16 * (2 * d) ** 2 <= dynamics.STEP_BUFFER_BYTES
+            if (t_end, n_record, d, gamma) == (0.5, 500, 16, 12.5):  # default figure2
+                assert grid.applications <= 25_000
+
+    @pytest.mark.parametrize("seed", [11, 13, 17])
+    def test_no_oracle_plan_buffer_exceeds_the_constant(self, fig_params, seed):
+        p = fig_params
+        sample = sample_frequencies(2000, p.omega_bar, p.gamma, seed,
+                                    g_collective=p.g_collective)
+        grid = TimeGrid.taylor(arrowhead_norm(sample, p.delta), 0.0, 3.0 / p.gamma, 400,
+                               size=sample.n + 1)
+        assert grid.buffer * 16 * (sample.n + 1) <= dynamics.STEP_BUFFER_BYTES
+        assert grid.n_steps < grid.n_record  # records inside steps
 
 
 class TestPlanTelemetry:
@@ -532,13 +579,20 @@ class TestPlanTelemetry:
         meta = json.loads(open(out + ".meta.json", encoding="utf-8").read())
         assert meta["generator_dim"] == (2 * 6) ** 2
         if experiment == "figure2":
-            per_run = [(meta["degree"], meta["n_steps"])]
+            per_run = [(meta["degree"], meta["n_steps"], meta["step_buffer"])]
+            assert "record_every" not in meta
         else:
-            assert set(meta["degree"]) == set(meta["n_steps"]) == {"10.0", "25.0"}
+            assert (set(meta["degree"]) == set(meta["n_steps"]) == set(meta["step_buffer"])
+                    == {"10.0", "25.0"})
             assert meta["dt_us"] == {g: 0.01 / n for g, n in meta["n_steps"].items()}
-            per_run = [(meta["degree"][g], meta["n_steps"][g]) for g in meta["degree"]]
+            per_run = [(meta["degree"][g], meta["n_steps"][g], meta["step_buffer"][g])
+                       for g in meta["degree"]]
         # two branches (excited and ground) per written run
-        assert meta["generator_applications"] == sum(2 * m * n for m, n in per_run)
+        assert meta["generator_applications"] == sum(2 * m * n for m, n, _ in per_run)
+        # the state vectors the step buffer held on each run's grid
+        for m, n, held in per_run:
+            assert held == TimeGrid(0.0, 0.01, n, degree=m, n_record=10).buffer
+            assert held * 16 * meta["generator_dim"] <= dynamics.STEP_BUFFER_BYTES
 
     def test_validate_report_records_the_plans(self, tmp_path):
         cfg = write_config(tmp_path, {"fock_cutoff": 8, "seeds": [11],
@@ -550,8 +604,12 @@ class TestPlanTelemetry:
                                         "analytic_steady_e", "analytic_steady_g",
                                         "oracle_seed_11"}
         for plan in report["plans"].values():
-            assert set(plan) == {"degree", "n_steps", "applications"}
+            assert set(plan) == {"degree", "n_steps", "applications", "step_buffer"}
             assert plan["applications"] == plan["degree"] * plan["n_steps"]
+        # 400 oracle records over fewer steps, read off the steps' terms
+        oracle_plan = report["plans"]["oracle_seed_11"]
+        assert oracle_plan["n_steps"] < 400 and oracle_plan["step_buffer"] > 0
+        assert oracle_plan["step_buffer"] * 16 * 2001 <= dynamics.STEP_BUFFER_BYTES
         assert len(report["checks"]) == 12
 
     def test_validate_report_records_the_oracle_per_seed(self, tmp_path):
@@ -575,7 +633,7 @@ class TestPlanTelemetry:
             assert 0.0 <= entry["norm_drift"] < 1e-12
             plan = report["plans"][f"oracle_seed_{seed}"]
             assert plan["applications"] == TimeGrid.taylor(
-                entry["plan_norm"], 0.0, 3.0 / p.gamma, 400).applications
+                entry["plan_norm"], 0.0, 3.0 / p.gamma, 400, size=2001).applications
         assert checks["oracle_traceout"] == max(e["envelope_deviation"]
                                                 for e in per_seed.values())
         assert checks["oracle_norm"] == max(e["norm_drift"] for e in per_seed.values())

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from spinamp import dynamics
 from spinamp.analytic import excited_population, ground_population
-from spinamp.dynamics import (DT_FACTOR, TAYLOR_THETA, StabilityError, TimeGrid,
+from spinamp.dynamics import (DT_FACTOR, PLAN_MAX_DEGREE, STEP_BUFFER_BYTES,
+                              TAYLOR_THETA, TERM_BLOCK, StabilityError, TimeGrid,
                               evolve, liouvillian, norm1, omega_max, rk4,
                               readout_gain)
 from spinamp.hilbert import (DensityMatrix, Operator, SpaceDims, identity,
@@ -379,6 +381,31 @@ class TestTaylorCore:
         assert abs(seen[1][0] - factor) <= 4 * eps * abs(factor)
         assert abs(seen[1][1] - integral) <= 4 * eps * abs(integral)
 
+    # one step holding n_record - 1 records inside it, read off the kept
+    # terms or, when fewer vectors, through per-record accumulators
+    @pytest.mark.parametrize("degree, n_record", [(6, 3), (6, 40), (16, 5), (16, 40),
+                                                  (55, 7), (55, 80)])
+    def test_records_inside_a_step_are_the_partial_taylor_sums(self, degree, n_record):
+        grid = TimeGrid(0.0, 0.01, 1, degree=degree, n_record=n_record)
+        assert grid.record_every == 0 and grid.buffer > 0
+        dt = grid.dt
+        z = self.LAM * dt
+        seen = {}
+
+        def record(i, y, acc):
+            seen[i] = (complex(y[0]), complex(acc))
+
+        rk4(lambda y: self.LAM * y, np.array([1.0 + 0.0j]), grid, record,
+            integrand=lambda y: y[0])
+        assert sorted(seen) == list(range(n_record + 1))
+        eps = np.finfo(float).eps
+        for i in range(1, n_record + 1):
+            x = i / n_record
+            value = sum((x * z)**k / factorial(k) for k in range(degree + 1))
+            integral = dt * sum(x**(k + 1) * z**k / factorial(k + 1) for k in range(degree))
+            assert abs(seen[i][0] - value) <= 4 * eps * abs(value)
+            assert abs(seen[i][1] - integral) <= 4 * eps * abs(integral)
+
 
 def driven_model(d=6):
     p = SystemParams.from_mhz(nu_t=412.5, nu_bar=0.0, g=75.0, lambda_d=40.0,
@@ -387,20 +414,54 @@ def driven_model(d=6):
     return p, h, collapse_ops(p, d)
 
 
+def inner_records(n_steps, n_record):
+    """The most records strictly inside one step, counted record by record."""
+    k = np.arange(1, n_record)
+    inside = (k * n_steps) % n_record != 0
+    return int(np.bincount((k * n_steps // n_record)[inside]).max()) if inside.any() else 0
+
+
+def held(degree, inner):
+    """The degree + 1 terms, or when fewer one accumulator per record with a
+    block of terms and its product with up to a block of records."""
+    return 0 if not inner else min(degree + 1,
+                                   inner + TERM_BLOCK + min(inner, TERM_BLOCK))
+
+
 class TestTaylorPlan:
+    @pytest.mark.parametrize("n_steps, n_record", [
+        (1, 1), (1, 7), (7, 1), (3, 10), (7, 3), (5, 50), (50, 5), (63, 1000),
+        (14, 50), (12, 18), (1000, 1000), (999, 1000)])
+    def test_step_buffer_counts_the_records_inside_a_step(self, n_steps, n_record):
+        inner = inner_records(n_steps, n_record)
+        for degree in (4, 16, 50):
+            grid = TimeGrid(0.0, 1.0, n_steps, degree=degree, n_record=n_record)
+            assert grid.buffer == held(degree, inner)
+
     @pytest.mark.parametrize("norm, t_end, n_record", [
         (7870.65, 0.005, 50), (7870.65, 0.0025, 1000), (23700.0, 0.0382, 400),
         (11423.2, 0.5, 500), (1.0, 1e-6, 10), (5e5, 1.0, 3),
-        (110.4, 1.0, 1)])  # fewest products (13, 50) beats fewest substeps (12, 55)
+        (110.4, 1.0, 1)])  # fewest products (13, 50) beats fewest steps (12, 55)
     def test_fewest_products_at_unit_roundoff(self, norm, t_end, n_record):
-        grid = TimeGrid.taylor(norm, 0.0, t_end, n_record)
-        s, m = grid.record_every, grid.degree
-        assert grid.n_record == n_record and grid.n_steps == s * n_record
-        span = norm * t_end / n_record
-        assert s * TAYLOR_THETA[m] >= span
-        for other, theta in TAYLOR_THETA.items():
-            fewest = max(1, int(np.ceil(span / theta)))
-            assert other * fewest >= m * s
+        # over the whole window, for state vectors from one entry (no buffer
+        # limit) through the d=16 and d=32 Liouvillians and the N=2000 oracle
+        # to one too long for any buffer, where steps end on records
+        span = norm * t_end
+        for size in (1, 1024, 2001, 4096, 1 << 16):
+            grid = TimeGrid.taylor(norm, 0.0, t_end, n_record, size=size)
+            s, m = grid.n_steps, grid.degree
+            assert grid.n_record == n_record and m <= PLAN_MAX_DEGREE
+            assert s * TAYLOR_THETA[m] >= span
+            assert grid.buffer * 16 * size <= STEP_BUFFER_BYTES
+            # no other plan within the bound and the buffer has fewer products
+            for other, theta in TAYLOR_THETA.items():
+                if other > PLAN_MAX_DEGREE:
+                    continue
+                for steps in range(max(1, int(np.ceil(span / theta))),
+                                   m * s // other + 1):
+                    if held(other, inner_records(steps, n_record)) * 16 * size \
+                            <= STEP_BUFFER_BYTES:
+                        assert (other * steps, other) >= (m * s, m)
 
     @pytest.mark.parametrize("degree", [1, 3, 31, 56])
     def test_degree_outside_theta_table_rejected(self, degree):
@@ -454,6 +515,55 @@ class TestTaylorPlan:
             np.testing.assert_allclose(getattr(traj, name), values,
                                        rtol=0.0, atol=1e-12, err_msg=name)
 
+
+    @pytest.mark.parametrize("n_record", [40, 1000])
+    def test_records_inside_steps_match_augmented_expm(self, n_record):
+        # records strictly inside the steps of a whole-window plan, read off
+        # the terms through per-record accumulators (40 records) or the kept
+        # terms (1000), against Van Loan's exact propagation from record to record
+        p, h, ops = driven_model()
+        num, qubit = joint_observables(6)
+        rho0 = DensityMatrix.basis(SpaceDims((2, 6)), 1, 0)
+        t_end = 0.02
+        lv = liouvillian(h, ops)
+        dim = lv.shape[0]
+        grid = TimeGrid.taylor(norm1(lv), 0.0, t_end, n_record, size=dim)
+        assert grid.degree > 4 and grid.n_steps < n_record and grid.record_every == 0
+        assert (grid.buffer == grid.degree + 1) == (n_record == 1000)
+        traj = evolve(h, ops, rho0, grid, [num, qubit], gamma=p.gamma)
+
+        n_row = num.mat.T.reshape(-1)
+        q_row = qubit.mat.T.reshape(-1)
+        aug = np.zeros((dim + 1, dim + 1), dtype=complex)
+        aug[:dim, :dim] = lv.toarray()
+        aug[dim, :dim] = n_row
+        step = expm(aug * (t_end / n_record))
+        z = np.append(rho0.mat.reshape(-1), 0.0)
+        ref = {"collective_n": [], "qubit_excited": [], "subradiant_n": []}
+        for _ in range(n_record + 1):
+            ref["collective_n"].append((n_row @ z[:dim]).real)
+            ref["qubit_excited"].append((q_row @ z[:dim]).real)
+            ref["subradiant_n"].append(p.gamma * z[dim].real)
+            z = step @ z
+        for name, values in ref.items():
+            np.testing.assert_allclose(getattr(traj, name), values,
+                                       rtol=0.0, atol=1e-12, err_msg=name)
+
+    def test_guard_suggestion_on_a_grid_spanning_records(self):
+        p, h, ops = driven_model()
+        rho0 = DensityMatrix.basis(SpaceDims((2, 6)), 1, 0)
+        num, _ = joint_observables(6)
+        norm = norm1(liouvillian(h, ops))
+        # three degree-16 steps over ten records, each step 1.1 times too long
+        t_end = 3.3 * TAYLOR_THETA[16] / norm
+        grid = TimeGrid(0.0, t_end, 3, degree=16, n_record=10)
+        with pytest.raises(StabilityError, match="theta_16") as err:
+            evolve(h, ops, rho0, grid, [num])
+        need = err.value.required_n_steps
+        assert need % 10 == 0  # a valid grid.n_steps for 10 records
+        ok = TimeGrid(0.0, t_end, need, degree=16, n_record=10)
+        assert ok.dt * norm <= TAYLOR_THETA[16]
+        evolve(h, ops, rho0, ok, [num])
 
     def test_plan_matches_the_rk4_production_grid(self, fig_params):
         # the figure-2 benchmark shape at the production cutoff: the plan
