@@ -43,7 +43,7 @@ DEFAULT_CONFIG = {
         "drive": "matched",
     },
     "fock_cutoff": 16,
-    "grid": {"t_start_us": 0.0, "t_end_us": None, "n_steps": 0, "n_record": 500},
+    "grid": {"t_start_us": 0.0, "t_end_us": None, "n_record": 500},
     "gamma_sweep_mhz": [5.0, 10.0, 12.5, 25.0, 50.0],
     "seeds": [11, 13, 17],
     "oracle_n": 2000,
@@ -87,13 +87,12 @@ CONFIG_SCHEMA = {
     "fock_cutoff": (_at_least(2, _integral), "an integer >= 2"),
     "grid.t_start_us": (_finite, "a finite number"),
     "grid.t_end_us": (lambda v: v is None or _finite(v), "null or a finite number"),
-    "grid.n_steps": (_at_least(0, _integral), "an integer >= 0"),
     "grid.n_record": (_at_least(1, _integral), "an integer >= 1"),
     "gamma_sweep_mhz": (lambda v: isinstance(v, list) and all(map(_at_least(0), v)),
                         "a list of numbers >= 0"),
     "seeds": (lambda v: isinstance(v, list) and bool(v)
-              and all(map(_at_least(0, _integral), v)),
-              "a non-empty list of integers >= 0"),
+              and all(map(_at_least(0, _integral), v)) and len(set(v)) == len(v),
+              "a non-empty list of distinct integers >= 0"),
     "oracle_n": (_at_least(1, _integral), "an integer >= 1"),
     "n_levels": (_at_least(1, _integral), "an integer >= 1"),
     "convergence_checks": (lambda v: isinstance(v, bool), "true or false"),
@@ -117,7 +116,6 @@ class RunConfig:
     fock_cutoff: int
     t_start: float
     t_end: float
-    n_steps: int
     n_record: int
     gamma_sweep: list
     seeds: list
@@ -214,10 +212,7 @@ def resolve_config(cfg: dict, experiment: str) -> RunConfig:
     t_end = float(T_END_DEFAULT[experiment] if t_end is None else t_end)
     if t_end <= t_start:
         raise ConfigError("grid.t_end_us must exceed grid.t_start_us")
-    n_steps = int(grid["n_steps"])
     n_record = int(grid["n_record"])
-    if n_steps % n_record:
-        raise ConfigError("grid.n_steps must be a multiple of grid.n_record")
     sweep = list(cfg["gamma_sweep_mhz"])
     if experiment in ("figure3", "sweep") and not sweep:
         raise ConfigError("gamma_sweep_mhz must be non-empty")
@@ -226,7 +221,7 @@ def resolve_config(cfg: dict, experiment: str) -> RunConfig:
     return RunConfig(
         experiment=experiment, params=params, params_mhz=dict(pm),
         fock_cutoff=int(cfg["fock_cutoff"]), t_start=t_start, t_end=t_end,
-        n_steps=n_steps, n_record=n_record, gamma_sweep=sweep,
+        n_record=n_record, gamma_sweep=sweep,
         seeds=[int(s) for s in cfg["seeds"]], oracle_n=int(cfg["oracle_n"]),
         n_levels=int(cfg["n_levels"]), convergence_checks=cfg["convergence_checks"],
         output_path=cfg["output_path"], resolved=cfg)
@@ -282,13 +277,13 @@ def _run(h: Operator, ops: list[Operator], rho0: DensityMatrix, observables: lis
          gamma: float, t_start: float, t_end: float, n_record: int, n_steps: int = 0,
          degree: int = 4):
     """One Lindblad run; returns (Trajectory, grid). The Liouvillian is built
-    once. With n_steps set the grid is n_steps steps of the given degree;
-    otherwise it is the `TimeGrid.taylor` plan on the run's 1-norm, which
-    `evolve`'s guard reuses."""
+    once. The grid is the `TimeGrid.taylor` plan on the run's 1-norm, which
+    `evolve`'s guard reuses, or with n_steps set (the step-halving rerun)
+    n_steps steps of the given degree."""
     lv = dynamics.liouvillian(h, ops)
     norm = None
     if n_steps:
-        grid = dynamics.TimeGrid(t_start, t_end, n_steps, degree=degree, n_record=n_record)
+        grid = dynamics.TimeGrid(t_start, t_end, n_steps, n_record, degree)
     else:
         norm = dynamics.norm1(lv)
         grid = dynamics.TimeGrid.taylor(norm, t_start, t_end, n_record, size=lv.shape[0])
@@ -310,45 +305,45 @@ def _max_normalized_dev(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b))) / scale
 
 
-def _check_cutoff(p, d, states, t_start, t_end, n_record, base: dict) -> float:
-    """Max-normalized change of <A†A> curves under cutoff doubling."""
+def _check_cutoff(p, d, base: dict, grid) -> float:
+    """Max-normalized change of the <A†A> curves {state: Trajectory} `base`,
+    run over `grid`'s window and records, under cutoff doubling."""
     def dev(state):
-        doubled, _ = _run_branch_meta(p, 2 * d, state, t_start, t_end, n_record)
+        doubled, _ = _run_branch_meta(p, 2 * d, state, grid.t_start, grid.t_end,
+                                      grid.n_record)
         return _max_normalized_dev(base[state].collective_n, doubled.collective_n)
-    return max(_pmap(dev, states))
+    return max(_pmap(dev, base))
 
 
-def _check_timestep(p, d, t_start, t_end, n_record, base, grid) -> float:
+def _check_timestep(p, d, base, grid) -> float:
     """Max-normalized change of the excited-branch <A†A> curve `base`, run
     on `grid`, under step halving at the same degree."""
-    half, _ = _run_branch_meta(p, d, "e", t_start, t_end, n_record,
+    half, _ = _run_branch_meta(p, d, "e", grid.t_start, grid.t_end, grid.n_record,
                                n_steps=2 * grid.n_steps, degree=grid.degree)
     return _max_normalized_dev(base.collective_n, half.collective_n)
 
 
 def _convergence(rc: RunConfig, runs: list) -> dict:
-    """Cutoff doubling over every (params, {state: Trajectory}, grid) run,
-    then step halving of the smallest-gamma run; raises ConvergenceError with
-    the setting to retry at when a curve moves beyond tolerance."""
-    checks = {}
+    """Sidecar entries of the convergence reruns of the (gamma_mhz, params,
+    {state: Trajectory}, grid) runs: cutoff doubling of every run, its
+    deviation kept per gamma, then step halving of the smallest-gamma run;
+    raises ConvergenceError when a curve moves beyond tolerance."""
     if not rc.convergence_checks:
-        return checks
+        return {"checks": {}}
     d = rc.fock_cutoff
-    dev_c = max(_check_cutoff(p, d, tuple(trajs), rc.t_start, rc.t_end,
-                              rc.n_record, trajs) for p, trajs, _ in runs)
-    checks["cutoff_convergence"] = dev_c
+    per_gamma = {str(g): _check_cutoff(p, d, trajs, grid) for g, p, trajs, grid in runs}
+    dev_c = max(per_gamma.values())
     if dev_c > CUTOFF_TOL:
         raise ConvergenceError(
             f"cutoff_convergence failed: curve change {dev_c:.3g} > {CUTOFF_TOL}; "
             f"retry with fock_cutoff={2 * d}")
-    p, trajs, grid = min(runs, key=lambda run: run[0].gamma)
-    dev_t = _check_timestep(p, d, rc.t_start, rc.t_end, rc.n_record, trajs["e"], grid)
-    checks["timestep_convergence"] = dev_t
+    _, p, trajs, grid = min(runs, key=lambda run: run[1].gamma)
+    dev_t = _check_timestep(p, d, trajs["e"], grid)
     if dev_t > TIMESTEP_TOL:
         raise ConvergenceError(
-            f"timestep_convergence failed: curve change {dev_t:.3g} > {TIMESTEP_TOL}; "
-            f"retry with grid.n_steps={2 * grid.n_steps}")
-    return checks
+            f"timestep_convergence failed: curve change {dev_t:.3g} > {TIMESTEP_TOL}")
+    return {"checks": {"cutoff_convergence": dev_c, "timestep_convergence": dev_t},
+            "cutoff_convergence_by_gamma": per_gamma}
 
 
 def _runs_meta(runs: list, d: int, per_gamma: bool = True) -> dict:
@@ -419,7 +414,7 @@ def _branch_runs(rc: RunConfig, gammas) -> list:
     def run(g_mhz):
         p = SystemParams.from_mhz(**{**rc.params_mhz, "gamma": g_mhz})
         runs = {s: _run_branch_meta(p, rc.fock_cutoff, s, rc.t_start, rc.t_end,
-                                    rc.n_record, n_steps=rc.n_steps) for s in ("e", "g")}
+                                    rc.n_record) for s in ("e", "g")}
         return g_mhz, p, {s: traj for s, (traj, _) in runs.items()}, runs["e"][1]
     return _pmap(run, gammas)
 
@@ -427,22 +422,25 @@ def _branch_runs(rc: RunConfig, gammas) -> list:
 def run_figure2(rc: RunConfig, out: str) -> dict:
     runs = _branch_runs(rc, [rc.params_mhz["gamma"]])
     [(_, p, trajs, _)] = runs
-    checks = _convergence(rc, [run[1:] for run in runs])
+    meta = {**_convergence(rc, runs), **_runs_meta(runs, rc.fock_cutoff, per_gamma=False)}
 
     traj_e, traj_g = trajs["e"], trajs["g"]
     times = traj_e.times
-    ana_e = analytic.excited_population(times, p)
-    ana_g = analytic.ground_population(times, p)
+    # the closed forms start from vacuum at t = 0, the runs at t_start
+    ana_e = analytic.excited_population(times - rc.t_start, p)
+    ana_g = analytic.ground_population(times - rc.t_start, p)
     rows = zip(times, traj_e.collective_n, ana_e, traj_g.collective_n, ana_g)
     write_csv(out, ["t_us", "n_num_e", "n_ana_e", "n_num_g", "n_ana_g"], rows)
-    meta = {"checks": checks, **_runs_meta(runs, rc.fock_cutoff, per_gamma=False)}
     write_meta(out, rc, meta)
     return meta
 
 
 def run_figure3(rc: RunConfig, out: str) -> dict:
     runs = _branch_runs(rc, rc.gamma_sweep)
-    checks = _convergence(rc, [run[1:] for run in runs])
+    meta = {"gamma_sweep_mhz": rc.gamma_sweep, **_convergence(rc, runs),
+            **_runs_meta(runs, rc.fock_cutoff),
+            "sweep_note": "gamma set and 1 us duration are artifact defaults, "
+                          "not asserted values"}
 
     rows = []
     for g_mhz, _, trajs, _ in runs:
@@ -451,10 +449,6 @@ def run_figure3(rc: RunConfig, out: str) -> dict:
         for i, t in enumerate(traj_e.times):
             rows.append((t, g_mhz, traj_e.total_n[i], traj_g.total_n[i], gain[i]))
     write_csv(out, ["t_us", "gamma_mhz", "total_e", "total_g", "gain"], rows)
-    meta = {"gamma_sweep_mhz": rc.gamma_sweep, "checks": checks,
-            **_runs_meta(runs, rc.fock_cutoff),
-            "sweep_note": "gamma set and 1 us duration are artifact defaults, "
-                          "not asserted values"}
     write_meta(out, rc, meta)
     return meta
 
@@ -529,17 +523,15 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
     checks = []
     plans = {}
 
-    h = build_hc(p, d) + build_drive(p, d)
-    ops = collapse_ops(p, d)
-    wmax = dynamics.omega_max(h, ops)
-    grid = (dynamics.TimeGrid(rc.t_start, rc.t_end, rc.n_steps) if rc.n_steps
-            else dynamics.TimeGrid.sized(wmax, rc.t_start, rc.t_end, rc.n_record,
-                                         dynamics.DT_FACTOR))
+    wmax = dynamics.omega_max(build_hc(p, d) + build_drive(p, d), collapse_ops(p, d))
+    grid = dynamics.TimeGrid.sized(wmax, rc.t_start, rc.t_end, rc.n_record,
+                                   dynamics.DT_FACTOR)
     checks.append(_check("timestep_guard", grid.dt * wmax, dynamics.STABILITY_LIMIT))
 
     # conservation bookkeeping (undriven, initial |e,0>) plus state hygiene
     p0 = replace(p, lambda_d=0.0, gamma_s=0.0)
-    traj0, plans["conservation"] = _run_branch_meta(p0, d, "e", 0.0, rc.t_end, rc.n_record)
+    traj0, plans["conservation"] = _run_branch_meta(p0, d, "e", rc.t_start, rc.t_end,
+                                                    rc.n_record)
     q = traj0.qubit_excited + traj0.total_n
     checks.append(_check("conservation", np.max(np.abs(q - 1.0)), CONSERVATION_TOL))
     checks.append(_check("trace_error", traj0.trace_err.max(), dynamics.TRACE_TOL))
@@ -547,16 +539,16 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
     checks.append(_check("positivity", -traj0.min_eig.min(), dynamics.POSITIVITY_TOL))
 
     # short driven windows for the convergence checks
-    t_short = min(rc.t_end, 0.2)
-    base, g_short = _run_branch_meta(p, d, "e", 0.0, t_short, 200)
+    t_short = rc.t_start + min(0.2, rc.t_end - rc.t_start)
+    base, g_short = _run_branch_meta(p, d, "e", rc.t_start, t_short, 200)
     plans["short_window"] = g_short
     try:
-        dev_c = _check_cutoff(p, d, ("e",), 0.0, t_short, 200, {"e": base})
+        dev_c = _check_cutoff(p, d, {"e": base}, g_short)
         checks.append(_check("cutoff_convergence", dev_c, CUTOFF_TOL))
     except dynamics.IntegrationError as exc:
         checks.append({"name": "cutoff_convergence", "value": None,
                        "threshold": CUTOFF_TOL, "passed": False, "error": str(exc)})
-    dev_t = _check_timestep(p, d, 0.0, t_short, 200, base, g_short)
+    dev_t = _check_timestep(p, d, base, g_short)
     checks.append(_check("timestep_convergence", dev_t, TIMESTEP_TOL))
 
     # closed-form spectrum vs numerical diagonalization

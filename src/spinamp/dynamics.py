@@ -21,8 +21,8 @@ inside a step, so ``rk4`` reads a record that falls inside a step off that
 step's Taylor terms, with vector sums instead of generator products; a plan
 spans as many records per step as its bound allows. The step buffer this
 needs is bounded by STEP_BUFFER_BYTES, and ``TimeGrid.taylor`` plans within
-it. Planned runs (``cli``, the validate oracle) are Taylor plans; RK4 grids
-serve explicit step counts and the RK4 reference tests.
+it. Every ``cli`` run, the validate oracle included, is a Taylor plan; RK4
+grids serve library callers that size steps on omega_max.
 
 ``evolve`` steps the row-major vectorised density matrix,
 vec(rho) = rho.reshape(-1), with one sparse matvec per Taylor term on the
@@ -47,7 +47,7 @@ any quadrature on the recording grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, gcd, lcm
+from math import ceil, gcd
 
 import numpy as np
 from scipy import sparse
@@ -107,14 +107,13 @@ def _held(degree: int, inner: int) -> int:
     return min(degree + 1, inner + TERM_BLOCK + min(inner, TERM_BLOCK))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class TimeGrid:
     """Integration grid over [t_start, t_end]: n_steps Taylor steps of the
     given degree (4: classical RK4) and n_record + 1 records (the initial
     point included) at t_start + k (t_end - t_start) / n_record. The two
     counts are independent: a record that falls inside a step is read off
-    that step's Taylor terms. record_every=r spells the grid that records at
-    every r-th step end.
+    that step's Taylor terms.
 
     The recorded times depend only on (t_start, t_end, n_record), not on
     n_steps, so two grids over the same window with the same number of
@@ -126,38 +125,20 @@ class TimeGrid:
     n_record: int
     degree: int = 4
 
-    def __init__(self, t_start: float, t_end: float, n_steps: int,
-                 record_every: int | None = None, degree: int = 4,
-                 n_record: int | None = None):
-        if t_end <= t_start:
+    def __post_init__(self):
+        if self.t_end <= self.t_start:
             raise ValueError("t_end must exceed t_start")
-        if n_steps < 1:
+        if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
-        if n_record is None:
-            every = 1 if record_every is None else record_every
-            if every < 1 or n_steps % every:
-                raise ValueError(
-                    f"record_every ({every}) must divide n_steps ({n_steps})")
-            n_record = n_steps // every
-        elif record_every is not None:
-            raise ValueError("give record_every or n_record, not both")
-        if n_record < 1:
+        if self.n_record < 1:
             raise ValueError("n_record must be >= 1")
-        if degree not in TAYLOR_THETA:
+        if self.degree not in TAYLOR_THETA:
             raise ValueError(f"degree must be one of {sorted(TAYLOR_THETA)}, "
-                             f"got {degree}")
-        for name, value in (("t_start", t_start), ("t_end", t_end), ("n_steps", n_steps),
-                            ("n_record", n_record), ("degree", degree)):
-            object.__setattr__(self, name, value)
+                             f"got {self.degree}")
 
     @property
     def dt(self) -> float:
         return (self.t_end - self.t_start) / self.n_steps
-
-    @property
-    def record_every(self) -> int:
-        """Steps per record when every record falls on a step end, else 0."""
-        return 0 if self.n_steps % self.n_record else self.n_steps // self.n_record
 
     @property
     def applications(self) -> int:
@@ -189,7 +170,7 @@ class TimeGrid:
         """Grid with dt * wmax <= dt_factor, rounded up to a multiple of n_record."""
         n = max(n_record, int(np.ceil((t_end - t_start) * wmax / dt_factor)))
         n = ((n + n_record - 1) // n_record) * n_record
-        return cls(t_start, t_end, n, n_record=n_record)
+        return cls(t_start, t_end, n, n_record)
 
     @classmethod
     def taylor(cls, norm: float, t_start: float, t_end: float, n_record: int,
@@ -212,7 +193,7 @@ class TimeGrid:
                 s += 1
             plans.append((s, m))
         s, m = min(plans, key=lambda sm: (sm[0] * sm[1], sm[1]))
-        return cls(t_start, t_end, s, degree=m, n_record=n_record)
+        return cls(t_start, t_end, s, n_record, m)
 
 
 @dataclass(frozen=True)
@@ -260,11 +241,9 @@ def check_stability(grid: TimeGrid, wmax: float, bound: float | None = None) -> 
     else:
         name, scale, limit = "norm", wmax if bound is None else bound, TAYLOR_THETA[m]
     if grid.dt * scale > limit:
-        # the fewest passing steps that the record count divides, so the
-        # config accepts the suggestion, and that keep the recording stride
-        # of a grid recording at step ends
-        unit = lcm(grid.record_every or 1, grid.n_record)
-        need = TimeGrid.sized(scale, grid.t_start, grid.t_end, unit, limit).n_steps
+        # the fewest passing steps that the record count divides
+        need = TimeGrid.sized(scale, grid.t_start, grid.t_end, grid.n_record,
+                              limit).n_steps
         bound = limit if m == 4 else f"theta_{m} = {limit}"
         raise StabilityError(
             f"dt*{name} = {grid.dt * scale:.3g} exceeds {bound}; "
@@ -403,7 +382,7 @@ def norm1(a: sparse.csr_array) -> float:
 def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
            grid: TimeGrid, observables: list[Operator],
            gamma: float = 0.0, lv: sparse.csr_array | None = None,
-           wmax: float | None = None, norm: float | None = None) -> Trajectory:
+           norm: float | None = None) -> Trajectory:
     """Integrate drho/dt = -i[H,rho] + sum_k (L rho L† - {L†L, rho}/2).
 
     Parameters
@@ -425,10 +404,10 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
         subradiant_n(t) = gamma * int_0^t <observables[0]> dt'.
     lv : sparse.csr_array, optional
         ``liouvillian(h, collapse)``, when the caller has built it already.
-    wmax, norm : float, optional
-        ``omega_max(h, collapse)`` and ``norm1(lv)``, when the caller has
-        computed them already. The guard reads wmax at degree 4 and norm
-        above; only the one it reads is computed here when missing.
+    norm : float, optional
+        ``norm1(lv)``, when the caller has computed it already. The guard
+        reads it above degree 4 and ``omega_max(h, collapse)`` at degree 4;
+        only the one it reads is computed here.
     """
     if not observables:
         raise ValueError("need at least the collective number observable")
@@ -440,8 +419,7 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
 
     if lv is None:
         lv = liouvillian(h, collapse)
-    if grid.degree == 4 and wmax is None:
-        wmax = omega_max(h, collapse)
+    wmax = omega_max(h, collapse) if grid.degree == 4 else None
     if grid.degree > 4 and norm is None:
         norm = norm1(lv)
     check_stability(grid, wmax, norm)

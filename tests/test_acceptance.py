@@ -263,7 +263,7 @@ class TestCriterion7NumericalHygiene:
         def run(factor):
             n = int(np.ceil(t_end * wmax / factor))
             n = ((n + 49) // 50) * 50
-            grid = dynamics.TimeGrid(0.0, t_end, n, record_every=n // 50)
+            grid = dynamics.TimeGrid(0.0, t_end, n, 50)
             return dynamics.evolve(h, ops, rho0, grid, [num, qubit],
                                    gamma=p.gamma).collective_n
 

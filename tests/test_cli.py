@@ -1,6 +1,5 @@
 import json
 import os
-import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -103,12 +102,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="non-empty"):
             resolve_config(cfg, "figure3")
 
-    def test_n_steps_must_align_with_recording(self):
-        cfg = load_config(None)
-        cfg["grid"]["n_steps"] = 1001
-        cfg["grid"]["n_record"] = 100
-        with pytest.raises(ConfigError, match="multiple"):
-            resolve_config(cfg, "figure2")
+    def test_n_steps_key_rejected(self, tmp_path, capsys):
+        # every run takes its derived plan; a fixed step count is no option
+        cfg = write_config(tmp_path, {"grid": {"n_steps": 1000}})
+        assert main(["figure2", "--config", cfg]) == 2
+        assert capsys.readouterr().err == "config error: unknown config key: grid.n_steps\n"
+        assert main(["validate", "--override", "grid.n_steps=1000"]) == 2
+        assert capsys.readouterr().err == "config error: unknown override path: grid.n_steps\n"
 
 
 class TestFormatting:
@@ -161,6 +161,17 @@ class TestFigure2Command:
         err = capsys.readouterr().err
         assert "cutoff_convergence" in err
         assert "fock_cutoff=6" in err
+
+    def test_closed_forms_start_at_t_start(self, tmp_path):
+        # both the runs and the frozen-qubit closed forms start from vacuum
+        out = str(tmp_path / "f.csv")
+        assert main(["figure2", *SMALL_RUN, "--override", "grid.t_start_us=-0.01",
+                     "--override", "grid.t_end_us=0", "--override",
+                     "convergence_checks=false", "--out", out]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert rows[0, 0] == -0.01 and rows[-1, 0] == 0.0
+        np.testing.assert_array_equal(rows[0, 1:], 0.0)
+        assert rows[-1, 2] > 0.0 and rows[-1, 4] > 0.0
 
 
 class TestFigure3Command:
@@ -261,17 +272,19 @@ class TestValidateCommand:
                      "min_eig", "herm_err"):
             np.testing.assert_array_equal(getattr(traj, name), getattr(ref, name))
 
-    def test_bad_timestep_named_failure(self, tmp_path):
-        cfg = write_config(tmp_path, {
-            "fock_cutoff": 8,
-            "grid": {"t_end_us": 0.1, "n_steps": 1000, "n_record": 100},
-            "seeds": [11],
-        })
-        out = str(tmp_path / "report.json")
-        assert main(["validate", "--config", cfg, "--out", out]) == 1
-        report = json.loads(open(out, encoding="utf-8").read())
-        by_name = {c["name"]: c for c in report["checks"]}
-        assert by_name["timestep_guard"]["passed"] is False
+    def test_window_ending_at_zero_matches_the_window_from_zero(self, tmp_path):
+        # the generator is time-independent, so every run of a shifted window
+        # takes the same steps; t_end_us <= 0 must not fall back to t = 0
+        reports = []
+        for start, end in ((0.0, 0.001), (-0.001, 0.0)):
+            out = tmp_path / f"report{start}.json"
+            assert main(["validate", *SMALL_RUN, "--override", "fock_cutoff=6",
+                         "--override", "oracle_n=500", "--override",
+                         f"grid.t_start_us={start}", "--override", f"grid.t_end_us={end}",
+                         "--out", str(out)]) == 0
+            reports.append(json.loads(out.read_text(encoding="utf-8")))
+        assert reports[0]["checks"] == reports[1]["checks"]
+        assert reports[0]["plans"] == reports[1]["plans"]
 
     def test_small_cutoff_named_failure(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -296,7 +309,6 @@ SMALL_RUN = ["--override", "fock_cutoff=4", "--override", "grid.t_end_us=0.001",
 class TestConfigHoles:
     @pytest.mark.parametrize("experiment, override, message", [
         ("spectrum", "params=5", "params must be an object"),
-        ("spectrum", "grid.n_steps=-500", "grid.n_steps must be an integer >= 0"),
         ("spectrum", "grid.t_end_us=x", "grid.t_end_us must be null or a finite"),
         ("spectrum", "grid.t_end_us=NaN", "grid.t_end_us must be null or a finite"),
         ("spectrum", "fock_cutoff=2.7", "fock_cutoff must be an integer"),
@@ -305,6 +317,7 @@ class TestConfigHoles:
         ("spectrum", "params.g=true", "params.g must be a finite number"),
         ("spectrum", "seeds=[]", "seeds must be a non-empty list"),
         ("spectrum", 'seeds="ab"', "seeds must be a non-empty list"),
+        ("spectrum", "seeds=[11, 11]", "seeds must be a non-empty list of distinct"),
         ("spectrum", "oracle_n=0", "oracle_n must be an integer >= 1"),
         ("spectrum", "n_levels=0", "n_levels must be an integer >= 1"),
         ("validate", "params.gamma=0", "params.gamma must be > 0 for validate"),
@@ -442,24 +455,6 @@ def test_benchmark_hook_traces_a_serial_figure2(tmp_path, experiment, overrides,
     assert {"dynamics.evolve", *traced} <= names
 
 
-class TestStabilitySuggestion:
-    ARGV = ["figure2", "--override", "fock_cutoff=8", "--override", "grid.t_end_us=0.01",
-            "--override", "grid.n_record=20"]
-
-    def test_suggested_n_steps_is_a_valid_config(self, tmp_path, capsys):
-        out = str(tmp_path / "f.csv")
-        assert main([*self.ARGV, "--override", "grid.n_steps=20", "--out", out]) == 1
-        err = capsys.readouterr().err
-        need = int(re.search(r"n_steps >= (\d+) required", err).group(1))
-        assert need == 160  # a multiple of grid.n_record = 20
-        retry = [*self.ARGV, "--override", f"grid.n_steps={need}", "--out", out]
-        assert main([*retry, "--override", "convergence_checks=false"]) == 0
-        # the guard's minimum is far coarser than the accuracy the step
-        # halving check demands
-        assert main(retry) == 1
-        assert "timestep_convergence failed" in capsys.readouterr().err
-
-
 class TestHygieneExtrema:
     @pytest.mark.parametrize("experiment", ["figure2", "figure3", "sweep"])
     def test_sidecar_records_extrema(self, tmp_path, experiment):
@@ -536,7 +531,7 @@ class TestPlanChoice:
             reruns.append(result[1])
             return result
         monkeypatch.setattr(cli, "_run_branch_meta", recorded)
-        dev = cli._check_timestep(fig_params, 6, 0.0, 0.005, 50, base, grid)
+        dev = cli._check_timestep(fig_params, 6, base, grid)
         [half] = reruns
         assert (half.n_steps, half.n_record, half.degree) == (2 * grid.n_steps, 50,
                                                               grid.degree)
@@ -593,6 +588,19 @@ class TestPlanTelemetry:
         for m, n, held in per_run:
             assert held == TimeGrid(0.0, 0.01, n, degree=m, n_record=10).buffer
             assert held * 16 * meta["generator_dim"] <= dynamics.STEP_BUFFER_BYTES
+
+    @pytest.mark.parametrize("experiment, gammas", [("figure2", {"12.5"}),
+                                                    ("figure3", {"10.0", "25.0"})])
+    def test_sidecar_records_the_cutoff_check_per_gamma(self, tmp_path, experiment,
+                                                        gammas):
+        out = str(tmp_path / "out.csv")
+        assert main([experiment, *self.ARGV, "--override", "convergence_checks=true",
+                     "--out", out]) == 0
+        meta = json.loads(open(out + ".meta.json", encoding="utf-8").read())
+        per_gamma = meta["cutoff_convergence_by_gamma"]
+        assert set(per_gamma) == gammas
+        assert set(meta["checks"]) == {"cutoff_convergence", "timestep_convergence"}
+        assert meta["checks"]["cutoff_convergence"] == max(per_gamma.values())
 
     def test_validate_report_records_the_plans(self, tmp_path):
         cfg = write_config(tmp_path, {"fock_cutoff": 8, "seeds": [11],

@@ -33,21 +33,23 @@ def mode_number(d):
 
 class TestTimeGrid:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            TimeGrid(0.0, 0.0, 10)
-        with pytest.raises(ValueError, match="record_every"):
-            TimeGrid(0.0, 1.0, 10, record_every=3)
+        with pytest.raises(ValueError, match="t_end"):
+            TimeGrid(0.0, 0.0, 10, 10)
+        with pytest.raises(ValueError, match="n_steps"):
+            TimeGrid(0.0, 1.0, 0, 10)
+        with pytest.raises(ValueError, match="n_record"):
+            TimeGrid(0.0, 1.0, 10, 0)
 
     def test_times(self):
-        grid = TimeGrid(0.0, 1.0, 10, record_every=5)
+        grid = TimeGrid(0.0, 1.0, 10, 2)
         np.testing.assert_allclose(grid.times, [0.0, 0.5, 1.0])
         assert grid.dt == 0.1
 
     def test_times_independent_of_step_count(self):
         # the figure-2 production and doubled-cutoff grids: same window and
         # record count, different step counts; curves are compared pointwise
-        fine = TimeGrid(0.0, 0.5, 189_000, record_every=378)
-        coarse = TimeGrid(0.0, 0.5, 57_000, record_every=114)
+        fine = TimeGrid(0.0, 0.5, 189_000, 500)
+        coarse = TimeGrid(0.0, 0.5, 57_000, 500)
         np.testing.assert_array_equal(fine.times, coarse.times)
         assert fine.times[-1] == 0.5
 
@@ -124,7 +126,7 @@ class TestEvolve:
     def test_dimension_mismatch(self, fig_params):
         h = build_hc(fig_params, 4)
         rho0 = DensityMatrix.basis(SpaceDims((2, 5)), 0, 0)
-        grid = TimeGrid(0.0, 0.01, 1000, record_every=100)
+        grid = TimeGrid(0.0, 0.01, 1000, 10)
         with pytest.raises(ValueError, match="mismatch"):
             evolve(h, [], rho0, grid, [joint_observables(4)[0]])
 
@@ -134,20 +136,20 @@ class TestEvolve:
         ops = collapse_ops(fig_params, d)
         rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1, 0)
         num, _ = joint_observables(d)
-        grid = TimeGrid(0.0, 1.0, 100, record_every=10)
+        grid = TimeGrid(0.0, 1.0, 100, 10)
         with pytest.raises(StabilityError) as err:
             evolve(h, ops, rho0, grid, [num])
         need = err.value.required_n_steps
         assert need > 100 and need % 10 == 0
         # the suggested step count satisfies the guard
-        ok = TimeGrid(0.0, 1.0, need, record_every=need // 10)
+        ok = TimeGrid(0.0, 1.0, need, 10)
         assert ok.dt * omega_max(h, ops) <= 0.25 + 1e-12
 
     def test_requires_an_observable(self, fig_params):
         d = 4
         h = build_hc(fig_params, d)
         rho0 = DensityMatrix.basis(SpaceDims((2, d)), 0, 0)
-        grid = TimeGrid(0.0, 0.001, 1000, record_every=100)
+        grid = TimeGrid(0.0, 0.001, 1000, 10)
         with pytest.raises(ValueError, match="observable"):
             evolve(h, [], rho0, grid, [])
 
@@ -160,8 +162,7 @@ class TestConvergence:
         num, qubit = joint_observables(d)
         rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1, 0)
         grid = TimeGrid.auto(h, 0.0, 0.1, n_record=100, collapse=ops)
-        fine = TimeGrid(0.0, 0.1, 2 * grid.n_steps,
-                        record_every=2 * grid.record_every)
+        fine = TimeGrid(0.0, 0.1, 2 * grid.n_steps, grid.n_record)
         t1 = evolve(h, ops, rho0, grid, [num, qubit], gamma=fig_params.gamma)
         t2 = evolve(h, ops, rho0, fine, [num, qubit], gamma=fig_params.gamma)
         for a, b in ((t1.collective_n, t2.collective_n),
@@ -183,7 +184,7 @@ class TestConvergence:
         def run(factor):
             n = int(np.ceil(t_end * wmax / factor))
             n = ((n + 49) // 50) * 50
-            grid = TimeGrid(0.0, t_end, n, record_every=n // 50)
+            grid = TimeGrid(0.0, t_end, n, 50)
             return evolve(h, ops, rho0, grid, [num, qubit],
                           gamma=fig_params.gamma).collective_n
 
@@ -255,7 +256,7 @@ class TestRK4Core:
         return seen
 
     def test_one_step_is_the_fourth_order_taylor_factor(self):
-        grid = TimeGrid(0.0, 0.01, 1)
+        grid = TimeGrid(0.0, 0.01, 1, 1)
         seen = self.run(grid)
         assert sorted(seen) == [0, 1]
         assert seen[0] == (1.0, 0.0)
@@ -264,7 +265,7 @@ class TestRK4Core:
         assert seen[1][1] == 0.0  # no integrand, no accumulation
 
     def test_accumulator_is_the_stage_weighted_sum(self):
-        grid = TimeGrid(0.0, 0.01, 1)
+        grid = TimeGrid(0.0, 0.01, 1, 1)
         dt = grid.dt
         z = self.LAM * dt
         y1 = 1.0
@@ -276,7 +277,7 @@ class TestRK4Core:
         assert abs(seen[1][1] - expected) <= 4 * np.finfo(float).eps * abs(expected)
 
     def test_records_every_record_every_steps(self):
-        grid = TimeGrid(0.0, 0.01, 12, record_every=4)
+        grid = TimeGrid(0.0, 0.01, 12, 3)
         factor = self.taylor4(grid.dt)
         seen = self.run(grid)
         assert sorted(seen) == [0, 1, 2, 3]
@@ -351,7 +352,7 @@ class TestLiouvillian:
             n = [np.trace(quad.mat @ r).real for r in (rho, r2, r3, r4)]
             acc += dt / 6 * (n[0] + 2 * n[1] + 2 * n[2] + n[3])
             rho = rho + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            if (step + 1) % grid.record_every == 0:
+            if (step + 1) % (grid.n_steps // grid.n_record) == 0:
                 observe(rho, acc)
         for name, values in ref.items():
             np.testing.assert_allclose(getattr(traj, name), values,
@@ -365,7 +366,7 @@ class TestTaylorCore:
 
     @pytest.mark.parametrize("degree", [6, 16, 55])
     def test_step_and_accumulator_are_the_taylor_sums(self, degree):
-        grid = TimeGrid(0.0, 0.01, 1, degree=degree)
+        grid = TimeGrid(0.0, 0.01, 1, 1, degree)
         dt = grid.dt
         z = self.LAM * dt
         factor = sum(z**k / factorial(k) for k in range(degree + 1))
@@ -386,8 +387,8 @@ class TestTaylorCore:
     @pytest.mark.parametrize("degree, n_record", [(6, 3), (6, 40), (16, 5), (16, 40),
                                                   (55, 7), (55, 80)])
     def test_records_inside_a_step_are_the_partial_taylor_sums(self, degree, n_record):
-        grid = TimeGrid(0.0, 0.01, 1, degree=degree, n_record=n_record)
-        assert grid.record_every == 0 and grid.buffer > 0
+        grid = TimeGrid(0.0, 0.01, 1, n_record, degree)
+        assert grid.buffer > 0
         dt = grid.dt
         z = self.LAM * dt
         seen = {}
@@ -435,7 +436,7 @@ class TestTaylorPlan:
     def test_step_buffer_counts_the_records_inside_a_step(self, n_steps, n_record):
         inner = inner_records(n_steps, n_record)
         for degree in (4, 16, 50):
-            grid = TimeGrid(0.0, 1.0, n_steps, degree=degree, n_record=n_record)
+            grid = TimeGrid(0.0, 1.0, n_steps, n_record, degree)
             assert grid.buffer == held(degree, inner)
 
     @pytest.mark.parametrize("norm, t_end, n_record", [
@@ -466,7 +467,7 @@ class TestTaylorPlan:
     @pytest.mark.parametrize("degree", [1, 3, 31, 56])
     def test_degree_outside_theta_table_rejected(self, degree):
         with pytest.raises(ValueError, match="degree"):
-            TimeGrid(0.0, 1.0, 10, degree=degree)
+            TimeGrid(0.0, 1.0, 10, 10, degree)
 
     def test_guard_rejects_a_long_taylor_step(self):
         p, h, ops = driven_model()
@@ -476,13 +477,13 @@ class TestTaylorPlan:
         # 1.1 times the longest degree-16 step: too long for ||L||_1, though
         # not for the smaller row-sum bound omega_max
         t_end = 11 * TAYLOR_THETA[16] / norm
-        grid = TimeGrid(0.0, t_end, 10, degree=16)
+        grid = TimeGrid(0.0, t_end, 10, 10, degree=16)
         assert grid.dt * omega_max(h, ops) < TAYLOR_THETA[16] < grid.dt * norm
         with pytest.raises(StabilityError, match="theta_16") as err:
             evolve(h, ops, rho0, grid, [num])
         need = err.value.required_n_steps
         assert need > 10 and need % 10 == 0
-        ok = TimeGrid(0.0, t_end, need, record_every=need // 10, degree=16)
+        ok = TimeGrid(0.0, t_end, need, 10, degree=16)
         evolve(h, ops, rho0, ok, [num])
 
     def test_driven_run_matches_augmented_expm(self):
@@ -528,7 +529,7 @@ class TestTaylorPlan:
         lv = liouvillian(h, ops)
         dim = lv.shape[0]
         grid = TimeGrid.taylor(norm1(lv), 0.0, t_end, n_record, size=dim)
-        assert grid.degree > 4 and grid.n_steps < n_record and grid.record_every == 0
+        assert grid.degree > 4 and grid.n_steps < n_record
         assert (grid.buffer == grid.degree + 1) == (n_record == 1000)
         traj = evolve(h, ops, rho0, grid, [num, qubit], gamma=p.gamma)
 
@@ -556,12 +557,12 @@ class TestTaylorPlan:
         norm = norm1(liouvillian(h, ops))
         # three degree-16 steps over ten records, each step 1.1 times too long
         t_end = 3.3 * TAYLOR_THETA[16] / norm
-        grid = TimeGrid(0.0, t_end, 3, degree=16, n_record=10)
+        grid = TimeGrid(0.0, t_end, 3, 10, degree=16)
         with pytest.raises(StabilityError, match="theta_16") as err:
             evolve(h, ops, rho0, grid, [num])
         need = err.value.required_n_steps
-        assert need % 10 == 0  # a valid grid.n_steps for 10 records
-        ok = TimeGrid(0.0, t_end, need, degree=16, n_record=10)
+        assert need % 10 == 0  # records at step ends
+        ok = TimeGrid(0.0, t_end, need, 10, degree=16)
         assert ok.dt * norm <= TAYLOR_THETA[16]
         evolve(h, ops, rho0, ok, [num])
 

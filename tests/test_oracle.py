@@ -144,7 +144,7 @@ class TestSingleExcitation:
     def test_stability_guard(self, fig_params):
         s = sample_frequencies(50, fig_params.omega_bar, fig_params.gamma,
                                seed=8, g_collective=fig_params.g_collective)
-        grid = dynamics.TimeGrid(0.0, 1.0, 10, record_every=1)
+        grid = dynamics.TimeGrid(0.0, 1.0, 10, 10)
         with pytest.raises(dynamics.StabilityError):
             single_excitation_evolve(s, fig_params.delta, grid)
 
@@ -256,12 +256,13 @@ class TestArrowheadNorm:
         bound = arrowhead_norm(s, p.delta)
         t_end, m = 0.01, 12
         n = int(0.9 * t_end * bound / dynamics.TAYLOR_THETA[m])
-        grid = dynamics.TimeGrid(0.0, t_end, n, degree=m)
+        grid = dynamics.TimeGrid(0.0, t_end, n, n, degree=m)
         assert grid.dt * bound > dynamics.TAYLOR_THETA[m]
         with pytest.raises(dynamics.StabilityError,
                            match=r"dt\*norm = .* exceeds theta_12") as err:
             single_excitation_evolve(s, p.delta, grid)
-        ok = dynamics.TimeGrid(0.0, t_end, err.value.required_n_steps, degree=m)
+        need = err.value.required_n_steps
+        ok = dynamics.TimeGrid(0.0, t_end, need, need, degree=m)
         assert ok.dt * bound <= dynamics.TAYLOR_THETA[m]
         single_excitation_evolve(s, p.delta, ok)
 
@@ -269,7 +270,7 @@ class TestArrowheadNorm:
         p = fig_params
         s = sample_frequencies(50, p.omega_bar, p.gamma, seed=8,
                                g_collective=p.g_collective)
-        grid = dynamics.TimeGrid(0.0, 1.0, 10, record_every=1)
+        grid = dynamics.TimeGrid(0.0, 1.0, 10, 10)
         with pytest.raises(dynamics.StabilityError,
                            match=r"^dt\*omega_max = \S+ exceeds 0\.25; "
                                  r"n_steps >= \d+ required$") as err:
@@ -467,12 +468,12 @@ class TestFullModel:
         p = self.small_params()  # gamma_s = 0: the pure-state branch
         s = self.spread_sample(p)
         h, *_ = build_full_model(s, p, 3)
-        grid = dynamics.TimeGrid(0.0, 0.01, 40, record_every=4)
+        grid = dynamics.TimeGrid(0.0, 0.01, 40, 10)
         with pytest.raises(dynamics.StabilityError) as err:
             full_model_evolve(s, 3, p, grid)
         need = err.value.required_n_steps
-        assert need > 40 and need % 4 == 0
+        assert need > 40 and need % 10 == 0
         # the suggested step count satisfies the guard
-        ok = dynamics.TimeGrid(0.0, 0.01, need, record_every=4)
+        ok = dynamics.TimeGrid(0.0, 0.01, need, 10)
         assert ok.dt * dynamics.omega_max(h) <= 0.25 + 1e-12
-        assert full_model_evolve(s, 3, p, ok).bright_n.shape == (need // 4 + 1,)
+        assert full_model_evolve(s, 3, p, ok).bright_n.shape == (11,)
