@@ -99,6 +99,16 @@ CONFIG_SCHEMA = {
     "output_path": (lambda v: v is None or isinstance(v, str), "null or a path"),
 }
 
+# dot path -> why a key that configs once took is now refused
+RETIRED_KEYS = {
+    "grid.n_steps": "every run takes the step plan derived from its generator's "
+                    "norm bound, and records may fall inside a step",
+}
+
+
+def _retired(path: str) -> "ConfigError":
+    return ConfigError(f"{path} must be left out: {RETIRED_KEYS[path]}")
+
 
 class ConfigError(ValueError):
     pass
@@ -130,6 +140,8 @@ def _merge(defaults: dict, user: dict, path: str = "") -> dict:
     out = copy.deepcopy(defaults)
     for key, value in user.items():
         here = f"{path}.{key}" if path else key
+        if here in RETIRED_KEYS:
+            raise _retired(here)
         if key not in defaults:
             raise ConfigError(f"unknown config key: {here}")
         if isinstance(defaults[key], dict):
@@ -163,6 +175,8 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
         if "=" not in item:
             raise ConfigError(f"override must look like key=value, got {item!r}")
         key, raw = item.split("=", 1)
+        if key in RETIRED_KEYS:
+            raise _retired(key)
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
@@ -192,6 +206,10 @@ def resolve_config(cfg: dict, experiment: str) -> RunConfig:
     cfg = copy.deepcopy(cfg)
     cfg["experiment"] = experiment
 
+    for path in RETIRED_KEYS:
+        section, _, key = path.rpartition(".")
+        if key in ((cfg.get(section) or {}) if section else cfg):
+            raise _retired(path)
     for path, (test, requirement) in CONFIG_SCHEMA.items():
         section, _, key = path.rpartition(".")
         value = cfg[section][key] if section else cfg[key]

@@ -102,13 +102,25 @@ class TestConfig:
         with pytest.raises(ConfigError, match="non-empty"):
             resolve_config(cfg, "figure3")
 
+    def test_n_steps_must_align_with_recording(self):
+        # records are read inside Taylor steps, so no step count has to align
+        # with them; the key that set one is refused instead
+        cfg = load_config(None)
+        cfg["grid"]["n_steps"] = 1001
+        cfg["grid"]["n_record"] = 100
+        with pytest.raises(ConfigError, match="grid.n_steps must be left out"):
+            resolve_config(cfg, "figure2")
+
     def test_n_steps_key_rejected(self, tmp_path, capsys):
         # every run takes its derived plan; a fixed step count is no option
+        message = ("config error: grid.n_steps must be left out: every run takes the "
+                   "step plan derived from its generator's norm bound, and records "
+                   "may fall inside a step\n")
         cfg = write_config(tmp_path, {"grid": {"n_steps": 1000}})
         assert main(["figure2", "--config", cfg]) == 2
-        assert capsys.readouterr().err == "config error: unknown config key: grid.n_steps\n"
+        assert capsys.readouterr().err == message
         assert main(["validate", "--override", "grid.n_steps=1000"]) == 2
-        assert capsys.readouterr().err == "config error: unknown override path: grid.n_steps\n"
+        assert capsys.readouterr().err == message
 
 
 class TestFormatting:
@@ -312,6 +324,7 @@ class TestConfigHoles:
         ("spectrum", "grid.t_end_us=x", "grid.t_end_us must be null or a finite"),
         ("spectrum", "grid.t_end_us=NaN", "grid.t_end_us must be null or a finite"),
         ("spectrum", "fock_cutoff=2.7", "fock_cutoff must be an integer"),
+        ("spectrum", "grid.n_steps=-500", "grid.n_steps must be left out"),
         ("spectrum", "grid.n_record=2.5", "grid.n_record must be an integer"),
         ("spectrum", 'convergence_checks="false"', "convergence_checks must be true"),
         ("spectrum", "params.g=true", "params.g must be a finite number"),
