@@ -88,8 +88,9 @@ CONFIG_SCHEMA = {
     "grid.t_start_us": (_finite, "a finite number"),
     "grid.t_end_us": (lambda v: v is None or _finite(v), "null or a finite number"),
     "grid.n_record": (_at_least(1, _integral), "an integer >= 1"),
-    "gamma_sweep_mhz": (lambda v: isinstance(v, list) and all(map(_at_least(0), v)),
-                        "a list of numbers >= 0"),
+    "gamma_sweep_mhz": (lambda v: isinstance(v, list) and all(map(_at_least(0), v))
+                        and len(set(map(float, v))) == len(v),
+                        "a list of distinct numbers >= 0"),
     "seeds": (lambda v: isinstance(v, list) and bool(v)
               and all(map(_at_least(0, _integral), v)) and len(set(v)) == len(v),
               "a non-empty list of distinct integers >= 0"),
@@ -371,14 +372,14 @@ def _runs_meta(runs: list, d: int, per_gamma: bool = True) -> dict:
     per-record state diagnostics, and the generator products summed over
     every branch with the dimension of the Liouvillian they apply (vec(rho)
     at cutoff d)."""
-    grids = {str(g): grid for g, _, _, grid in runs}
-    plan = {"n_steps": "n_steps", "dt_us": "dt", "degree": "degree", "step_buffer": "buffer"}
+    size = (2 * d) ** 2
+    plans = {str(g): {"n_steps": grid.n_steps, "dt_us": grid.dt, "degree": grid.degree,
+                      "step_buffer": grid.buffer(size)} for g, _, _, grid in runs}
     if per_gamma:
-        meta = {key: {g: getattr(grid, attr) for g, grid in grids.items()}
-                for key, attr in plan.items()}
+        meta = {key: {g: plan[key] for g, plan in plans.items()}
+                for key in ("n_steps", "dt_us", "degree", "step_buffer")}
     else:
-        [grid] = grids.values()
-        meta = {key: getattr(grid, attr) for key, attr in plan.items()}
+        [meta] = plans.values()
     trajs = [t for _, _, branches, _ in runs for t in branches.values()]
     meta["hygiene"] = {"trace_err_max": max(float(t.trace_err.max()) for t in trajs),
                        "herm_err_max": max(float(t.herm_err.max()) for t in trajs),
@@ -393,18 +394,19 @@ def _runs_meta(runs: list, d: int, per_gamma: bool = True) -> dict:
 # output
 # ---------------------------------------------------------------------------
 
-def _fmt(x) -> str:
-    x = float(x)
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return f"{x:.9g}"
+def _csv_lines(rows, n_cols: int):
+    """The lines of the table `rows` (a sequence of rows or a 2-D array), one
+    at a time, each value as a float to 9 significant digits."""
+    # adding 0.0 turns -0.0 into 0.0 and leaves every other value as it is
+    table = np.array(rows, dtype=float).reshape(-1, n_cols) + 0.0
+    line = ",".join(["%.9g"] * n_cols) + "\n"
+    return (line % tuple(row.tolist()) for row in table)
 
 
 def write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        fh.writelines(_csv_lines(rows, len(header)))
 
 
 def write_meta(out_path: str, rc: RunConfig, extra: dict) -> None:
@@ -447,7 +449,7 @@ def run_figure2(rc: RunConfig, out: str) -> dict:
     # the closed forms start from vacuum at t = 0, the runs at t_start
     ana_e = analytic.excited_population(times - rc.t_start, p)
     ana_g = analytic.ground_population(times - rc.t_start, p)
-    rows = zip(times, traj_e.collective_n, ana_e, traj_g.collective_n, ana_g)
+    rows = np.column_stack((times, traj_e.collective_n, ana_e, traj_g.collective_n, ana_g))
     write_csv(out, ["t_us", "n_num_e", "n_ana_e", "n_num_g", "n_ana_g"], rows)
     write_meta(out, rc, meta)
     return meta
@@ -460,13 +462,12 @@ def run_figure3(rc: RunConfig, out: str) -> dict:
             "sweep_note": "gamma set and 1 us duration are artifact defaults, "
                           "not asserted values"}
 
-    rows = []
+    blocks = []
     for g_mhz, _, trajs, _ in runs:
-        traj_e, traj_g = trajs["e"], trajs["g"]
-        gain = dynamics.readout_gain(traj_e, traj_g)
-        for i, t in enumerate(traj_e.times):
-            rows.append((t, g_mhz, traj_e.total_n[i], traj_g.total_n[i], gain[i]))
-    write_csv(out, ["t_us", "gamma_mhz", "total_e", "total_g", "gain"], rows)
+        total_e, total_g = trajs["e"].total_n, trajs["g"].total_n
+        blocks.append(np.column_stack((trajs["e"].times, np.full(len(total_e), g_mhz),
+                                       total_e, total_g, total_e - total_g)))
+    write_csv(out, ["t_us", "gamma_mhz", "total_e", "total_g", "gain"], np.vstack(blocks))
     write_meta(out, rc, meta)
     return meta
 
@@ -475,10 +476,10 @@ def run_sweep(rc: RunConfig, out: str) -> dict:
     runs = _branch_runs(rc, rc.gamma_sweep)
     rows = []
     for g_mhz, _, trajs, _ in runs:
-        gain = dynamics.readout_gain(trajs["e"], trajs["g"])
+        total_e, total_g = trajs["e"].total_n, trajs["g"].total_n
+        gain = total_e - total_g
         i = int(np.argmax(gain))
-        rows.append((g_mhz, gain[i], trajs["e"].times[i],
-                     trajs["e"].total_n[-1], trajs["g"].total_n[-1]))
+        rows.append((g_mhz, gain[i], trajs["e"].times[i], total_e[-1], total_g[-1]))
     write_csv(out, ["gamma_mhz", "max_gain", "t_at_max_us", "total_e_final",
                     "total_g_final"], rows)
     meta = _runs_meta(runs, rc.fock_cutoff)
@@ -535,6 +536,13 @@ def _check(name, value, threshold, lower_is_pass=True):
             "passed": passed}
 
 
+def _plan(grid, size: int) -> dict:
+    """A validate run's plan, with the step buffer it held for state vectors
+    of `size` entries."""
+    return {"degree": grid.degree, "n_steps": grid.n_steps,
+            "applications": grid.applications, "step_buffer": grid.buffer(size)}
+
+
 def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
     p = rc.params
     d = rc.fock_cutoff
@@ -548,8 +556,8 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
 
     # conservation bookkeeping (undriven, initial |e,0>) plus state hygiene
     p0 = replace(p, lambda_d=0.0, gamma_s=0.0)
-    traj0, plans["conservation"] = _run_branch_meta(p0, d, "e", rc.t_start, rc.t_end,
-                                                    rc.n_record)
+    traj0, grid0 = _run_branch_meta(p0, d, "e", rc.t_start, rc.t_end, rc.n_record)
+    plans["conservation"] = _plan(grid0, (2 * d) ** 2)
     q = traj0.qubit_excited + traj0.total_n
     checks.append(_check("conservation", np.max(np.abs(q - 1.0)), CONSERVATION_TOL))
     checks.append(_check("trace_error", traj0.trace_err.max(), dynamics.TRACE_TOL))
@@ -559,7 +567,7 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
     # short driven windows for the convergence checks
     t_short = rc.t_start + min(0.2, rc.t_end - rc.t_start)
     base, g_short = _run_branch_meta(p, d, "e", rc.t_start, t_short, 200)
-    plans["short_window"] = g_short
+    plans["short_window"] = _plan(g_short, (2 * d) ** 2)
     try:
         dev_c = _check_cutoff(p, d, {"e": base}, g_short)
         checks.append(_check("cutoff_convergence", dev_c, CUTOFF_TOL))
@@ -583,8 +591,9 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
     rho0 = DensityMatrix.basis(SpaceDims((d,)), 0)
     for state, ana in (("e", analytic.excited_population),
                        ("g", analytic.ground_population)):
-        traj, plans[f"analytic_steady_{state}"] = _run(
+        traj, steady = _run(
             build_anc(p, state, d), anc_ops, rho0, [num], p.gamma, 0.0, t_steady, 200)
+        plans[f"analytic_steady_{state}"] = _plan(steady, d * d)
         ref = float(ana(np.array([t_steady]), p)[0])
         checks.append(_check(f"analytic_steady_{state}",
                              abs(traj.collective_n[-1] - ref), ANALYTIC_STEADY_TOL))
@@ -597,7 +606,7 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
                                            seed, g_collective=p.g_collective)
         bound = oracle.arrowhead_norm(sample, p.delta)
         s_grid = dynamics.TimeGrid.taylor(bound, 0.0, t_oracle, 400, size=sample.n + 1)
-        plans[f"oracle_seed_{seed}"] = s_grid
+        plans[f"oracle_seed_{seed}"] = _plan(s_grid, sample.n + 1)
         res = oracle.single_excitation_evolve(sample, p.delta, s_grid)
         _, c_red = oracle.reduced_single_excitation(p.delta, p.g_collective,
                                                     p.gamma, res.times)
@@ -614,9 +623,7 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
 
     all_passed = all(c["passed"] for c in checks)
     report = {"code_version": __version__, "passed": all_passed, "checks": checks,
-              "plans": {name: {"degree": g.degree, "n_steps": g.n_steps,
-                               "applications": g.applications, "step_buffer": g.buffer}
-                        for name, g in plans.items()},
+              "plans": plans,
               "oracle": per_seed,
               "threads": {"workers": _n_workers(), "blas": _blas_threads()},
               "config": rc.resolved}

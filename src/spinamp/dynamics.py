@@ -21,15 +21,21 @@ inside a step, so ``rk4`` reads a record that falls inside a step off that
 step's Taylor terms, with vector sums instead of generator products; a plan
 spans as many records per step as its bound allows. The step buffer this
 needs is bounded by STEP_BUFFER_BYTES, and ``TimeGrid.taylor`` plans within
-it. Every ``cli`` run, the validate oracle included, is a Taylor plan; RK4
+it: a step keeps its m + 1 terms whenever they fit the buffer, and otherwise
+adds them into one accumulator per record. Every ``cli`` run, the validate oracle included, is a Taylor plan; RK4
 grids serve library callers that size steps on omega_max.
+
+Records reach the caller in blocks: ``rk4`` hands its recorder a (k, size)
+array of k consecutive records, k = 1 at a step end and up to
+RECORD_BLOCK_BYTES of them inside a step, so the per-record work (readout,
+traces, Hermiticity, eigenvalues) runs as batched array operations.
 
 ``evolve`` steps the row-major vectorised density matrix,
 vec(rho) = rho.reshape(-1), with one sparse matvec per Taylor term on the
 generator that ``liouvillian`` builds, once per run, from
 vec(A rho B) = (A ⊗ Bᵀ) vec(rho). Expectation values are dots with vec(Aᵀ),
-and the per-record hygiene checks (trace, Hermiticity, eigenvalues) run on a
-reshaped view of the same vector.
+one matrix product per block of records, and the per-record hygiene checks
+(trace, Hermiticity, eigenvalues) run on a reshaped view of the same block.
 
 ``evolve`` tracks, alongside the density matrix, the running integral
 of the first observable, integrating each Taylor term exactly (at degree 4
@@ -60,6 +66,9 @@ TRACE_TOL = 1e-7
 POSITIVITY_TOL = 1e-6
 # the most memory one Taylor step may hold to read records off its terms
 STEP_BUFFER_BYTES = 1 << 20
+# the most memory one block of records handed to a recorder may take; the
+# recorder's temporaries scale with it, so it stays a fraction of the buffer
+RECORD_BLOCK_BYTES = STEP_BUFFER_BYTES // 8
 TERM_BLOCK = 4           # terms an accumulating step adds into its records at once
 # the highest degree a plan takes: at degree 55 the terms of a full step peak
 # near e^9.9 ~ 2e4 times the state, and their cancellation shows above rounding
@@ -98,13 +107,22 @@ def _inner_records(n_steps: int, n_record: int) -> int:
     return (n_record - gcd(n_steps, n_record) - 1) // n_steps + 1
 
 
-def _held(degree: int, inner: int) -> int:
-    """State vectors a step holds to read `inner` records off its terms: its
-    degree + 1 terms or, when fewer, one accumulator per record, a block of
-    TERM_BLOCK terms and the block's product with up to TERM_BLOCK records."""
+def _held(degree: int, inner: int, size: int) -> int:
+    """State vectors of `size` entries a step holds to read `inner` records
+    off its terms: its degree + 1 terms when they fit STEP_BUFFER_BYTES or
+    are no more than the accumulators; otherwise one accumulator per record,
+    a block of TERM_BLOCK terms and the block's product with up to
+    TERM_BLOCK records."""
     if not inner:
         return 0
+    if (degree + 1) * 16 * size <= STEP_BUFFER_BYTES:
+        return degree + 1
     return min(degree + 1, inner + TERM_BLOCK + min(inner, TERM_BLOCK))
+
+
+def _block_rows(size: int) -> int:
+    """Records of `size` entries in one block handed to a recorder."""
+    return max(1, RECORD_BLOCK_BYTES // (16 * size))
 
 
 @dataclass(frozen=True)
@@ -145,10 +163,10 @@ class TimeGrid:
         """Generator products over the whole grid: degree per step."""
         return self.degree * self.n_steps
 
-    @property
-    def buffer(self) -> int:
-        """State vectors the step buffer of ``rk4`` holds on this grid."""
-        return _held(self.degree, _inner_records(self.n_steps, self.n_record))
+    def buffer(self, size: int) -> int:
+        """State vectors the step buffer of ``rk4`` holds on this grid for
+        state vectors of `size` entries."""
+        return _held(self.degree, _inner_records(self.n_steps, self.n_record), size)
 
     @property
     def times(self) -> np.ndarray:
@@ -189,7 +207,7 @@ class TimeGrid:
                 break
             s = max(1, ceil(span / theta))
             # more steps hold fewer records each; with n_record | s none
-            while _held(m, _inner_records(s, n_record)) > room:
+            while _held(m, _inner_records(s, n_record), size) > room:
                 s += 1
             plans.append((s, m))
         s, m = min(plans, key=lambda sm: (sm[0] * sm[1], sm[1]))
@@ -255,8 +273,14 @@ def rk4(rhs, y0: np.ndarray, grid: TimeGrid, record, integrand=None) -> None:
     from y0 over grid: with h = grid.dt and the terms T_k = (hA)^k y / k!, a
     step maps y to sum_{k<=m} T_k, which at m = 4 is the classical RK4 map.
 
-    record(i, y, integral) is called at the i-th recorded point (i = 0 is y0).
-    integral is the running integral of the linear scalar integrand(y): a step
+    record(first, ys, integrals) receives the recorded points in blocks of
+    consecutive records: row j of the (k, size) array ys is record first + j
+    (record 0 is y0) and integrals[j] its running integral. A record at a
+    step end comes as a block of one, the records inside a step in blocks of
+    at most RECORD_BLOCK_BYTES. ys may be a view of the step buffer, so the
+    recorder copies what it keeps.
+
+    The running integral is that of the linear scalar integrand(y): a step
     adds h * sum_{k<m} integrand(T_k) / (k + 1), the exact integral over the
     step of the Taylor polynomial (at m = 4, RK4's stage-weighted sum); 0
     without an integrand. A record at fraction x in (0, 1) of a step is read
@@ -268,7 +292,7 @@ def rk4(rhs, y0: np.ndarray, grid: TimeGrid, record, integrand=None) -> None:
     n_steps, n_rec = grid.n_steps, grid.n_record
     y = np.array(y0, dtype=complex)
     acc = 0.0
-    record(0, y, acc)
+    record(0, y[None], np.zeros(1))
     dense = _DenseOutput(grid, y.size)
     i = 1  # the next record
     for step in range(n_steps):
@@ -288,20 +312,24 @@ def rk4(rhs, y0: np.ndarray, grid: TimeGrid, record, integrand=None) -> None:
                 y += term
         acc += h * gain
         if i <= n_rec and i * n_steps == (step + 1) * n_rec:
-            record(i, y, acc)
+            record(i, y[None], np.array([acc]))
             i += 1
 
 
 class _DenseOutput:
     """The records inside the steps of a grid, read off each step's terms as
-    sum_k x^k T_k within a buffer of grid.buffer vectors: the step computes
-    its terms into the buffer, which keeps all m + 1 of them when that holds
-    fewer vectors, each record then being one product with them; otherwise
-    every TERM_BLOCK terms are added into one accumulator per record."""
+    sum_k x^k T_k within a buffer of grid.buffer(size) vectors, and handed
+    to the recorder in blocks of _block_rows(size) records. The step
+    computes its terms into the buffer. When the buffer keeps all m + 1 of
+    them (they fit STEP_BUFFER_BYTES, or the accumulators would be more),
+    each block is one product of the records' weights with the terms;
+    otherwise every TERM_BLOCK terms are added into one accumulator per
+    record, and the blocks are slices of the accumulators."""
 
     def __init__(self, grid: TimeGrid, size: int):
         self.grid, m = grid, grid.degree
-        buf = np.empty((grid.buffer, size), dtype=complex)
+        self.chunk = _block_rows(size)
+        buf = np.empty((grid.buffer(size), size), dtype=complex)
         self.keep = len(buf) == m + 1
         if self.keep:
             self.terms = buf
@@ -321,13 +349,14 @@ class _DenseOutput:
         integral gain over h."""
         grid = self.grid
         h, m = grid.dt, grid.degree
+        n = stop - first
         x = (np.arange(first, stop) * grid.n_steps - step * grid.n_record) / grid.n_record
         self.powers = x[:, None] ** np.arange(m + 1)
         self.weights = self.powers.astype(complex)
         rows = self.rows
         rows[0][:] = y
         if not self.keep:
-            self.sums[:stop - first] = 0.0
+            self.sums[:n] = 0.0
         term = rows[0]
         gain = 0.0
         gains = []
@@ -340,10 +369,11 @@ class _DenseOutput:
             if self.adds[k]:
                 self.add_block(k)
         integrals = (acc + h * ((self.powers[:, 1:] / np.arange(1, m + 1)) @ gains)
-                     if gains else [acc] * (stop - first))
-        values = ((w @ self.terms for w in self.weights) if self.keep else self.sums)
-        for j, (value, integral) in enumerate(zip(values, integrals)):
-            record(first + j, value, integral)
+                     if gains else np.full(n, acc))
+        for lo in range(0, n, self.chunk):
+            hi = min(n, lo + self.chunk)
+            ys = self.weights[lo:hi] @ self.terms if self.keep else self.sums[lo:hi]
+            record(first + lo, ys, integrals[lo:hi])
         return gain
 
     def add_block(self, k: int) -> None:
@@ -424,7 +454,7 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
         norm = norm1(lv)
     check_stability(grid, wmax, norm)
     # row k is vec(O_kᵀ), so readout @ vec(rho) = [Tr(O_k rho)]_k
-    readout = np.array([op.mat.T.reshape(-1) for op in observables])
+    readout = np.array([op.mat.T.reshape(-1) for op in observables], dtype=complex)
     num_vec = readout[0]
     dim = rho0.dims.dim
 
@@ -440,21 +470,24 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
     }
     extra = np.empty((n_rec + 1, n_extra)) if n_extra else None
 
-    def record(i, y, integral):
-        values = (readout @ y).real
-        rec["collective_n"][i] = values[0]
+    def record(first, ys, integrals):
+        block = slice(first, first + len(ys))
+        values = (ys @ readout.T).real
+        rec["collective_n"][block] = values[:, 0]
         if len(observables) > 1:
-            rec["qubit_excited"][i] = values[1]
+            rec["qubit_excited"][block] = values[:, 1]
         if extra is not None:
-            extra[i] = values[2:]
-        rec["subradiant_n"][i] = gamma * integral
-        rho = y.reshape(dim, dim)
-        tr = np.trace(rho)
-        rec["trace_err"][i] = abs(tr - 1.0)
-        rec["herm_err"][i] = float(np.max(np.abs(rho - rho.conj().T)))
-        w = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-        rec["min_eig"][i] = float(w[0])
-        if rec["min_eig"][i] < -POSITIVITY_TOL:
+            extra[block] = values[:, 2:]
+        rec["subradiant_n"][block] = gamma * integrals
+        rho = ys.reshape(-1, dim, dim)
+        rho_h = rho.conj().transpose(0, 2, 1)
+        rec["trace_err"][block] = np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)
+        rec["herm_err"][block] = np.max(np.abs(rho - rho_h), axis=(1, 2))
+        min_eig = np.linalg.eigvalsh(0.5 * (rho + rho_h))[:, 0]
+        rec["min_eig"][block] = min_eig
+        bad = np.flatnonzero(min_eig < -POSITIVITY_TOL)
+        if bad.size:
+            i = first + int(bad[0])
             raise IntegrationError(
                 f"positivity violated at t={grid.times[i]:.6g}: "
                 f"min eig {rec['min_eig'][i]:.3g}, trace err {rec['trace_err'][i]:.3g}")

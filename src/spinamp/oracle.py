@@ -194,10 +194,11 @@ def single_excitation_evolve(sample: EnsembleSample, delta_target: float,
     coll = np.empty(n_rec + 1, dtype=complex)
     norm = np.empty(n_rec + 1)
 
-    def record(i, c, _):
-        c_e[i] = c[0]
-        coll[i] = (g @ c[1:]) / g_norm
-        norm[i] = float(np.sum(np.abs(c) ** 2))
+    def record(first, cs, _):
+        block = slice(first, first + len(cs))
+        c_e[block] = cs[:, 0]
+        coll[block] = (cs[:, 1:] @ g) / g_norm
+        norm[block] = np.sum(np.abs(cs) ** 2, axis=1)
 
     dynamics.rk4(rhs, c0, grid, record)
     return SingleExcitationResult(times=grid.times, c_e=c_e, collective=coll,
@@ -309,11 +310,16 @@ def full_model_evolve(sample: EnsembleSample, per_mode_cutoff: int,
     qubit = np.empty(n_rec + 1)
     per_mode = np.empty((n_rec + 1, sample.n))
 
-    def record(i, psi, _):
-        bright[i] = float(np.real(np.vdot(psi, bright_num.mat @ psi)))
-        qubit[i] = float(np.real(np.vdot(psi, qubit_proj.mat @ psi)))
+    def expect(op, psis):
+        """<psi|op|psi> for each row psi of psis."""
+        return np.sum(psis.conj() * (psis @ op.mat.T), axis=1).real
+
+    def record(first, psis, _):
+        block = slice(first, first + len(psis))
+        bright[block] = expect(bright_num, psis)
+        qubit[block] = expect(qubit_proj, psis)
         for j, op in enumerate(mode_nums):
-            per_mode[i, j] = float(np.real(np.vdot(psi, op.mat @ psi)))
+            per_mode[block, j] = expect(op, psis)
 
     dynamics.rk4(lambda psi: m @ psi, psi0, grid, record)
     return FullModelRecord(times=grid.times, bright_n=bright, qubit_excited=qubit,

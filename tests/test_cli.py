@@ -11,7 +11,7 @@ import spinamp
 from spinamp import cli, dynamics
 from spinamp.cli import (ConfigError, DEFAULT_CONFIG, apply_overrides,
                          envelope_deviation, load_config, main,
-                         resolve_config, _fmt, _n_workers)
+                         resolve_config, _csv_lines, _n_workers)
 from spinamp.dynamics import POSITIVITY_TOL, TRACE_TOL, TimeGrid
 from spinamp.hilbert import DensityMatrix, SpaceDims
 from spinamp.model import SystemParams, build_drive, build_hc, collapse_ops
@@ -123,11 +123,30 @@ class TestConfig:
         assert capsys.readouterr().err == message
 
 
+def _fmt(x) -> str:
+    """The per-cell CSV format that the row format replaced, as reference."""
+    x = float(x)
+    if x == 0.0:
+        x = 0.0  # normalize -0.0
+    return f"{x:.9g}"
+
+
 class TestFormatting:
     def test_nine_significant_digits(self):
-        assert _fmt(0.123456789123) == "0.123456789"
-        assert _fmt(1.0) == "1"
-        assert _fmt(-0.0) == "0"
+        assert list(_csv_lines([(0.123456789123, 1.0, -0.0)], 3)) == ["0.123456789,1,0\n"]
+
+    def test_rows_match_the_per_cell_format(self):
+        rng = np.random.default_rng(5)
+        cells = [-0.0, 0.0, np.float64(-0.0), 3, -7, np.int64(12), True, 1e-300, -1e-300,
+                 5e-324, 1e300, -1e300, 123456789.0, 1234567891.0, 0.1 + 0.2,
+                 2.0 / 3.0, -1.0 / 7.0, 1e16, 12345.678949999, float("inf"),
+                 float("nan"), *rng.normal(size=23) * 10.0 ** rng.integers(-12, 12, 23)]
+        rows = [tuple(cells[i:i + 4]) for i in range(0, len(cells), 4)]
+        assert all(len(row) == 4 for row in rows)
+        expected = [",".join(_fmt(x) for x in row) + "\n" for row in rows]
+        assert list(_csv_lines(rows, 4)) == expected
+        assert list(_csv_lines(np.array(rows, dtype=float), 4)) == expected
+        assert list(_csv_lines([], 4)) == []
 
     def test_envelope_deviation_identical(self):
         t = np.linspace(0, 1, 500)
@@ -331,6 +350,9 @@ class TestConfigHoles:
         ("spectrum", "seeds=[]", "seeds must be a non-empty list"),
         ("spectrum", 'seeds="ab"', "seeds must be a non-empty list"),
         ("spectrum", "seeds=[11, 11]", "seeds must be a non-empty list of distinct"),
+        ("figure3", "gamma_sweep_mhz=[10, 10.0]",
+         "gamma_sweep_mhz must be a list of distinct numbers >= 0, got [10, 10.0]"),
+        ("figure3", 'gamma_sweep_mhz=[5, "a"]', "gamma_sweep_mhz must be a list of"),
         ("spectrum", "oracle_n=0", "oracle_n must be an integer >= 1"),
         ("spectrum", "n_levels=0", "n_levels must be an integer >= 1"),
         ("validate", "params.gamma=0", "params.gamma must be > 0 for validate"),
@@ -510,7 +532,7 @@ class TestPlanChoice:
         grid, rk = self.grid(fig_params, 0.0025, 1000, d)
         assert grid.degree > 4 and grid.n_steps < grid.n_record
         assert grid.applications < rk.applications
-        assert grid.buffer * 16 * (2 * d) ** 2 <= dynamics.STEP_BUFFER_BYTES
+        assert grid.buffer((2 * d) ** 2) * 16 * (2 * d) ** 2 <= dynamics.STEP_BUFFER_BYTES
 
     def test_step_heavy_shape_takes_the_taylor_plan(self, fig_params):
         grid, rk = self.grid(fig_params, 0.005, 50)
@@ -560,7 +582,8 @@ class TestPlanChoice:
             p = SystemParams.from_mhz(nu_t=412.5, nu_bar=0.0, g=75.0, lambda_d=40.0,
                                       gamma=gamma)
             grid, _ = self.grid(p, t_end, n_record, d)
-            assert grid.buffer * 16 * (2 * d) ** 2 <= dynamics.STEP_BUFFER_BYTES
+            assert grid.buffer((2 * d) ** 2) * 16 * (2 * d) ** 2 \
+                <= dynamics.STEP_BUFFER_BYTES
             if (t_end, n_record, d, gamma) == (0.5, 500, 16, 12.5):  # default figure2
                 assert grid.applications <= 25_000
 
@@ -571,7 +594,7 @@ class TestPlanChoice:
                                     g_collective=p.g_collective)
         grid = TimeGrid.taylor(arrowhead_norm(sample, p.delta), 0.0, 3.0 / p.gamma, 400,
                                size=sample.n + 1)
-        assert grid.buffer * 16 * (sample.n + 1) <= dynamics.STEP_BUFFER_BYTES
+        assert grid.buffer(sample.n + 1) * 16 * (sample.n + 1) <= dynamics.STEP_BUFFER_BYTES
         assert grid.n_steps < grid.n_record  # records inside steps
 
 
@@ -597,9 +620,12 @@ class TestPlanTelemetry:
                        for g in meta["degree"]]
         # two branches (excited and ground) per written run
         assert meta["generator_applications"] == sum(2 * m * n for m, n, _ in per_run)
-        # the state vectors the step buffer held on each run's grid
+        # the state vectors the step buffer held on each run's grid: at d=6
+        # the terms fit the buffer, so a step with records inside keeps them
         for m, n, held in per_run:
-            assert held == TimeGrid(0.0, 0.01, n, degree=m, n_record=10).buffer
+            grid = TimeGrid(0.0, 0.01, n, degree=m, n_record=10)
+            assert held == grid.buffer(meta["generator_dim"])
+            assert held == (m + 1 if n % 10 else 0)
             assert held * 16 * meta["generator_dim"] <= dynamics.STEP_BUFFER_BYTES
 
     @pytest.mark.parametrize("experiment, gammas", [("figure2", {"12.5"}),

@@ -2,14 +2,15 @@ from math import factorial
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import expm
 
 from spinamp import dynamics
 from spinamp.analytic import excited_population, ground_population
-from spinamp.dynamics import (DT_FACTOR, PLAN_MAX_DEGREE, STEP_BUFFER_BYTES,
-                              TAYLOR_THETA, TERM_BLOCK, StabilityError, TimeGrid,
-                              evolve, liouvillian, norm1, omega_max, rk4,
-                              readout_gain)
+from spinamp.dynamics import (DT_FACTOR, PLAN_MAX_DEGREE, POSITIVITY_TOL,
+                              RECORD_BLOCK_BYTES, STEP_BUFFER_BYTES, TAYLOR_THETA,
+                              TERM_BLOCK, IntegrationError, StabilityError, TimeGrid,
+                              evolve, liouvillian, norm1, omega_max, rk4, readout_gain)
 from spinamp.hilbert import (DensityMatrix, Operator, SpaceDims, identity,
                              kron, ladder)
 from spinamp.model import SystemParams, build_anc, build_drive, build_hc, collapse_ops
@@ -153,6 +154,24 @@ class TestEvolve:
         with pytest.raises(ValueError, match="observable"):
             evolve(h, [], rho0, grid, [])
 
+    def test_positivity_failure_names_the_first_bad_record_of_a_block(self):
+        # a negative jump rate gives the non-physical rho_00(t) = expm1(-gamma t)
+        # from |1><1|; one step holds records 1..19 as one block, and the
+        # first record past -POSITIVITY_TOL is the 8th of them
+        dims = SpaceDims((2,))
+        gamma = -np.log1p(-POSITIVITY_TOL) / 0.375
+        h = Operator(dims, np.zeros((2, 2)), hermitian=True)
+        jump = np.sqrt(gamma) * ladder(2)
+        lv = liouvillian(h, [jump]) - 2 * sparse.kron(jump.mat, jump.mat.conj())
+        grid = TimeGrid(0.0, 1.0, 1, 20, degree=16)
+        assert dynamics._block_rows(4) >= 19
+        t = grid.times[8]
+        with pytest.raises(IntegrationError,
+                           match=f"positivity violated at t={t:.6g}: min eig "
+                                 f"{np.expm1(-gamma * t):.3g}, trace err "):
+            evolve(h, [jump], DensityMatrix.basis(dims, 1), grid, [mode_number(2)],
+                   lv=sparse.csr_array(lv))
+
 
 class TestConvergence:
     def test_step_halving_below_1e6(self, fig_params):
@@ -249,8 +268,9 @@ class TestRK4Core:
     def run(self, grid, integrand=None):
         seen = {}
 
-        def record(i, y, integral):
-            seen[i] = (complex(y[0]), integral)
+        def record(first, ys, integrals):
+            for j, (y, integral) in enumerate(zip(ys, integrals)):
+                seen[first + j] = (complex(y[0]), integral)
 
         rk4(lambda y: self.LAM * y, np.array([1.0 + 0.0j]), grid, record, integrand)
         return seen
@@ -373,8 +393,9 @@ class TestTaylorCore:
         integral = dt * sum(z**k / factorial(k + 1) for k in range(degree))
         seen = {}
 
-        def record(i, y, acc):
-            seen[i] = (complex(y[0]), acc)
+        def record(first, ys, integrals):
+            for j, (y, acc) in enumerate(zip(ys, integrals)):
+                seen[first + j] = (complex(y[0]), acc)
 
         rk4(lambda y: self.LAM * y, np.array([1.0 + 0.0j]), grid, record,
             integrand=lambda y: y[0])
@@ -383,29 +404,41 @@ class TestTaylorCore:
         assert abs(seen[1][1] - integral) <= 4 * eps * abs(integral)
 
     # one step holding n_record - 1 records inside it, read off the kept
-    # terms or, when fewer vectors, through per-record accumulators
+    # terms (they fit the buffer) or, with no buffer to spare, through
+    # per-record accumulators when those are fewer vectors; in one block of
+    # records or in blocks of three
     @pytest.mark.parametrize("degree, n_record", [(6, 3), (6, 40), (16, 5), (16, 40),
                                                   (55, 7), (55, 80)])
-    def test_records_inside_a_step_are_the_partial_taylor_sums(self, degree, n_record):
+    def test_records_inside_a_step_are_the_partial_taylor_sums(self, degree, n_record,
+                                                               monkeypatch):
         grid = TimeGrid(0.0, 0.01, 1, n_record, degree)
-        assert grid.buffer > 0
         dt = grid.dt
         z = self.LAM * dt
-        seen = {}
-
-        def record(i, y, acc):
-            seen[i] = (complex(y[0]), complex(acc))
-
-        rk4(lambda y: self.LAM * y, np.array([1.0 + 0.0j]), grid, record,
-            integrand=lambda y: y[0])
-        assert sorted(seen) == list(range(n_record + 1))
         eps = np.finfo(float).eps
-        for i in range(1, n_record + 1):
-            x = i / n_record
-            value = sum((x * z)**k / factorial(k) for k in range(degree + 1))
-            integral = dt * sum(x**(k + 1) * z**k / factorial(k + 1) for k in range(degree))
-            assert abs(seen[i][0] - value) <= 4 * eps * abs(value)
-            assert abs(seen[i][1] - integral) <= 4 * eps * abs(integral)
+        inner = n_record - 1
+        for budget, block in [(STEP_BUFFER_BYTES, RECORD_BLOCK_BYTES), (0, 3 * 16)]:
+            monkeypatch.setattr(dynamics, "STEP_BUFFER_BYTES", budget)
+            monkeypatch.setattr(dynamics, "RECORD_BLOCK_BYTES", block)
+            keep = budget > 0 or degree + 1 <= accumulators(inner)
+            assert (grid.buffer(1) == degree + 1) == keep
+            seen, blocks = {}, []
+
+            def record(first, ys, integrals):
+                blocks.append(len(ys))
+                for j, (y, acc) in enumerate(zip(ys, integrals)):
+                    seen[first + j] = (complex(y[0]), complex(acc))
+
+            rk4(lambda y: self.LAM * y, np.array([1.0 + 0.0j]), grid, record,
+                integrand=lambda y: y[0])
+            assert sorted(seen) == list(range(n_record + 1))
+            assert max(blocks) == min(inner, block // 16)
+            for i in range(1, n_record + 1):
+                x = i / n_record
+                value = sum((x * z)**k / factorial(k) for k in range(degree + 1))
+                integral = dt * sum(x**(k + 1) * z**k / factorial(k + 1)
+                                    for k in range(degree))
+                assert abs(seen[i][0] - value) <= 4 * eps * abs(value)
+                assert abs(seen[i][1] - integral) <= 4 * eps * abs(integral)
 
 
 def driven_model(d=6):
@@ -422,11 +455,20 @@ def inner_records(n_steps, n_record):
     return int(np.bincount((k * n_steps // n_record)[inside]).max()) if inside.any() else 0
 
 
-def held(degree, inner):
-    """The degree + 1 terms, or when fewer one accumulator per record with a
-    block of terms and its product with up to a block of records."""
-    return 0 if not inner else min(degree + 1,
-                                   inner + TERM_BLOCK + min(inner, TERM_BLOCK))
+def accumulators(inner):
+    """One accumulator per record with a block of terms and its product with
+    up to a block of records."""
+    return inner + TERM_BLOCK + min(inner, TERM_BLOCK)
+
+
+def held(degree, inner, size):
+    """The degree + 1 terms when they fit the step buffer or are no more than
+    the accumulators; otherwise the accumulators."""
+    if not inner:
+        return 0
+    if (degree + 1) * 16 * size <= STEP_BUFFER_BYTES:
+        return degree + 1
+    return min(degree + 1, accumulators(inner))
 
 
 class TestTaylorPlan:
@@ -434,10 +476,18 @@ class TestTaylorPlan:
         (1, 1), (1, 7), (7, 1), (3, 10), (7, 3), (5, 50), (50, 5), (63, 1000),
         (14, 50), (12, 18), (1000, 1000), (999, 1000)])
     def test_step_buffer_counts_the_records_inside_a_step(self, n_steps, n_record):
+        # for state vectors from one entry through the d=16 and d=32
+        # Liouvillians and the N=2000 oracle to one too long for any buffer
         inner = inner_records(n_steps, n_record)
         for degree in (4, 16, 50):
             grid = TimeGrid(0.0, 1.0, n_steps, n_record, degree)
-            assert grid.buffer == held(degree, inner)
+            for size in (1, 1024, 2001, 4096, 1 << 16):
+                assert grid.buffer(size) == held(degree, inner, size)
+                # a grid fits the buffer exactly when the fewer of the terms
+                # and the accumulators do, so keeping the terms moves no plan
+                room = STEP_BUFFER_BYTES // (16 * size)
+                fewest = min(degree + 1, accumulators(inner)) if inner else 0
+                assert (grid.buffer(size) <= room) == (fewest <= room)
 
     @pytest.mark.parametrize("norm, t_end, n_record", [
         (7870.65, 0.005, 50), (7870.65, 0.0025, 1000), (23700.0, 0.0382, 400),
@@ -453,14 +503,14 @@ class TestTaylorPlan:
             s, m = grid.n_steps, grid.degree
             assert grid.n_record == n_record and m <= PLAN_MAX_DEGREE
             assert s * TAYLOR_THETA[m] >= span
-            assert grid.buffer * 16 * size <= STEP_BUFFER_BYTES
+            assert grid.buffer(size) * 16 * size <= STEP_BUFFER_BYTES
             # no other plan within the bound and the buffer has fewer products
             for other, theta in TAYLOR_THETA.items():
                 if other > PLAN_MAX_DEGREE:
                     continue
                 for steps in range(max(1, int(np.ceil(span / theta))),
                                    m * s // other + 1):
-                    if held(other, inner_records(steps, n_record)) * 16 * size \
+                    if held(other, inner_records(steps, n_record), size) * 16 * size \
                             <= STEP_BUFFER_BYTES:
                         assert (other * steps, other) >= (m * s, m)
 
@@ -486,18 +536,10 @@ class TestTaylorPlan:
         ok = TimeGrid(0.0, t_end, need, 10, degree=16)
         evolve(h, ops, rho0, ok, [num])
 
-    def test_driven_run_matches_augmented_expm(self):
-        # Van Loan: exp(dt [[L, 0], [n, 0]]) carries [vec rho; int <n>] over
-        # one record interval exactly
-        p, h, ops = driven_model()
-        num, qubit = joint_observables(6)
-        rho0 = DensityMatrix.basis(SpaceDims((2, 6)), 1, 0)
-        t_end, n_record = 0.02, 40
-        lv = liouvillian(h, ops)
-        grid = TimeGrid.taylor(norm1(lv), 0.0, t_end, n_record)
-        assert grid.degree > 4
-        traj = evolve(h, ops, rho0, grid, [num, qubit], gamma=p.gamma)
-
+    @staticmethod
+    def expm_records(lv, rho0, num, qubit, gamma, t_end, n_record):
+        """Van Loan: exp(dt [[L, 0], [n, 0]]) carries [vec rho; int <n>] over
+        one record interval exactly; the records of that propagation."""
         n_row = num.mat.T.reshape(-1)
         q_row = qubit.mat.T.reshape(-1)
         dim = lv.shape[0]
@@ -510,45 +552,72 @@ class TestTaylorPlan:
         for _ in range(n_record + 1):
             ref["collective_n"].append((n_row @ z[:dim]).real)
             ref["qubit_excited"].append((q_row @ z[:dim]).real)
-            ref["subradiant_n"].append(p.gamma * z[dim].real)
+            ref["subradiant_n"].append(gamma * z[dim].real)
             z = step @ z
+        return ref
+
+    def check_against_expm(self, grid, t_end, n_record):
+        p, h, ops = driven_model()
+        num, qubit = joint_observables(6)
+        rho0 = DensityMatrix.basis(SpaceDims((2, 6)), 1, 0)
+        traj = evolve(h, ops, rho0, grid, [num, qubit], gamma=p.gamma)
+        ref = self.expm_records(liouvillian(h, ops), rho0, num, qubit, p.gamma, t_end,
+                                n_record)
         for name, values in ref.items():
             np.testing.assert_allclose(getattr(traj, name), values,
                                        rtol=0.0, atol=1e-12, err_msg=name)
 
+    def test_driven_run_matches_augmented_expm(self):
+        _, h, ops = driven_model()
+        t_end, n_record = 0.02, 40
+        grid = TimeGrid.taylor(norm1(liouvillian(h, ops)), 0.0, t_end, n_record)
+        assert grid.degree > 4
+        self.check_against_expm(grid, t_end, n_record)
 
     @pytest.mark.parametrize("n_record", [40, 1000])
     def test_records_inside_steps_match_augmented_expm(self, n_record):
         # records strictly inside the steps of a whole-window plan, read off
-        # the terms through per-record accumulators (40 records) or the kept
-        # terms (1000), against Van Loan's exact propagation from record to record
-        p, h, ops = driven_model()
-        num, qubit = joint_observables(6)
-        rho0 = DensityMatrix.basis(SpaceDims((2, 6)), 1, 0)
-        t_end = 0.02
+        # the kept terms, against Van Loan's exact propagation from record to
+        # record: with 40 records the accumulators would be fewer vectors than
+        # the terms, and with 1000 a step's records fill several blocks, the
+        # last one only in part
+        _, h, ops = driven_model()
         lv = liouvillian(h, ops)
         dim = lv.shape[0]
+        t_end = 0.02
         grid = TimeGrid.taylor(norm1(lv), 0.0, t_end, n_record, size=dim)
         assert grid.degree > 4 and grid.n_steps < n_record
-        assert (grid.buffer == grid.degree + 1) == (n_record == 1000)
-        traj = evolve(h, ops, rho0, grid, [num, qubit], gamma=p.gamma)
+        assert grid.buffer(dim) == grid.degree + 1
+        inner = inner_records(grid.n_steps, n_record)
+        if n_record == 40:
+            assert accumulators(inner) < grid.degree + 1
+        else:
+            assert inner > dynamics._block_rows(dim)
+            assert inner % dynamics._block_rows(dim)
+        self.check_against_expm(grid, t_end, n_record)
 
-        n_row = num.mat.T.reshape(-1)
-        q_row = qubit.mat.T.reshape(-1)
-        aug = np.zeros((dim + 1, dim + 1), dtype=complex)
-        aug[:dim, :dim] = lv.toarray()
-        aug[dim, :dim] = n_row
-        step = expm(aug * (t_end / n_record))
-        z = np.append(rho0.mat.reshape(-1), 0.0)
-        ref = {"collective_n": [], "qubit_excited": [], "subradiant_n": []}
-        for _ in range(n_record + 1):
-            ref["collective_n"].append((n_row @ z[:dim]).real)
-            ref["qubit_excited"].append((q_row @ z[:dim]).real)
-            ref["subradiant_n"].append(p.gamma * z[dim].real)
-            z = step @ z
-        for name, values in ref.items():
-            np.testing.assert_allclose(getattr(traj, name), values,
-                                       rtol=0.0, atol=1e-12, err_msg=name)
+    @pytest.mark.parametrize("case", ["one record per step", "accumulators"])
+    def test_other_record_layouts_match_augmented_expm(self, case, monkeypatch):
+        # a step holding a single record inside it; and a buffer too small
+        # for the terms, so the records come through the accumulators in
+        # blocks of two
+        _, h, ops = driven_model()
+        lv = liouvillian(h, ops)
+        dim = lv.shape[0]
+        t_end, n_record = 0.02, 40
+        if case == "one record per step":
+            plan = TimeGrid.taylor(norm1(lv), 0.0, t_end, n_record, size=dim)
+            grid = TimeGrid(0.0, t_end, n_record - 1, n_record, plan.degree)
+            assert inner_records(grid.n_steps, n_record) == 1
+            assert grid.buffer(dim) == grid.degree + 1
+        else:
+            monkeypatch.setattr(dynamics, "STEP_BUFFER_BYTES", 20 * 16 * dim)
+            monkeypatch.setattr(dynamics, "RECORD_BLOCK_BYTES", 2 * 16 * dim)
+            grid = TimeGrid.taylor(norm1(lv), 0.0, t_end, n_record, size=dim)
+            inner = inner_records(grid.n_steps, n_record)
+            assert grid.buffer(dim) == accumulators(inner) < grid.degree + 1
+            assert inner > 2 and inner % 2
+        self.check_against_expm(grid, t_end, n_record)
 
     def test_guard_suggestion_on_a_grid_spanning_records(self):
         p, h, ops = driven_model()

@@ -342,9 +342,10 @@ class TestArrowheadNorm:
         c_e = np.empty(grid.n_record + 1, dtype=complex)
         coll = np.empty(grid.n_record + 1, dtype=complex)
 
-        def record(i, c, _):
-            c_e[i] = c[0]
-            coll[i] = (g @ c[1:]) / s.g_collective
+        def record(first, cs, _):
+            block = slice(first, first + len(cs))
+            c_e[block] = cs[:, 0]
+            coll[block] = (cs[:, 1:] @ g) / s.g_collective
 
         c0 = np.zeros(s.n + 1, dtype=complex)
         c0[0] = 1.0
