@@ -365,19 +365,23 @@ def _convergence(rc: RunConfig, runs: list) -> dict:
             "cutoff_convergence_by_gamma": per_gamma}
 
 
+def _plan(grid, size: int) -> dict:
+    """A run's plan, with the state vectors of `size` entries its step
+    buffer held."""
+    return {"degree": grid.degree, "n_steps": grid.n_steps, "dt_us": grid.dt,
+            "applications": grid.applications, "step_buffer": grid.buffer(size)}
+
+
 def _runs_meta(runs: list, d: int, per_gamma: bool = True) -> dict:
     """Sidecar entries of the written (gamma_mhz, params, {state: Trajectory},
-    grid) runs: each run's plan (keyed by gamma, or bare for a single run),
-    with the state vectors its step buffer held, the extrema of the
-    per-record state diagnostics, and the generator products summed over
-    every branch with the dimension of the Liouvillian they apply (vec(rho)
-    at cutoff d)."""
-    size = (2 * d) ** 2
-    plans = {str(g): {"n_steps": grid.n_steps, "dt_us": grid.dt, "degree": grid.degree,
-                      "step_buffer": grid.buffer(size)} for g, _, _, grid in runs}
+    grid) runs: each run's ``_plan`` (keyed by gamma, or bare for a single
+    run), the extrema of the per-record state diagnostics, and the generator
+    products summed over every branch with the dimension of the Liouvillian
+    they apply (vec(rho) at cutoff d)."""
+    plans = {str(g): _plan(grid, (2 * d) ** 2) for g, _, _, grid in runs}
     if per_gamma:
         meta = {key: {g: plan[key] for g, plan in plans.items()}
-                for key in ("n_steps", "dt_us", "degree", "step_buffer")}
+                for key in next(iter(plans.values()))}
     else:
         [meta] = plans.values()
     trajs = [t for _, _, branches, _ in runs for t in branches.values()]
@@ -534,13 +538,6 @@ def _check(name, value, threshold, lower_is_pass=True):
     passed = bool(value <= threshold) if lower_is_pass else bool(value >= threshold)
     return {"name": name, "value": float(value), "threshold": float(threshold),
             "passed": passed}
-
-
-def _plan(grid, size: int) -> dict:
-    """A validate run's plan, with the step buffer it held for state vectors
-    of `size` entries."""
-    return {"degree": grid.degree, "n_steps": grid.n_steps,
-            "applications": grid.applications, "step_buffer": grid.buffer(size)}
 
 
 def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:

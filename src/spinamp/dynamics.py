@@ -21,14 +21,19 @@ inside a step, so ``rk4`` reads a record that falls inside a step off that
 step's Taylor terms, with vector sums instead of generator products; a plan
 spans as many records per step as its bound allows. The step buffer this
 needs is bounded by STEP_BUFFER_BYTES, and ``TimeGrid.taylor`` plans within
-it: a step keeps its m + 1 terms whenever they fit the buffer, and otherwise
-adds them into one accumulator per record. Every ``cli`` run, the validate oracle included, is a Taylor plan; RK4
-grids serve library callers that size steps on omega_max.
+it. A step writes its terms into a ring of rows: the ring holds all m + 1
+terms whenever they fit the buffer; otherwise the buffer holds one
+accumulator per record inside the step, the ring takes the rest (at least
+TERM_BLOCK rows), and each full ring is added into the accumulators. Every
+``cli`` run, the validate oracle included, is a Taylor plan; RK4 grids serve
+library callers that size steps on omega_max.
 
 Records reach the caller in blocks: ``rk4`` hands its recorder a (k, size)
 array of k consecutive records, k = 1 at a step end and up to
 RECORD_BLOCK_BYTES of them inside a step, so the per-record work (readout,
-traces, Hermiticity, eigenvalues) runs as batched array operations.
+traces, Hermiticity, eigenvalues) runs as batched array operations. A block
+is a view of the state or of the step buffer, which later steps overwrite,
+so a recorder copies what it keeps.
 
 ``evolve`` steps the row-major vectorised density matrix,
 vec(rho) = rho.reshape(-1), with one sparse matvec per Taylor term on the
@@ -69,7 +74,7 @@ STEP_BUFFER_BYTES = 1 << 20
 # the most memory one block of records handed to a recorder may take; the
 # recorder's temporaries scale with it, so it stays a fraction of the buffer
 RECORD_BLOCK_BYTES = STEP_BUFFER_BYTES // 8
-TERM_BLOCK = 4           # terms an accumulating step adds into its records at once
+TERM_BLOCK = 4           # the fewest terms the ring of an accumulating step holds
 # the highest degree a plan takes: at degree 55 the terms of a full step peak
 # near e^9.9 ~ 2e4 times the state, and their cancellation shows above rounding
 PLAN_MAX_DEGREE = 50
@@ -109,15 +114,14 @@ def _inner_records(n_steps: int, n_record: int) -> int:
 
 def _held(degree: int, inner: int, size: int) -> int:
     """State vectors of `size` entries a step holds to read `inner` records
-    off its terms: its degree + 1 terms when they fit STEP_BUFFER_BYTES or
-    are no more than the accumulators; otherwise one accumulator per record,
-    a block of TERM_BLOCK terms and the block's product with up to
-    TERM_BLOCK records."""
+    off its terms: a ring of its degree + 1 terms when they fit
+    STEP_BUFFER_BYTES; otherwise one accumulator per record and a ring of the
+    rest of the buffer, at least TERM_BLOCK terms."""
     if not inner:
         return 0
     if (degree + 1) * 16 * size <= STEP_BUFFER_BYTES:
         return degree + 1
-    return min(degree + 1, inner + TERM_BLOCK + min(inner, TERM_BLOCK))
+    return inner + max(TERM_BLOCK, STEP_BUFFER_BYTES // (16 * size) - inner)
 
 
 def _block_rows(size: int) -> int:
@@ -164,8 +168,8 @@ class TimeGrid:
         return self.degree * self.n_steps
 
     def buffer(self, size: int) -> int:
-        """State vectors the step buffer of ``rk4`` holds on this grid for
-        state vectors of `size` entries."""
+        """State vectors of `size` entries in the step buffer of ``rk4`` on
+        this grid (``_held``): 0 when every record falls on a step end."""
         return _held(self.degree, _inner_records(self.n_steps, self.n_record), size)
 
     @property
@@ -276,9 +280,10 @@ def rk4(rhs, y0: np.ndarray, grid: TimeGrid, record, integrand=None) -> None:
     record(first, ys, integrals) receives the recorded points in blocks of
     consecutive records: row j of the (k, size) array ys is record first + j
     (record 0 is y0) and integrals[j] its running integral. A record at a
-    step end comes as a block of one, the records inside a step in blocks of
-    at most RECORD_BLOCK_BYTES. ys may be a view of the step buffer, so the
-    recorder copies what it keeps.
+    step end comes as a block of one, a view of the state that the next step
+    updates in place; the records inside a step come in blocks of at most
+    RECORD_BLOCK_BYTES, views of the step buffer. The recorder copies what
+    it keeps.
 
     The running integral is that of the linear scalar integrand(y): a step
     adds h * sum_{k<m} integrand(T_k) / (k + 1), the exact integral over the
@@ -287,103 +292,62 @@ def rk4(rhs, y0: np.ndarray, grid: TimeGrid, record, integrand=None) -> None:
     off the step's terms without further generator products: y = sum_k x^k
     T_k and integral + h * sum_{k<m} x^(k+1) integrand(T_k) / (k + 1), the
     same polynomial and its exact integral.
+
+    Every step writes T_k into row k mod r of a ring of r term rows in the
+    step buffer and adds it into y in place, in the plain step's arithmetic:
+    term = (h / k) * rhs(term); y += term. The ring holds all m + 1 terms
+    when they fit, and each block of records is one product of their
+    weights x^k with the terms; otherwise it follows one accumulator per
+    record inside a step, and each full ring is added into the
+    accumulators. A step with no record inside it needs one ring row.
     """
     h, m = grid.dt, grid.degree
     n_steps, n_rec = grid.n_steps, grid.n_record
     y = np.array(y0, dtype=complex)
+    held = grid.buffer(y.size)
+    n_sums = 0 if held == m + 1 else _inner_records(n_steps, n_rec)
+    buf = np.empty((max(1, held), y.size), dtype=complex)
+    sums, ring = buf[:n_sums], buf[n_sums:]
+    r, chunk = len(ring), _block_rows(y.size)
+    keep = r > m
     acc = 0.0
     record(0, y[None], np.zeros(1))
-    dense = _DenseOutput(grid, y.size)
     i = 1  # the next record
     for step in range(n_steps):
         first = i
         while i <= n_rec and i * n_steps < (step + 1) * n_rec:
             i += 1
-        term = y
-        y = y.copy()
-        if i > first:
-            gain = dense.step(rhs, integrand, y, step, first, i, record, acc)
-        else:
-            gain = 0.0
-            for k in range(1, m + 1):
-                if integrand is not None:
-                    gain += integrand(term) / k
-                term = (h / k) * rhs(term)
-                y += term
-        acc += h * gain
-        if i <= n_rec and i * n_steps == (step + 1) * n_rec:
-            record(i, y[None], np.array([acc]))
-            i += 1
-
-
-class _DenseOutput:
-    """The records inside the steps of a grid, read off each step's terms as
-    sum_k x^k T_k within a buffer of grid.buffer(size) vectors, and handed
-    to the recorder in blocks of _block_rows(size) records. The step
-    computes its terms into the buffer. When the buffer keeps all m + 1 of
-    them (they fit STEP_BUFFER_BYTES, or the accumulators would be more),
-    each block is one product of the records' weights with the terms;
-    otherwise every TERM_BLOCK terms are added into one accumulator per
-    record, and the blocks are slices of the accumulators."""
-
-    def __init__(self, grid: TimeGrid, size: int):
-        self.grid, m = grid, grid.degree
-        self.chunk = _block_rows(size)
-        buf = np.empty((grid.buffer(size), size), dtype=complex)
-        self.keep = len(buf) == m + 1
-        if self.keep:
-            self.terms = buf
-            self.rows, self.adds = list(buf), [False] * (m + 1)
-        elif len(buf):
-            inner = _inner_records(grid.n_steps, grid.n_record)
-            self.block, self.sums = buf[:TERM_BLOCK], buf[len(buf) - inner:]
-            self.product = buf[TERM_BLOCK:len(buf) - inner]
-            self.rows = [self.block[k % TERM_BLOCK] for k in range(m + 1)]
-            self.adds = [k % TERM_BLOCK == TERM_BLOCK - 1 or k == m for k in range(m + 1)]
-
-    def step(self, rhs, integrand, y: np.ndarray, step: int, first: int, stop: int,
-             record, acc: float) -> float:
-        """Take the step from the state y, adding its terms into y in place in
-        the order of ``rk4``'s plain step, and record first..stop - 1 off
-        them (acc is the integral at the step start); return the step's
-        integral gain over h."""
-        grid = self.grid
-        h, m = grid.dt, grid.degree
-        n = stop - first
-        x = (np.arange(first, stop) * grid.n_steps - step * grid.n_record) / grid.n_record
-        self.powers = x[:, None] ** np.arange(m + 1)
-        self.weights = self.powers.astype(complex)
-        rows = self.rows
-        rows[0][:] = y
-        if not self.keep:
-            self.sums[:n] = 0.0
-        term = rows[0]
-        gain = 0.0
+        n = i - first
+        if n:
+            x = (np.arange(first, i) * n_steps - step * n_rec) / n_rec
+            powers = x[:, None] ** np.arange(m + 1)
+            weights = powers.astype(complex)
+            sums[:n] = 0.0
+        term = ring[0]
+        term[:] = y
         gains = []
         for k in range(1, m + 1):
             if integrand is not None:
                 gains.append(integrand(term))
-                gain += gains[-1] / k
-            term = np.multiply(rhs(term), h / k, out=rows[k])
+            term = np.multiply(rhs(term), h / k, out=ring[k % r])
             y += term
-            if self.adds[k]:
-                self.add_block(k)
-        integrals = (acc + h * ((self.powers[:, 1:] / np.arange(1, m + 1)) @ gains)
-                     if gains else np.full(n, acc))
-        for lo in range(0, n, self.chunk):
-            hi = min(n, lo + self.chunk)
-            ys = self.weights[lo:hi] @ self.terms if self.keep else self.sums[lo:hi]
-            record(first + lo, ys, integrals[lo:hi])
-        return gain
-
-    def add_block(self, k: int) -> None:
-        """Add the block of terms that ends with T_k into the accumulators."""
-        lo, n = k - k % TERM_BLOCK, len(self.powers)
-        for r in range(0, n, TERM_BLOCK):
-            rows = slice(r, min(n, r + TERM_BLOCK))
-            out = self.product[:rows.stop - r]
-            np.matmul(self.weights[rows, lo:k + 1], self.block[:k + 1 - lo], out=out)
-            self.sums[rows] += out
+            if n and not keep and (k % r == r - 1 or k == m):
+                k0 = k - k % r
+                for lo in range(0, n, chunk):
+                    hi = min(n, lo + chunk)
+                    sums[lo:hi] += weights[lo:hi, k0:k + 1] @ ring[:k + 1 - k0]
+        gain = sum(g / k for k, g in enumerate(gains, 1))
+        if n:
+            integrals = (acc + h * ((powers[:, 1:] / np.arange(1, m + 1)) @ gains)
+                         if gains else np.full(n, acc))
+            for lo in range(0, n, chunk):
+                hi = min(n, lo + chunk)
+                ys = weights[lo:hi] @ ring if keep else sums[lo:hi]
+                record(first + lo, ys, integrals[lo:hi])
+        acc += h * gain
+        if i <= n_rec and i * n_steps == (step + 1) * n_rec:
+            record(i, y[None], np.array([acc]))
+            i += 1
 
 
 def liouvillian(h: Operator, collapse: list[Operator]) -> sparse.csr_array:

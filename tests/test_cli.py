@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,10 +166,10 @@ class TestFigure2Command:
         cfg = write_config(tmp_path, FAST_FIG2)
         out = str(tmp_path / "fig2.csv")
         assert main(["figure2", "--config", cfg, "--out", out]) == 0
-        lines = open(out, encoding="utf-8").read().splitlines()
+        lines = Path(out).read_text(encoding="utf-8").splitlines()
         assert lines[0] == "t_us,n_num_e,n_ana_e,n_num_g,n_ana_g"
         assert len(lines) == 42  # header + 41 recorded points
-        meta = json.loads(open(out + ".meta.json", encoding="utf-8").read())
+        meta = json.loads(Path(out + ".meta.json").read_text(encoding="utf-8"))
         assert meta["experiment"] == "figure2"
         assert meta["config"]["params"]["gamma"] == 12.5
         assert meta["checks"]["cutoff_convergence"] < 1e-3
@@ -178,7 +179,7 @@ class TestFigure2Command:
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert main(["figure2", "--config", cfg, "--out", out1]) == 0
         assert main(["figure2", "--config", cfg, "--out", out2]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, {"bogus_key": 1})
@@ -233,7 +234,7 @@ class TestFigure3Command:
         })
         out = str(tmp_path / "sweep.csv")
         assert main(["sweep", "--config", cfg, "--out", out]) == 0
-        lines = open(out, encoding="utf-8").read().splitlines()
+        lines = Path(out).read_text(encoding="utf-8").splitlines()
         assert lines[0].startswith("gamma_mhz,max_gain")
         assert len(lines) == 2
 
@@ -270,7 +271,7 @@ class TestValidateCommand:
         })
         out = str(tmp_path / "report.json")
         assert main(["validate", "--config", cfg, "--out", out]) == 0
-        report = json.loads(open(out, encoding="utf-8").read())
+        report = json.loads(Path(out).read_text(encoding="utf-8"))
         assert report["passed"] is True
         names = {c["name"] for c in report["checks"]}
         assert {"timestep_guard", "conservation", "jc_spectrum_match",
@@ -325,7 +326,7 @@ class TestValidateCommand:
         })
         out = str(tmp_path / "report.json")
         assert main(["validate", "--config", cfg, "--out", out]) == 1
-        report = json.loads(open(out, encoding="utf-8").read())
+        report = json.loads(Path(out).read_text(encoding="utf-8"))
         by_name = {c["name"]: c for c in report["checks"]}
         assert by_name["cutoff_convergence"]["passed"] is False
 
@@ -391,8 +392,8 @@ class TestThreadDeterminism:
             out = str(tmp_path / f"fig2-{threads}.csv")
             run_python(["-m", "spinamp.cli", "figure2", "--config", cfg, "--out", out],
                        blas_threads=threads)
-            outputs.append((open(out, "rb").read(),
-                            open(out + ".meta.json", "rb").read()))
+            outputs.append((Path(out).read_bytes(),
+                            Path(out + ".meta.json").read_bytes()))
         assert outputs[0] == outputs[1] == outputs[2]
 
 
@@ -434,7 +435,7 @@ class TestThreadPolicy:
         if not any("numpy" in path for path in threads):
             pytest.skip("no OpenBLAS thread getter found in numpy's libraries")
         assert set(threads.values()) == {1}
-        meta = json.loads(open(out + ".meta.json", encoding="utf-8").read())
+        meta = json.loads(Path(out + ".meta.json").read_text(encoding="utf-8"))
         assert meta["threads"] == {"workers": 1, "blas": 1}
 
     def test_branches_run_serially(self):
@@ -447,7 +448,7 @@ class TestThreadPolicy:
         main([experiment, *SMALL_RUN, "--override", "convergence_checks=false",
               "--out", out])
         path = out if experiment == "validate" else out + ".meta.json"
-        artifact = json.loads(open(path, encoding="utf-8").read())
+        artifact = json.loads(Path(path).read_text(encoding="utf-8"))
         assert artifact["threads"] == {"workers": 1, "blas": cli._blas_threads()}
         if experiment == "validate":
             assert len(artifact["checks"]) == 12
@@ -498,7 +499,7 @@ class TestHygieneExtrema:
                      "--override", "grid.t_end_us=0.01", "--override", "grid.n_record=10",
                      "--override", "gamma_sweep_mhz=[10.0, 25.0]",
                      "--override", "convergence_checks=false", "--out", out]) == 0
-        meta = json.loads(open(out + ".meta.json", encoding="utf-8").read())
+        meta = json.loads(Path(out + ".meta.json").read_text(encoding="utf-8"))
         hygiene = meta["hygiene"]
         assert set(hygiene) == {"trace_err_max", "herm_err_max", "min_eig_min"}
         assert 0.0 <= hygiene["trace_err_max"] <= TRACE_TOL
@@ -607,23 +608,22 @@ class TestPlanTelemetry:
     def test_sidecar_records_the_plan(self, tmp_path, experiment):
         out = str(tmp_path / "out.csv")
         assert main([experiment, *self.ARGV, "--out", out]) == 0
-        meta = json.loads(open(out + ".meta.json", encoding="utf-8").read())
+        meta = json.loads(Path(out + ".meta.json").read_text(encoding="utf-8"))
         assert meta["generator_dim"] == (2 * 6) ** 2
+        keys = ("degree", "n_steps", "dt_us", "applications", "step_buffer")
         if experiment == "figure2":
-            per_run = [(meta["degree"], meta["n_steps"], meta["step_buffer"])]
+            per_run = [tuple(meta[key] for key in keys)]
             assert "record_every" not in meta
         else:
-            assert (set(meta["degree"]) == set(meta["n_steps"]) == set(meta["step_buffer"])
-                    == {"10.0", "25.0"})
-            assert meta["dt_us"] == {g: 0.01 / n for g, n in meta["n_steps"].items()}
-            per_run = [(meta["degree"][g], meta["n_steps"][g], meta["step_buffer"][g])
-                       for g in meta["degree"]]
+            assert all(set(meta[key]) == {"10.0", "25.0"} for key in keys)
+            per_run = [tuple(meta[key][g] for key in keys) for g in meta["degree"]]
         # two branches (excited and ground) per written run
-        assert meta["generator_applications"] == sum(2 * m * n for m, n, _ in per_run)
+        assert meta["generator_applications"] == sum(2 * a for _, _, _, a, _ in per_run)
         # the state vectors the step buffer held on each run's grid: at d=6
         # the terms fit the buffer, so a step with records inside keeps them
-        for m, n, held in per_run:
+        for m, n, dt, applications, held in per_run:
             grid = TimeGrid(0.0, 0.01, n, degree=m, n_record=10)
+            assert dt == grid.dt and applications == m * n
             assert held == grid.buffer(meta["generator_dim"])
             assert held == (m + 1 if n % 10 else 0)
             assert held * 16 * meta["generator_dim"] <= dynamics.STEP_BUFFER_BYTES
@@ -635,7 +635,7 @@ class TestPlanTelemetry:
         out = str(tmp_path / "out.csv")
         assert main([experiment, *self.ARGV, "--override", "convergence_checks=true",
                      "--out", out]) == 0
-        meta = json.loads(open(out + ".meta.json", encoding="utf-8").read())
+        meta = json.loads(Path(out + ".meta.json").read_text(encoding="utf-8"))
         per_gamma = meta["cutoff_convergence_by_gamma"]
         assert set(per_gamma) == gammas
         assert set(meta["checks"]) == {"cutoff_convergence", "timestep_convergence"}
@@ -646,12 +646,13 @@ class TestPlanTelemetry:
                                       "grid": {"t_end_us": 0.1, "n_record": 100}})
         out = str(tmp_path / "report.json")
         assert main(["validate", "--config", cfg, "--out", out]) == 0
-        report = json.loads(open(out, encoding="utf-8").read())
+        report = json.loads(Path(out).read_text(encoding="utf-8"))
         assert set(report["plans"]) == {"conservation", "short_window",
                                         "analytic_steady_e", "analytic_steady_g",
                                         "oracle_seed_11"}
         for plan in report["plans"].values():
-            assert set(plan) == {"degree", "n_steps", "applications", "step_buffer"}
+            assert set(plan) == {"degree", "n_steps", "dt_us", "applications",
+                                 "step_buffer"}
             assert plan["applications"] == plan["degree"] * plan["n_steps"]
         # 400 oracle records over fewer steps, read off the steps' terms
         oracle_plan = report["plans"]["oracle_seed_11"]
@@ -664,7 +665,7 @@ class TestPlanTelemetry:
                                       "grid": {"t_end_us": 0.1, "n_record": 100}})
         out = str(tmp_path / "report.json")
         assert main(["validate", "--config", cfg, "--out", out]) == 0
-        report = json.loads(open(out, encoding="utf-8").read())
+        report = json.loads(Path(out).read_text(encoding="utf-8"))
         checks = {c["name"]: c["value"] for c in report["checks"]}
         per_seed = report["oracle"]
         assert set(per_seed) == {"11", "13"}

@@ -405,7 +405,7 @@ class TestTaylorCore:
 
     # one step holding n_record - 1 records inside it, read off the kept
     # terms (they fit the buffer) or, with no buffer to spare, through
-    # per-record accumulators when those are fewer vectors; in one block of
+    # per-record accumulators and a ring of TERM_BLOCK terms; in one block of
     # records or in blocks of three
     @pytest.mark.parametrize("degree, n_record", [(6, 3), (6, 40), (16, 5), (16, 40),
                                                   (55, 7), (55, 80)])
@@ -419,8 +419,7 @@ class TestTaylorCore:
         for budget, block in [(STEP_BUFFER_BYTES, RECORD_BLOCK_BYTES), (0, 3 * 16)]:
             monkeypatch.setattr(dynamics, "STEP_BUFFER_BYTES", budget)
             monkeypatch.setattr(dynamics, "RECORD_BLOCK_BYTES", block)
-            keep = budget > 0 or degree + 1 <= accumulators(inner)
-            assert (grid.buffer(1) == degree + 1) == keep
+            assert grid.buffer(1) == (degree + 1 if budget else inner + TERM_BLOCK)
             seen, blocks = {}, []
 
             def record(first, ys, integrals):
@@ -455,20 +454,41 @@ def inner_records(n_steps, n_record):
     return int(np.bincount((k * n_steps // n_record)[inside]).max()) if inside.any() else 0
 
 
-def accumulators(inner):
-    """One accumulator per record with a block of terms and its product with
-    up to a block of records."""
-    return inner + TERM_BLOCK + min(inner, TERM_BLOCK)
+def accumulators(inner, size):
+    """One accumulator per record and a ring of terms that fills the rest of
+    the step buffer, or holds TERM_BLOCK terms where the buffer is too small
+    for that."""
+    return max(STEP_BUFFER_BYTES // (16 * size), inner + TERM_BLOCK)
 
 
 def held(degree, inner, size):
-    """The degree + 1 terms when they fit the step buffer or are no more than
-    the accumulators; otherwise the accumulators."""
+    """No rows when every record falls on a step end; the degree + 1 terms
+    when they fit the step buffer; otherwise the accumulators and the ring."""
     if not inner:
         return 0
     if (degree + 1) * 16 * size <= STEP_BUFFER_BYTES:
         return degree + 1
-    return min(degree + 1, accumulators(inner))
+    return accumulators(inner, size)
+
+
+def plain_steps(rhs, y0, grid, integrand):
+    """The records at step ends, {index: (y, integral)}, of the plain Taylor
+    step taken term by term: term = (h / k) * rhs(term); y += term, with the
+    integrand's gain summed in the same order."""
+    h, m = grid.dt, grid.degree
+    y, acc = np.array(y0, dtype=complex), 0.0
+    ends = {0: (y.copy(), acc)}
+    for step in range(1, grid.n_steps + 1):
+        term, y = y, y.copy()
+        gain = 0.0
+        for k in range(1, m + 1):
+            gain += integrand(term) / k
+            term = (h / k) * rhs(term)
+            y += term
+        acc += h * gain
+        if step * grid.n_record % grid.n_steps == 0:
+            ends[step * grid.n_record // grid.n_steps] = (y, acc)
+    return ends
 
 
 class TestTaylorPlan:
@@ -477,17 +497,19 @@ class TestTaylorPlan:
         (14, 50), (12, 18), (1000, 1000), (999, 1000)])
     def test_step_buffer_counts_the_records_inside_a_step(self, n_steps, n_record):
         # for state vectors from one entry through the d=16 and d=32
-        # Liouvillians and the N=2000 oracle to one too long for any buffer
+        # Liouvillians and the N=2000 oracle to one too long for any buffer,
+        # and to one too long for even a single vector of it
         inner = inner_records(n_steps, n_record)
         for degree in (4, 16, 50):
             grid = TimeGrid(0.0, 1.0, n_steps, n_record, degree)
-            for size in (1, 1024, 2001, 4096, 1 << 16):
+            for size in (1, 1024, 2001, 4096, 1 << 16, 1 << 17):
                 assert grid.buffer(size) == held(degree, inner, size)
-                # a grid fits the buffer exactly when the fewer of the terms
-                # and the accumulators do, so keeping the terms moves no plan
+                # a grid fits the buffer exactly when no record falls inside
+                # a step, or the terms fit, or the accumulators leave room for
+                # a ring of TERM_BLOCK terms
                 room = STEP_BUFFER_BYTES // (16 * size)
-                fewest = min(degree + 1, accumulators(inner)) if inner else 0
-                assert (grid.buffer(size) <= room) == (fewest <= room)
+                fits = not inner or degree + 1 <= room or inner + TERM_BLOCK <= room
+                assert (grid.buffer(size) <= room) == fits
 
     @pytest.mark.parametrize("norm, t_end, n_record", [
         (7870.65, 0.005, 50), (7870.65, 0.0025, 1000), (23700.0, 0.0382, 400),
@@ -496,14 +518,17 @@ class TestTaylorPlan:
     def test_fewest_products_at_unit_roundoff(self, norm, t_end, n_record):
         # over the whole window, for state vectors from one entry (no buffer
         # limit) through the d=16 and d=32 Liouvillians and the N=2000 oracle
-        # to one too long for any buffer, where steps end on records
+        # to one too long for any buffer, and one too long for even a single
+        # vector of it, where steps end on records
         span = norm * t_end
-        for size in (1, 1024, 2001, 4096, 1 << 16):
+        for size in (1, 1024, 2001, 4096, 1 << 16, 1 << 17):
             grid = TimeGrid.taylor(norm, 0.0, t_end, n_record, size=size)
             s, m = grid.n_steps, grid.degree
             assert grid.n_record == n_record and m <= PLAN_MAX_DEGREE
             assert s * TAYLOR_THETA[m] >= span
             assert grid.buffer(size) * 16 * size <= STEP_BUFFER_BYTES
+            if size == 1 << 17:
+                assert grid.n_steps % n_record == 0 and grid.buffer(size) == 0
             # no other plan within the bound and the buffer has fewer products
             for other, theta in TAYLOR_THETA.items():
                 if other > PLAN_MAX_DEGREE:
@@ -578,9 +603,9 @@ class TestTaylorPlan:
     def test_records_inside_steps_match_augmented_expm(self, n_record):
         # records strictly inside the steps of a whole-window plan, read off
         # the kept terms, against Van Loan's exact propagation from record to
-        # record: with 40 records the accumulators would be fewer vectors than
-        # the terms, and with 1000 a step's records fill several blocks, the
-        # last one only in part
+        # record: with 40 records the accumulators and the smallest ring would
+        # be fewer vectors than the terms, which are kept as they fit; with
+        # 1000 a step's records fill several blocks, the last one only in part
         _, h, ops = driven_model()
         lv = liouvillian(h, ops)
         dim = lv.shape[0]
@@ -590,21 +615,26 @@ class TestTaylorPlan:
         assert grid.buffer(dim) == grid.degree + 1
         inner = inner_records(grid.n_steps, n_record)
         if n_record == 40:
-            assert accumulators(inner) < grid.degree + 1
+            assert inner + TERM_BLOCK < grid.degree + 1
         else:
             assert inner > dynamics._block_rows(dim)
             assert inner % dynamics._block_rows(dim)
         self.check_against_expm(grid, t_end, n_record)
 
-    @pytest.mark.parametrize("case", ["one record per step", "accumulators"])
+    @pytest.mark.parametrize("case", ["one record per step", "accumulators",
+                                      "accumulators, uneven steps"])
     def test_other_record_layouts_match_augmented_expm(self, case, monkeypatch):
         # a step holding a single record inside it; and a buffer too small
         # for the terms, so the records come through the accumulators in
-        # blocks of two
+        # blocks of two, with a ring of the rest of the buffer that a step's
+        # terms fill several times; over 70 records, in blocks of three,
+        # some steps hold fewer records than there are accumulators and end
+        # on a block of two
         _, h, ops = driven_model()
         lv = liouvillian(h, ops)
         dim = lv.shape[0]
-        t_end, n_record = 0.02, 40
+        t_end = 0.02
+        n_record, block = (70, 3) if "uneven" in case else (40, 2)
         if case == "one record per step":
             plan = TimeGrid.taylor(norm1(lv), 0.0, t_end, n_record, size=dim)
             grid = TimeGrid(0.0, t_end, n_record - 1, n_record, plan.degree)
@@ -612,12 +642,49 @@ class TestTaylorPlan:
             assert grid.buffer(dim) == grid.degree + 1
         else:
             monkeypatch.setattr(dynamics, "STEP_BUFFER_BYTES", 20 * 16 * dim)
-            monkeypatch.setattr(dynamics, "RECORD_BLOCK_BYTES", 2 * 16 * dim)
+            monkeypatch.setattr(dynamics, "RECORD_BLOCK_BYTES", block * 16 * dim)
             grid = TimeGrid.taylor(norm1(lv), 0.0, t_end, n_record, size=dim)
             inner = inner_records(grid.n_steps, n_record)
-            assert grid.buffer(dim) == accumulators(inner) < grid.degree + 1
-            assert inner > 2 and inner % 2
+            assert grid.buffer(dim) == 20 < grid.degree + 1
+            assert TERM_BLOCK <= 20 - inner < (grid.degree + 1) // 2
+            inside = [sum(j * n_record < k * grid.n_steps < (j + 1) * n_record
+                          for k in range(n_record)) for j in range(grid.n_steps)]
+            assert set(inside) == ({3} if n_record == 40 else {5, 6}) and inner == max(inside)
         self.check_against_expm(grid, t_end, n_record)
+
+    @pytest.mark.parametrize("case", ["rk4 grid", "degree 50, records at step ends",
+                                      "degree 50, records inside steps"])
+    def test_step_end_records_keep_the_plain_step_bits(self, case):
+        # the one term loop gives a record at a step end the bits of the
+        # plain step, whether or not the step also holds records inside it
+        _, h, ops = driven_model()
+        lv = liouvillian(h, ops)
+        num_vec = joint_observables(6)[0].mat.T.reshape(-1)
+        if case == "rk4 grid":
+            grid = TimeGrid.auto(h, 0.0, 0.002, n_record=10, collapse=ops)
+        else:
+            grid = TimeGrid(0.0, 0.02, 20, 10 if "ends" in case else 30, degree=50)
+        assert grid.buffer(lv.shape[0]) == (0 if "inside" not in case else 51)
+        y0 = DensityMatrix.basis(SpaceDims((2, 6)), 1, 0).mat.reshape(-1)
+        seen = {}
+
+        def rhs(y):
+            return lv @ y
+
+        def integrand(y):
+            return float(np.dot(num_vec, y).real)
+
+        def record(first, ys, integrals):
+            for j, (y, integral) in enumerate(zip(ys, integrals)):
+                seen[first + j] = (y.copy(), integral)
+
+        rk4(rhs, y0, grid, record, integrand)
+        ends = plain_steps(rhs, y0, grid, integrand)
+        assert sorted(seen) == list(range(grid.n_record + 1))
+        # 20 steps over 30 records end on every third record
+        assert len(ends) == (11 if "inside" in case else grid.n_record + 1)
+        for i, (y, integral) in ends.items():
+            assert np.array_equal(seen[i][0], y) and seen[i][1] == integral
 
     def test_guard_suggestion_on_a_grid_spanning_records(self):
         p, h, ops = driven_model()
