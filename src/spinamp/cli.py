@@ -150,7 +150,7 @@ def _merge(defaults: dict, user: dict, path: str = "") -> dict:
                 raise ConfigError(f"{here} must be an object")
             out[key] = _merge(defaults[key], value, here)
         else:
-            out[key] = value
+            out[key] = copy.deepcopy(value)
     return out
 
 
@@ -199,18 +199,14 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
 
 
 def resolve_config(cfg: dict, experiment: str) -> RunConfig:
+    cfg = _merge(DEFAULT_CONFIG, cfg)
     if cfg["experiment"] is not None and cfg["experiment"] != experiment:
         raise ConfigError(
             f"config experiment {cfg['experiment']!r} conflicts with subcommand {experiment!r}")
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}")
-    cfg = copy.deepcopy(cfg)
     cfg["experiment"] = experiment
 
-    for path in RETIRED_KEYS:
-        section, _, key = path.rpartition(".")
-        if key in ((cfg.get(section) or {}) if section else cfg):
-            raise _retired(path)
     for path, (test, requirement) in CONFIG_SCHEMA.items():
         section, _, key = path.rpartition(".")
         value = cfg[section][key] if section else cfg[key]
@@ -287,7 +283,7 @@ def _joint_observables(d: int):
     a = ladder(d)
     idq = identity(SpaceDims((2,)))
     num = kron(idq, a.dag() @ a)
-    proj_e = Operator(SpaceDims((2,)), np.diag([0.0, 1.0]), hermitian=True)
+    proj_e = Operator(SpaceDims((2,)), np.diag([0.0, 1.0]))
     qubit = kron(proj_e, identity(SpaceDims((d,))))
     return [num, qubit]
 
@@ -583,7 +579,7 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
     # analytic steady values vs the integrator under the frozen-qubit model
     t_steady = 10.0 / p.gamma
     a = ladder(d)
-    num = Operator(SpaceDims((d,)), (a.dag() @ a).mat, hermitian=True)
+    num = a.dag() @ a
     anc_ops = collapse_ops(p, d, include_qubit=False)
     rho0 = DensityMatrix.basis(SpaceDims((d,)), 0)
     for state, ana in (("e", analytic.excited_population),

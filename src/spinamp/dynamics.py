@@ -382,7 +382,8 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
     Parameters
     ----------
     h : Operator
-        Hamiltonian (Hermitian-flagged).
+        Hamiltonian; must read ``h.hermitian`` (measured from its matrix,
+        not checked here).
     collapse : list of Operator
         Collapse channels L_k (rates folded into the operators).
     rho0 : DensityMatrix

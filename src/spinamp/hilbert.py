@@ -13,7 +13,7 @@ from math import prod
 
 import numpy as np
 
-HERM_TOL = 1e-12       # Hermitian-flagged operators
+HERM_TOL = 1e-12       # Operator.hermitian
 RHO_HERM_TOL = 1e-10   # density matrices
 RHO_TRACE_TOL = 1e-9
 RHO_EIG_TOL = 1e-8
@@ -45,13 +45,12 @@ class SpaceDims:
 class Operator:
     """Dense complex matrix tagged with its space dimensions.
 
-    ``hermitian=True`` is a promise checked at construction (max elementwise
-    deviation from M† below 1e-12).
+    ``hermitian`` is measured from the matrix, not declared: max elementwise
+    deviation from M† at most ``HERM_TOL``.
     """
 
     dims: SpaceDims
     mat: np.ndarray
-    hermitian: bool = False
 
     def __post_init__(self):
         m = np.asarray(self.mat, dtype=complex)
@@ -62,31 +61,28 @@ class Operator:
             raise ValueError(
                 f"matrix size {m.shape[0]} does not match dims {self.dims.factors}"
             )
-        if self.hermitian:
-            err = np.max(np.abs(m - m.conj().T))
-            if err > HERM_TOL:
-                raise ValueError(f"operator flagged Hermitian but |M - M†| = {err:.3g}")
 
     @property
     def dim(self) -> int:
         return self.dims.dim
 
+    @property
+    def hermitian(self) -> bool:
+        return bool(np.max(np.abs(self.mat - self.mat.conj().T)) <= HERM_TOL)
+
     def dag(self) -> "Operator":
-        return Operator(self.dims, self.mat.conj().T, hermitian=self.hermitian)
+        return Operator(self.dims, self.mat.conj().T)
 
     def __add__(self, other: "Operator") -> "Operator":
         self._check_dims(other)
-        return Operator(self.dims, self.mat + other.mat,
-                        hermitian=self.hermitian and other.hermitian)
+        return Operator(self.dims, self.mat + other.mat)
 
     def __sub__(self, other: "Operator") -> "Operator":
         self._check_dims(other)
-        return Operator(self.dims, self.mat - other.mat,
-                        hermitian=self.hermitian and other.hermitian)
+        return Operator(self.dims, self.mat - other.mat)
 
     def __mul__(self, scalar) -> "Operator":
-        herm = self.hermitian and np.isreal(scalar)
-        return Operator(self.dims, self.mat * scalar, hermitian=bool(herm))
+        return Operator(self.dims, self.mat * scalar)
 
     __rmul__ = __mul__
 
@@ -145,20 +141,20 @@ def ladder(d: int) -> Operator:
 
 
 def identity(dims: SpaceDims) -> Operator:
-    return Operator(dims, np.eye(dims.dim), hermitian=True)
+    return Operator(dims, np.eye(dims.dim))
 
 
 def kron(a: Operator, b: Operator) -> Operator:
     """Kronecker product; dims become the concatenated factor lists."""
     dims = SpaceDims(a.dims.factors + b.dims.factors)
-    return Operator(dims, np.kron(a.mat, b.mat),
-                    hermitian=a.hermitian and b.hermitian)
+    return Operator(dims, np.kron(a.mat, b.mat))
 
 
 def eig_hermitian(m: Operator) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending, real) and unitary eigenvector matrix of a
-    Hermitian-flagged operator."""
+    Hermitian operator (``m.hermitian``)."""
     if not m.hermitian:
-        raise ValueError("eig_hermitian requires a Hermitian-flagged operator")
+        raise ValueError("eig_hermitian requires a Hermitian operator: "
+                         f"|M - M†| exceeds {HERM_TOL:g}")
     w, v = np.linalg.eigh(m.mat)
     return w, v

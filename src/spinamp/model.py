@@ -27,12 +27,11 @@ def sigma_plus() -> Operator:
 
 
 def sigma_z() -> Operator:
-    return Operator(SpaceDims((2,)), np.diag([-1.0, 1.0]), hermitian=True)
+    return Operator(SpaceDims((2,)), np.diag([-1.0, 1.0]))
 
 
 def sigma_x() -> Operator:
-    return Operator(SpaceDims((2,)), np.array([[0.0, 1.0], [1.0, 0.0]]),
-                    hermitian=True)
+    return Operator(SpaceDims((2,)), np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 @dataclass(frozen=True)
@@ -101,14 +100,13 @@ def build_hc(p: SystemParams, d: int) -> Operator:
     mat = mat + p.g_collective * (kron(sigma_plus(), a).mat
                                   + kron(sigma_minus(), a.dag()).mat)
     mat = mat + (p.omega_bar - p.omega_d) * kron(idq, num).mat
-    return Operator(SpaceDims((2, d)), mat, hermitian=True)
+    return Operator(SpaceDims((2, d)), mat)
 
 
 def build_drive(p: SystemParams, d: int) -> Operator:
     """Transverse qubit drive (lambda_d/2)(s+ + s-) on the joint space."""
     idm = identity(SpaceDims((d,)))
-    return Operator(SpaceDims((2, d)), (p.lambda_d / 2) * kron(sigma_x(), idm).mat,
-                    hermitian=True)
+    return Operator(SpaceDims((2, d)), (p.lambda_d / 2) * kron(sigma_x(), idm).mat)
 
 
 def build_dispersive(p: SystemParams, d: int) -> Operator:
@@ -124,7 +122,7 @@ def build_dispersive(p: SystemParams, d: int) -> Operator:
     mat = mat + chi * np.kron(proj_e, idm.mat)
     mat = mat + np.kron(np.diag([p.omega_bar - p.omega_d - chi,
                                  p.omega_bar - p.omega_d + chi]), num)
-    return Operator(SpaceDims((2, d)), mat, hermitian=True)
+    return Operator(SpaceDims((2, d)), mat)
 
 
 def build_anc(p: SystemParams, qubit_state: str, d: int) -> Operator:
@@ -144,7 +142,7 @@ def build_anc(p: SystemParams, qubit_state: str, d: int) -> Operator:
     num = (a.dag() @ a).mat
     mat = (p.omega_bar - p.omega_d + sign * chi) * num
     mat = mat + sign * lam_eff * (a.mat + a.mat.conj().T)
-    return Operator(SpaceDims((d,)), mat, hermitian=True)
+    return Operator(SpaceDims((d,)), mat)
 
 
 def collapse_ops(p: SystemParams, d: int, include_qubit: bool = True) -> list[Operator]:

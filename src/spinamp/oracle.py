@@ -244,7 +244,6 @@ def build_full_model(sample: EnsembleSample, p: SystemParams, per_mode_cutoff: i
         raise ValueError(
             f"space-size guard exceeded: 2*{per_mode_cutoff}^{n} = {dim_total} "
             f"> {FULL_MODEL_MAX_DIM}")
-    dims = SpaceDims((2,) + (per_mode_cutoff,) * n)
     a1 = ladder(per_mode_cutoff)
     idm = identity(SpaceDims((per_mode_cutoff,)))
     idq = identity(SpaceDims((2,)))
@@ -263,15 +262,14 @@ def build_full_model(sample: EnsembleSample, p: SystemParams, per_mode_cutoff: i
         h = h + (wj - p.omega_d) * (aj.dag() @ aj)
         h = h + gj * (sp @ aj + sm @ aj.dag())
     h = h + (p.lambda_d / 2) * embed(sigma_x(), 0)
-    h = Operator(dims, h.mat, hermitian=True)
 
     g_norm = sample.g_collective
     bright = (1.0 / g_norm) * modes[0] * sample.couplings[0]
     for aj, gj in zip(modes[1:], sample.couplings[1:]):
         bright = bright + (gj / g_norm) * aj
-    bright_num = Operator(dims, (bright.dag() @ bright).mat, hermitian=True)
-    qubit_proj = embed(Operator(SpaceDims((2,)), np.diag([0.0, 1.0]), hermitian=True), 0)
-    mode_nums = [Operator(dims, (aj.dag() @ aj).mat, hermitian=True) for aj in modes]
+    bright_num = bright.dag() @ bright
+    qubit_proj = embed(Operator(SpaceDims((2,)), np.diag([0.0, 1.0])), 0)
+    mode_nums = [aj.dag() @ aj for aj in modes]
     return h, bright_num, qubit_proj, mode_nums, modes
 
 

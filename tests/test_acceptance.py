@@ -49,10 +49,9 @@ def params(gamma_mhz=FIG_GAMMA_MHZ, lambda_d=40.0):
 
 def joint_observables(d):
     num = kron(identity(SpaceDims((2,))), ladder(d).dag() @ ladder(d))
-    num = Operator(num.dims, num.mat, hermitian=True)
-    proj = Operator(SpaceDims((2,)), np.diag([0.0, 1.0]), hermitian=True)
+    proj = Operator(SpaceDims((2,)), np.diag([0.0, 1.0]))
     qubit = kron(proj, identity(SpaceDims((d,))))
-    return num, Operator(qubit.dims, qubit.mat, hermitian=True)
+    return num, qubit
 
 
 def run_branch(p, d, state, t_end, n_record):
@@ -89,7 +88,7 @@ def anc_runs():
     p = params()
     d = 16
     a = ladder(d)
-    num = Operator(SpaceDims((d,)), (a.dag() @ a).mat, hermitian=True)
+    num = a.dag() @ a
     rho0 = DensityMatrix.basis(SpaceDims((d,)), 0)
     return {state: _run(build_anc(p, state, d), collapse_ops(p, d, include_qubit=False),
                         rho0, [num], p.gamma, 0.0, 0.3, 300)[0]

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -88,6 +89,47 @@ class TestConfig:
         cfg["experiment"] = "figure3"
         with pytest.raises(ConfigError, match="conflicts"):
             resolve_config(cfg, "figure2")
+
+    def test_resolve_rejects_unknown_keys(self):
+        # dicts built in code take the same key check as config files
+        cfg = load_config(None)
+        cfg["fock_cutof"] = 8
+        with pytest.raises(ConfigError, match="unknown config key: fock_cutof"):
+            resolve_config(cfg, "figure2")
+        cfg = load_config(None)
+        cfg["grid"]["n_recrod"] = 100
+        with pytest.raises(ConfigError, match="unknown config key: grid.n_recrod"):
+            resolve_config(cfg, "figure2")
+
+    def test_resolve_fills_missing_keys(self):
+        cfg = load_config(None)
+        del cfg["oracle_n"]
+        del cfg["grid"]["n_record"]
+        rc = resolve_config(cfg, "validate")
+        assert rc.oracle_n == DEFAULT_CONFIG["oracle_n"]
+        assert rc.n_record == DEFAULT_CONFIG["grid"]["n_record"]
+        assert rc.resolved["oracle_n"] == DEFAULT_CONFIG["oracle_n"]
+
+    def test_resolve_rejects_non_object_section(self):
+        cfg = load_config(None)
+        cfg["grid"] = 5
+        with pytest.raises(ConfigError, match="grid must be an object"):
+            resolve_config(cfg, "figure2")
+
+    def test_resolve_without_experiment_key(self):
+        rc = resolve_config({"fock_cutoff": 8}, "figure3")
+        assert rc.experiment == "figure3"
+        assert rc.fock_cutoff == 8
+        assert rc.resolved["experiment"] == "figure3"
+        assert rc.resolved["gamma_sweep_mhz"] == DEFAULT_CONFIG["gamma_sweep_mhz"]
+
+    def test_resolved_shares_nothing_with_the_callers_dict(self):
+        cfg = load_config(None)
+        rc = resolve_config(cfg, "figure3")
+        rc.resolved["seeds"].append(99)
+        rc.resolved["gamma_sweep_mhz"].clear()
+        rc.resolved["params"]["g"] = 1.0
+        assert cfg == load_config(None)
 
     def test_physical_validation(self):
         cfg = load_config(None)
@@ -382,6 +424,21 @@ def run_python(args, blas_threads=None, cwd=None):
         env["OPENBLAS_NUM_THREADS"] = blas_threads
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env=env, cwd=cwd, check=True, timeout=300)
+
+
+def readme_block(heading: str) -> str:
+    """The first python code block under a README heading."""
+    text = Path(REPO, "README.md").read_text(encoding="utf-8")
+    section = text.split(f"\n## {heading}\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+class TestReadme:
+    def test_library_quickstart_runs(self, tmp_path):
+        done = run_python(["-c", readme_block("Library quickstart")], cwd=tmp_path)
+        printed = done.stdout.split()
+        assert len(printed) == 1
+        assert math.isfinite(float(printed[0]))
 
 
 class TestThreadDeterminism:

@@ -21,15 +21,14 @@ TWO_PI = 2.0 * np.pi
 def joint_observables(d):
     a = ladder(d)
     num = kron(identity(SpaceDims((2,))), a.dag() @ a)
-    num = Operator(num.dims, num.mat, hermitian=True)
-    proj = Operator(SpaceDims((2,)), np.diag([0.0, 1.0]), hermitian=True)
+    proj = Operator(SpaceDims((2,)), np.diag([0.0, 1.0]))
     qubit = kron(proj, identity(SpaceDims((d,))))
-    return num, Operator(qubit.dims, qubit.mat, hermitian=True)
+    return num, qubit
 
 
 def mode_number(d):
     a = ladder(d)
-    return Operator(SpaceDims((d,)), (a.dag() @ a).mat, hermitian=True)
+    return a.dag() @ a
 
 
 class TestTimeGrid:
@@ -66,7 +65,7 @@ class TestEvolve:
     def test_pure_decay(self, fig_params):
         d = 5
         dims = SpaceDims((d,))
-        h = Operator(dims, np.zeros((d, d)), hermitian=True)
+        h = Operator(dims, np.zeros((d, d)))
         ops = collapse_ops(fig_params, d, include_qubit=False)
         rho0 = DensityMatrix.basis(dims, 1)
         grid = TimeGrid.auto(h, 0.0, 0.05, n_record=100, collapse=ops)
@@ -109,8 +108,7 @@ class TestEvolve:
 
     def test_trajectory_bookkeeping_invariants(self, fig_params):
         d = 6
-        h = build_hc(fig_params, d)
-        h = Operator(h.dims, (h + build_drive(fig_params, d)).mat, hermitian=True)
+        h = build_hc(fig_params, d) + build_drive(fig_params, d)
         ops = collapse_ops(fig_params, d)
         num, qubit = joint_observables(d)
         rho0 = DensityMatrix.basis(SpaceDims((2, d)), 0, 0)
@@ -160,7 +158,7 @@ class TestEvolve:
         # first record past -POSITIVITY_TOL is the 8th of them
         dims = SpaceDims((2,))
         gamma = -np.log1p(-POSITIVITY_TOL) / 0.375
-        h = Operator(dims, np.zeros((2, 2)), hermitian=True)
+        h = Operator(dims, np.zeros((2, 2)))
         jump = np.sqrt(gamma) * ladder(2)
         lv = liouvillian(h, [jump]) - 2 * sparse.kron(jump.mat, jump.mat.conj())
         grid = TimeGrid(0.0, 1.0, 1, 20, degree=16)
@@ -324,7 +322,7 @@ class TestLiouvillian:
             return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
         x = cplx(3, 3)
-        h = Operator(dims, x + x.conj().T, hermitian=True)
+        h = Operator(dims, x + x.conj().T)
         jumps = [Operator(dims, cplx(3, 3)) for _ in range(2)]
         rho = cplx(3, 3)  # neither Hermitian nor unit trace: L is linear
         lv = liouvillian(h, jumps)
@@ -341,7 +339,6 @@ class TestLiouvillian:
         assert len(ops) == 2
         a = ladder(d)
         quad = kron(identity(SpaceDims((2,))), a + a.dag())  # not diagonal
-        quad = Operator(quad.dims, quad.mat, hermitian=True)
         _, qubit = joint_observables(d)
         rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1, 0)
         grid = TimeGrid.auto(h, 0.0, 0.005, n_record=20, collapse=ops)

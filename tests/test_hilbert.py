@@ -56,7 +56,7 @@ class TestKron:
         assert out.hermitian
 
     def test_sigma_z_block_structure(self):
-        sz = Operator(SpaceDims((2,)), np.diag([-1.0, 1.0]), hermitian=True)
+        sz = Operator(SpaceDims((2,)), np.diag([-1.0, 1.0]))
         i3 = identity(SpaceDims((3,)))
         out = kron(sz, i3).mat
         np.testing.assert_array_equal(out[:3, :3], -np.eye(3))
@@ -92,13 +92,12 @@ class TestKron:
 
 class TestEigHermitian:
     def test_sigma_z(self):
-        sz = Operator(SpaceDims((2,)), np.diag([-1.0, 1.0]), hermitian=True)
+        sz = Operator(SpaceDims((2,)), np.diag([-1.0, 1.0]))
         w, _ = eig_hermitian(sz)
         np.testing.assert_allclose(w, [-1.0, 1.0])
 
     def test_sigma_x_vectors(self):
-        sx = Operator(SpaceDims((2,)), np.array([[0.0, 1.0], [1.0, 0.0]]),
-                      hermitian=True)
+        sx = Operator(SpaceDims((2,)), np.array([[0.0, 1.0], [1.0, 0.0]]))
         w, v = eig_hermitian(sx)
         np.testing.assert_allclose(w, [-1.0, 1.0])
         np.testing.assert_allclose(np.abs(v), np.full((2, 2), 1 / np.sqrt(2)),
@@ -106,8 +105,7 @@ class TestEigHermitian:
 
     def test_two_level_closed_form(self):
         delta, g = 3.7, 1.2
-        m = Operator(SpaceDims((2,)), np.array([[delta / 2, g], [g, -delta / 2]]),
-                     hermitian=True)
+        m = Operator(SpaceDims((2,)), np.array([[delta / 2, g], [g, -delta / 2]]))
         w, _ = eig_hermitian(m)
         root = np.sqrt(delta**2 + 4 * g**2) / 2
         np.testing.assert_allclose(w, [-root, root], rtol=1e-14)
@@ -117,7 +115,7 @@ class TestEigHermitian:
         for d in (4, 9, 16):
             m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             m = 0.5 * (m + m.conj().T)
-            op = Operator(SpaceDims((d,)), m, hermitian=True)
+            op = Operator(SpaceDims((d,)), m)
             w, v = eig_hermitian(op)
             assert np.max(np.abs(m @ v - v @ np.diag(w))) < 1e-9
             assert np.max(np.abs(v.conj().T @ v - np.eye(d))) < 1e-10
@@ -127,12 +125,6 @@ class TestEigHermitian:
         a = ladder(3)
         with pytest.raises(ValueError, match="Hermitian"):
             eig_hermitian(a)
-
-
-def test_hermitian_flag_is_checked():
-    with pytest.raises(ValueError, match="Hermitian"):
-        Operator(SpaceDims((2,)), np.array([[0.0, 1.0], [0.0, 0.0]]),
-                 hermitian=True)
 
 
 def test_density_matrix_invariants_enforced():
@@ -146,8 +138,16 @@ def test_density_matrix_invariants_enforced():
 
 
 def test_operator_algebra_flags():
-    sz = Operator(SpaceDims((2,)), np.diag([-1.0, 1.0]), hermitian=True)
+    sz = Operator(SpaceDims((2,)), np.diag([-1.0, 1.0]))
     assert (sz + sz).hermitian
     assert (2.0 * sz).hermitian
     assert not (1j * sz).hermitian
     assert not (sz @ ladder(2)).hermitian
+    # measured from the matrix: products and Kronecker factors that are
+    # Hermitian read so, and eig_hermitian accepts them
+    num = ladder(4).dag() @ ladder(4)
+    joint = kron(identity(SpaceDims((2,))), num)
+    assert num.hermitian and joint.hermitian
+    np.testing.assert_allclose(eig_hermitian(num)[0], [0.0, 1.0, 2.0, 3.0], atol=1e-14)
+    np.testing.assert_allclose(eig_hermitian(joint)[0], np.repeat([0.0, 1.0, 2.0, 3.0], 2),
+                               atol=1e-14)

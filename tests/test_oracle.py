@@ -155,10 +155,8 @@ class TestSingleExcitation:
         h = build_hc(fig_params, d)
         ops = collapse_ops(fig_params, d)
         num = kron(identity(SpaceDims((2,))), ladder(d).dag() @ ladder(d))
-        num = Operator(num.dims, num.mat, hermitian=True)
-        proj = Operator(SpaceDims((2,)), np.diag([0.0, 1.0]), hermitian=True)
+        proj = Operator(SpaceDims((2,)), np.diag([0.0, 1.0]))
         qubit = kron(proj, identity(SpaceDims((d,))))
-        qubit = Operator(qubit.dims, qubit.mat, hermitian=True)
         rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1, 0)
         grid = dynamics.TimeGrid.auto(h, 0.0, 0.1, n_record=100, collapse=ops,
                                       dt_factor=0.005)
@@ -424,17 +422,13 @@ class TestFullModel:
         s = self.degenerate_sample(p, 1)
         p_driven = SystemParams.from_mhz(nu_t=412.5, nu_bar=0.0, g=75.0,
                                          lambda_d=40.0, gamma=12.5)
-        h_red = build_hc(p_driven, d)
-        h_red = Operator(h_red.dims, (h_red + build_drive(p_driven, d)).mat,
-                         hermitian=True)
+        h_red = build_hc(p_driven, d) + build_drive(p_driven, d)
         grid = dynamics.TimeGrid.auto(h_red, 0.0, 0.02, n_record=100,
                                       dt_factor=0.005)
         rec = full_model_evolve(s, d, p_driven, grid)
         num = kron(identity(SpaceDims((2,))), ladder(d).dag() @ ladder(d))
-        num = Operator(num.dims, num.mat, hermitian=True)
-        proj = Operator(SpaceDims((2,)), np.diag([0.0, 1.0]), hermitian=True)
+        proj = Operator(SpaceDims((2,)), np.diag([0.0, 1.0]))
         qubit = kron(proj, identity(SpaceDims((d,))))
-        qubit = Operator(qubit.dims, qubit.mat, hermitian=True)
         rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1, 0)
         traj = dynamics.evolve(h_red, [], rho0, grid, [num, qubit])
         assert np.max(np.abs(rec.bright_n - traj.collective_n)) < 1e-8
