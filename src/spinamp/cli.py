@@ -199,6 +199,8 @@ def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
 
 
 def resolve_config(cfg: dict, experiment: str) -> RunConfig:
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config must be a dict of settings, got {type(cfg).__name__}")
     cfg = _merge(DEFAULT_CONFIG, cfg)
     if cfg["experiment"] is not None and cfg["experiment"] != experiment:
         raise ConfigError(
@@ -288,20 +290,27 @@ def _joint_observables(d: int):
     return [num, qubit]
 
 
+def _rho_bytes(dim: int) -> int:
+    """Bytes of the state `dynamics.evolve` steps for a dim x dim rho: its
+    dim² real coordinates."""
+    return 8 * dim * dim
+
+
 def _run(h: Operator, ops: list[Operator], rho0: DensityMatrix, observables: list,
          gamma: float, t_start: float, t_end: float, n_record: int, n_steps: int = 0,
          degree: int = 4):
     """One Lindblad run; returns (Trajectory, grid). The Liouvillian is built
-    once. The grid is the `TimeGrid.taylor` plan on the run's 1-norm, which
-    `evolve`'s guard reuses, or with n_steps set (the step-halving rerun)
-    n_steps steps of the given degree."""
+    once. The grid is the `TimeGrid.taylor` plan on the run's 2-norm bound,
+    which `evolve`'s guard reuses, or with n_steps set (the step-halving
+    rerun) n_steps steps of the given degree."""
     lv = dynamics.liouvillian(h, ops)
     norm = None
     if n_steps:
         grid = dynamics.TimeGrid(t_start, t_end, n_steps, n_record, degree)
     else:
-        norm = dynamics.norm1(lv)
-        grid = dynamics.TimeGrid.taylor(norm, t_start, t_end, n_record, size=lv.shape[0])
+        norm = dynamics.norm_bound(lv)
+        grid = dynamics.TimeGrid.taylor(norm, t_start, t_end, n_record,
+                                        nbytes=_rho_bytes(h.dim))
     traj = dynamics.evolve(h, ops, rho0, grid, observables, gamma=gamma, lv=lv, norm=norm)
     return traj, grid
 
@@ -320,52 +329,61 @@ def _max_normalized_dev(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b))) / scale
 
 
-def _check_cutoff(p, d, base: dict, grid) -> float:
+def _check_cutoff(p, d, base: dict, grid) -> tuple[float, dict]:
     """Max-normalized change of the <A†A> curves {state: Trajectory} `base`,
-    run over `grid`'s window and records, under cutoff doubling."""
+    run over `grid`'s window and records, under cutoff doubling, and the
+    `_plan` of the reruns (every branch takes the same one)."""
     def dev(state):
-        doubled, _ = _run_branch_meta(p, 2 * d, state, grid.t_start, grid.t_end,
-                                      grid.n_record)
-        return _max_normalized_dev(base[state].collective_n, doubled.collective_n)
-    return max(_pmap(dev, base))
+        doubled, rerun = _run_branch_meta(p, 2 * d, state, grid.t_start, grid.t_end,
+                                          grid.n_record)
+        return _max_normalized_dev(base[state].collective_n, doubled.collective_n), rerun
+    devs = _pmap(dev, base)
+    return max(dev for dev, _ in devs), _plan(devs[0][1], _rho_bytes(4 * d))
 
 
-def _check_timestep(p, d, base, grid) -> float:
+def _check_timestep(p, d, base, grid) -> tuple[float, dict]:
     """Max-normalized change of the excited-branch <A†A> curve `base`, run
-    on `grid`, under step halving at the same degree."""
-    half, _ = _run_branch_meta(p, d, "e", grid.t_start, grid.t_end, grid.n_record,
-                               n_steps=2 * grid.n_steps, degree=grid.degree)
-    return _max_normalized_dev(base.collective_n, half.collective_n)
+    on `grid`, under step halving at the same degree, and the rerun's
+    `_plan`."""
+    half, rerun = _run_branch_meta(p, d, "e", grid.t_start, grid.t_end, grid.n_record,
+                                   n_steps=2 * grid.n_steps, degree=grid.degree)
+    return (_max_normalized_dev(base.collective_n, half.collective_n),
+            _plan(rerun, _rho_bytes(2 * d)))
 
 
 def _convergence(rc: RunConfig, runs: list) -> dict:
     """Sidecar entries of the convergence reruns of the (gamma_mhz, params,
     {state: Trajectory}, grid) runs: cutoff doubling of every run, its
-    deviation kept per gamma, then step halving of the smallest-gamma run;
-    raises ConvergenceError when a curve moves beyond tolerance."""
+    deviation and plan kept per gamma, then step halving of the
+    smallest-gamma run and its plan; raises ConvergenceError when a curve
+    moves beyond tolerance."""
     if not rc.convergence_checks:
         return {"checks": {}}
     d = rc.fock_cutoff
-    per_gamma = {str(g): _check_cutoff(p, d, trajs, grid) for g, p, trajs, grid in runs}
+    cutoff = {str(g): _check_cutoff(p, d, trajs, grid) for g, p, trajs, grid in runs}
+    per_gamma = {g: dev for g, (dev, _) in cutoff.items()}
     dev_c = max(per_gamma.values())
     if dev_c > CUTOFF_TOL:
         raise ConvergenceError(
             f"cutoff_convergence failed: curve change {dev_c:.3g} > {CUTOFF_TOL}; "
             f"retry with fock_cutoff={2 * d}")
     _, p, trajs, grid = min(runs, key=lambda run: run[1].gamma)
-    dev_t = _check_timestep(p, d, trajs["e"], grid)
+    dev_t, halving = _check_timestep(p, d, trajs["e"], grid)
     if dev_t > TIMESTEP_TOL:
         raise ConvergenceError(
             f"timestep_convergence failed: curve change {dev_t:.3g} > {TIMESTEP_TOL}")
     return {"checks": {"cutoff_convergence": dev_c, "timestep_convergence": dev_t},
-            "cutoff_convergence_by_gamma": per_gamma}
+            "cutoff_convergence_by_gamma": per_gamma,
+            "convergence_plans": {"cutoff_doubling": {g: plan for g, (_, plan)
+                                                      in cutoff.items()},
+                                  "step_halving": halving}}
 
 
-def _plan(grid, size: int) -> dict:
-    """A run's plan, with the state vectors of `size` entries its step
+def _plan(grid, nbytes: int) -> dict:
+    """A run's plan, with the state vectors of `nbytes` bytes each its step
     buffer held."""
     return {"degree": grid.degree, "n_steps": grid.n_steps, "dt_us": grid.dt,
-            "applications": grid.applications, "step_buffer": grid.buffer(size)}
+            "applications": grid.applications, "step_buffer": grid.buffer(nbytes)}
 
 
 def _runs_meta(runs: list, d: int, per_gamma: bool = True) -> dict:
@@ -373,8 +391,8 @@ def _runs_meta(runs: list, d: int, per_gamma: bool = True) -> dict:
     grid) runs: each run's ``_plan`` (keyed by gamma, or bare for a single
     run), the extrema of the per-record state diagnostics, and the generator
     products summed over every branch with the dimension of the Liouvillian
-    they apply (vec(rho) at cutoff d)."""
-    plans = {str(g): _plan(grid, (2 * d) ** 2) for g, _, _, grid in runs}
+    they apply (the real coordinates of rho at cutoff d)."""
+    plans = {str(g): _plan(grid, _rho_bytes(2 * d)) for g, _, _, grid in runs}
     if per_gamma:
         meta = {key: {g: plan[key] for g, plan in plans.items()}
                 for key in next(iter(plans.values()))}
@@ -382,7 +400,7 @@ def _runs_meta(runs: list, d: int, per_gamma: bool = True) -> dict:
         [meta] = plans.values()
     trajs = [t for _, _, branches, _ in runs for t in branches.values()]
     meta["hygiene"] = {"trace_err_max": max(float(t.trace_err.max()) for t in trajs),
-                       "herm_err_max": max(float(t.herm_err.max()) for t in trajs),
+                       "herm_err_max": max(t.herm_err for t in trajs),
                        "min_eig_min": min(float(t.min_eig.min()) for t in trajs)}
     meta["generator_applications"] = sum(grid.applications * len(branches)
                                          for _, _, branches, grid in runs)
@@ -550,24 +568,25 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
     # conservation bookkeeping (undriven, initial |e,0>) plus state hygiene
     p0 = replace(p, lambda_d=0.0, gamma_s=0.0)
     traj0, grid0 = _run_branch_meta(p0, d, "e", rc.t_start, rc.t_end, rc.n_record)
-    plans["conservation"] = _plan(grid0, (2 * d) ** 2)
+    plans["conservation"] = _plan(grid0, _rho_bytes(2 * d))
     q = traj0.qubit_excited + traj0.total_n
     checks.append(_check("conservation", np.max(np.abs(q - 1.0)), CONSERVATION_TOL))
     checks.append(_check("trace_error", traj0.trace_err.max(), dynamics.TRACE_TOL))
-    checks.append(_check("hermiticity", traj0.herm_err.max(), 1e-9))
+    checks.append(_check("hermiticity", traj0.herm_err, dynamics.HERMITICITY_TOL))
     checks.append(_check("positivity", -traj0.min_eig.min(), dynamics.POSITIVITY_TOL))
 
     # short driven windows for the convergence checks
     t_short = rc.t_start + min(0.2, rc.t_end - rc.t_start)
     base, g_short = _run_branch_meta(p, d, "e", rc.t_start, t_short, 200)
-    plans["short_window"] = _plan(g_short, (2 * d) ** 2)
+    plans["short_window"] = _plan(g_short, _rho_bytes(2 * d))
     try:
-        dev_c = _check_cutoff(p, d, {"e": base}, g_short)
+        dev_c, plans["short_window_cutoff_doubling"] = _check_cutoff(p, d, {"e": base},
+                                                                     g_short)
         checks.append(_check("cutoff_convergence", dev_c, CUTOFF_TOL))
     except dynamics.IntegrationError as exc:
         checks.append({"name": "cutoff_convergence", "value": None,
                        "threshold": CUTOFF_TOL, "passed": False, "error": str(exc)})
-    dev_t = _check_timestep(p, d, base, g_short)
+    dev_t, plans["short_window_step_halving"] = _check_timestep(p, d, base, g_short)
     checks.append(_check("timestep_convergence", dev_t, TIMESTEP_TOL))
 
     # closed-form spectrum vs numerical diagonalization
@@ -586,7 +605,7 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
                        ("g", analytic.ground_population)):
         traj, steady = _run(
             build_anc(p, state, d), anc_ops, rho0, [num], p.gamma, 0.0, t_steady, 200)
-        plans[f"analytic_steady_{state}"] = _plan(steady, d * d)
+        plans[f"analytic_steady_{state}"] = _plan(steady, _rho_bytes(d))
         ref = float(ana(np.array([t_steady]), p)[0])
         checks.append(_check(f"analytic_steady_{state}",
                              abs(traj.collective_n[-1] - ref), ANALYTIC_STEADY_TOL))
@@ -598,8 +617,10 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
         sample = oracle.sample_frequencies(rc.oracle_n, p.omega_bar, p.gamma,
                                            seed, g_collective=p.g_collective)
         bound = oracle.arrowhead_norm(sample, p.delta)
-        s_grid = dynamics.TimeGrid.taylor(bound, 0.0, t_oracle, 400, size=sample.n + 1)
-        plans[f"oracle_seed_{seed}"] = _plan(s_grid, sample.n + 1)
+        # the complex amplitudes of |e> and the N spins
+        nbytes = 16 * (sample.n + 1)
+        s_grid = dynamics.TimeGrid.taylor(bound, 0.0, t_oracle, 400, nbytes=nbytes)
+        plans[f"oracle_seed_{seed}"] = _plan(s_grid, nbytes)
         res = oracle.single_excitation_evolve(sample, p.delta, s_grid)
         _, c_red = oracle.reduced_single_excitation(p.delta, p.g_collective,
                                                     p.gamma, res.times)

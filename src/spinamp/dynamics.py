@@ -13,7 +13,7 @@ picks the rule:
   and step count with the fewest generator products such that
   dt * ||A|| <= TAYLOR_THETA[m], the unit-roundoff bound of Al-Mohy &
   Higham (SIAM J. Sci. Comput. 2011), which holds in any consistent norm
-  (the 1-norm for a Liouvillian, a 2-norm bound for the arrowhead oracle);
+  (a 2-norm bound for the Liouvillian and for the arrowhead oracle);
   ``check_stability`` guards that bound.
 
 Steps and records are independent. The theta_m bound holds at every point
@@ -31,16 +31,31 @@ library callers that size steps on omega_max.
 Records reach the caller in blocks: ``rk4`` hands its recorder a (k, size)
 array of k consecutive records, k = 1 at a step end and up to
 RECORD_BLOCK_BYTES of them inside a step, so the per-record work (readout,
-traces, Hermiticity, eigenvalues) runs as batched array operations. A block
-is a view of the state or of the step buffer, which later steps overwrite,
-so a recorder copies what it keeps.
+traces, eigenvalues) runs as batched array operations. A block is a view of
+the state or of the step buffer, which later steps overwrite, so a recorder
+copies what it keeps. Both byte bounds count bytes of the state's own dtype:
+the stepper keeps that dtype, real or complex.
 
-``evolve`` steps the row-major vectorised density matrix,
-vec(rho) = rho.reshape(-1), with one sparse matvec per Taylor term on the
-generator that ``liouvillian`` builds, once per run, from
-vec(A rho B) = (A ⊗ Bᵀ) vec(rho). Expectation values are dots with vec(Aᵀ),
-one matrix product per block of records, and the per-record hygiene checks
-(trace, Hermiticity, eigenvalues) run on a reshaped view of the same block.
+``evolve`` steps rho in real Hermitian coordinates: the D² real numbers
+u = (rho_ii, Re rho_ij, Im rho_ij for i < j), laid out as a row-major D x D
+array whose diagonal and upper triangle hold rho_ii and Re rho_ij and whose
+lower triangle holds Im rho_ij at (j, i) (``hermitian_coords``; rebuilding
+rho is a pure scatter, ``density_matrices``). Every generator here maps
+Hermitian rho to Hermitian rho, so the Lindblad map acts on u as a real
+sparse matrix R (``real_generator``), built once per run from the
+Liouvillian that ``liouvillian`` builds on the row-major vec(rho) =
+rho.reshape(-1), from vec(A rho B) = (A ⊗ Bᵀ) vec(rho). Each Taylor term is
+one product with R, through scipy's CSR kernel. Expectation values and the
+trace are real dot products with u, one matrix product per block of
+records, and each block is rebuilt into rho once for its eigenvalues.
+
+Plans and guards take ``norm_bound``, sqrt(||L||_1 ||L||_inf) >= ||L||_2.
+It bounds R in the norm that gives u the Frobenius norm of the rho it
+stands for, and theta_m holds in that norm too; ||R||_1 is about 1.3 times
+||L||_1 and would cost as many more products. The coordinates drop the
+part of L that does not keep rho Hermitian. ``real_generator`` measures
+that part once per generator (``Trajectory.herm_err``), and ``evolve``
+refuses a generator where it exceeds HERMITICITY_TOL.
 
 ``evolve`` tracks, alongside the density matrix, the running integral
 of the first observable, integrating each Taylor term exactly (at degree 4
@@ -58,23 +73,29 @@ any quadrature on the recording grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, gcd
+from functools import lru_cache
+from math import ceil, gcd, isqrt, sqrt
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse._sparsetools import csr_matvec
 
-from .hilbert import DensityMatrix, Operator
+from .hilbert import HERM_TOL, DensityMatrix, Operator
 
 STABILITY_LIMIT = 0.25   # hard guard on dt * omega_max
 DT_FACTOR = 0.015        # default accuracy target for production curves
 TRACE_TOL = 1e-7
 POSITIVITY_TOL = 1e-6
+# the largest part of L that does not keep rho Hermitian, which the real
+# coordinates drop, relative to ||L||_1
+HERMITICITY_TOL = 1e-9
 # the most memory one Taylor step may hold to read records off its terms
 STEP_BUFFER_BYTES = 1 << 20
 # the most memory one block of records handed to a recorder may take; the
 # recorder's temporaries scale with it, so it stays a fraction of the buffer
 RECORD_BLOCK_BYTES = STEP_BUFFER_BYTES // 8
 TERM_BLOCK = 4           # the fewest terms the ring of an accumulating step holds
+ENTRY_BLOCK = 8192       # entries of a Liouvillian read at a time by real_generator
 # the highest degree a plan takes: at degree 55 the terms of a full step peak
 # near e^9.9 ~ 2e4 times the state, and their cancellation shows above rounding
 PLAN_MAX_DEGREE = 50
@@ -112,21 +133,21 @@ def _inner_records(n_steps: int, n_record: int) -> int:
     return (n_record - gcd(n_steps, n_record) - 1) // n_steps + 1
 
 
-def _held(degree: int, inner: int, size: int) -> int:
-    """State vectors of `size` entries a step holds to read `inner` records
+def _held(degree: int, inner: int, nbytes: int) -> int:
+    """State vectors of `nbytes` bytes a step holds to read `inner` records
     off its terms: a ring of its degree + 1 terms when they fit
     STEP_BUFFER_BYTES; otherwise one accumulator per record and a ring of the
     rest of the buffer, at least TERM_BLOCK terms."""
     if not inner:
         return 0
-    if (degree + 1) * 16 * size <= STEP_BUFFER_BYTES:
+    if (degree + 1) * nbytes <= STEP_BUFFER_BYTES:
         return degree + 1
-    return inner + max(TERM_BLOCK, STEP_BUFFER_BYTES // (16 * size) - inner)
+    return inner + max(TERM_BLOCK, STEP_BUFFER_BYTES // nbytes - inner)
 
 
-def _block_rows(size: int) -> int:
-    """Records of `size` entries in one block handed to a recorder."""
-    return max(1, RECORD_BLOCK_BYTES // (16 * size))
+def _block_rows(nbytes: int) -> int:
+    """Records of `nbytes` bytes each in one block handed to a recorder."""
+    return max(1, RECORD_BLOCK_BYTES // nbytes)
 
 
 @dataclass(frozen=True)
@@ -167,10 +188,10 @@ class TimeGrid:
         """Generator products over the whole grid: degree per step."""
         return self.degree * self.n_steps
 
-    def buffer(self, size: int) -> int:
-        """State vectors of `size` entries in the step buffer of ``rk4`` on
-        this grid (``_held``): 0 when every record falls on a step end."""
-        return _held(self.degree, _inner_records(self.n_steps, self.n_record), size)
+    def buffer(self, nbytes: int) -> int:
+        """State vectors of `nbytes` bytes each in the step buffer of ``rk4``
+        on this grid (``_held``): 0 when every record falls on a step end."""
+        return _held(self.degree, _inner_records(self.n_steps, self.n_record), nbytes)
 
     @property
     def times(self) -> np.ndarray:
@@ -196,22 +217,22 @@ class TimeGrid:
 
     @classmethod
     def taylor(cls, norm: float, t_start: float, t_end: float, n_record: int,
-               size: int = 1) -> "TimeGrid":
+               nbytes: int = 16) -> "TimeGrid":
         """The unit-roundoff Taylor plan with the fewest generator products
         over the whole window: degree 4 <= m <= PLAN_MAX_DEGREE and s steps
         minimising m * s subject to s * TAYLOR_THETA[m] >= norm * (t_end -
         t_start), where norm bounds the generator in any consistent norm, and
         to the step buffer fitting STEP_BUFFER_BYTES for state vectors of
-        `size` entries (ties go to the lower degree)."""
+        `nbytes` bytes each (ties go to the lower degree)."""
         span = norm * (t_end - t_start)
-        room = STEP_BUFFER_BYTES // (16 * size)
+        room = STEP_BUFFER_BYTES // nbytes
         plans = []
         for m, theta in TAYLOR_THETA.items():
             if m > PLAN_MAX_DEGREE:
                 break
             s = max(1, ceil(span / theta))
             # more steps hold fewer records each; with n_record | s none
-            while _held(m, _inner_records(s, n_record), size) > room:
+            while _held(m, _inner_records(s, n_record), nbytes) > room:
                 s += 1
             plans.append((s, m))
         s, m = min(plans, key=lambda sm: (sm[0] * sm[1], sm[1]))
@@ -223,7 +244,10 @@ class Trajectory:
     """Recorded expectation values and per-point diagnostics.
 
     total_n = collective_n + subradiant_n by construction; subradiant_n is
-    gamma times the step-accumulated integral of collective_n.
+    gamma times the step-accumulated integral of collective_n. herm_err is
+    one number for the run: the part of the generator that does not keep
+    rho Hermitian, which the real coordinates drop (``real_generator``),
+    relative to ||L||_1.
     """
 
     times: np.ndarray
@@ -232,7 +256,7 @@ class Trajectory:
     subradiant_n: np.ndarray
     trace_err: np.ndarray
     min_eig: np.ndarray
-    herm_err: np.ndarray
+    herm_err: float
     extra: np.ndarray | None = None
 
     @property
@@ -300,15 +324,23 @@ def rk4(rhs, y0: np.ndarray, grid: TimeGrid, record, integrand=None) -> None:
     weights x^k with the terms; otherwise it follows one accumulator per
     record inside a step, and each full ring is added into the
     accumulators. A step with no record inside it needs one ring row.
+
+    The state keeps the dtype of y0, float or complex, and the step buffer
+    counts its bytes. rhs may return a scratch array that its next call
+    overwrites: each term is copied into the ring as it is scaled.
     """
     h, m = grid.dt, grid.degree
     n_steps, n_rec = grid.n_steps, grid.n_record
-    y = np.array(y0, dtype=complex)
-    held = grid.buffer(y.size)
+    y = np.array(y0, dtype=complex if np.iscomplexobj(y0) else float)
+    held = grid.buffer(y.nbytes)
     n_sums = 0 if held == m + 1 else _inner_records(n_steps, n_rec)
-    buf = np.empty((max(1, held), y.size), dtype=complex)
+    buf = np.empty((max(1, held), y.size), dtype=y.dtype)
+    # the same rows as floats: the weights x^k are real, so a block of
+    # records costs real products on complex terms too
+    flat = buf.view(float)
     sums, ring = buf[:n_sums], buf[n_sums:]
-    r, chunk = len(ring), _block_rows(y.size)
+    sums_f, ring_f = flat[:n_sums], flat[n_sums:]
+    r, chunk = len(ring), _block_rows(y.nbytes)
     keep = r > m
     acc = 0.0
     record(0, y[None], np.zeros(1))
@@ -321,7 +353,6 @@ def rk4(rhs, y0: np.ndarray, grid: TimeGrid, record, integrand=None) -> None:
         if n:
             x = (np.arange(first, i) * n_steps - step * n_rec) / n_rec
             powers = x[:, None] ** np.arange(m + 1)
-            weights = powers.astype(complex)
             sums[:n] = 0.0
         term = ring[0]
         term[:] = y
@@ -335,14 +366,14 @@ def rk4(rhs, y0: np.ndarray, grid: TimeGrid, record, integrand=None) -> None:
                 k0 = k - k % r
                 for lo in range(0, n, chunk):
                     hi = min(n, lo + chunk)
-                    sums[lo:hi] += weights[lo:hi, k0:k + 1] @ ring[:k + 1 - k0]
+                    sums_f[lo:hi] += powers[lo:hi, k0:k + 1] @ ring_f[:k + 1 - k0]
         gain = sum(g / k for k, g in enumerate(gains, 1))
         if n:
             integrals = (acc + h * ((powers[:, 1:] / np.arange(1, m + 1)) @ gains)
                          if gains else np.full(n, acc))
             for lo in range(0, n, chunk):
                 hi = min(n, lo + chunk)
-                ys = weights[lo:hi] @ ring if keep else sums[lo:hi]
+                ys = (powers[lo:hi] @ ring_f).view(y.dtype) if keep else sums[lo:hi]
                 record(first + lo, ys, integrals[lo:hi])
         acc += h * gain
         if i <= n_rec and i * n_steps == (step + 1) * n_rec:
@@ -368,22 +399,135 @@ def liouvillian(h: Operator, collapse: list[Operator]) -> sparse.csr_array:
     return sparse.csr_array(lv)
 
 
-def norm1(a: sparse.csr_array) -> float:
-    """The 1-norm (max column sum) of a sparse generator, exactly."""
-    return float(abs(a).sum(axis=0).max())
+def norm_bound(a: sparse.csr_array) -> float:
+    """sqrt(||a||_1 ||a||_inf), exactly: an upper bound on ||a||_2, and so on
+    the real generator of a Liouvillian in the norm of ``real_generator``."""
+    mod = abs(a)
+    return sqrt(float(mod.sum(axis=0).max()) * float(mod.sum(axis=1).max()))
+
+
+@lru_cache
+def _scatter(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the real and imaginary parts of the entries of a dim x dim rho
+    sit in its real coordinates u: rho.view(float).ravel() = u[index] * sign,
+    with Re rho_ij at (min(i, j), max(i, j)) and Im rho_ij at (max(i, j),
+    min(i, j)) with the sign of j - i."""
+    at = np.arange(dim * dim).reshape(dim, dim)
+    index = np.stack((np.minimum(at, at.T), np.maximum(at, at.T)), axis=-1)
+    sign = np.stack((np.ones((dim, dim)), np.sign(at.T - at)), axis=-1)
+    return index.ravel(), sign.ravel()
+
+
+def hermitian_coords(rho: np.ndarray) -> np.ndarray:
+    """The D² real coordinates of a D x D Hermitian rho, flattened from the
+    D x D array whose diagonal and upper triangle hold rho_ii and Re rho_ij
+    and whose entry (j, i) below the diagonal holds Im rho_ij (i < j)."""
+    return (np.triu(rho.real) + np.tril(rho.imag.T, -1)).reshape(-1)
+
+
+def density_matrices(us: np.ndarray, dim: int) -> np.ndarray:
+    """The (k, dim, dim) Hermitian matrices of the k rows of coordinates us
+    (``hermitian_coords``), by a scatter of each coordinate to its entries."""
+    index, sign = _scatter(dim)
+    rho = np.take(us, index, axis=1)
+    rho *= sign
+    return rho.view(complex).reshape(-1, dim, dim)
+
+
+def real_generator(lv: sparse.csr_array) -> tuple[sparse.csr_array, float]:
+    """The real sparse generator R of the coordinates u (``hermitian_coords``)
+    under the Liouvillian lv of a dim x dim rho, and the part of lv that
+    does not keep rho Hermitian, which R cannot hold, relative to ||lv||_1
+    (``_dropped``).
+
+    With T the map from u to vec(rho), column (a, b) of L T is column (a, b)
+    of L for a = b; for a != b, column (a, b) of L feeds the coordinates of
+    the pair {a, b}, Re rho_ab with weight 1 and Im rho_ab with weight i
+    (a < b) or -i (a > b). Row (i, j) of R is Re of row (i, j) of L T for
+    i <= j, and -Im of it for i > j, where coordinate (i, j) holds
+    Im rho_ji = -Im rho_ij; each entry of R is an entry of L or the sum of
+    two, and T R = L T when L keeps rho Hermitian.
+
+    The entries of L are read ENTRY_BLOCK at a time, so that the build
+    takes little memory beyond R's."""
+    if not lv.has_canonical_format:
+        lv = lv.copy()
+        lv.sum_duplicates()
+    dim = isqrt(lv.shape[0])
+    dropped = _dropped(lv, dim)
+    gen = sparse.csr_array(_real_entries(lv, dim), shape=lv.shape)
+    gen.sum_duplicates()
+    gen.eliminate_zeros()
+    # a copy, so as not to hold the arrays sized for the unsummed entries
+    return gen.copy(), dropped
+
+
+def _rows(lv: sparse.csr_array) -> np.ndarray:
+    """The row of each entry of lv."""
+    return np.repeat(np.arange(lv.shape[0], dtype=lv.indices.dtype), np.diff(lv.indptr))
+
+
+def _real_entries(lv: sparse.csr_array, dim: int) -> tuple:
+    """(data, indices, indptr) of R before its duplicates are summed: each
+    entry of L gives the entry of the Re coordinate of its pair and, off the
+    diagonal columns, the entry of the Im coordinate next to it."""
+    rows = _rows(lv)
+    off = lv.indices % dim != lv.indices // dim
+    # the entries of R that come before each entry of L
+    before = np.arange(lv.nnz + 1, dtype=lv.indices.dtype)
+    before[1:] += np.cumsum(off, dtype=before.dtype)
+    vals = np.empty(before[-1])
+    cols = np.empty(before[-1], dtype=lv.indices.dtype)
+    for lo in range(0, lv.nnz, ENTRY_BLOCK):
+        block = slice(lo, lo + ENTRY_BLOCK)
+        c, v, at, o = lv.indices[block], lv.data[block], before[:-1][block], off[block]
+        a, b = np.divmod(c, dim)
+        upper = rows[block] // dim <= rows[block] % dim
+        cols[at] = np.where(a > b, b * dim + a, c)
+        vals[at] = np.where(upper, v.real, -v.imag)
+        # the Im coordinate: Re(+-i v) on rows i <= j, -Im(+-i v) below
+        cols[at[o] + 1] = np.where(a > b, c, b * dim + a)[o]
+        vals[at[o] + 1] = (np.sign(a - b) * np.where(upper, v.imag, v.real))[o]
+    return vals, cols, before[lv.indptr]
+
+
+def _dropped(lv: sparse.csr_array, dim: int) -> float:
+    """The part of the canonical Liouvillian lv that does not keep rho
+    Hermitian, relative to ||lv||_1: the 1-norm of L - conj(P L P), P the
+    transposition (i, j) -> (j, i) of vec(rho), whose entry ((j, i), (b, a))
+    is that entry of L minus the conjugate of entry ((i, j), (a, b)). It is
+    0 exactly when T R = L T. Each mirror entry is found by a search of the
+    row-major sorted entries, ENTRY_BLOCK entries at a time."""
+    n = lv.shape[0]
+    rows = _rows(lv)
+    key = rows.astype(np.int64) * n + lv.indices
+    column = np.zeros(n)
+    for lo in range(0, lv.nnz, ENTRY_BLOCK):
+        block = slice(lo, lo + ENTRY_BLOCK)
+        r, c, v = rows[block].astype(np.int64), lv.indices[block], lv.data[block]
+        mirror = c % dim * dim + c // dim
+        mirror_key = (r % dim * dim + r // dim) * n + mirror
+        at = np.minimum(np.searchsorted(key, mirror_key), lv.nnz - 1)
+        found = key[at] == mirror_key
+        column += np.bincount(c, np.abs(v - np.where(found, lv.data[at], 0).conj()), n)
+        # where the mirror entry is missing, its difference is its partner's modulus
+        column += np.bincount(mirror[~found], np.abs(v[~found]), n)
+    scale = float(abs(lv).sum(axis=0).max())
+    return float(column.max()) / scale if scale else 0.0
 
 
 def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
            grid: TimeGrid, observables: list[Operator],
            gamma: float = 0.0, lv: sparse.csr_array | None = None,
            norm: float | None = None) -> Trajectory:
-    """Integrate drho/dt = -i[H,rho] + sum_k (L rho L† - {L†L, rho}/2).
+    """Integrate drho/dt = -i[H,rho] + sum_k (L rho L† - {L†L, rho}/2) in the
+    real coordinates of rho (``hermitian_coords``), one product with the real
+    generator (``real_generator``) per Taylor term.
 
     Parameters
     ----------
     h : Operator
-        Hamiltonian; must read ``h.hermitian`` (measured from its matrix,
-        not checked here).
+        Hamiltonian; refused unless it reads ``h.hermitian``.
     collapse : list of Operator
         Collapse channels L_k (rates folded into the operators).
     rho0 : DensityMatrix
@@ -394,15 +538,18 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
         observables[0] must be the collective number operator (it feeds the
         subradiant accumulator); observables[1], when present, the qubit
         excitation projector. Further entries land in Trajectory.extra.
+        Each reads Re Tr(O rho).
     gamma : float
         Bookkeeping rate for the subradiant accounting,
         subradiant_n(t) = gamma * int_0^t <observables[0]> dt'.
     lv : sparse.csr_array, optional
-        ``liouvillian(h, collapse)``, when the caller has built it already.
+        ``liouvillian(h, collapse)``, when the caller has built it already;
+        the real generator is built from it. A generator whose dropped part
+        exceeds HERMITICITY_TOL is refused with an IntegrationError.
     norm : float, optional
-        ``norm1(lv)``, when the caller has computed it already. The guard
-        reads it above degree 4 and ``omega_max(h, collapse)`` at degree 4;
-        only the one it reads is computed here.
+        ``norm_bound(lv)``, when the caller has computed it already. The
+        guard reads it above degree 4 and ``omega_max(h, collapse)`` at
+        degree 4; only the one it reads is computed here.
     """
     if not observables:
         raise ValueError("need at least the collective number observable")
@@ -411,17 +558,27 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
             raise ValueError(
                 f"dimension mismatch: {op.dims.factors} vs state {rho0.dims.factors}"
             )
+    if not h.hermitian:
+        raise ValueError(f"the Hamiltonian must be Hermitian: |H - H†| exceeds {HERM_TOL:g}")
 
     if lv is None:
         lv = liouvillian(h, collapse)
     wmax = omega_max(h, collapse) if grid.degree == 4 else None
     if grid.degree > 4 and norm is None:
-        norm = norm1(lv)
+        norm = norm_bound(lv)
     check_stability(grid, wmax, norm)
-    # row k is vec(O_kᵀ), so readout @ vec(rho) = [Tr(O_k rho)]_k
-    readout = np.array([op.mat.T.reshape(-1) for op in observables], dtype=complex)
-    num_vec = readout[0]
+    gen, herm_err = real_generator(lv)
+    if herm_err > HERMITICITY_TOL:
+        raise IntegrationError(f"the generator does not keep rho Hermitian: that part "
+                               f"is {herm_err:.3g} of ||L||_1 > {HERMITICITY_TOL:g}")
     dim = rho0.dims.dim
+    index, sign = _scatter(dim)
+    diag = np.arange(dim) * (dim + 1)
+    # row k holds Re Tr(O_k rho) = sum_ij Re((O_k)_ji) Re rho_ij - Im((O_k)_ji)
+    # Im rho_ij on the coordinates
+    readout = np.array([np.bincount(index, op.mat.T.conj().reshape(-1).view(float) * sign,
+                                     dim * dim) for op in observables])
+    num_vec = readout[0]
 
     n_rec = grid.n_record
     n_extra = max(0, len(observables) - 2)
@@ -431,24 +588,20 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
         "subradiant_n": np.empty(n_rec + 1),
         "trace_err": np.empty(n_rec + 1),
         "min_eig": np.empty(n_rec + 1),
-        "herm_err": np.empty(n_rec + 1),
     }
     extra = np.empty((n_rec + 1, n_extra)) if n_extra else None
 
-    def record(first, ys, integrals):
-        block = slice(first, first + len(ys))
-        values = (ys @ readout.T).real
+    def record(first, us, integrals):
+        block = slice(first, first + len(us))
+        values = us @ readout.T
         rec["collective_n"][block] = values[:, 0]
         if len(observables) > 1:
             rec["qubit_excited"][block] = values[:, 1]
         if extra is not None:
             extra[block] = values[:, 2:]
         rec["subradiant_n"][block] = gamma * integrals
-        rho = ys.reshape(-1, dim, dim)
-        rho_h = rho.conj().transpose(0, 2, 1)
-        rec["trace_err"][block] = np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)
-        rec["herm_err"][block] = np.max(np.abs(rho - rho_h), axis=(1, 2))
-        min_eig = np.linalg.eigvalsh(0.5 * (rho + rho_h))[:, 0]
+        rec["trace_err"][block] = np.abs(us[:, diag].sum(axis=1) - 1.0)
+        min_eig = np.linalg.eigvalsh(density_matrices(us, dim))[:, 0]
         rec["min_eig"][block] = min_eig
         bad = np.flatnonzero(min_eig < -POSITIVITY_TOL)
         if bad.size:
@@ -457,13 +610,22 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
                 f"positivity violated at t={grid.times[i]:.6g}: "
                 f"min eig {rec['min_eig'][i]:.3g}, trace err {rec['trace_err'][i]:.3g}")
 
-    rk4(lambda y: lv @ y, rho0.mat.reshape(-1), grid, record,
-        integrand=lambda y: float(np.dot(num_vec, y).real))
+    n = gen.shape[0]
+    out = np.empty(n)
+
+    def product(u):
+        # scipy's kernel behind gen @ u, into one scratch row: out += gen u
+        out.fill(0.0)
+        csr_matvec(n, n, gen.indptr, gen.indices, gen.data, u, out)
+        return out
+
+    rk4(product, hermitian_coords(rho0.mat), grid, record,
+        integrand=lambda u: float(np.dot(num_vec, u)))
 
     if rec["trace_err"][-1] > TRACE_TOL:
         raise IntegrationError(f"final trace error {rec['trace_err'][-1]:.3g} > {TRACE_TOL}")
 
-    return Trajectory(times=grid.times, extra=extra, **rec)
+    return Trajectory(times=grid.times, extra=extra, herm_err=herm_err, **rec)
 
 
 def readout_gain(traj_e: Trajectory, traj_g: Trajectory) -> np.ndarray:

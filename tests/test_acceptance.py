@@ -241,7 +241,7 @@ class TestCriterion7NumericalHygiene:
                  + list(fig3["traj"].values()) + list(fig3["doubled"].values())
                  + [conservation_run] + list(anc_runs.values()))
         trace = max(t.trace_err.max() for t in trajs)
-        herm = max(t.herm_err.max() for t in trajs)
+        herm = max(t.herm_err for t in trajs)
         eig = min(t.min_eig.min() for t in trajs)
         passed = trace < 1e-7 and herm < 1e-9 and eig >= -1e-6
         report("criterion-7 state hygiene", passed,

@@ -77,6 +77,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="key=value"):
             apply_overrides(load_config(None), ["fock_cutoff"])
 
+    @pytest.mark.parametrize("cfg, kind", [([], "list"), (None, "NoneType"), (5, "int")])
+    def test_resolve_refuses_a_config_that_is_not_a_dict(self, cfg, kind):
+        with pytest.raises(ConfigError, match=f"config must be a dict of settings, got {kind}"):
+            resolve_config(cfg, "figure2")
+
     def test_resolve_defaults_per_experiment(self):
         rc2 = resolve_config(load_config(None), "figure2")
         rc3 = resolve_config(load_config(None), "figure3")
@@ -590,20 +595,21 @@ class TestPlanChoice:
         grid, rk = self.grid(fig_params, 0.0025, 1000, d)
         assert grid.degree > 4 and grid.n_steps < grid.n_record
         assert grid.applications < rk.applications
-        assert grid.buffer((2 * d) ** 2) * 16 * (2 * d) ** 2 <= dynamics.STEP_BUFFER_BYTES
+        nbytes = 8 * (2 * d) ** 2  # the real coordinates of rho
+        assert grid.buffer(nbytes) * nbytes <= dynamics.STEP_BUFFER_BYTES
 
     def test_step_heavy_shape_takes_the_taylor_plan(self, fig_params):
         grid, rk = self.grid(fig_params, 0.005, 50)
         assert grid.degree > 4
         assert grid.applications < rk.applications
 
-    @pytest.mark.parametrize("n_steps, calls", [(0, {"omega_max": 0, "norm1": 1}),
-                                                (400, {"omega_max": 1, "norm1": 0})])
+    @pytest.mark.parametrize("n_steps, calls", [(0, {"omega_max": 0, "norm_bound": 1}),
+                                                (400, {"omega_max": 1, "norm_bound": 0})])
     def test_branch_computes_each_norm_once(self, fig_params, monkeypatch, n_steps,
                                             calls):
-        # a planned run computes the 1-norm it plans on and hands it to the
-        # guard; a fixed RK4 grid needs only omega_max
-        counts = {"omega_max": 0, "norm1": 0}
+        # a planned run computes the 2-norm bound it plans on and hands it to
+        # the guard; a fixed RK4 grid needs only omega_max
+        counts = {"omega_max": 0, "norm_bound": 0}
         for name in counts:
             def counted(*args, _name=name, _fn=getattr(dynamics, name)):
                 counts[_name] += 1
@@ -624,11 +630,12 @@ class TestPlanChoice:
             reruns.append(result[1])
             return result
         monkeypatch.setattr(cli, "_run_branch_meta", recorded)
-        dev = cli._check_timestep(fig_params, 6, base, grid)
+        dev, plan = cli._check_timestep(fig_params, 6, base, grid)
         [half] = reruns
         assert (half.n_steps, half.n_record, half.degree) == (2 * grid.n_steps, 50,
                                                               grid.degree)
         assert 0.0 < dev < cli.TIMESTEP_TOL
+        assert plan == cli._plan(half, 8 * 12 ** 2)
 
     # the benchmark shapes, the default figure 2 and figure 3 windows at the
     # production cutoff and its doubling, for every swept gamma
@@ -640,8 +647,8 @@ class TestPlanChoice:
             p = SystemParams.from_mhz(nu_t=412.5, nu_bar=0.0, g=75.0, lambda_d=40.0,
                                       gamma=gamma)
             grid, _ = self.grid(p, t_end, n_record, d)
-            assert grid.buffer((2 * d) ** 2) * 16 * (2 * d) ** 2 \
-                <= dynamics.STEP_BUFFER_BYTES
+            nbytes = 8 * (2 * d) ** 2
+            assert grid.buffer(nbytes) * nbytes <= dynamics.STEP_BUFFER_BYTES
             if (t_end, n_record, d, gamma) == (0.5, 500, 16, 12.5):  # default figure2
                 assert grid.applications <= 25_000
 
@@ -650,9 +657,10 @@ class TestPlanChoice:
         p = fig_params
         sample = sample_frequencies(2000, p.omega_bar, p.gamma, seed,
                                     g_collective=p.g_collective)
+        nbytes = 16 * (sample.n + 1)  # complex amplitudes
         grid = TimeGrid.taylor(arrowhead_norm(sample, p.delta), 0.0, 3.0 / p.gamma, 400,
-                               size=sample.n + 1)
-        assert grid.buffer(sample.n + 1) * 16 * (sample.n + 1) <= dynamics.STEP_BUFFER_BYTES
+                               nbytes=nbytes)
+        assert grid.buffer(nbytes) * nbytes <= dynamics.STEP_BUFFER_BYTES
         assert grid.n_steps < grid.n_record  # records inside steps
 
 
@@ -681,9 +689,10 @@ class TestPlanTelemetry:
         for m, n, dt, applications, held in per_run:
             grid = TimeGrid(0.0, 0.01, n, degree=m, n_record=10)
             assert dt == grid.dt and applications == m * n
-            assert held == grid.buffer(meta["generator_dim"])
+            nbytes = 8 * meta["generator_dim"]  # the real coordinates of rho
+            assert held == grid.buffer(nbytes)
             assert held == (m + 1 if n % 10 else 0)
-            assert held * 16 * meta["generator_dim"] <= dynamics.STEP_BUFFER_BYTES
+            assert held * nbytes <= dynamics.STEP_BUFFER_BYTES
 
     @pytest.mark.parametrize("experiment, gammas", [("figure2", {"12.5"}),
                                                     ("figure3", {"10.0", "25.0"})])
@@ -697,6 +706,18 @@ class TestPlanTelemetry:
         assert set(per_gamma) == gammas
         assert set(meta["checks"]) == {"cutoff_convergence", "timestep_convergence"}
         assert meta["checks"]["cutoff_convergence"] == max(per_gamma.values())
+        # the reruns' plans: cutoff doubling per gamma at d=12, and step
+        # halving of the smallest gamma's plan at d=6
+        plans = meta["convergence_plans"]
+        assert set(plans["cutoff_doubling"]) == gammas
+        for plan in [*plans["cutoff_doubling"].values(), plans["step_halving"]]:
+            assert plan["applications"] == plan["degree"] * plan["n_steps"]
+        smallest = min(gammas, key=float)
+        degree = meta["degree"] if experiment == "figure2" else meta["degree"][smallest]
+        n_steps = (meta["n_steps"] if experiment == "figure2"
+                   else meta["n_steps"][smallest])
+        assert plans["step_halving"] == cli._plan(
+            TimeGrid(0.0, 0.01, 2 * n_steps, 10, degree), 8 * 12 ** 2)
 
     def test_validate_report_records_the_plans(self, tmp_path):
         cfg = write_config(tmp_path, {"fock_cutoff": 8, "seeds": [11],
@@ -705,6 +726,8 @@ class TestPlanTelemetry:
         assert main(["validate", "--config", cfg, "--out", out]) == 0
         report = json.loads(Path(out).read_text(encoding="utf-8"))
         assert set(report["plans"]) == {"conservation", "short_window",
+                                        "short_window_cutoff_doubling",
+                                        "short_window_step_halving",
                                         "analytic_steady_e", "analytic_steady_g",
                                         "oracle_seed_11"}
         for plan in report["plans"].values():
@@ -738,7 +761,7 @@ class TestPlanTelemetry:
             assert 0.0 <= entry["norm_drift"] < 1e-12
             plan = report["plans"][f"oracle_seed_{seed}"]
             assert plan["applications"] == TimeGrid.taylor(
-                entry["plan_norm"], 0.0, 3.0 / p.gamma, 400, size=2001).applications
+                entry["plan_norm"], 0.0, 3.0 / p.gamma, 400, nbytes=16 * 2001).applications
         assert checks["oracle_traceout"] == max(e["envelope_deviation"]
                                                 for e in per_seed.values())
         assert checks["oracle_norm"] == max(e["norm_drift"] for e in per_seed.values())

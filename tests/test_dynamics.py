@@ -10,7 +10,8 @@ from spinamp.analytic import excited_population, ground_population
 from spinamp.dynamics import (DT_FACTOR, PLAN_MAX_DEGREE, POSITIVITY_TOL,
                               RECORD_BLOCK_BYTES, STEP_BUFFER_BYTES, TAYLOR_THETA,
                               TERM_BLOCK, IntegrationError, StabilityError, TimeGrid,
-                              evolve, liouvillian, norm1, omega_max, rk4, readout_gain)
+                              density_matrices, evolve, hermitian_coords, liouvillian,
+                              norm_bound, omega_max, real_generator, rk4, readout_gain)
 from spinamp.hilbert import (DensityMatrix, Operator, SpaceDims, identity,
                              kron, ladder)
 from spinamp.model import SystemParams, build_anc, build_drive, build_hc, collapse_ops
@@ -119,7 +120,7 @@ class TestEvolve:
         np.testing.assert_array_equal(traj.total_n,
                                       traj.collective_n + traj.subradiant_n)
         assert traj.trace_err.max() < 1e-7
-        assert traj.herm_err.max() < 1e-9
+        assert traj.herm_err < 1e-9
         assert traj.min_eig.min() >= -1e-6
 
     def test_dimension_mismatch(self, fig_params):
@@ -162,7 +163,7 @@ class TestEvolve:
         jump = np.sqrt(gamma) * ladder(2)
         lv = liouvillian(h, [jump]) - 2 * sparse.kron(jump.mat, jump.mat.conj())
         grid = TimeGrid(0.0, 1.0, 1, 20, degree=16)
-        assert dynamics._block_rows(4) >= 19
+        assert dynamics._block_rows(8 * 4) >= 19
         t = grid.times[8]
         with pytest.raises(IntegrationError,
                            match=f"positivity violated at t={t:.6g}: min eig "
@@ -376,6 +377,144 @@ class TestLiouvillian:
                                        rtol=0.0, atol=1e-12, err_msg=name)
 
 
+def random_hermitian(rng, dim):
+    x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return x + x.conj().T  # Hermitian to the last bit
+
+
+class TestRealCoordinates:
+    """The real Hermitian coordinates of rho and the real generator on them."""
+
+    @pytest.mark.parametrize("dim", [2, 12, 64])
+    def test_round_trips_are_exact(self, dim):
+        rng = np.random.default_rng(dim)
+        rho = random_hermitian(rng, dim)
+        u = hermitian_coords(rho)
+        assert u.shape == (dim * dim,) and u.dtype == float
+        np.testing.assert_array_equal(density_matrices(u[None], dim)[0], rho)
+        us = rng.normal(size=(3, dim * dim))
+        back = np.array([hermitian_coords(r) for r in density_matrices(us, dim)])
+        np.testing.assert_array_equal(back, us)
+
+    @pytest.mark.parametrize("d", [4, 16, 32])
+    def test_generator_is_the_liouvillian_on_the_coordinates(self, fig_params, d):
+        # T R u = L T u on random Hermitian rho, to rounding, and the model's
+        # generator loses nothing to the coordinates
+        h = build_hc(fig_params, d) + build_drive(fig_params, d)
+        lv = liouvillian(h, collapse_ops(fig_params, d))
+        gen, dropped = real_generator(lv)
+        assert dropped == 0.0
+        assert gen.dtype == float and gen.shape == lv.shape
+        rng = np.random.default_rng(d)
+        for _ in range(3):
+            rho = random_hermitian(rng, 2 * d)
+            exact = (lv @ rho.reshape(-1)).reshape(2 * d, 2 * d)
+            got = density_matrices((gen @ hermitian_coords(rho))[None], 2 * d)[0]
+            assert np.max(np.abs(got - exact)) <= 1e-14 * np.max(np.abs(exact))
+
+    def test_plan_bound_holds_for_the_real_generator(self, fig_params):
+        # power iteration on RᵀR, plain and in the norm that gives u the
+        # Frobenius norm of its rho (weights 1 on the diagonal and 2 off
+        # it): both stay below the bound, and ||R||_1 lies well above it
+        d = 16
+        h = build_hc(fig_params, d) + build_drive(fig_params, d)
+        lv = liouvillian(h, collapse_ops(fig_params, d))
+        gen, _ = real_generator(lv)
+        root = np.sqrt(np.where(np.eye(2 * d, dtype=bool), 1.0, 2.0)).reshape(-1)
+        rng = np.random.default_rng(5)
+        for weight in (np.ones_like(root), root):
+            v = rng.normal(size=gen.shape[0])
+            for _ in range(300):
+                w = weight * (gen @ (v / weight))
+                v = (gen.T @ (w / weight)) / weight
+                v /= np.linalg.norm(v)
+            norm2 = np.linalg.norm(weight * (gen @ (v / weight)))
+            assert norm2 <= norm_bound(lv)
+        assert float(abs(gen).sum(axis=0).max()) > 1.2 * norm_bound(lv)
+
+    @pytest.mark.parametrize("kind", ["real generator", "complex Liouvillian"])
+    def test_kernel_is_the_sparse_product_to_the_bit(self, fig_params, kind):
+        # evolve calls scipy's private CSR kernel directly; it must give the
+        # bits of the public product
+        d = 8
+        h = build_hc(fig_params, d) + build_drive(fig_params, d)
+        lv = liouvillian(h, collapse_ops(fig_params, d))
+        rho = random_hermitian(np.random.default_rng(1), 2 * d)
+        a, x = ((real_generator(lv)[0], hermitian_coords(rho)) if kind == "real generator"
+                else (lv, rho.reshape(-1)))
+        out = np.zeros(a.shape[0], dtype=a.dtype)
+        dynamics.csr_matvec(a.shape[0], a.shape[1], a.indptr, a.indices, a.data, x, out)
+        assert np.array_equal(out, a @ x)
+
+    def test_non_hermitian_hamiltonian_is_refused(self, fig_params):
+        d = 4
+        h = build_hc(fig_params, d)
+        skew = h + Operator(h.dims, 1e-6j * np.eye(2 * d))
+        rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1, 0)
+        grid = TimeGrid(0.0, 0.001, 1, 1, degree=16)
+        with pytest.raises(ValueError, match="Hamiltonian must be Hermitian"):
+            evolve(skew, [], rho0, grid, [joint_observables(d)[0]])
+
+    @pytest.mark.parametrize("extra", ["B rho", "i c rho"])
+    def test_generator_that_breaks_hermiticity_is_refused(self, fig_params, extra):
+        # L rho + B rho with a real upper-triangular B, which adds entries
+        # without mirror entries, and L rho + 0.001i rho, which keeps the
+        # pattern of L: neither is Hermitian for Hermitian rho, so the
+        # coordinates would drop a part; the part is measured as the dense
+        # 1-norm of L - conj(P L P) and refused
+        d = 4
+        n = (2 * d) ** 2
+        h = build_hc(fig_params, d)
+        ops = collapse_ops(fig_params, d)
+        lv = liouvillian(h, ops)
+        if extra == "B rho":
+            lv = lv + sparse.kron(np.triu(np.ones((2 * d, 2 * d))), np.eye(2 * d))
+        else:
+            lv = lv + 1e-3j * sparse.eye_array(n)
+        lv = sparse.csr_array(lv)
+        dense = lv.toarray()
+        mirror = np.arange(n) % (2 * d) * (2 * d) + np.arange(n) // (2 * d)
+        expected = (np.abs(dense - dense[mirror][:, mirror].conj()).sum(axis=0).max()
+                    / np.abs(dense).sum(axis=0).max())
+        _, dropped = real_generator(lv)
+        assert dropped == pytest.approx(expected, rel=1e-12)
+        assert dropped > dynamics.HERMITICITY_TOL
+        rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1, 0)
+        grid = TimeGrid(0.0, 0.001, 1, 1, degree=16)
+        with pytest.raises(IntegrationError, match="does not keep rho Hermitian"):
+            evolve(h, ops, rho0, grid, [joint_observables(d)[0]], lv=lv, norm=1.0)
+
+    def test_run_matches_the_matrix_exponential_with_complex_observables(self):
+        # a real-coordinate run at d=4 against exp(tL) vec(rho0), read out
+        # through the quadratures a + a† and i(a† - a), whose matrices are
+        # real and imaginary
+        p, h, ops = driven_model(4)
+        a = kron(identity(SpaceDims((2,))), ladder(4))
+        quads = [a + a.dag(), 1j * (a.dag() - a)]
+        lv = liouvillian(h, ops)
+        rho0 = DensityMatrix.basis(SpaceDims((2, 4)), 1, 0)
+        t_end, n_record = 0.01, 20
+        grid = TimeGrid.taylor(norm_bound(lv), 0.0, t_end, n_record, nbytes=8 * 64)
+        traj = evolve(h, ops, rho0, grid, [*joint_observables(4), *quads], gamma=p.gamma)
+        step = expm(lv.toarray() * (t_end / n_record))
+        y = rho0.mat.reshape(-1)
+        for i in range(n_record + 1):
+            rho = y.reshape(8, 8)
+            for j, op in enumerate(quads):
+                assert abs(traj.extra[i, j] - np.trace(op.mat @ rho).real) <= 1e-12
+            y = step @ y
+
+    def test_trajectory_reads_the_measured_hermiticity(self, fig_params):
+        d = 4
+        h = build_hc(fig_params, d) + build_drive(fig_params, d)
+        ops = collapse_ops(fig_params, d)
+        lv = liouvillian(h, ops)
+        rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1, 0)
+        grid = TimeGrid.taylor(norm_bound(lv), 0.0, 0.001, 10, nbytes=8 * lv.shape[0])
+        traj = evolve(h, ops, rho0, grid, list(joint_observables(d)), lv=lv)
+        assert traj.herm_err == real_generator(lv)[1] == 0.0
+
+
 class TestTaylorCore:
     """The shared stepper at degrees above 4, on y' = lam * y."""
 
@@ -416,7 +555,7 @@ class TestTaylorCore:
         for budget, block in [(STEP_BUFFER_BYTES, RECORD_BLOCK_BYTES), (0, 3 * 16)]:
             monkeypatch.setattr(dynamics, "STEP_BUFFER_BYTES", budget)
             monkeypatch.setattr(dynamics, "RECORD_BLOCK_BYTES", block)
-            assert grid.buffer(1) == (degree + 1 if budget else inner + TERM_BLOCK)
+            assert grid.buffer(16) == (degree + 1 if budget else inner + TERM_BLOCK)
             seen, blocks = {}, []
 
             def record(first, ys, integrals):
@@ -451,21 +590,27 @@ def inner_records(n_steps, n_record):
     return int(np.bincount((k * n_steps // n_record)[inside]).max()) if inside.any() else 0
 
 
-def accumulators(inner, size):
+def accumulators(inner, nbytes):
     """One accumulator per record and a ring of terms that fills the rest of
     the step buffer, or holds TERM_BLOCK terms where the buffer is too small
     for that."""
-    return max(STEP_BUFFER_BYTES // (16 * size), inner + TERM_BLOCK)
+    return max(STEP_BUFFER_BYTES // nbytes, inner + TERM_BLOCK)
 
 
-def held(degree, inner, size):
+def held(degree, inner, nbytes):
     """No rows when every record falls on a step end; the degree + 1 terms
     when they fit the step buffer; otherwise the accumulators and the ring."""
     if not inner:
         return 0
-    if (degree + 1) * 16 * size <= STEP_BUFFER_BYTES:
+    if (degree + 1) * nbytes <= STEP_BUFFER_BYTES:
         return degree + 1
-    return accumulators(inner, size)
+    return accumulators(inner, nbytes)
+
+
+# bytes of one state vector: a complex scalar, the real coordinates at d=16
+# and d=32, the N=2000 oracle's complex amplitudes, and vectors too long for
+# any buffer and for even a single vector of it
+STATE_BYTES = (16, 8 * 1024, 16 * 2001, 8 * 4096, 16 << 16, 16 << 17)
 
 
 def plain_steps(rhs, y0, grid, integrand):
@@ -493,46 +638,41 @@ class TestTaylorPlan:
         (1, 1), (1, 7), (7, 1), (3, 10), (7, 3), (5, 50), (50, 5), (63, 1000),
         (14, 50), (12, 18), (1000, 1000), (999, 1000)])
     def test_step_buffer_counts_the_records_inside_a_step(self, n_steps, n_record):
-        # for state vectors from one entry through the d=16 and d=32
-        # Liouvillians and the N=2000 oracle to one too long for any buffer,
-        # and to one too long for even a single vector of it
         inner = inner_records(n_steps, n_record)
         for degree in (4, 16, 50):
             grid = TimeGrid(0.0, 1.0, n_steps, n_record, degree)
-            for size in (1, 1024, 2001, 4096, 1 << 16, 1 << 17):
-                assert grid.buffer(size) == held(degree, inner, size)
+            for nbytes in STATE_BYTES:
+                assert grid.buffer(nbytes) == held(degree, inner, nbytes)
                 # a grid fits the buffer exactly when no record falls inside
                 # a step, or the terms fit, or the accumulators leave room for
                 # a ring of TERM_BLOCK terms
-                room = STEP_BUFFER_BYTES // (16 * size)
+                room = STEP_BUFFER_BYTES // nbytes
                 fits = not inner or degree + 1 <= room or inner + TERM_BLOCK <= room
-                assert (grid.buffer(size) <= room) == fits
+                assert (grid.buffer(nbytes) <= room) == fits
 
     @pytest.mark.parametrize("norm, t_end, n_record", [
         (7870.65, 0.005, 50), (7870.65, 0.0025, 1000), (23700.0, 0.0382, 400),
         (11423.2, 0.5, 500), (1.0, 1e-6, 10), (5e5, 1.0, 3),
         (110.4, 1.0, 1)])  # fewest products (13, 50) beats fewest steps (12, 55)
     def test_fewest_products_at_unit_roundoff(self, norm, t_end, n_record):
-        # over the whole window, for state vectors from one entry (no buffer
-        # limit) through the d=16 and d=32 Liouvillians and the N=2000 oracle
-        # to one too long for any buffer, and one too long for even a single
-        # vector of it, where steps end on records
+        # over the whole window, for every STATE_BYTES; with a vector too
+        # long for a single one in the buffer, steps end on records
         span = norm * t_end
-        for size in (1, 1024, 2001, 4096, 1 << 16, 1 << 17):
-            grid = TimeGrid.taylor(norm, 0.0, t_end, n_record, size=size)
+        for nbytes in STATE_BYTES:
+            grid = TimeGrid.taylor(norm, 0.0, t_end, n_record, nbytes=nbytes)
             s, m = grid.n_steps, grid.degree
             assert grid.n_record == n_record and m <= PLAN_MAX_DEGREE
             assert s * TAYLOR_THETA[m] >= span
-            assert grid.buffer(size) * 16 * size <= STEP_BUFFER_BYTES
-            if size == 1 << 17:
-                assert grid.n_steps % n_record == 0 and grid.buffer(size) == 0
+            assert grid.buffer(nbytes) * nbytes <= STEP_BUFFER_BYTES
+            if nbytes == 16 << 17:
+                assert grid.n_steps % n_record == 0 and grid.buffer(nbytes) == 0
             # no other plan within the bound and the buffer has fewer products
             for other, theta in TAYLOR_THETA.items():
                 if other > PLAN_MAX_DEGREE:
                     continue
                 for steps in range(max(1, int(np.ceil(span / theta))),
                                    m * s // other + 1):
-                    if held(other, inner_records(steps, n_record), size) * 16 * size \
+                    if held(other, inner_records(steps, n_record), nbytes) * nbytes \
                             <= STEP_BUFFER_BYTES:
                         assert (other * steps, other) >= (m * s, m)
 
@@ -545,7 +685,7 @@ class TestTaylorPlan:
         p, h, ops = driven_model()
         rho0 = DensityMatrix.basis(SpaceDims((2, 6)), 1, 0)
         num, _ = joint_observables(6)
-        norm = norm1(liouvillian(h, ops))
+        norm = norm_bound(liouvillian(h, ops))
         # 1.1 times the longest degree-16 step: too long for ||L||_1, though
         # not for the smaller row-sum bound omega_max
         t_end = 11 * TAYLOR_THETA[16] / norm
@@ -592,30 +732,32 @@ class TestTaylorPlan:
     def test_driven_run_matches_augmented_expm(self):
         _, h, ops = driven_model()
         t_end, n_record = 0.02, 40
-        grid = TimeGrid.taylor(norm1(liouvillian(h, ops)), 0.0, t_end, n_record)
+        grid = TimeGrid.taylor(norm_bound(liouvillian(h, ops)), 0.0, t_end, n_record)
         assert grid.degree > 4
         self.check_against_expm(grid, t_end, n_record)
 
     @pytest.mark.parametrize("n_record", [40, 1000])
-    def test_records_inside_steps_match_augmented_expm(self, n_record):
+    def test_records_inside_steps_match_augmented_expm(self, n_record, monkeypatch):
         # records strictly inside the steps of a whole-window plan, read off
         # the kept terms, against Van Loan's exact propagation from record to
         # record: with 40 records the accumulators and the smallest ring would
         # be fewer vectors than the terms, which are kept as they fit; with
-        # 1000 a step's records fill several blocks, the last one only in part
+        # 1000 a step's records fill several blocks of half the usual size,
+        # the last one only in part
+        monkeypatch.setattr(dynamics, "RECORD_BLOCK_BYTES", RECORD_BLOCK_BYTES // 2)
         _, h, ops = driven_model()
         lv = liouvillian(h, ops)
-        dim = lv.shape[0]
+        nbytes = 8 * lv.shape[0]  # the real coordinates of rho
         t_end = 0.02
-        grid = TimeGrid.taylor(norm1(lv), 0.0, t_end, n_record, size=dim)
+        grid = TimeGrid.taylor(norm_bound(lv), 0.0, t_end, n_record, nbytes=nbytes)
         assert grid.degree > 4 and grid.n_steps < n_record
-        assert grid.buffer(dim) == grid.degree + 1
+        assert grid.buffer(nbytes) == grid.degree + 1
         inner = inner_records(grid.n_steps, n_record)
         if n_record == 40:
             assert inner + TERM_BLOCK < grid.degree + 1
         else:
-            assert inner > dynamics._block_rows(dim)
-            assert inner % dynamics._block_rows(dim)
+            assert inner > dynamics._block_rows(nbytes)
+            assert inner % dynamics._block_rows(nbytes)
         self.check_against_expm(grid, t_end, n_record)
 
     @pytest.mark.parametrize("case", ["one record per step", "accumulators",
@@ -629,20 +771,20 @@ class TestTaylorPlan:
         # on a block of two
         _, h, ops = driven_model()
         lv = liouvillian(h, ops)
-        dim = lv.shape[0]
+        nbytes = 8 * lv.shape[0]  # the real coordinates of rho
         t_end = 0.02
         n_record, block = (70, 3) if "uneven" in case else (40, 2)
         if case == "one record per step":
-            plan = TimeGrid.taylor(norm1(lv), 0.0, t_end, n_record, size=dim)
+            plan = TimeGrid.taylor(norm_bound(lv), 0.0, t_end, n_record, nbytes=nbytes)
             grid = TimeGrid(0.0, t_end, n_record - 1, n_record, plan.degree)
             assert inner_records(grid.n_steps, n_record) == 1
-            assert grid.buffer(dim) == grid.degree + 1
+            assert grid.buffer(nbytes) == grid.degree + 1
         else:
-            monkeypatch.setattr(dynamics, "STEP_BUFFER_BYTES", 20 * 16 * dim)
-            monkeypatch.setattr(dynamics, "RECORD_BLOCK_BYTES", block * 16 * dim)
-            grid = TimeGrid.taylor(norm1(lv), 0.0, t_end, n_record, size=dim)
+            monkeypatch.setattr(dynamics, "STEP_BUFFER_BYTES", 20 * nbytes)
+            monkeypatch.setattr(dynamics, "RECORD_BLOCK_BYTES", block * nbytes)
+            grid = TimeGrid.taylor(norm_bound(lv), 0.0, t_end, n_record, nbytes=nbytes)
             inner = inner_records(grid.n_steps, n_record)
-            assert grid.buffer(dim) == 20 < grid.degree + 1
+            assert grid.buffer(nbytes) == 20 < grid.degree + 1
             assert TERM_BLOCK <= 20 - inner < (grid.degree + 1) // 2
             inside = [sum(j * n_record < k * grid.n_steps < (j + 1) * n_record
                           for k in range(n_record)) for j in range(grid.n_steps)]
@@ -661,8 +803,8 @@ class TestTaylorPlan:
             grid = TimeGrid.auto(h, 0.0, 0.002, n_record=10, collapse=ops)
         else:
             grid = TimeGrid(0.0, 0.02, 20, 10 if "ends" in case else 30, degree=50)
-        assert grid.buffer(lv.shape[0]) == (0 if "inside" not in case else 51)
         y0 = DensityMatrix.basis(SpaceDims((2, 6)), 1, 0).mat.reshape(-1)
+        assert grid.buffer(y0.nbytes) == (0 if "inside" not in case else 51)
         seen = {}
 
         def rhs(y):
@@ -687,7 +829,7 @@ class TestTaylorPlan:
         p, h, ops = driven_model()
         rho0 = DensityMatrix.basis(SpaceDims((2, 6)), 1, 0)
         num, _ = joint_observables(6)
-        norm = norm1(liouvillian(h, ops))
+        norm = norm_bound(liouvillian(h, ops))
         # three degree-16 steps over ten records, each step 1.1 times too long
         t_end = 3.3 * TAYLOR_THETA[16] / norm
         grid = TimeGrid(0.0, t_end, 3, 10, degree=16)
@@ -707,7 +849,7 @@ class TestTaylorPlan:
         ops = collapse_ops(fig_params, d)
         num, qubit = joint_observables(d)
         rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1, 0)
-        plan = TimeGrid.taylor(norm1(liouvillian(h, ops)), 0.0, 0.005, 50)
+        plan = TimeGrid.taylor(norm_bound(liouvillian(h, ops)), 0.0, 0.005, 50)
         rk = TimeGrid.auto(h, 0.0, 0.005, 50, ops, DT_FACTOR)
         assert plan.applications < rk.applications
         a = evolve(h, ops, rho0, plan, [num, qubit], gamma=fig_params.gamma)
