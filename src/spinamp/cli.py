@@ -296,32 +296,51 @@ def _rho_bytes(dim: int) -> int:
     return 8 * dim * dim
 
 
+def _generator(h: Operator, ops: list[Operator], norm: bool = True) -> tuple:
+    """(`dynamics.real_generator` of the Liouvillian of h and ops, and with
+    `norm` its `dynamics.norm_bound`, else None). The Liouvillian is built
+    once and not kept."""
+    lv = dynamics.liouvillian(h, ops)
+    return dynamics.real_generator(lv), dynamics.norm_bound(lv) if norm else None
+
+
 def _run(h: Operator, ops: list[Operator], rho0: DensityMatrix, observables: list,
          gamma: float, t_start: float, t_end: float, n_record: int, n_steps: int = 0,
-         degree: int = 4):
-    """One Lindblad run; returns (Trajectory, grid). The Liouvillian is built
-    once. The grid is the `TimeGrid.taylor` plan on the run's 2-norm bound,
-    which `evolve`'s guard reuses, or with n_steps set (the step-halving
-    rerun) n_steps steps of the given degree."""
-    lv = dynamics.liouvillian(h, ops)
-    norm = None
+         degree: int = 4, built: tuple | None = None):
+    """One Lindblad run; returns (Trajectory, grid). `built` is
+    `_generator(h, ops)` when runs of one model share it, else it is built
+    here, with the norm only where a plan or a guard reads it. The grid is
+    the `TimeGrid.taylor` plan on the run's 2-norm bound, which `evolve`'s
+    guard reuses, or with n_steps set (the step-halving rerun) n_steps steps
+    of the given degree."""
+    generator, norm = built or _generator(h, ops, norm=not n_steps or degree > 4)
     if n_steps:
         grid = dynamics.TimeGrid(t_start, t_end, n_steps, n_record, degree)
     else:
-        norm = dynamics.norm_bound(lv)
         grid = dynamics.TimeGrid.taylor(norm, t_start, t_end, n_record,
                                         nbytes=_rho_bytes(h.dim))
-    traj = dynamics.evolve(h, ops, rho0, grid, observables, gamma=gamma, lv=lv, norm=norm)
+    traj = dynamics.evolve(h, ops, rho0, grid, observables, gamma=gamma,
+                           generator=generator, norm=norm)
     return traj, grid
 
 
-def _run_branch_meta(p: SystemParams, d: int, state: str, t_start: float,
-                     t_end: float, n_record: int, n_steps: int = 0, degree: int = 4):
-    """One driven reduced-model run from |state, 0>; returns (Trajectory, grid)."""
+def _model(p: SystemParams, d: int, norm: bool = True) -> tuple:
+    """(h, ops, generator, norm) of the driven reduced model at cutoff d
+    (`_generator`), for one run or for the branches that share it."""
     h = build_hc(p, d) + build_drive(p, d)
+    ops = collapse_ops(p, d)
+    return (h, ops, *_generator(h, ops, norm))
+
+
+def _run_branch_meta(p: SystemParams, d: int, state: str, t_start: float,
+                     t_end: float, n_record: int, n_steps: int = 0, degree: int = 4,
+                     model: tuple | None = None):
+    """One driven reduced-model run from |state, 0>, on `_model(p, d)` when
+    the caller shares it between branches; returns (Trajectory, grid)."""
+    h, ops, *built = model or _model(p, d, norm=not n_steps or degree > 4)
     rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1 if state == "e" else 0, 0)
-    return _run(h, collapse_ops(p, d), rho0, _joint_observables(d), p.gamma, t_start,
-                t_end, n_record, n_steps, degree)
+    return _run(h, ops, rho0, _joint_observables(d), p.gamma, t_start, t_end, n_record,
+                n_steps, degree, built)
 
 
 def _max_normalized_dev(a: np.ndarray, b: np.ndarray) -> float:
@@ -333,9 +352,11 @@ def _check_cutoff(p, d, base: dict, grid) -> tuple[float, dict]:
     """Max-normalized change of the <A†A> curves {state: Trajectory} `base`,
     run over `grid`'s window and records, under cutoff doubling, and the
     `_plan` of the reruns (every branch takes the same one)."""
+    model = _model(p, 2 * d)
+
     def dev(state):
         doubled, rerun = _run_branch_meta(p, 2 * d, state, grid.t_start, grid.t_end,
-                                          grid.n_record)
+                                          grid.n_record, model=model)
         return _max_normalized_dev(base[state].collective_n, doubled.collective_n), rerun
     devs = _pmap(dev, base)
     return max(dev for dev, _ in devs), _plan(devs[0][1], _rho_bytes(4 * d))
@@ -451,8 +472,9 @@ def _branch_runs(rc: RunConfig, gammas) -> list:
     `_pmap` task each; both branches of a gamma value share its grid."""
     def run(g_mhz):
         p = SystemParams.from_mhz(**{**rc.params_mhz, "gamma": g_mhz})
+        model = _model(p, rc.fock_cutoff)
         runs = {s: _run_branch_meta(p, rc.fock_cutoff, s, rc.t_start, rc.t_end,
-                                    rc.n_record) for s in ("e", "g")}
+                                    rc.n_record, model=model) for s in ("e", "g")}
         return g_mhz, p, {s: traj for s, (traj, _) in runs.items()}, runs["e"][1]
     return _pmap(run, gammas)
 

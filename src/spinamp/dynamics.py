@@ -518,7 +518,7 @@ def _dropped(lv: sparse.csr_array, dim: int) -> float:
 
 def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
            grid: TimeGrid, observables: list[Operator],
-           gamma: float = 0.0, lv: sparse.csr_array | None = None,
+           gamma: float = 0.0, generator: tuple[sparse.csr_array, float] | None = None,
            norm: float | None = None) -> Trajectory:
     """Integrate drho/dt = -i[H,rho] + sum_k (L rho L† - {L†L, rho}/2) in the
     real coordinates of rho (``hermitian_coords``), one product with the real
@@ -542,14 +542,17 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
     gamma : float
         Bookkeeping rate for the subradiant accounting,
         subradiant_n(t) = gamma * int_0^t <observables[0]> dt'.
-    lv : sparse.csr_array, optional
-        ``liouvillian(h, collapse)``, when the caller has built it already;
-        the real generator is built from it. A generator whose dropped part
-        exceeds HERMITICITY_TOL is refused with an IntegrationError.
+    generator : (sparse.csr_array, float), optional
+        ``real_generator(liouvillian(h, collapse))``, when the caller has
+        built it already, so that runs of one model share it. A generator
+        whose dropped part exceeds HERMITICITY_TOL is refused with an
+        IntegrationError.
     norm : float, optional
-        ``norm_bound(lv)``, when the caller has computed it already. The
-        guard reads it above degree 4 and ``omega_max(h, collapse)`` at
-        degree 4; only the one it reads is computed here.
+        ``norm_bound(liouvillian(h, collapse))``, when the caller has
+        computed it already. The guard reads it above degree 4 and
+        ``omega_max(h, collapse)`` at degree 4; only the one it reads is
+        computed here. The Liouvillian built for either is dropped before
+        the run starts.
     """
     if not observables:
         raise ValueError("need at least the collective number observable")
@@ -561,13 +564,16 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
     if not h.hermitian:
         raise ValueError(f"the Hamiltonian must be Hermitian: |H - H†| exceeds {HERM_TOL:g}")
 
-    if lv is None:
+    if generator is None or (norm is None and grid.degree > 4):
         lv = liouvillian(h, collapse)
+        if generator is None:
+            generator = real_generator(lv)
+        if norm is None and grid.degree > 4:
+            norm = norm_bound(lv)
+        del lv
     wmax = omega_max(h, collapse) if grid.degree == 4 else None
-    if grid.degree > 4 and norm is None:
-        norm = norm_bound(lv)
     check_stability(grid, wmax, norm)
-    gen, herm_err = real_generator(lv)
+    gen, herm_err = generator
     if herm_err > HERMITICITY_TOL:
         raise IntegrationError(f"the generator does not keep rho Hermitian: that part "
                                f"is {herm_err:.3g} of ||L||_1 > {HERMITICITY_TOL:g}")

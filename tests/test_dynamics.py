@@ -169,7 +169,7 @@ class TestEvolve:
                            match=f"positivity violated at t={t:.6g}: min eig "
                                  f"{np.expm1(-gamma * t):.3g}, trace err "):
             evolve(h, [jump], DensityMatrix.basis(dims, 1), grid, [mode_number(2)],
-                   lv=sparse.csr_array(lv))
+                   generator=real_generator(sparse.csr_array(lv)))
 
 
 class TestConvergence:
@@ -482,7 +482,8 @@ class TestRealCoordinates:
         rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1, 0)
         grid = TimeGrid(0.0, 0.001, 1, 1, degree=16)
         with pytest.raises(IntegrationError, match="does not keep rho Hermitian"):
-            evolve(h, ops, rho0, grid, [joint_observables(d)[0]], lv=lv, norm=1.0)
+            evolve(h, ops, rho0, grid, [joint_observables(d)[0]],
+                   generator=real_generator(lv), norm=1.0)
 
     def test_run_matches_the_matrix_exponential_with_complex_observables(self):
         # a real-coordinate run at d=4 against exp(tL) vec(rho0), read out
@@ -511,7 +512,8 @@ class TestRealCoordinates:
         lv = liouvillian(h, ops)
         rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1, 0)
         grid = TimeGrid.taylor(norm_bound(lv), 0.0, 0.001, 10, nbytes=8 * lv.shape[0])
-        traj = evolve(h, ops, rho0, grid, list(joint_observables(d)), lv=lv)
+        traj = evolve(h, ops, rho0, grid, list(joint_observables(d)),
+                      generator=real_generator(lv))
         assert traj.herm_err == real_generator(lv)[1] == 0.0
 
 
