@@ -261,8 +261,11 @@ def _pmap(fn, items):
 
 def _blas_threads(pin: bool = False) -> int:
     """The most threads of any OpenBLAS loaded in this process, 0 if none is.
-    With `pin`, every copy is first set to one thread: per-record calls as
-    small as a 32x32 eigvalsh only make a second thread spin-wait."""
+    With `pin`, every copy is first set to one thread and its idle workers
+    are shut down (``blas_thread_shutdown_``, which OpenBLAS's own fork
+    handler calls; a later threaded call would start them again): per-record
+    calls as small as a 32x32 eigvalsh only make a second thread spin-wait,
+    and a worker started with the library spins on a core while main runs."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
@@ -276,6 +279,10 @@ def _blas_threads(pin: bool = False) -> int:
             if hasattr(lib, name.format("get")):
                 if pin:
                     getattr(lib, name.format("set"))(1)
+                    if hasattr(lib, "blas_thread_shutdown_"):
+                        shutdown = lib.blas_thread_shutdown_
+                        shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+                        shutdown()
                 threads = max(threads, getattr(lib, name.format("get"))())
                 break
     return threads
@@ -726,6 +733,8 @@ def _check_output(out: str | None) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # first: the OpenBLAS workers started when numpy loaded spin until shut down
+    _blas_threads(pin=True)
     args = build_parser().parse_args(argv)
     try:
         cfg = apply_overrides(load_config(args.config), args.override)
@@ -738,7 +747,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    _blas_threads(pin=True)
     try:
         if rc.experiment == "validate":
             _, ok = run_validate(rc, out)

@@ -44,10 +44,14 @@ rho is a pure scatter, ``density_matrices``). Every generator here maps
 Hermitian rho to Hermitian rho, so the Lindblad map acts on u as a real
 sparse matrix R (``real_generator``), built once per run from the
 Liouvillian that ``liouvillian`` builds on the row-major vec(rho) =
-rho.reshape(-1), from vec(A rho B) = (A ⊗ Bᵀ) vec(rho). Each Taylor term is
-one product with R, through scipy's CSR kernel. Expectation values and the
-trace are real dot products with u, one matrix product per block of
-records, and each block is rebuilt into rho once for its eigenvalues.
+rho.reshape(-1), from vec(A rho B) = (A ⊗ Bᵀ) vec(rho). Both are assembled
+in numpy as canonical CSR arrays (``CsrMatrix``, ``csr_sum``), with the sums
+in the order and the bits of scipy.sparse. Each Taylor term is one product
+with R through scipy's compiled CSR kernel, ``csr_matvec``, loaded from its
+extension file alone, so that no scipy package module is imported.
+Expectation values and the trace are real dot products with u, one matrix
+product per block of records, and each block is rebuilt into rho once for
+its eigenvalues.
 
 Plans and guards take ``norm_bound``, sqrt(||L||_1 ||L||_inf) >= ||L||_2.
 It bounds R in the norm that gives u the Frobenius norm of the rho it
@@ -72,13 +76,15 @@ any quadrature on the recording grid.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil, gcd, isqrt, sqrt
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse._sparsetools import csr_matvec
 
 from .hilbert import HERM_TOL, DensityMatrix, Operator
 
@@ -95,10 +101,37 @@ STEP_BUFFER_BYTES = 1 << 20
 # recorder's temporaries scale with it, so it stays a fraction of the buffer
 RECORD_BLOCK_BYTES = STEP_BUFFER_BYTES // 8
 TERM_BLOCK = 4           # the fewest terms the ring of an accumulating step holds
-ENTRY_BLOCK = 8192       # entries of a Liouvillian read at a time by real_generator
+ENTRY_BLOCK = 2048       # entries of a Liouvillian read at a time by real_generator
 # the highest degree a plan takes: at degree 55 the terms of a full step peak
 # near e^9.9 ~ 2e4 times the state, and their cancellation shows above rounding
 PLAN_MAX_DEGREE = 50
+
+
+def _load_sparsetools():
+    """scipy's compiled sparse kernels, the extension file behind
+    ``scipy.sparse._sparsetools``, loaded on its own: importing scipy.sparse
+    for them would run scipy's array-API layer and more, about 0.2 s and
+    20 MB. The module is registered as ``spinamp._sparsetools``; under
+    scipy's own name it would stand in for the module that a later
+    ``import scipy.sparse`` initialises."""
+    scipy = importlib.util.find_spec("scipy")  # locates scipy without running it
+    if scipy is None or scipy.origin is None:
+        raise ImportError("scipy is not installed: spinamp needs its sparse kernels")
+    directory = os.path.join(os.path.dirname(scipy.origin), "sparse")
+    finder = importlib.machinery.FileFinder(
+        directory, (importlib.machinery.ExtensionFileLoader,
+                    importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec("spinamp._sparsetools")
+    if spec is None:
+        raise ImportError(f"no _sparsetools extension in {directory}")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# y += A x for a CSR matrix A, the kernel behind scipy's A @ x
+csr_matvec = _load_sparsetools().csr_matvec
 
 # theta_m: the largest ||hA||, in any consistent norm, for which the degree-m
 # truncated Taylor series of exp(hA) has backward error below the
@@ -381,29 +414,89 @@ def rk4(rhs, y0: np.ndarray, grid: TimeGrid, record, integrand=None) -> None:
             i += 1
 
 
-def liouvillian(h: Operator, collapse: list[Operator]) -> sparse.csr_array:
+@dataclass(frozen=True)
+class CsrMatrix:
+    """A sparse matrix in canonical CSR form (``csr_sum``): row r holds the
+    values data[indptr[r]:indptr[r + 1]] in the strictly increasing columns
+    indices[indptr[r]:indptr[r + 1]], and no value is zero. indices and
+    indptr share one integer dtype, as the CSR kernel needs."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+
+
+def csr_sum(terms, shape: tuple[int, int]) -> CsrMatrix:
+    """The canonical CSR matrix of the sum of `terms`, an iterable of
+    (rows, cols, vals) triples of entries in which no (row, col) repeats.
+    Each entry adds its terms' values in the order of the terms, as scipy
+    adds canonical sparse matrices one after another, and the entries that
+    sum to zero are dropped. Terms given by a generator are held only
+    while they are needed."""
+    n_rows, n_cols = shape
+    index = np.int32 if n_rows * n_cols <= np.iinfo(np.int32).max else np.int64
+    keyed = [(np.asarray(rows, index) * n_cols + np.asarray(cols, index), vals)
+             for rows, cols, vals in terms]
+    union = np.concatenate([key for key, _ in keyed])
+    union.sort()
+    first = np.ones(len(union), bool)
+    first[1:] = union[1:] != union[:-1]
+    union = union[first]
+    data = np.zeros(len(union), np.result_type(*(vals for _, vals in keyed)))
+    while keyed:  # each term is let go once added
+        key, vals = keyed.pop(0)
+        np.add.at(data, np.searchsorted(union, key), vals)
+    keep = data != 0
+    rows, cols = np.divmod(union[keep], n_cols)
+    indptr = np.zeros(n_rows + 1, index)
+    indptr[1:] = np.cumsum(np.bincount(rows, minlength=n_rows))
+    return CsrMatrix(data[keep], cols, indptr, shape)
+
+
+def liouvillian(h: Operator, collapse: list[Operator]) -> CsrMatrix:
     """Sparse generator of drho/dt = -i[H,rho] + sum_k (J rho J† - {J†J, rho}/2)
     on the row-major vec(rho) = rho.reshape(-1):
 
         L = K ⊗ I + I ⊗ conj(K) + sum_k J_k ⊗ conj(J_k),  K = -iH - ½ sum_k J_k†J_k,
 
     from vec(A rho B) = (A ⊗ Bᵀ) vec(rho) applied to K rho, rho K† and J rho J†.
+    The terms are added in that order (``csr_sum``).
     """
     k = -1j * h.mat
     for ell in collapse:
         k = k - 0.5 * (ell.mat.conj().T @ ell.mat)
-    eye = sparse.eye_array(h.dim, dtype=complex, format="csr")
-    lv = sparse.kron(k, eye) + sparse.kron(eye, k.conj())
-    for ell in collapse:
-        lv = lv + sparse.kron(ell.mat, ell.mat.conj())
-    return sparse.csr_array(lv)
+    eye = np.eye(h.dim, dtype=complex)
+    pairs = [(k, eye), (eye, k.conj()), *((ell.mat, ell.mat.conj()) for ell in collapse)]
+    return csr_sum((_kron_entries(a, b) for a, b in pairs), (h.dim ** 2, h.dim ** 2))
 
 
-def norm_bound(a: sparse.csr_array) -> float:
+def _kron_entries(a: np.ndarray, b: np.ndarray) -> tuple:
+    """(rows, cols, vals) of the nonzero products a_ij b_kl of the Kronecker
+    product of two square arrays, each product taken as scipy.sparse.kron
+    takes it, so that the sums keep its bits."""
+    ia, ja = np.nonzero(a)
+    ib, jb = np.nonzero(b)
+    vals = np.repeat(a[ia, ja], len(ib)).reshape(len(ia), len(ib)) * b[ib, jb]
+    return ((ia[:, None] * len(b) + ib).ravel(), (ja[:, None] * len(b) + jb).ravel(),
+            vals.ravel())
+
+
+def _abs_sums(a: CsrMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The column and row sums of |a|, each summed as scipy sums them."""
+    mod = np.abs(a.data)
+    columns = np.bincount(a.indices, mod, a.shape[1])
+    rows = np.zeros(a.shape[0])
+    full = np.diff(a.indptr) > 0
+    rows[full] = np.add.reduceat(mod, a.indptr[:-1][full])
+    return columns, rows
+
+
+def norm_bound(a: CsrMatrix) -> float:
     """sqrt(||a||_1 ||a||_inf), exactly: an upper bound on ||a||_2, and so on
     the real generator of a Liouvillian in the norm of ``real_generator``."""
-    mod = abs(a)
-    return sqrt(float(mod.sum(axis=0).max()) * float(mod.sum(axis=1).max()))
+    columns, rows = _abs_sums(a)
+    return sqrt(float(columns.max()) * float(rows.max()))
 
 
 @lru_cache
@@ -434,7 +527,7 @@ def density_matrices(us: np.ndarray, dim: int) -> np.ndarray:
     return rho.view(complex).reshape(-1, dim, dim)
 
 
-def real_generator(lv: sparse.csr_array) -> tuple[sparse.csr_array, float]:
+def real_generator(lv: CsrMatrix) -> tuple[CsrMatrix, float]:
     """The real sparse generator R of the coordinates u (``hermitian_coords``)
     under the Liouvillian lv of a dim x dim rho, and the part of lv that
     does not keep rho Hermitian, which R cannot hold, relative to ||lv||_1
@@ -448,77 +541,71 @@ def real_generator(lv: sparse.csr_array) -> tuple[sparse.csr_array, float]:
     Im rho_ji = -Im rho_ij; each entry of R is an entry of L or the sum of
     two, and T R = L T when L keeps rho Hermitian.
 
-    The entries of L are read ENTRY_BLOCK at a time, so that the build
-    takes little memory beyond R's."""
-    if not lv.has_canonical_format:
-        lv = lv.copy()
-        lv.sum_duplicates()
+    The entries of L are read ENTRY_BLOCK at a time, a block of whole rows,
+    so that the build takes little memory beyond R's."""
     dim = isqrt(lv.shape[0])
     dropped = _dropped(lv, dim)
-    gen = sparse.csr_array(_real_entries(lv, dim), shape=lv.shape)
-    gen.sum_duplicates()
-    gen.eliminate_zeros()
-    # a copy, so as not to hold the arrays sized for the unsummed entries
-    return gen.copy(), dropped
+    all_rows = _rows(lv.indptr)
+    parts = []
+    for lo, hi in _row_blocks(lv.indptr):
+        entries = slice(lv.indptr[lo], lv.indptr[hi])
+        rows, cols, v = all_rows[entries], lv.indices[entries], lv.data[entries]
+        a, b = np.divmod(cols, dim)
+        upper = rows // dim <= rows % dim
+        re, im = np.where(upper, v.real, -v.imag), np.where(upper, v.imag, v.real)
+        # each entry's part in its own column and, off the diagonal columns,
+        # in the column of the other coordinate of its pair
+        off = a != b
+        parts.append(csr_sum([(rows, cols, np.where(a <= b, re, im)),
+                              (rows[off], (b * dim + a)[off], np.where(a < b, -im, re)[off])],
+                             lv.shape))
+    # the blocks hold disjoint rows: their row pointers add up
+    gen = CsrMatrix(np.concatenate([p.data for p in parts]),
+                    np.concatenate([p.indices for p in parts]),
+                    sum(p.indptr for p in parts), lv.shape)
+    return gen, dropped
 
 
-def _rows(lv: sparse.csr_array) -> np.ndarray:
-    """The row of each entry of lv."""
-    return np.repeat(np.arange(lv.shape[0], dtype=lv.indices.dtype), np.diff(lv.indptr))
+def _rows(indptr: np.ndarray) -> np.ndarray:
+    """The row of each entry of a CSR matrix with these row pointers."""
+    return np.repeat(np.arange(len(indptr) - 1, dtype=indptr.dtype), np.diff(indptr))
 
 
-def _real_entries(lv: sparse.csr_array, dim: int) -> tuple:
-    """(data, indices, indptr) of R before its duplicates are summed: each
-    entry of L gives the entry of the Re coordinate of its pair and, off the
-    diagonal columns, the entry of the Im coordinate next to it."""
-    rows = _rows(lv)
-    off = lv.indices % dim != lv.indices // dim
-    # the entries of R that come before each entry of L
-    before = np.arange(lv.nnz + 1, dtype=lv.indices.dtype)
-    before[1:] += np.cumsum(off, dtype=before.dtype)
-    vals = np.empty(before[-1])
-    cols = np.empty(before[-1], dtype=lv.indices.dtype)
-    for lo in range(0, lv.nnz, ENTRY_BLOCK):
-        block = slice(lo, lo + ENTRY_BLOCK)
-        c, v, at, o = lv.indices[block], lv.data[block], before[:-1][block], off[block]
-        a, b = np.divmod(c, dim)
-        upper = rows[block] // dim <= rows[block] % dim
-        cols[at] = np.where(a > b, b * dim + a, c)
-        vals[at] = np.where(upper, v.real, -v.imag)
-        # the Im coordinate: Re(+-i v) on rows i <= j, -Im(+-i v) below
-        cols[at[o] + 1] = np.where(a > b, c, b * dim + a)[o]
-        vals[at[o] + 1] = (np.sign(a - b) * np.where(upper, v.imag, v.real))[o]
-    return vals, cols, before[lv.indptr]
+def _row_blocks(indptr: np.ndarray):
+    """(lo, hi) ranges of whole rows of about ENTRY_BLOCK entries each."""
+    cuts = np.searchsorted(indptr, np.arange(ENTRY_BLOCK, indptr[-1], ENTRY_BLOCK))
+    bounds = sorted({0, len(indptr) - 1, *cuts.tolist()})
+    return zip(bounds[:-1], bounds[1:])
 
 
-def _dropped(lv: sparse.csr_array, dim: int) -> float:
-    """The part of the canonical Liouvillian lv that does not keep rho
-    Hermitian, relative to ||lv||_1: the 1-norm of L - conj(P L P), P the
+def _dropped(lv: CsrMatrix, dim: int) -> float:
+    """The part of the Liouvillian lv that does not keep rho Hermitian,
+    relative to ||lv||_1: the 1-norm of L - conj(P L P), P the
     transposition (i, j) -> (j, i) of vec(rho), whose entry ((j, i), (b, a))
     is that entry of L minus the conjugate of entry ((i, j), (a, b)). It is
     0 exactly when T R = L T. Each mirror entry is found by a search of the
     row-major sorted entries, ENTRY_BLOCK entries at a time."""
-    n = lv.shape[0]
-    rows = _rows(lv)
+    n, nnz = lv.shape[0], len(lv.data)
+    rows = _rows(lv.indptr)
     key = rows.astype(np.int64) * n + lv.indices
     column = np.zeros(n)
-    for lo in range(0, lv.nnz, ENTRY_BLOCK):
+    for lo in range(0, nnz, ENTRY_BLOCK):
         block = slice(lo, lo + ENTRY_BLOCK)
         r, c, v = rows[block].astype(np.int64), lv.indices[block], lv.data[block]
         mirror = c % dim * dim + c // dim
         mirror_key = (r % dim * dim + r // dim) * n + mirror
-        at = np.minimum(np.searchsorted(key, mirror_key), lv.nnz - 1)
+        at = np.minimum(np.searchsorted(key, mirror_key), nnz - 1)
         found = key[at] == mirror_key
         column += np.bincount(c, np.abs(v - np.where(found, lv.data[at], 0).conj()), n)
         # where the mirror entry is missing, its difference is its partner's modulus
         column += np.bincount(mirror[~found], np.abs(v[~found]), n)
-    scale = float(abs(lv).sum(axis=0).max())
+    scale = float(_abs_sums(lv)[0].max())
     return float(column.max()) / scale if scale else 0.0
 
 
 def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
            grid: TimeGrid, observables: list[Operator],
-           gamma: float = 0.0, generator: tuple[sparse.csr_array, float] | None = None,
+           gamma: float = 0.0, generator: tuple[CsrMatrix, float] | None = None,
            norm: float | None = None) -> Trajectory:
     """Integrate drho/dt = -i[H,rho] + sum_k (L rho L† - {L†L, rho}/2) in the
     real coordinates of rho (``hermitian_coords``), one product with the real
@@ -542,7 +629,7 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
     gamma : float
         Bookkeeping rate for the subradiant accounting,
         subradiant_n(t) = gamma * int_0^t <observables[0]> dt'.
-    generator : (sparse.csr_array, float), optional
+    generator : (CsrMatrix, float), optional
         ``real_generator(liouvillian(h, collapse))``, when the caller has
         built it already, so that runs of one model share it. A generator
         whose dropped part exceeds HERMITICITY_TOL is refused with an

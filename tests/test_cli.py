@@ -485,7 +485,39 @@ print(json.dumps({"exit": code, "threads": threads}))
 """
 
 
+# Counts this process's threads after cli.main, with only numpy's OpenBLAS
+# loaded, then runs one BLAS product; prints main's exit code, whether a
+# loaded OpenBLAS exports blas_thread_shutdown_, the thread count and
+# whether the product is right.
+BLAS_WORKERS = """
+import ctypes, json, os, sys
+import numpy as np
+from spinamp import cli
+code = cli.main(sys.argv[1:])
+tasks = len(os.listdir("/proc/self/task"))
+with open("/proc/self/maps", encoding="utf-8") as fh:
+    paths = sorted({line.split()[-1] for line in fh if "openblas" in line})
+m = 2.0 * np.eye(300)
+print(json.dumps({"exit": code, "tasks": tasks, "blas_ok": bool((m @ m)[0, 0] == 4.0),
+                  "shutdown": any(hasattr(ctypes.CDLL(p), "blas_thread_shutdown_")
+                                  for p in paths)}))
+"""
+
+
 class TestThreadPolicy:
+    def test_main_shuts_down_the_idle_openblas_workers(self, tmp_path):
+        # OpenBLAS starts its workers when numpy loads; with two threads one
+        # worker would be left to spin next to main
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no /proc/self/task to count threads in")
+        res = run_python(["-c", BLAS_WORKERS, "figure2", *SMALL_RUN,
+                          "--override", "convergence_checks=false",
+                          "--out", str(tmp_path / "fig2.csv")], blas_threads="2")
+        result = json.loads(res.stdout.strip().splitlines()[-1])
+        if not result["shutdown"]:
+            pytest.skip("no OpenBLAS exports blas_thread_shutdown_")
+        assert result == {"exit": 0, "tasks": 1, "blas_ok": True, "shutdown": True}
+
     def test_main_pins_every_openblas_to_one_thread(self, tmp_path):
         out = str(tmp_path / "fig2.csv")
         res = run_python(["-c", BLAS_READBACK, "figure2", *SMALL_RUN,
@@ -569,12 +601,42 @@ class TestHygieneExtrema:
         assert hygiene["min_eig_min"] >= -POSITIVITY_TOL
 
 
-def test_cli_import_leaves_out_scipy_integrate():
+# Imports spinamp.cli and prints the scipy modules it loaded; with the
+# argument "then scipy.sparse", imports scipy.sparse after it and prints the
+# name of scipy's own _sparsetools module and whether scipy's product and
+# dynamics.csr_matvec give the same bits.
+IMPORT_GRAPH = """
+import json, sys
+import spinamp.cli
+result = {"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}
+if sys.argv[1:] == ["then scipy.sparse"]:
+    import numpy as np
+    import scipy.sparse
+    from scipy.sparse import _sparsetools
+    from spinamp import dynamics
+    a = scipy.sparse.random_array((40, 40), density=0.2, format="csr", rng=1)
+    x = np.random.default_rng(2).normal(size=40)
+    out = np.zeros(40)
+    dynamics.csr_matvec(40, 40, a.indptr, a.indices, a.data, x, out)
+    result["sparsetools"] = _sparsetools.__name__
+    result["same_bits"] = bool(np.array_equal(a @ x, out))
+print(json.dumps(result))
+"""
+
+
+@pytest.mark.parametrize("case", ["import alone", "then scipy.sparse"])
+def test_cli_import_leaves_out_scipy_integrate(case):
+    # no scipy module at all: dynamics loads scipy's sparse kernels from
+    # their extension file, which a later import of scipy.sparse must not
+    # disturb
     src = os.path.dirname(os.path.dirname(spinamp.__file__))
-    code = "import sys, spinamp.cli; print('scipy.integrate' in sys.modules)"
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
-    assert res.stdout.strip() == "False"
+    res = subprocess.run([sys.executable, "-c", IMPORT_GRAPH, case], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+                         timeout=120)
+    result = json.loads(res.stdout)
+    assert result.pop("scipy") == []
+    if case == "then scipy.sparse":
+        assert result == {"sparsetools": "scipy.sparse._sparsetools", "same_bits": True}
 
 
 class TestPlanChoice:

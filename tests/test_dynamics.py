@@ -1,4 +1,4 @@
-from math import factorial
+from math import factorial, isqrt
 
 import numpy as np
 import pytest
@@ -10,8 +10,9 @@ from spinamp.analytic import excited_population, ground_population
 from spinamp.dynamics import (DT_FACTOR, PLAN_MAX_DEGREE, POSITIVITY_TOL,
                               RECORD_BLOCK_BYTES, STEP_BUFFER_BYTES, TAYLOR_THETA,
                               TERM_BLOCK, IntegrationError, StabilityError, TimeGrid,
-                              density_matrices, evolve, hermitian_coords, liouvillian,
-                              norm_bound, omega_max, real_generator, rk4, readout_gain)
+                              csr_sum, density_matrices, evolve, hermitian_coords,
+                              liouvillian, norm_bound, omega_max, real_generator, rk4,
+                              readout_gain)
 from spinamp.hilbert import (DensityMatrix, Operator, SpaceDims, identity,
                              kron, ladder)
 from spinamp.model import SystemParams, build_anc, build_drive, build_hc, collapse_ops
@@ -30,6 +31,54 @@ def joint_observables(d):
 def mode_number(d):
     a = ladder(d)
     return a.dag() @ a
+
+
+def scipy_csr(a):
+    """A dynamics.CsrMatrix as scipy's CSR array, for products and arithmetic."""
+    return sparse.csr_array((a.data, a.indices, a.indptr), shape=a.shape)
+
+
+def canonical(a):
+    """scipy's sparse a as a dynamics.CsrMatrix, through the canonicalising
+    constructor."""
+    coo = sparse.coo_array(a)
+    return csr_sum([(coo.row, coo.col, coo.data)], a.shape)
+
+
+def scipy_liouvillian(h, collapse):
+    """L = K ⊗ I + I ⊗ conj(K) + sum_k J_k ⊗ conj(J_k) summed by scipy.sparse:
+    the reference for the bits of ``liouvillian``."""
+    k = -1j * h.mat
+    for ell in collapse:
+        k = k - 0.5 * (ell.mat.conj().T @ ell.mat)
+    eye = sparse.eye_array(h.dim, dtype=complex, format="csr")
+    lv = sparse.kron(k, eye) + sparse.kron(eye, k.conj())
+    for ell in collapse:
+        lv = lv + sparse.kron(ell.mat, ell.mat.conj())
+    lv = sparse.csr_array(lv)
+    lv.eliminate_zeros()  # scipy keeps the zeros of a dense factor's blocks
+    return lv
+
+
+def scipy_real_generator(lv):
+    """R of a scipy Liouvillian: each entry of L in the column of the Re
+    coordinate of its pair and, off the diagonal columns, the entry of the
+    Im coordinate, summed and pruned by scipy: the reference for the bits of
+    ``real_generator``."""
+    dim = isqrt(lv.shape[0])
+    coo = lv.tocoo()
+    r, c, v = coo.row, coo.col, coo.data
+    a, b = np.divmod(c, dim)
+    upper = r // dim <= r % dim
+    re, im = np.where(upper, v.real, -v.imag), np.where(upper, v.imag, v.real)
+    low, high = np.minimum(a, b), np.maximum(a, b)
+    off = a != b
+    gen = sparse.csr_array((np.concatenate([re, (np.sign(a - b) * im)[off]]),
+                            (np.concatenate([r, r[off]]),
+                             np.concatenate([low * dim + high, (high * dim + low)[off]]))),
+                           shape=lv.shape)
+    gen.eliminate_zeros()
+    return gen
 
 
 class TestTimeGrid:
@@ -161,7 +210,7 @@ class TestEvolve:
         gamma = -np.log1p(-POSITIVITY_TOL) / 0.375
         h = Operator(dims, np.zeros((2, 2)))
         jump = np.sqrt(gamma) * ladder(2)
-        lv = liouvillian(h, [jump]) - 2 * sparse.kron(jump.mat, jump.mat.conj())
+        lv = scipy_csr(liouvillian(h, [jump])) - 2 * sparse.kron(jump.mat, jump.mat.conj())
         grid = TimeGrid(0.0, 1.0, 1, 20, degree=16)
         assert dynamics._block_rows(8 * 4) >= 19
         t = grid.times[8]
@@ -169,7 +218,7 @@ class TestEvolve:
                            match=f"positivity violated at t={t:.6g}: min eig "
                                  f"{np.expm1(-gamma * t):.3g}, trace err "):
             evolve(h, [jump], DensityMatrix.basis(dims, 1), grid, [mode_number(2)],
-                   generator=real_generator(sparse.csr_array(lv)))
+                   generator=real_generator(canonical(lv)))
 
 
 class TestConvergence:
@@ -327,9 +376,41 @@ class TestLiouvillian:
         jumps = [Operator(dims, cplx(3, 3)) for _ in range(2)]
         rho = cplx(3, 3)  # neither Hermitian nor unit trace: L is linear
         lv = liouvillian(h, jumps)
-        got = (lv @ rho.reshape(-1)).reshape(3, 3)
+        got = (scipy_csr(lv) @ rho.reshape(-1)).reshape(3, 3)
         expected = self.lindblad(h.mat, [j.mat for j in jumps], rho)
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("case", ["d=4", "d=16", "d=32", "dense, two jumps"])
+    def test_generators_keep_the_bits_of_scipys_sums(self, case):
+        # the driven model with gamma_s > 0 has two channels, whose products
+        # sum with each other as K ⊗ I does with I ⊗ conj(K); a dense 3 x 3
+        # model with two jumps sums every entry over all four terms, so the
+        # order of the additions shows in the last bits
+        if case.startswith("d="):
+            _, h, jumps = driven_model(int(case[2:]))
+        else:
+            rng = np.random.default_rng(7)
+            x, j1, j2 = rng.normal(size=(3, 3, 3)) + 1j * rng.normal(size=(3, 3, 3))
+            h = Operator(SpaceDims((3,)), x + x.conj().T)
+            jumps = [Operator(h.dims, j1), Operator(h.dims, j2)]
+        lv, ref = liouvillian(h, jumps), scipy_liouvillian(h, jumps)
+        gen, herm_err = real_generator(lv)
+        gen_ref = scipy_real_generator(ref)
+        for got, want in [(lv.data, ref.data), (lv.indices, ref.indices),
+                          (lv.indptr, ref.indptr), (gen.data, gen_ref.data),
+                          (gen.indices, gen_ref.indices), (gen.indptr, gen_ref.indptr)]:
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        mod = abs(ref)
+        columns, rows = dynamics._abs_sums(lv)
+        assert columns.tobytes() == mod.sum(axis=0).tobytes()
+        assert rows.tobytes() == mod.sum(axis=1).tobytes()
+        assert norm_bound(lv) == np.sqrt(float(mod.sum(axis=0).max())
+                                         * float(mod.sum(axis=1).max()))
+        dim = h.dim
+        mirror = np.arange(dim * dim) % dim * dim + np.arange(dim * dim) // dim
+        swapped = ref[mirror][:, mirror].conj()
+        assert herm_err == (float(abs(ref - swapped).sum(axis=0).max())
+                            / float(mod.sum(axis=0).max()))
 
     def test_evolve_matches_matrix_form_rk4(self):
         p = SystemParams.from_mhz(nu_t=412.5, nu_bar=0.0, g=75.0, lambda_d=40.0,
@@ -404,6 +485,7 @@ class TestRealCoordinates:
         lv = liouvillian(h, collapse_ops(fig_params, d))
         gen, dropped = real_generator(lv)
         assert dropped == 0.0
+        lv, gen = scipy_csr(lv), scipy_csr(gen)
         assert gen.dtype == float and gen.shape == lv.shape
         rng = np.random.default_rng(d)
         for _ in range(3):
@@ -419,7 +501,7 @@ class TestRealCoordinates:
         d = 16
         h = build_hc(fig_params, d) + build_drive(fig_params, d)
         lv = liouvillian(h, collapse_ops(fig_params, d))
-        gen, _ = real_generator(lv)
+        gen = scipy_csr(real_generator(lv)[0])
         root = np.sqrt(np.where(np.eye(2 * d, dtype=bool), 1.0, 2.0)).reshape(-1)
         rng = np.random.default_rng(5)
         for weight in (np.ones_like(root), root):
@@ -442,9 +524,9 @@ class TestRealCoordinates:
         rho = random_hermitian(np.random.default_rng(1), 2 * d)
         a, x = ((real_generator(lv)[0], hermitian_coords(rho)) if kind == "real generator"
                 else (lv, rho.reshape(-1)))
-        out = np.zeros(a.shape[0], dtype=a.dtype)
+        out = np.zeros(a.shape[0], dtype=a.data.dtype)
         dynamics.csr_matvec(a.shape[0], a.shape[1], a.indptr, a.indices, a.data, x, out)
-        assert np.array_equal(out, a @ x)
+        assert np.array_equal(out, scipy_csr(a) @ x)
 
     def test_non_hermitian_hamiltonian_is_refused(self, fig_params):
         d = 4
@@ -466,16 +548,16 @@ class TestRealCoordinates:
         n = (2 * d) ** 2
         h = build_hc(fig_params, d)
         ops = collapse_ops(fig_params, d)
-        lv = liouvillian(h, ops)
+        lv = scipy_csr(liouvillian(h, ops))
         if extra == "B rho":
             lv = lv + sparse.kron(np.triu(np.ones((2 * d, 2 * d))), np.eye(2 * d))
         else:
             lv = lv + 1e-3j * sparse.eye_array(n)
-        lv = sparse.csr_array(lv)
         dense = lv.toarray()
         mirror = np.arange(n) % (2 * d) * (2 * d) + np.arange(n) // (2 * d)
         expected = (np.abs(dense - dense[mirror][:, mirror].conj()).sum(axis=0).max()
                     / np.abs(dense).sum(axis=0).max())
+        lv = canonical(lv)
         _, dropped = real_generator(lv)
         assert dropped == pytest.approx(expected, rel=1e-12)
         assert dropped > dynamics.HERMITICITY_TOL
@@ -497,7 +579,7 @@ class TestRealCoordinates:
         t_end, n_record = 0.01, 20
         grid = TimeGrid.taylor(norm_bound(lv), 0.0, t_end, n_record, nbytes=8 * 64)
         traj = evolve(h, ops, rho0, grid, [*joint_observables(4), *quads], gamma=p.gamma)
-        step = expm(lv.toarray() * (t_end / n_record))
+        step = expm(scipy_csr(lv).toarray() * (t_end / n_record))
         y = rho0.mat.reshape(-1)
         for i in range(n_record + 1):
             rho = y.reshape(8, 8)
@@ -708,7 +790,7 @@ class TestTaylorPlan:
         q_row = qubit.mat.T.reshape(-1)
         dim = lv.shape[0]
         aug = np.zeros((dim + 1, dim + 1), dtype=complex)
-        aug[:dim, :dim] = lv.toarray()
+        aug[:dim, :dim] = scipy_csr(lv).toarray()
         aug[dim, :dim] = n_row
         step = expm(aug * (t_end / n_record))
         z = np.append(rho0.mat.reshape(-1), 0.0)
@@ -799,7 +881,7 @@ class TestTaylorPlan:
         # the one term loop gives a record at a step end the bits of the
         # plain step, whether or not the step also holds records inside it
         _, h, ops = driven_model()
-        lv = liouvillian(h, ops)
+        lv = scipy_csr(liouvillian(h, ops))
         num_vec = joint_observables(6)[0].mat.T.reshape(-1)
         if case == "rk4 grid":
             grid = TimeGrid.auto(h, 0.0, 0.002, n_record=10, collapse=ops)
