@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__, analytic, dynamics, oracle
-from .hilbert import DensityMatrix, Operator, SpaceDims, eig_hermitian, identity, kron, ladder
+from .hilbert import HERM_TOL, DensityMatrix, Operator, SpaceDims, identity, kron, ladder
 from .model import SystemParams, build_drive, build_hc, build_anc, collapse_ops
 
 CUTOFF_TOL = 1e-3      # max-normalized curve change under cutoff doubling
@@ -303,51 +303,48 @@ def _rho_bytes(dim: int) -> int:
     return 8 * dim * dim
 
 
-def _generator(h: Operator, ops: list[Operator], norm: bool = True) -> tuple:
-    """(`dynamics.real_generator` of the Liouvillian of h and ops, and with
-    `norm` its `dynamics.norm_bound`, else None). The Liouvillian is built
-    once and not kept."""
+def _generator(h: Operator, ops: list[Operator]) -> tuple:
+    """(`dynamics.real_generator` of the Liouvillian of h and ops, and its
+    `dynamics.norm_bound`). The Liouvillian is built once and not kept."""
     lv = dynamics.liouvillian(h, ops)
-    return dynamics.real_generator(lv), dynamics.norm_bound(lv) if norm else None
+    return dynamics.real_generator(lv), dynamics.norm_bound(lv)
 
 
 def _run(h: Operator, ops: list[Operator], rho0: DensityMatrix, observables: list,
          gamma: float, t_start: float, t_end: float, n_record: int, n_steps: int = 0,
-         degree: int = 4, built: tuple | None = None):
+         built: tuple | None = None):
     """One Lindblad run; returns (Trajectory, grid). `built` is
     `_generator(h, ops)` when runs of one model share it, else it is built
-    here, with the norm only where a plan or a guard reads it. The grid is
-    the `TimeGrid.taylor` plan on the run's 2-norm bound, which `evolve`'s
-    guard reuses, or with n_steps set (the step-halving rerun) n_steps steps
-    of the given degree."""
-    generator, norm = built or _generator(h, ops, norm=not n_steps or degree > 4)
+    here. The grid is the `TimeGrid.taylor` plan on the run's 2-norm bound,
+    which `evolve`'s guard reuses; with n_steps set (the step-halving rerun)
+    it takes n_steps steps of the plan's degree."""
+    generator, norm = built or _generator(h, ops)
+    grid = dynamics.TimeGrid.taylor(norm, t_start, t_end, n_record,
+                                    nbytes=_rho_bytes(h.dim))
     if n_steps:
-        grid = dynamics.TimeGrid(t_start, t_end, n_steps, n_record, degree)
-    else:
-        grid = dynamics.TimeGrid.taylor(norm, t_start, t_end, n_record,
-                                        nbytes=_rho_bytes(h.dim))
+        grid = replace(grid, n_steps=n_steps)
     traj = dynamics.evolve(h, ops, rho0, grid, observables, gamma=gamma,
                            generator=generator, norm=norm)
     return traj, grid
 
 
-def _model(p: SystemParams, d: int, norm: bool = True) -> tuple:
+def _model(p: SystemParams, d: int) -> tuple:
     """(h, ops, generator, norm) of the driven reduced model at cutoff d
     (`_generator`), for one run or for the branches that share it."""
     h = build_hc(p, d) + build_drive(p, d)
     ops = collapse_ops(p, d)
-    return (h, ops, *_generator(h, ops, norm))
+    return (h, ops, *_generator(h, ops))
 
 
 def _run_branch_meta(p: SystemParams, d: int, state: str, t_start: float,
-                     t_end: float, n_record: int, n_steps: int = 0, degree: int = 4,
+                     t_end: float, n_record: int, n_steps: int = 0,
                      model: tuple | None = None):
     """One driven reduced-model run from |state, 0>, on `_model(p, d)` when
     the caller shares it between branches; returns (Trajectory, grid)."""
-    h, ops, *built = model or _model(p, d, norm=not n_steps or degree > 4)
+    h, ops, *built = model or _model(p, d)
     rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1 if state == "e" else 0, 0)
     return _run(h, ops, rho0, _joint_observables(d), p.gamma, t_start, t_end, n_record,
-                n_steps, degree, built)
+                n_steps, built)
 
 
 def _max_normalized_dev(a: np.ndarray, b: np.ndarray) -> float:
@@ -371,10 +368,10 @@ def _check_cutoff(p, d, base: dict, grid) -> tuple[float, dict]:
 
 def _check_timestep(p, d, base, grid) -> tuple[float, dict]:
     """Max-normalized change of the excited-branch <A†A> curve `base`, run
-    on `grid`, under step halving at the same degree, and the rerun's
-    `_plan`."""
+    on `grid`, under step halving, and the rerun's `_plan`: the rerun plans
+    the same model over the same window and records, so it keeps the degree."""
     half, rerun = _run_branch_meta(p, d, "e", grid.t_start, grid.t_end, grid.n_record,
-                                   n_steps=2 * grid.n_steps, degree=grid.degree)
+                                   n_steps=2 * grid.n_steps)
     return (_max_normalized_dev(base.collective_n, half.collective_n),
             _plan(rerun, _rho_bytes(2 * d)))
 
@@ -536,17 +533,23 @@ def run_sweep(rc: RunConfig, out: str) -> dict:
 
 def numeric_doublet(h: Operator, d: int, n_max: int) -> list[tuple[float, float]]:
     """Eigenvalues of the (n+1)-excitation block of the joint Hamiltonian for
-    n = 0..n_max, classified by the conserved total-excitation number, from
-    one diagonalisation."""
-    w, v = eig_hermitian(h)
+    n = 0..n_max. The conserved total-excitation number is diagonal in the
+    product basis, so each block is the submatrix of h on the basis states
+    with n + 1 excitations, diagonalised on its own: levels of different
+    blocks never mix, however close they lie."""
+    if not h.hermitian:
+        raise ValueError(f"numeric_doublet requires a Hermitian operator: "
+                         f"|H - H†| exceeds {HERM_TOL:g}")
     num, qubit = _joint_observables(d)
-    ntot = qubit.mat + num.mat
-    exc = np.real(np.einsum("ij,jk,ki->i", v.conj().T, ntot, v))
-    blocks = [np.sort(w[np.abs(exc - (n + 1)) < 0.5]) for n in range(n_max + 1)]
-    for n, block in enumerate(blocks):
-        if len(block) != 2:
-            raise RuntimeError(f"excitation block {n + 1} has {len(block)} levels")
-    return [(float(lo), float(hi)) for lo, hi in blocks]
+    exc = np.diag(qubit.mat + num.mat).real
+    doublets = []
+    for n in range(n_max + 1):
+        rows = np.flatnonzero(np.abs(exc - (n + 1)) < 0.5)
+        if len(rows) != 2:
+            raise RuntimeError(f"excitation block {n + 1} has {len(rows)} levels")
+        lo, hi = np.linalg.eigvalsh(h.mat[np.ix_(rows, rows)])
+        doublets.append((float(lo), float(hi)))
+    return doublets
 
 
 def _doublet_gap(level: analytic.JcLevel, lo: float, hi: float) -> float:
@@ -589,10 +592,10 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
     checks = []
     plans = {}
 
-    wmax = dynamics.omega_max(build_hc(p, d) + build_drive(p, d), collapse_ops(p, d))
-    grid = dynamics.TimeGrid.sized(wmax, rc.t_start, rc.t_end, rc.n_record,
-                                   dynamics.DT_FACTOR)
-    checks.append(_check("timestep_guard", grid.dt * wmax, dynamics.STABILITY_LIMIT))
+    h, ops = build_hc(p, d) + build_drive(p, d), collapse_ops(p, d)
+    grid = dynamics.TimeGrid.auto(h, rc.t_start, rc.t_end, rc.n_record, ops)
+    checks.append(_check("timestep_guard", grid.dt * dynamics.omega_max(h, ops),
+                         dynamics.STABILITY_LIMIT))
 
     # conservation bookkeeping (undriven, initial |e,0>) plus state hygiene
     p0 = replace(p, lambda_d=0.0, gamma_s=0.0)

@@ -6,9 +6,9 @@ truncated Taylor series of exp(hA) applied to y. ``rk4`` is that one loop;
 at the default degree m = 4 it is the classical RK4 map. A grid's degree
 picks the rule:
 
-- degree 4: ``TimeGrid.auto``/``TimeGrid.sized`` size the step so that
-  dt * omega_max <= dt_factor, and ``check_stability`` guards
-  dt * omega_max <= STABILITY_LIMIT (the row-sum RK4 stability bound);
+- degree 4: ``TimeGrid.auto`` sizes the step so that dt * omega_max <=
+  dt_factor, and ``check_stability`` guards dt * omega_max <=
+  STABILITY_LIMIT (the row-sum RK4 stability bound);
 - degree m > 4: ``TimeGrid.taylor`` picks, over the whole window, the degree
   and step count with the fewest generator products such that
   dt * ||A|| <= TAYLOR_THETA[m], the unit-roundoff bound of Al-Mohy &
@@ -82,7 +82,7 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, gcd, isqrt, sqrt
+from math import ceil, gcd, isfinite, isqrt, sqrt
 
 import numpy as np
 
@@ -148,11 +148,8 @@ TAYLOR_THETA = {
 
 
 class StabilityError(ValueError):
-    """Grid too coarse for the stability guard; carries the passing n_steps."""
-
-    def __init__(self, msg: str, required_n_steps: int):
-        super().__init__(msg)
-        self.required_n_steps = required_n_steps
+    """A step too long for the stability guard, or a generator norm times
+    window that is not finite, so that no step count can be planned."""
 
 
 class IntegrationError(RuntimeError):
@@ -176,6 +173,16 @@ def _held(degree: int, inner: int, nbytes: int) -> int:
     if (degree + 1) * nbytes <= STEP_BUFFER_BYTES:
         return degree + 1
     return inner + max(TERM_BLOCK, STEP_BUFFER_BYTES // nbytes - inner)
+
+
+def _span(norm: float, t_start: float, t_end: float) -> float:
+    """norm * (t_end - t_start), the generator's reach over the window that a
+    step count is sized on; a StabilityError when it is not finite."""
+    span = norm * (t_end - t_start)
+    if not isfinite(span):
+        raise StabilityError(f"generator norm {norm:.3g} times window "
+                             f"[{t_start:.3g}, {t_end:.3g}] is not finite")
+    return span
 
 
 def _block_rows(nbytes: int) -> int:
@@ -235,16 +242,10 @@ class TimeGrid:
     def auto(cls, h: Operator, t_start: float, t_end: float, n_record: int = 500,
              collapse: list[Operator] | None = None,
              dt_factor: float = DT_FACTOR) -> "TimeGrid":
-        """Grid with dt chosen so dt * omega_max <= dt_factor, rounded up to a
-        multiple of n_record."""
-        return cls.sized(omega_max(h, collapse or []), t_start, t_end, n_record,
-                         dt_factor)
-
-    @classmethod
-    def sized(cls, wmax: float, t_start: float, t_end: float, n_record: int,
-              dt_factor: float) -> "TimeGrid":
-        """Grid with dt * wmax <= dt_factor, rounded up to a multiple of n_record."""
-        n = max(n_record, int(np.ceil((t_end - t_start) * wmax / dt_factor)))
+        """RK4 grid with dt chosen so dt * omega_max <= dt_factor, rounded up
+        to a multiple of n_record."""
+        span = _span(omega_max(h, collapse or []), t_start, t_end)
+        n = max(n_record, ceil(span / dt_factor))
         n = ((n + n_record - 1) // n_record) * n_record
         return cls(t_start, t_end, n, n_record)
 
@@ -257,7 +258,7 @@ class TimeGrid:
         t_start), where norm bounds the generator in any consistent norm, and
         to the step buffer fitting STEP_BUFFER_BYTES for state vectors of
         `nbytes` bytes each (ties go to the lower degree)."""
-        span = norm * (t_end - t_start)
+        span = _span(norm, t_start, t_end)
         room = STEP_BUFFER_BYTES // nbytes
         plans = []
         for m, theta in TAYLOR_THETA.items():
@@ -320,13 +321,8 @@ def check_stability(grid: TimeGrid, wmax: float, bound: float | None = None) -> 
     else:
         name, scale, limit = "norm", wmax if bound is None else bound, TAYLOR_THETA[m]
     if grid.dt * scale > limit:
-        # the fewest passing steps that the record count divides
-        need = TimeGrid.sized(scale, grid.t_start, grid.t_end, grid.n_record,
-                              limit).n_steps
-        bound = limit if m == 4 else f"theta_{m} = {limit}"
-        raise StabilityError(
-            f"dt*{name} = {grid.dt * scale:.3g} exceeds {bound}; "
-            f"n_steps >= {need} required", required_n_steps=need)
+        shown = limit if m == 4 else f"theta_{m} = {limit}"
+        raise StabilityError(f"dt*{name} = {grid.dt * scale:.3g} exceeds {shown}")
 
 
 def rk4(rhs, y0: np.ndarray, grid: TimeGrid, record, integrand=None) -> None:

@@ -8,6 +8,7 @@ nu in MHz -> omega in rad/us directly through the 2*pi factor).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,9 @@ class SystemParams:
     gamma_s: float = 0.0
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value} rad/us")
         if self.g_collective <= 0:
             raise ValueError(f"collective coupling must be > 0, got {self.g_collective}")
         if self.gamma < 0 or self.gamma_s < 0:

@@ -5,9 +5,9 @@ Two regimes: an exact single-excitation solver for large sampled ensembles
 product-space model for tiny ensembles (n <= 4 modes) including the drive.
 Both run on the density-matrix integrator's Taylor core: ``dynamics.rk4``
 steps them and ``dynamics.check_stability`` guards them. The RK4 rule takes
-each generator's row sum (also its exact 1-norm), and ``auto_grid`` sizes
-single-excitation RK4 grids on it. Single-excitation Taylor plans and their
-guard take ``arrowhead_norm``, a 2-norm bound that does not grow with N.
+each generator's row sum (also its exact 1-norm). Single-excitation Taylor
+plans and their guard take ``arrowhead_norm``, a 2-norm bound that does not
+grow with N.
 """
 
 from __future__ import annotations
@@ -148,16 +148,6 @@ def arrowhead_norm(sample: EnsembleSample, delta_target: float,
     deltas = sample.freqs - sample.omega_bar
     diag = max(abs(delta_target), float(np.max(np.abs(deltas - 0.5j * gamma_s))))
     return diag + sample.g_collective
-
-
-def auto_grid(sample: EnsembleSample, delta_target: float, t_end: float,
-              n_record: int = 250, gamma_s: float = 0.0,
-              dt_factor: float = 0.05) -> dynamics.TimeGrid:
-    """Grid sized for the single-excitation solver. The row-sum bound is very
-    loose for the arrowhead system, but 0.05 keeps the RK4 amplitude damping
-    of far-detuned components below the 1e-8 norm-conservation contract."""
-    return dynamics.TimeGrid.sized(arrowhead_omega_max(sample, delta_target, gamma_s),
-                                   0.0, t_end, n_record, dt_factor)
 
 
 def single_excitation_evolve(sample: EnsembleSample, delta_target: float,

@@ -15,7 +15,7 @@ from spinamp.cli import (ConfigError, DEFAULT_CONFIG, apply_overrides,
                          envelope_deviation, load_config, main,
                          resolve_config, _csv_lines, _n_workers)
 from spinamp.dynamics import POSITIVITY_TOL, TRACE_TOL, TimeGrid
-from spinamp.hilbert import DensityMatrix, SpaceDims
+from spinamp.hilbert import DensityMatrix, Operator, SpaceDims
 from spinamp.model import SystemParams, build_drive, build_hc, collapse_ops
 from spinamp.oracle import arrowhead_norm, arrowhead_omega_max, sample_frequencies
 
@@ -287,8 +287,10 @@ class TestFigure3Command:
 
 
 class TestSpectrumCommand:
-    def test_levels_match_diagonalization(self, tmp_path):
-        cfg = write_config(tmp_path, {"fock_cutoff": 12, "n_levels": 8})
+    @staticmethod
+    def check_levels(tmp_path, g_mhz):
+        cfg = write_config(tmp_path, {"fock_cutoff": 12, "n_levels": 8,
+                                      "params": {"g": g_mhz}})
         out = str(tmp_path / "spec.csv")
         assert main(["spectrum", "--config", cfg, "--out", out]) == 0
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
@@ -296,6 +298,21 @@ class TestSpectrumCommand:
         np.testing.assert_array_equal(rows[:, 0], np.arange(8))
         assert np.all(np.diff(rows[:, 0]) > 0)
         assert np.all(rows[:, 6] < 1e-9)
+
+    def test_levels_match_diagonalization(self, tmp_path):
+        self.check_levels(tmp_path, 75.0)
+
+    def test_weak_coupling_levels_match_diagonalization(self, tmp_path):
+        # at 1 kHz coupling, levels of neighbouring excitation blocks lie so
+        # close that one full diagonalisation mixes their eigenvectors; each
+        # block is diagonalised on its own
+        self.check_levels(tmp_path, 0.001)
+
+    def test_doublets_refuse_a_non_hermitian_h(self, fig_params):
+        h = build_hc(fig_params, 6)
+        skew = h + Operator(h.dims, np.triu(np.ones(h.mat.shape), 1))
+        with pytest.raises(ValueError, match="requires a Hermitian operator"):
+            cli.numeric_doublet(skew, 6, 4)
 
     def test_resonant_mixing_angle(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -325,6 +342,14 @@ class TestValidateCommand:
                 "cutoff_convergence", "timestep_convergence", "oracle_traceout",
                 "analytic_steady_e", "analytic_steady_g"} <= names
         assert "PASS conservation" in capsys.readouterr().out
+
+    def test_default_config_passes(self, tmp_path):
+        out = str(tmp_path / "report.json")
+        assert main(["validate", "--out", out]) == 0
+        report = json.loads(Path(out).read_text(encoding="utf-8"))
+        assert report["passed"] is True
+        assert len(report["checks"]) == 12
+        assert all(c["passed"] for c in report["checks"])
 
     def test_conservation_run_is_the_undriven_model(self, tmp_path, monkeypatch):
         # the run behind the conservation check, recorded from inside validate,
@@ -404,6 +429,7 @@ class TestConfigHoles:
         ("spectrum", "oracle_n=0", "oracle_n must be an integer >= 1"),
         ("spectrum", "n_levels=0", "n_levels must be an integer >= 1"),
         ("validate", "params.gamma=0", "params.gamma must be > 0 for validate"),
+        ("spectrum", "params.drive=1e308", "omega_d must be finite, got inf"),
     ])
     def test_exits_2_with_message(self, tmp_path, capsys, experiment, override,
                                   message):
@@ -413,6 +439,19 @@ class TestConfigHoles:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert message in err
+
+    # finite settings whose generator norm times window overflows: no step
+    # count can be planned
+    @pytest.mark.parametrize("override", ["params.gamma=1e300", "params.lambda_d=1e300",
+                                          "grid.t_start_us=-1e308"])
+    @pytest.mark.parametrize("experiment", ["figure2", "validate"])
+    def test_overflowing_window_exits_1(self, tmp_path, capsys, experiment, override):
+        out = str(tmp_path / "out")
+        argv = [experiment, *SMALL_RUN, "--override", override, "--out", out]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation failure: ") and "is not finite" in err
+        assert "Traceback" not in err
 
 
 SRC = os.path.dirname(os.path.dirname(spinamp.__file__))
@@ -564,10 +603,11 @@ class TestThreadPolicy:
     ("figure2", [], {"cli._pmap", "cli._pmap.task", "cli._run_branch_meta"}),
     ("figure3", [], {"cli._pmap", "cli._pmap.task", "cli._run_branch_meta"}),
     # a validate config that passes, so every check's path runs; its
-    # timestep_guard is the one caller of omega_max, as planned runs need none
+    # timestep_guard is the one caller of TimeGrid.auto and omega_max, as
+    # planned runs need neither
     ("validate", ["fock_cutoff=6", "oracle_n=500"],
      {"cli._check_cutoff", "cli._run_branch_meta", "dynamics.omega_max",
-      "oracle.single_excitation_evolve"}),
+      "dynamics.TimeGrid.auto", "oracle.single_excitation_evolve"}),
 ], ids=["figure2", "figure3", "validate"])
 def test_benchmark_hook_traces_a_serial_figure2(tmp_path, experiment, overrides, traced):
     """The benchmark's invoke.py wraps cli, dynamics and oracle names
@@ -666,11 +706,11 @@ class TestPlanChoice:
         assert grid.applications < rk.applications
 
     @pytest.mark.parametrize("n_steps, calls", [(0, {"omega_max": 0, "norm_bound": 1}),
-                                                (400, {"omega_max": 1, "norm_bound": 0})])
+                                                (400, {"omega_max": 0, "norm_bound": 1})])
     def test_branch_computes_each_norm_once(self, fig_params, monkeypatch, n_steps,
                                             calls):
-        # a planned run computes the 2-norm bound it plans on and hands it to
-        # the guard; a fixed RK4 grid needs only omega_max
+        # a run computes the 2-norm bound it plans on and hands it to the
+        # guard; a rerun with a step count set plans too, for its degree
         counts = {"omega_max": 0, "norm_bound": 0}
         for name in counts:
             def counted(*args, _name=name, _fn=getattr(dynamics, name)):
@@ -749,6 +789,7 @@ class TestPlanTelemetry:
         # the state vectors the step buffer held on each run's grid: at d=6
         # the terms fit the buffer, so a step with records inside keeps them
         for m, n, dt, applications, held in per_run:
+            assert m > 4  # a Taylor plan
             grid = TimeGrid(0.0, 0.01, n, degree=m, n_record=10)
             assert dt == grid.dt and applications == m * n
             nbytes = 8 * meta["generator_dim"]  # the real coordinates of rho
@@ -773,6 +814,7 @@ class TestPlanTelemetry:
         plans = meta["convergence_plans"]
         assert set(plans["cutoff_doubling"]) == gammas
         for plan in [*plans["cutoff_doubling"].values(), plans["step_halving"]]:
+            assert plan["degree"] > 4
             assert plan["applications"] == plan["degree"] * plan["n_steps"]
         smallest = min(gammas, key=float)
         degree = meta["degree"] if experiment == "figure2" else meta["degree"][smallest]
@@ -795,6 +837,7 @@ class TestPlanTelemetry:
         for plan in report["plans"].values():
             assert set(plan) == {"degree", "n_steps", "dt_us", "applications",
                                  "step_buffer"}
+            assert plan["degree"] > 4  # the reruns' plans too
             assert plan["applications"] == plan["degree"] * plan["n_steps"]
         # 400 oracle records over fewer steps, read off the steps' terms
         oracle_plan = report["plans"]["oracle_seed_11"]

@@ -10,9 +10,9 @@ from spinamp.analytic import excited_population, ground_population
 from spinamp.dynamics import (DT_FACTOR, PLAN_MAX_DEGREE, POSITIVITY_TOL,
                               RECORD_BLOCK_BYTES, STEP_BUFFER_BYTES, TAYLOR_THETA,
                               TERM_BLOCK, IntegrationError, StabilityError, TimeGrid,
-                              csr_sum, density_matrices, evolve, hermitian_coords,
-                              liouvillian, norm_bound, omega_max, real_generator, rk4,
-                              readout_gain)
+                              check_stability, csr_sum, density_matrices, evolve,
+                              hermitian_coords, liouvillian, norm_bound, omega_max,
+                              real_generator, rk4, readout_gain)
 from spinamp.hilbert import (DensityMatrix, Operator, SpaceDims, identity,
                              kron, ladder)
 from spinamp.model import SystemParams, build_anc, build_drive, build_hc, collapse_ops
@@ -31,6 +31,15 @@ def joint_observables(d):
 def mode_number(d):
     a = ladder(d)
     return a.dag() @ a
+
+
+def fewest_passing_steps(scale, t_end, limit, n_record):
+    """The fewest steps over [0, t_end] with dt * scale <= limit and records
+    at step ends: a multiple of n_record."""
+    n = n_record * max(1, int(np.ceil(t_end * scale / limit / n_record)))
+    while t_end / n * scale > limit:
+        n += n_record
+    return n
 
 
 def scipy_csr(a):
@@ -186,13 +195,15 @@ class TestEvolve:
         rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1, 0)
         num, _ = joint_observables(d)
         grid = TimeGrid(0.0, 1.0, 100, 10)
-        with pytest.raises(StabilityError) as err:
+        with pytest.raises(StabilityError, match=r"^dt\*omega_max = \S+ exceeds 0\.25$"):
             evolve(h, ops, rho0, grid, [num])
-        need = err.value.required_n_steps
-        assert need > 100 and need % 10 == 0
-        # the suggested step count satisfies the guard
-        ok = TimeGrid(0.0, 1.0, need, 10)
-        assert ok.dt * omega_max(h, ops) <= 0.25 + 1e-12
+        # the fewest steps the guard admits, and ten fewer, which it refuses
+        wmax = omega_max(h, ops)
+        need = fewest_passing_steps(wmax, 1.0, 0.25, 10)
+        assert need > 100
+        check_stability(TimeGrid(0.0, 1.0, need, 10), wmax)
+        with pytest.raises(StabilityError):
+            check_stability(TimeGrid(0.0, 1.0, need - 10, 10), wmax)
 
     def test_requires_an_observable(self, fig_params):
         d = 4
@@ -775,10 +786,10 @@ class TestTaylorPlan:
         t_end = 11 * TAYLOR_THETA[16] / norm
         grid = TimeGrid(0.0, t_end, 10, 10, degree=16)
         assert grid.dt * omega_max(h, ops) < TAYLOR_THETA[16] < grid.dt * norm
-        with pytest.raises(StabilityError, match="theta_16") as err:
+        with pytest.raises(StabilityError, match=r"exceeds theta_16 = \S+$"):
             evolve(h, ops, rho0, grid, [num])
-        need = err.value.required_n_steps
-        assert need > 10 and need % 10 == 0
+        need = fewest_passing_steps(norm, t_end, TAYLOR_THETA[16], 10)
+        assert need == 20
         ok = TimeGrid(0.0, t_end, need, 10, degree=16)
         evolve(h, ops, rho0, ok, [num])
 
@@ -917,10 +928,10 @@ class TestTaylorPlan:
         # three degree-16 steps over ten records, each step 1.1 times too long
         t_end = 3.3 * TAYLOR_THETA[16] / norm
         grid = TimeGrid(0.0, t_end, 3, 10, degree=16)
-        with pytest.raises(StabilityError, match="theta_16") as err:
+        with pytest.raises(StabilityError, match=r"exceeds theta_16 = \S+$"):
             evolve(h, ops, rho0, grid, [num])
-        need = err.value.required_n_steps
-        assert need % 10 == 0  # records at step ends
+        need = fewest_passing_steps(norm, t_end, TAYLOR_THETA[16], 10)
+        assert need == 10  # records at step ends
         ok = TimeGrid(0.0, t_end, need, 10, degree=16)
         assert ok.dt * norm <= TAYLOR_THETA[16]
         evolve(h, ops, rho0, ok, [num])

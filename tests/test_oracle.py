@@ -7,8 +7,7 @@ from spinamp.cli import envelope_deviation
 from spinamp.hilbert import DensityMatrix, Operator, SpaceDims, identity, kron, ladder
 from spinamp.model import SystemParams, build_drive, build_hc, collapse_ops
 from spinamp.oracle import (EnsembleSample, arrowhead_norm, arrowhead_omega_max,
-                            auto_grid, build_full_model,
-                            full_model_evolve, lorentzian_ppf,
+                            build_full_model, full_model_evolve, lorentzian_ppf,
                             reduced_single_excitation, sample_frequencies,
                             single_excitation_evolve)
 
@@ -105,13 +104,20 @@ class TestSampling:
                            seed=0, truncation=10.0, omega_bar=0.0, gamma=1.0)
 
 
+def oracle_plan(s, delta_target, t_end, n_record):
+    """validate's plan for the single-excitation solve: the Taylor plan on
+    the arrowhead's 2-norm bound, for its complex amplitudes."""
+    return dynamics.TimeGrid.taylor(arrowhead_norm(s, delta_target), 0.0, t_end,
+                                    n_record, nbytes=16 * (s.n + 1))
+
+
 class TestSingleExcitation:
     def test_resonant_vacuum_rabi(self):
         # one spin on resonance, no width: |c_e|^2 = cos^2(g t)
         g = TWO_PI * 10.0
         s = EnsembleSample(freqs=np.array([0.0]), couplings=np.array([g]),
                            seed=0, truncation=50.0, omega_bar=0.0, gamma=1.0)
-        grid = auto_grid(s, 0.0, 0.2, n_record=200, dt_factor=0.02)
+        grid = oracle_plan(s, 0.0, 0.2, 200)
         res = single_excitation_evolve(s, 0.0, grid)
         np.testing.assert_allclose(np.abs(res.c_e) ** 2,
                                    np.cos(g * res.times) ** 2, atol=1e-8)
@@ -124,7 +130,7 @@ class TestSingleExcitation:
         s = EnsembleSample(freqs=np.full(n, fig_params.omega_bar),
                            couplings=np.full(n, g_j), seed=0, truncation=50.0,
                            omega_bar=fig_params.omega_bar, gamma=fig_params.gamma)
-        grid = auto_grid(s, fig_params.delta, 0.02, n_record=100, dt_factor=0.02)
+        grid = oracle_plan(s, fig_params.delta, 0.02, 100)
         res = single_excitation_evolve(s, fig_params.delta, grid)
         delta, big_g = fig_params.delta, fig_params.g_collective
         omega = np.sqrt(delta**2 + 4 * big_g**2)
@@ -137,7 +143,7 @@ class TestSingleExcitation:
     def test_norm_conserved(self, fig_params):
         s = sample_frequencies(400, fig_params.omega_bar, fig_params.gamma,
                                seed=8, g_collective=fig_params.g_collective)
-        grid = auto_grid(s, fig_params.delta, 0.1)
+        grid = oracle_plan(s, fig_params.delta, 0.1, 250)
         res = single_excitation_evolve(s, fig_params.delta, grid)
         assert np.max(np.abs(res.norm - 1.0)) < 1e-8
 
@@ -176,7 +182,7 @@ class TestSingleExcitation:
         t_end = 3.0 / fig_params.gamma
         s = sample_frequencies(2000, fig_params.omega_bar, fig_params.gamma,
                                seed=11, g_collective=fig_params.g_collective)
-        grid = auto_grid(s, fig_params.delta, t_end, n_record=400)
+        grid = oracle_plan(s, fig_params.delta, t_end, 400)
         res = single_excitation_evolve(s, fig_params.delta, grid)
         _, c_a = reduced_single_excitation(fig_params.delta,
                                            fig_params.g_collective,
@@ -257,9 +263,10 @@ class TestArrowheadNorm:
         grid = dynamics.TimeGrid(0.0, t_end, n, n, degree=m)
         assert grid.dt * bound > dynamics.TAYLOR_THETA[m]
         with pytest.raises(dynamics.StabilityError,
-                           match=r"dt\*norm = .* exceeds theta_12") as err:
+                           match=r"dt\*norm = .* exceeds theta_12"):
             single_excitation_evolve(s, p.delta, grid)
-        need = err.value.required_n_steps
+        # the fewest steps within the bound
+        need = int(np.ceil(t_end * bound / dynamics.TAYLOR_THETA[m]))
         ok = dynamics.TimeGrid(0.0, t_end, need, need, degree=m)
         assert ok.dt * bound <= dynamics.TAYLOR_THETA[m]
         single_excitation_evolve(s, p.delta, ok)
@@ -270,12 +277,11 @@ class TestArrowheadNorm:
                                g_collective=p.g_collective)
         grid = dynamics.TimeGrid(0.0, 1.0, 10, 10)
         with pytest.raises(dynamics.StabilityError,
-                           match=r"^dt\*omega_max = \S+ exceeds 0\.25; "
-                                 r"n_steps >= \d+ required$") as err:
+                           match=r"^dt\*omega_max = \S+ exceeds 0\.25$") as err:
             single_excitation_evolve(s, p.delta, grid)
-        # the fewest steps (a multiple of the 10 records) with dt * row sum <= 0.25
-        need = err.value.required_n_steps
-        assert need - 10 < arrowhead_omega_max(s, p.delta) / 0.25 <= need
+        # the row sum over the 0.1 us steps, not the smaller 2-norm bound
+        assert str(err.value).startswith(
+            f"dt*omega_max = {0.1 * arrowhead_omega_max(s, p.delta):.3g} ")
 
     def test_spectral_plan_matches_arrowhead_eigendecomposition(self, fig_params):
         p = fig_params
@@ -464,11 +470,11 @@ class TestFullModel:
         s = self.spread_sample(p)
         h, *_ = build_full_model(s, p, 3)
         grid = dynamics.TimeGrid(0.0, 0.01, 40, 10)
-        with pytest.raises(dynamics.StabilityError) as err:
+        with pytest.raises(dynamics.StabilityError, match="omega_max"):
             full_model_evolve(s, 3, p, grid)
-        need = err.value.required_n_steps
-        assert need > 40 and need % 10 == 0
-        # the suggested step count satisfies the guard
+        # the fewest steps, with records at step ends, that the guard admits
+        need = 10 * int(np.ceil(0.01 * dynamics.omega_max(h) / 0.25 / 10))
+        assert need > 40
         ok = dynamics.TimeGrid(0.0, 0.01, need, 10)
         assert ok.dt * dynamics.omega_max(h) <= 0.25 + 1e-12
         assert full_model_evolve(s, 3, p, ok).bright_n.shape == (11,)
