@@ -297,12 +297,6 @@ def _joint_observables(d: int):
     return [num, qubit]
 
 
-def _rho_bytes(dim: int) -> int:
-    """Bytes of the state `dynamics.evolve` steps for a dim x dim rho: its
-    dim² real coordinates."""
-    return 8 * dim * dim
-
-
 def _generator(h: Operator, ops: list[Operator]) -> tuple:
     """(`dynamics.real_generator` of the Liouvillian of h and ops, and its
     `dynamics.norm_bound`). The Liouvillian is built once and not kept."""
@@ -319,8 +313,7 @@ def _run(h: Operator, ops: list[Operator], rho0: DensityMatrix, observables: lis
     which `evolve`'s guard reuses; with n_steps set (the step-halving rerun)
     it takes n_steps steps of the plan's degree."""
     generator, norm = built or _generator(h, ops)
-    grid = dynamics.TimeGrid.taylor(norm, t_start, t_end, n_record,
-                                    nbytes=_rho_bytes(h.dim))
+    grid = dynamics.TimeGrid.taylor(norm, t_start, t_end, n_record)
     if n_steps:
         grid = replace(grid, n_steps=n_steps)
     traj = dynamics.evolve(h, ops, rho0, grid, observables, gamma=gamma,
@@ -363,7 +356,7 @@ def _check_cutoff(p, d, base: dict, grid) -> tuple[float, dict]:
                                           grid.n_record, model=model)
         return _max_normalized_dev(base[state].collective_n, doubled.collective_n), rerun
     devs = _pmap(dev, base)
-    return max(dev for dev, _ in devs), _plan(devs[0][1], _rho_bytes(4 * d))
+    return max(dev for dev, _ in devs), _plan(devs[0][1])
 
 
 def _check_timestep(p, d, base, grid) -> tuple[float, dict]:
@@ -372,8 +365,7 @@ def _check_timestep(p, d, base, grid) -> tuple[float, dict]:
     the same model over the same window and records, so it keeps the degree."""
     half, rerun = _run_branch_meta(p, d, "e", grid.t_start, grid.t_end, grid.n_record,
                                    n_steps=2 * grid.n_steps)
-    return (_max_normalized_dev(base.collective_n, half.collective_n),
-            _plan(rerun, _rho_bytes(2 * d)))
+    return _max_normalized_dev(base.collective_n, half.collective_n), _plan(rerun)
 
 
 def _convergence(rc: RunConfig, runs: list) -> dict:
@@ -404,11 +396,10 @@ def _convergence(rc: RunConfig, runs: list) -> dict:
                                   "step_halving": halving}}
 
 
-def _plan(grid, nbytes: int) -> dict:
-    """A run's plan, with the state vectors of `nbytes` bytes each its step
-    buffer held."""
+def _plan(grid) -> dict:
+    """A run's plan, with the state vectors its step buffer held."""
     return {"degree": grid.degree, "n_steps": grid.n_steps, "dt_us": grid.dt,
-            "applications": grid.applications, "step_buffer": grid.buffer(nbytes)}
+            "applications": grid.applications, "step_buffer": grid.buffer}
 
 
 def _runs_meta(runs: list, d: int, per_gamma: bool = True) -> dict:
@@ -417,7 +408,7 @@ def _runs_meta(runs: list, d: int, per_gamma: bool = True) -> dict:
     run), the extrema of the per-record state diagnostics, and the generator
     products summed over every branch with the dimension of the Liouvillian
     they apply (the real coordinates of rho at cutoff d)."""
-    plans = {str(g): _plan(grid, _rho_bytes(2 * d)) for g, _, _, grid in runs}
+    plans = {str(g): _plan(grid) for g, _, _, grid in runs}
     if per_gamma:
         meta = {key: {g: plan[key] for g, plan in plans.items()}
                 for key in next(iter(plans.values()))}
@@ -600,7 +591,7 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
     # conservation bookkeeping (undriven, initial |e,0>) plus state hygiene
     p0 = replace(p, lambda_d=0.0, gamma_s=0.0)
     traj0, grid0 = _run_branch_meta(p0, d, "e", rc.t_start, rc.t_end, rc.n_record)
-    plans["conservation"] = _plan(grid0, _rho_bytes(2 * d))
+    plans["conservation"] = _plan(grid0)
     q = traj0.qubit_excited + traj0.total_n
     checks.append(_check("conservation", np.max(np.abs(q - 1.0)), CONSERVATION_TOL))
     checks.append(_check("trace_error", traj0.trace_err.max(), dynamics.TRACE_TOL))
@@ -610,7 +601,7 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
     # short driven windows for the convergence checks
     t_short = rc.t_start + min(0.2, rc.t_end - rc.t_start)
     base, g_short = _run_branch_meta(p, d, "e", rc.t_start, t_short, 200)
-    plans["short_window"] = _plan(g_short, _rho_bytes(2 * d))
+    plans["short_window"] = _plan(g_short)
     try:
         dev_c, plans["short_window_cutoff_doubling"] = _check_cutoff(p, d, {"e": base},
                                                                      g_short)
@@ -637,7 +628,7 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
                        ("g", analytic.ground_population)):
         traj, steady = _run(
             build_anc(p, state, d), anc_ops, rho0, [num], p.gamma, 0.0, t_steady, 200)
-        plans[f"analytic_steady_{state}"] = _plan(steady, _rho_bytes(d))
+        plans[f"analytic_steady_{state}"] = _plan(steady)
         ref = float(ana(np.array([t_steady]), p)[0])
         checks.append(_check(f"analytic_steady_{state}",
                              abs(traj.collective_n[-1] - ref), ANALYTIC_STEADY_TOL))
@@ -649,10 +640,8 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
         sample = oracle.sample_frequencies(rc.oracle_n, p.omega_bar, p.gamma,
                                            seed, g_collective=p.g_collective)
         bound = oracle.arrowhead_norm(sample, p.delta)
-        # the complex amplitudes of |e> and the N spins
-        nbytes = 16 * (sample.n + 1)
-        s_grid = dynamics.TimeGrid.taylor(bound, 0.0, t_oracle, 400, nbytes=nbytes)
-        plans[f"oracle_seed_{seed}"] = _plan(s_grid, nbytes)
+        s_grid = dynamics.TimeGrid.taylor(bound, 0.0, t_oracle, 400)
+        plans[f"oracle_seed_{seed}"] = _plan(s_grid)
         res = oracle.single_excitation_evolve(sample, p.delta, s_grid)
         _, c_red = oracle.reduced_single_excitation(p.delta, p.g_collective,
                                                     p.gamma, res.times)

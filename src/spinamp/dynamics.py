@@ -19,21 +19,18 @@ picks the rule:
 Steps and records are independent. The theta_m bound holds at every point
 inside a step, so ``rk4`` reads a record that falls inside a step off that
 step's Taylor terms, with vector sums instead of generator products; a plan
-spans as many records per step as its bound allows. The step buffer this
-needs is bounded by STEP_BUFFER_BYTES, and ``TimeGrid.taylor`` plans within
-it. A step writes its terms into a ring of rows: the ring holds all m + 1
-terms whenever they fit the buffer; otherwise the buffer holds one
-accumulator per record inside the step, the ring takes the rest (at least
-TERM_BLOCK rows), and each full ring is added into the accumulators. Every
-``cli`` run, the validate oracle included, is a Taylor plan; RK4 grids serve
-library callers that size steps on omega_max.
+spans as many records per step as its bound allows. A step with a record
+inside it keeps its m + 1 terms in the step buffer (``TimeGrid.buffer``), so
+step memory is bounded by degree + 1 state vectors whatever the state's
+size. Every ``cli`` run, the validate oracle included, is a Taylor plan; RK4
+grids serve library callers that size steps on omega_max.
 
 Records reach the caller in blocks: ``rk4`` hands its recorder a (k, size)
 array of k consecutive records, k = 1 at a step end and up to
 RECORD_BLOCK_BYTES of them inside a step, so the per-record work (readout,
-traces, eigenvalues) runs as batched array operations. A block is a view of
-the state or of the step buffer, which later steps overwrite, so a recorder
-copies what it keeps. Both byte bounds count bytes of the state's own dtype:
+traces, eigenvalues) runs as batched array operations. A step-end block is
+a view of the state, which the next step overwrites, so a recorder copies
+what it keeps. The block bound counts bytes of the state's own dtype:
 the stepper keeps that dtype, real or complex.
 
 ``evolve`` steps rho in real Hermitian coordinates: the D² real numbers
@@ -82,7 +79,7 @@ import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil, gcd, isfinite, isqrt, sqrt
+from math import ceil, isfinite, isqrt, sqrt
 
 import numpy as np
 
@@ -95,12 +92,9 @@ POSITIVITY_TOL = 1e-6
 # the largest part of L that does not keep rho Hermitian, which the real
 # coordinates drop, relative to ||L||_1
 HERMITICITY_TOL = 1e-9
-# the most memory one Taylor step may hold to read records off its terms
-STEP_BUFFER_BYTES = 1 << 20
 # the most memory one block of records handed to a recorder may take; the
-# recorder's temporaries scale with it, so it stays a fraction of the buffer
-RECORD_BLOCK_BYTES = STEP_BUFFER_BYTES // 8
-TERM_BLOCK = 4           # the fewest terms the ring of an accumulating step holds
+# recorder's temporaries (eigvalsh's among them) scale with it
+RECORD_BLOCK_BYTES = 1 << 17
 ENTRY_BLOCK = 2048       # entries of a Liouvillian read at a time by real_generator
 # the highest degree a plan takes: at degree 55 the terms of a full step peak
 # near e^9.9 ~ 2e4 times the state, and their cancellation shows above rounding
@@ -156,25 +150,6 @@ class IntegrationError(RuntimeError):
     pass
 
 
-def _inner_records(n_steps: int, n_record: int) -> int:
-    """The most records that fall strictly inside one step, with records at
-    k/n_record and steps at j/n_steps of the window: the multiples of n_steps
-    in an open interval (j n_record, (j+1) n_record)."""
-    return (n_record - gcd(n_steps, n_record) - 1) // n_steps + 1
-
-
-def _held(degree: int, inner: int, nbytes: int) -> int:
-    """State vectors of `nbytes` bytes a step holds to read `inner` records
-    off its terms: a ring of its degree + 1 terms when they fit
-    STEP_BUFFER_BYTES; otherwise one accumulator per record and a ring of the
-    rest of the buffer, at least TERM_BLOCK terms."""
-    if not inner:
-        return 0
-    if (degree + 1) * nbytes <= STEP_BUFFER_BYTES:
-        return degree + 1
-    return inner + max(TERM_BLOCK, STEP_BUFFER_BYTES // nbytes - inner)
-
-
 def _span(norm: float, t_start: float, t_end: float) -> float:
     """norm * (t_end - t_start), the generator's reach over the window that a
     step count is sized on; a StabilityError when it is not finite."""
@@ -228,10 +203,13 @@ class TimeGrid:
         """Generator products over the whole grid: degree per step."""
         return self.degree * self.n_steps
 
-    def buffer(self, nbytes: int) -> int:
-        """State vectors of `nbytes` bytes each in the step buffer of ``rk4``
-        on this grid (``_held``): 0 when every record falls on a step end."""
-        return _held(self.degree, _inner_records(self.n_steps, self.n_record), nbytes)
+    @property
+    def buffer(self) -> int:
+        """State vectors in the step buffer of ``rk4`` on this grid: the
+        degree + 1 terms of a step when some record falls inside a step,
+        else 0 (every record falls on a step end exactly when n_record
+        divides n_steps)."""
+        return self.degree + 1 if self.n_steps % self.n_record else 0
 
     @property
     def times(self) -> np.ndarray:
@@ -250,25 +228,16 @@ class TimeGrid:
         return cls(t_start, t_end, n, n_record)
 
     @classmethod
-    def taylor(cls, norm: float, t_start: float, t_end: float, n_record: int,
-               nbytes: int = 16) -> "TimeGrid":
+    def taylor(cls, norm: float, t_start: float, t_end: float,
+               n_record: int) -> "TimeGrid":
         """The unit-roundoff Taylor plan with the fewest generator products
         over the whole window: degree 4 <= m <= PLAN_MAX_DEGREE and s steps
         minimising m * s subject to s * TAYLOR_THETA[m] >= norm * (t_end -
-        t_start), where norm bounds the generator in any consistent norm, and
-        to the step buffer fitting STEP_BUFFER_BYTES for state vectors of
-        `nbytes` bytes each (ties go to the lower degree)."""
+        t_start), where norm bounds the generator in any consistent norm
+        (ties go to the lower degree)."""
         span = _span(norm, t_start, t_end)
-        room = STEP_BUFFER_BYTES // nbytes
-        plans = []
-        for m, theta in TAYLOR_THETA.items():
-            if m > PLAN_MAX_DEGREE:
-                break
-            s = max(1, ceil(span / theta))
-            # more steps hold fewer records each; with n_record | s none
-            while _held(m, _inner_records(s, n_record), nbytes) > room:
-                s += 1
-            plans.append((s, m))
+        plans = [(max(1, ceil(span / theta)), m) for m, theta in TAYLOR_THETA.items()
+                 if m <= PLAN_MAX_DEGREE]
         s, m = min(plans, key=lambda sm: (sm[0] * sm[1], sm[1]))
         return cls(t_start, t_end, s, n_record, m)
 
@@ -335,8 +304,7 @@ def rk4(rhs, y0: np.ndarray, grid: TimeGrid, record, integrand=None) -> None:
     (record 0 is y0) and integrals[j] its running integral. A record at a
     step end comes as a block of one, a view of the state that the next step
     updates in place; the records inside a step come in blocks of at most
-    RECORD_BLOCK_BYTES, views of the step buffer. The recorder copies what
-    it keeps.
+    RECORD_BLOCK_BYTES. The recorder copies what it keeps.
 
     The running integral is that of the linear scalar integrand(y): a step
     adds h * sum_{k<m} integrand(T_k) / (k + 1), the exact integral over the
@@ -346,31 +314,24 @@ def rk4(rhs, y0: np.ndarray, grid: TimeGrid, record, integrand=None) -> None:
     T_k and integral + h * sum_{k<m} x^(k+1) integrand(T_k) / (k + 1), the
     same polynomial and its exact integral.
 
-    Every step writes T_k into row k mod r of a ring of r term rows in the
-    step buffer and adds it into y in place, in the plain step's arithmetic:
-    term = (h / k) * rhs(term); y += term. The ring holds all m + 1 terms
-    when they fit, and each block of records is one product of their
-    weights x^k with the terms; otherwise it follows one accumulator per
-    record inside a step, and each full ring is added into the
-    accumulators. A step with no record inside it needs one ring row.
+    A step with a record inside it writes T_k into row k of the m + 1 rows of
+    the step buffer (``TimeGrid.buffer``), and each block of records is one
+    product of their weights x^k with those rows; a step with none writes
+    every term into one row. Either way each term is added into y in place,
+    in the plain step's arithmetic: term = (h / k) * rhs(term); y += term.
 
-    The state keeps the dtype of y0, float or complex, and the step buffer
-    counts its bytes. rhs may return a scratch array that its next call
-    overwrites: each term is copied into the ring as it is scaled.
+    The state keeps the dtype of y0, float or complex. rhs may return a
+    scratch array that its next call overwrites: each term is copied into
+    the buffer as it is scaled.
     """
     h, m = grid.dt, grid.degree
     n_steps, n_rec = grid.n_steps, grid.n_record
     y = np.array(y0, dtype=complex if np.iscomplexobj(y0) else float)
-    held = grid.buffer(y.nbytes)
-    n_sums = 0 if held == m + 1 else _inner_records(n_steps, n_rec)
-    buf = np.empty((max(1, held), y.size), dtype=y.dtype)
+    terms = np.empty((max(1, grid.buffer), y.size), dtype=y.dtype)
     # the same rows as floats: the weights x^k are real, so a block of
     # records costs real products on complex terms too
-    flat = buf.view(float)
-    sums, ring = buf[:n_sums], buf[n_sums:]
-    sums_f, ring_f = flat[:n_sums], flat[n_sums:]
-    r, chunk = len(ring), _block_rows(y.nbytes)
-    keep = r > m
+    terms_f = terms.view(float)
+    r, chunk = len(terms), _block_rows(y.nbytes)
     acc = 0.0
     record(0, y[None], np.zeros(1))
     i = 1  # the next record
@@ -379,31 +340,24 @@ def rk4(rhs, y0: np.ndarray, grid: TimeGrid, record, integrand=None) -> None:
         while i <= n_rec and i * n_steps < (step + 1) * n_rec:
             i += 1
         n = i - first
-        if n:
-            x = (np.arange(first, i) * n_steps - step * n_rec) / n_rec
-            powers = x[:, None] ** np.arange(m + 1)
-            sums[:n] = 0.0
-        term = ring[0]
+        term = terms[0]
         term[:] = y
         gains = []
         for k in range(1, m + 1):
             if integrand is not None:
                 gains.append(integrand(term))
-            term = np.multiply(rhs(term), h / k, out=ring[k % r])
+            term = np.multiply(rhs(term), h / k, out=terms[k % r])
             y += term
-            if n and not keep and (k % r == r - 1 or k == m):
-                k0 = k - k % r
-                for lo in range(0, n, chunk):
-                    hi = min(n, lo + chunk)
-                    sums_f[lo:hi] += powers[lo:hi, k0:k + 1] @ ring_f[:k + 1 - k0]
         gain = sum(g / k for k, g in enumerate(gains, 1))
         if n:
+            x = (np.arange(first, i) * n_steps - step * n_rec) / n_rec
+            powers = x[:, None] ** np.arange(m + 1)
             integrals = (acc + h * ((powers[:, 1:] / np.arange(1, m + 1)) @ gains)
                          if gains else np.full(n, acc))
             for lo in range(0, n, chunk):
                 hi = min(n, lo + chunk)
-                ys = (powers[lo:hi] @ ring_f).view(y.dtype) if keep else sums[lo:hi]
-                record(first + lo, ys, integrals[lo:hi])
+                record(first + lo, (powers[lo:hi] @ terms_f).view(y.dtype),
+                       integrals[lo:hi])
         acc += h * gain
         if i <= n_rec and i * n_steps == (step + 1) * n_rec:
             record(i, y[None], np.array([acc]))

@@ -57,7 +57,14 @@ class EnsembleSample:
 
     @property
     def g_collective(self) -> float:
-        return float(np.sqrt(np.sum(self.couplings**2)))
+        """sqrt(sum g_j^2); scaled by max |g_j| only where the plain sum of
+        squares underflows (G below about 1e-154), so that it stays > 0."""
+        g = self.couplings
+        square = np.sum(g**2)
+        if square >= np.finfo(float).tiny or not g.any():
+            return float(np.sqrt(square))
+        top = np.max(np.abs(g))
+        return float(top * np.sqrt(np.sum((g / top)**2)))
 
 
 def sample_frequencies(n: int, omega_bar: float, gamma: float, seed: int,

@@ -453,6 +453,19 @@ class TestConfigHoles:
         assert err.startswith("validation failure: ") and "is not finite" in err
         assert "Traceback" not in err
 
+    # couplings so weak that the sampled spins' sum of squares underflows
+    # (g = 1e-300 MHz) or comes near it: validate reports all 12 checks and
+    # exits on them, without a traceback
+    @pytest.mark.parametrize("g", ["1e-150", "1e-300"])
+    def test_vanishing_coupling_reports_every_check(self, tmp_path, capsys, g):
+        out = str(tmp_path / "report.json")
+        argv = ["validate", *SMALL_RUN, "--override", f"params.g={g}", "--out", out]
+        code = main(argv)
+        report = json.loads(Path(out).read_text(encoding="utf-8"))
+        assert len(report["checks"]) == 12
+        assert code == (0 if all(c["passed"] for c in report["checks"]) else 1)
+        assert "Traceback" not in capsys.readouterr().err
+
 
 SRC = os.path.dirname(os.path.dirname(spinamp.__file__))
 REPO = os.path.dirname(SRC)
@@ -690,15 +703,15 @@ class TestPlanChoice:
         return grid, TimeGrid.auto(h, 0.0, t_end, n_record, ops)
 
     # records far denser than the dynamics: a Taylor step spans many records
-    # and reads them off its terms, so the plan beats RK4's 4-8 products per
-    # record; at d=32 the step buffer caps the records per step
+    # and reads them off its kept terms, so the plan beats RK4's 4-8 products
+    # per record; at d=32 too the plan is the plain fewest products
     @pytest.mark.parametrize("d", [16, 32])
     def test_record_dense_shape_takes_a_multi_record_taylor_plan(self, fig_params, d):
         grid, rk = self.grid(fig_params, 0.0025, 1000, d)
         assert grid.degree > 4 and grid.n_steps < grid.n_record
         assert grid.applications < rk.applications
-        nbytes = 8 * (2 * d) ** 2  # the real coordinates of rho
-        assert grid.buffer(nbytes) * nbytes <= dynamics.STEP_BUFFER_BYTES
+        assert (grid.degree, grid.n_steps) == {16: (45, 3), 32: (45, 4)}[d]
+        assert grid.buffer == grid.degree + 1
 
     def test_step_heavy_shape_takes_the_taylor_plan(self, fig_params):
         grid, rk = self.grid(fig_params, 0.005, 50)
@@ -737,10 +750,12 @@ class TestPlanChoice:
         assert (half.n_steps, half.n_record, half.degree) == (2 * grid.n_steps, 50,
                                                               grid.degree)
         assert 0.0 < dev < cli.TIMESTEP_TOL
-        assert plan == cli._plan(half, 8 * 12 ** 2)
+        assert plan == cli._plan(half)
 
     # the benchmark shapes, the default figure 2 and figure 3 windows at the
-    # production cutoff and its doubling, for every swept gamma
+    # production cutoff and its doubling, for every swept gamma: the step
+    # buffer is the degree + 1 terms where a record falls inside a step,
+    # else empty
     @pytest.mark.parametrize("t_end, n_record", [(0.005, 50), (0.0025, 1000),
                                                  (0.01, 200), (0.5, 500), (1.0, 500)])
     @pytest.mark.parametrize("d", [16, 32])
@@ -749,8 +764,8 @@ class TestPlanChoice:
             p = SystemParams.from_mhz(nu_t=412.5, nu_bar=0.0, g=75.0, lambda_d=40.0,
                                       gamma=gamma)
             grid, _ = self.grid(p, t_end, n_record, d)
-            nbytes = 8 * (2 * d) ** 2
-            assert grid.buffer(nbytes) * nbytes <= dynamics.STEP_BUFFER_BYTES
+            inside = grid.n_steps % n_record != 0
+            assert cli._plan(grid)["step_buffer"] == (grid.degree + 1 if inside else 0)
             if (t_end, n_record, d, gamma) == (0.5, 500, 16, 12.5):  # default figure2
                 assert grid.applications <= 25_000
 
@@ -759,11 +774,9 @@ class TestPlanChoice:
         p = fig_params
         sample = sample_frequencies(2000, p.omega_bar, p.gamma, seed,
                                     g_collective=p.g_collective)
-        nbytes = 16 * (sample.n + 1)  # complex amplitudes
-        grid = TimeGrid.taylor(arrowhead_norm(sample, p.delta), 0.0, 3.0 / p.gamma, 400,
-                               nbytes=nbytes)
-        assert grid.buffer(nbytes) * nbytes <= dynamics.STEP_BUFFER_BYTES
+        grid = TimeGrid.taylor(arrowhead_norm(sample, p.delta), 0.0, 3.0 / p.gamma, 400)
         assert grid.n_steps < grid.n_record  # records inside steps
+        assert cli._plan(grid)["step_buffer"] == grid.degree + 1
 
 
 class TestPlanTelemetry:
@@ -786,16 +799,13 @@ class TestPlanTelemetry:
             per_run = [tuple(meta[key][g] for key in keys) for g in meta["degree"]]
         # two branches (excited and ground) per written run
         assert meta["generator_applications"] == sum(2 * a for _, _, _, a, _ in per_run)
-        # the state vectors the step buffer held on each run's grid: at d=6
-        # the terms fit the buffer, so a step with records inside keeps them
+        # the state vectors the step buffer held on each run's grid: a step
+        # with records inside keeps its terms
         for m, n, dt, applications, held in per_run:
             assert m > 4  # a Taylor plan
             grid = TimeGrid(0.0, 0.01, n, degree=m, n_record=10)
             assert dt == grid.dt and applications == m * n
-            nbytes = 8 * meta["generator_dim"]  # the real coordinates of rho
-            assert held == grid.buffer(nbytes)
-            assert held == (m + 1 if n % 10 else 0)
-            assert held * nbytes <= dynamics.STEP_BUFFER_BYTES
+            assert held == grid.buffer == (m + 1 if n % 10 else 0)
 
     @pytest.mark.parametrize("experiment, gammas", [("figure2", {"12.5"}),
                                                     ("figure3", {"10.0", "25.0"})])
@@ -821,7 +831,7 @@ class TestPlanTelemetry:
         n_steps = (meta["n_steps"] if experiment == "figure2"
                    else meta["n_steps"][smallest])
         assert plans["step_halving"] == cli._plan(
-            TimeGrid(0.0, 0.01, 2 * n_steps, 10, degree), 8 * 12 ** 2)
+            TimeGrid(0.0, 0.01, 2 * n_steps, 10, degree))
 
     def test_validate_report_records_the_plans(self, tmp_path):
         cfg = write_config(tmp_path, {"fock_cutoff": 8, "seeds": [11],
@@ -841,8 +851,8 @@ class TestPlanTelemetry:
             assert plan["applications"] == plan["degree"] * plan["n_steps"]
         # 400 oracle records over fewer steps, read off the steps' terms
         oracle_plan = report["plans"]["oracle_seed_11"]
-        assert oracle_plan["n_steps"] < 400 and oracle_plan["step_buffer"] > 0
-        assert oracle_plan["step_buffer"] * 16 * 2001 <= dynamics.STEP_BUFFER_BYTES
+        assert oracle_plan["n_steps"] < 400
+        assert oracle_plan["step_buffer"] == oracle_plan["degree"] + 1
         assert len(report["checks"]) == 12
 
     def test_validate_report_records_the_oracle_per_seed(self, tmp_path):
@@ -866,7 +876,7 @@ class TestPlanTelemetry:
             assert 0.0 <= entry["norm_drift"] < 1e-12
             plan = report["plans"][f"oracle_seed_{seed}"]
             assert plan["applications"] == TimeGrid.taylor(
-                entry["plan_norm"], 0.0, 3.0 / p.gamma, 400, nbytes=16 * 2001).applications
+                entry["plan_norm"], 0.0, 3.0 / p.gamma, 400).applications
         assert checks["oracle_traceout"] == max(e["envelope_deviation"]
                                                 for e in per_seed.values())
         assert checks["oracle_norm"] == max(e["norm_drift"] for e in per_seed.values())

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import factorial, isqrt
 
 import numpy as np
@@ -8,8 +9,8 @@ from scipy.linalg import expm
 from spinamp import dynamics
 from spinamp.analytic import excited_population, ground_population
 from spinamp.dynamics import (DT_FACTOR, PLAN_MAX_DEGREE, POSITIVITY_TOL,
-                              RECORD_BLOCK_BYTES, STEP_BUFFER_BYTES, TAYLOR_THETA,
-                              TERM_BLOCK, IntegrationError, StabilityError, TimeGrid,
+                              RECORD_BLOCK_BYTES, TAYLOR_THETA, IntegrationError,
+                              StabilityError, TimeGrid,
                               check_stability, csr_sum, density_matrices, evolve,
                               hermitian_coords, liouvillian, norm_bound, omega_max,
                               real_generator, rk4, readout_gain)
@@ -588,7 +589,7 @@ class TestRealCoordinates:
         lv = liouvillian(h, ops)
         rho0 = DensityMatrix.basis(SpaceDims((2, 4)), 1, 0)
         t_end, n_record = 0.01, 20
-        grid = TimeGrid.taylor(norm_bound(lv), 0.0, t_end, n_record, nbytes=8 * 64)
+        grid = TimeGrid.taylor(norm_bound(lv), 0.0, t_end, n_record)
         traj = evolve(h, ops, rho0, grid, [*joint_observables(4), *quads], gamma=p.gamma)
         step = expm(scipy_csr(lv).toarray() * (t_end / n_record))
         y = rho0.mat.reshape(-1)
@@ -604,7 +605,7 @@ class TestRealCoordinates:
         ops = collapse_ops(fig_params, d)
         lv = liouvillian(h, ops)
         rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1, 0)
-        grid = TimeGrid.taylor(norm_bound(lv), 0.0, 0.001, 10, nbytes=8 * lv.shape[0])
+        grid = TimeGrid.taylor(norm_bound(lv), 0.0, 0.001, 10)
         traj = evolve(h, ops, rho0, grid, list(joint_observables(d)),
                       generator=real_generator(lv))
         assert traj.herm_err == real_generator(lv)[1] == 0.0
@@ -634,10 +635,8 @@ class TestTaylorCore:
         assert abs(seen[1][0] - factor) <= 4 * eps * abs(factor)
         assert abs(seen[1][1] - integral) <= 4 * eps * abs(integral)
 
-    # one step holding n_record - 1 records inside it, read off the kept
-    # terms (they fit the buffer) or, with no buffer to spare, through
-    # per-record accumulators and a ring of TERM_BLOCK terms; in one block of
-    # records or in blocks of three
+    # one step holding n_record - 1 records inside it, read off its kept
+    # terms, in one block of records or in blocks of three
     @pytest.mark.parametrize("degree, n_record", [(6, 3), (6, 40), (16, 5), (16, 40),
                                                   (55, 7), (55, 80)])
     def test_records_inside_a_step_are_the_partial_taylor_sums(self, degree, n_record,
@@ -647,10 +646,9 @@ class TestTaylorCore:
         z = self.LAM * dt
         eps = np.finfo(float).eps
         inner = n_record - 1
-        for budget, block in [(STEP_BUFFER_BYTES, RECORD_BLOCK_BYTES), (0, 3 * 16)]:
-            monkeypatch.setattr(dynamics, "STEP_BUFFER_BYTES", budget)
+        assert grid.buffer == degree + 1
+        for block in (RECORD_BLOCK_BYTES, 3 * 16):
             monkeypatch.setattr(dynamics, "RECORD_BLOCK_BYTES", block)
-            assert grid.buffer(16) == (degree + 1 if budget else inner + TERM_BLOCK)
             seen, blocks = {}, []
 
             def record(first, ys, integrals):
@@ -685,29 +683,6 @@ def inner_records(n_steps, n_record):
     return int(np.bincount((k * n_steps // n_record)[inside]).max()) if inside.any() else 0
 
 
-def accumulators(inner, nbytes):
-    """One accumulator per record and a ring of terms that fills the rest of
-    the step buffer, or holds TERM_BLOCK terms where the buffer is too small
-    for that."""
-    return max(STEP_BUFFER_BYTES // nbytes, inner + TERM_BLOCK)
-
-
-def held(degree, inner, nbytes):
-    """No rows when every record falls on a step end; the degree + 1 terms
-    when they fit the step buffer; otherwise the accumulators and the ring."""
-    if not inner:
-        return 0
-    if (degree + 1) * nbytes <= STEP_BUFFER_BYTES:
-        return degree + 1
-    return accumulators(inner, nbytes)
-
-
-# bytes of one state vector: a complex scalar, the real coordinates at d=16
-# and d=32, the N=2000 oracle's complex amplitudes, and vectors too long for
-# any buffer and for even a single vector of it
-STATE_BYTES = (16, 8 * 1024, 16 * 2001, 8 * 4096, 16 << 16, 16 << 17)
-
-
 def plain_steps(rhs, y0, grid, integrand):
     """The records at step ends, {index: (y, integral)}, of the plain Taylor
     step taken term by term: term = (h / k) * rhs(term); y += term, with the
@@ -733,43 +708,55 @@ class TestTaylorPlan:
         (1, 1), (1, 7), (7, 1), (3, 10), (7, 3), (5, 50), (50, 5), (63, 1000),
         (14, 50), (12, 18), (1000, 1000), (999, 1000)])
     def test_step_buffer_counts_the_records_inside_a_step(self, n_steps, n_record):
+        # the degree + 1 terms when some record falls inside a step, whatever
+        # the state's size; none when every record falls on a step end
         inner = inner_records(n_steps, n_record)
         for degree in (4, 16, 50):
             grid = TimeGrid(0.0, 1.0, n_steps, n_record, degree)
-            for nbytes in STATE_BYTES:
-                assert grid.buffer(nbytes) == held(degree, inner, nbytes)
-                # a grid fits the buffer exactly when no record falls inside
-                # a step, or the terms fit, or the accumulators leave room for
-                # a ring of TERM_BLOCK terms
-                room = STEP_BUFFER_BYTES // nbytes
-                fits = not inner or degree + 1 <= room or inner + TERM_BLOCK <= room
-                assert (grid.buffer(nbytes) <= room) == fits
+            assert grid.buffer == (degree + 1 if inner else 0)
+
+    def test_a_step_holds_at_most_its_terms(self):
+        # 199 records inside one degree-50 step of 64 KiB states: the step
+        # buffer is the 51 terms, not a row per record
+        grid = TimeGrid(0.0, 1.0, 1, 200, 50)
+        assert grid.buffer == 51
+        y0 = np.ones(1 << 13)
+        out = np.empty_like(y0)
+        seen = []
+
+        def record(first, ys, integrals):
+            seen.append(first + len(ys))
+
+        tracemalloc.start()
+        try:
+            rk4(lambda y: np.multiply(y, -1.0, out=out), y0, grid, record)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert seen[-1] == 201
+        # the state and its terms, one block of records, and the records'
+        # weights x^k with their small temporaries
+        block = dynamics._block_rows(y0.nbytes) * y0.nbytes
+        weights = 2 * grid.n_record * (grid.degree + 1) * 8
+        assert peak <= (grid.degree + 2) * y0.nbytes + block + weights
 
     @pytest.mark.parametrize("norm, t_end, n_record", [
         (7870.65, 0.005, 50), (7870.65, 0.0025, 1000), (23700.0, 0.0382, 400),
         (11423.2, 0.5, 500), (1.0, 1e-6, 10), (5e5, 1.0, 3),
         (110.4, 1.0, 1)])  # fewest products (13, 50) beats fewest steps (12, 55)
     def test_fewest_products_at_unit_roundoff(self, norm, t_end, n_record):
-        # over the whole window, for every STATE_BYTES; with a vector too
-        # long for a single one in the buffer, steps end on records
+        # over the whole window: no other degree and step count within the
+        # bound has fewer products, whatever the records
         span = norm * t_end
-        for nbytes in STATE_BYTES:
-            grid = TimeGrid.taylor(norm, 0.0, t_end, n_record, nbytes=nbytes)
-            s, m = grid.n_steps, grid.degree
-            assert grid.n_record == n_record and m <= PLAN_MAX_DEGREE
-            assert s * TAYLOR_THETA[m] >= span
-            assert grid.buffer(nbytes) * nbytes <= STEP_BUFFER_BYTES
-            if nbytes == 16 << 17:
-                assert grid.n_steps % n_record == 0 and grid.buffer(nbytes) == 0
-            # no other plan within the bound and the buffer has fewer products
-            for other, theta in TAYLOR_THETA.items():
-                if other > PLAN_MAX_DEGREE:
-                    continue
-                for steps in range(max(1, int(np.ceil(span / theta))),
-                                   m * s // other + 1):
-                    if held(other, inner_records(steps, n_record), nbytes) * nbytes \
-                            <= STEP_BUFFER_BYTES:
-                        assert (other * steps, other) >= (m * s, m)
+        grid = TimeGrid.taylor(norm, 0.0, t_end, n_record)
+        s, m = grid.n_steps, grid.degree
+        assert grid.n_record == n_record and m <= PLAN_MAX_DEGREE
+        assert s * TAYLOR_THETA[m] >= span
+        for other, theta in TAYLOR_THETA.items():
+            if other > PLAN_MAX_DEGREE:
+                continue
+            for steps in range(max(1, int(np.ceil(span / theta))), m * s // other + 1):
+                assert (other * steps, other) >= (m * s, m)
 
     @pytest.mark.parametrize("degree", [1, 3, 31, 56])
     def test_degree_outside_theta_table_rejected(self, degree):
@@ -835,55 +822,35 @@ class TestTaylorPlan:
     def test_records_inside_steps_match_augmented_expm(self, n_record, monkeypatch):
         # records strictly inside the steps of a whole-window plan, read off
         # the kept terms, against Van Loan's exact propagation from record to
-        # record: with 40 records the accumulators and the smallest ring would
-        # be fewer vectors than the terms, which are kept as they fit; with
-        # 1000 a step's records fill several blocks of half the usual size,
-        # the last one only in part
+        # record: with 40 records a step's records come in one block; with
+        # 1000 they fill several blocks of half the usual size, the last one
+        # only in part
         monkeypatch.setattr(dynamics, "RECORD_BLOCK_BYTES", RECORD_BLOCK_BYTES // 2)
         _, h, ops = driven_model()
         lv = liouvillian(h, ops)
         nbytes = 8 * lv.shape[0]  # the real coordinates of rho
         t_end = 0.02
-        grid = TimeGrid.taylor(norm_bound(lv), 0.0, t_end, n_record, nbytes=nbytes)
+        grid = TimeGrid.taylor(norm_bound(lv), 0.0, t_end, n_record)
         assert grid.degree > 4 and grid.n_steps < n_record
-        assert grid.buffer(nbytes) == grid.degree + 1
+        assert grid.buffer == grid.degree + 1
         inner = inner_records(grid.n_steps, n_record)
         if n_record == 40:
-            assert inner + TERM_BLOCK < grid.degree + 1
+            assert 1 < inner <= dynamics._block_rows(nbytes)
         else:
             assert inner > dynamics._block_rows(nbytes)
             assert inner % dynamics._block_rows(nbytes)
         self.check_against_expm(grid, t_end, n_record)
 
-    @pytest.mark.parametrize("case", ["one record per step", "accumulators",
-                                      "accumulators, uneven steps"])
-    def test_other_record_layouts_match_augmented_expm(self, case, monkeypatch):
-        # a step holding a single record inside it; and a buffer too small
-        # for the terms, so the records come through the accumulators in
-        # blocks of two, with a ring of the rest of the buffer that a step's
-        # terms fill several times; over 70 records, in blocks of three,
-        # some steps hold fewer records than there are accumulators and end
-        # on a block of two
+    @pytest.mark.parametrize("case", ["one record per step"])
+    def test_other_record_layouts_match_augmented_expm(self, case):
+        # a step holding a single record inside it
         _, h, ops = driven_model()
         lv = liouvillian(h, ops)
-        nbytes = 8 * lv.shape[0]  # the real coordinates of rho
-        t_end = 0.02
-        n_record, block = (70, 3) if "uneven" in case else (40, 2)
-        if case == "one record per step":
-            plan = TimeGrid.taylor(norm_bound(lv), 0.0, t_end, n_record, nbytes=nbytes)
-            grid = TimeGrid(0.0, t_end, n_record - 1, n_record, plan.degree)
-            assert inner_records(grid.n_steps, n_record) == 1
-            assert grid.buffer(nbytes) == grid.degree + 1
-        else:
-            monkeypatch.setattr(dynamics, "STEP_BUFFER_BYTES", 20 * nbytes)
-            monkeypatch.setattr(dynamics, "RECORD_BLOCK_BYTES", block * nbytes)
-            grid = TimeGrid.taylor(norm_bound(lv), 0.0, t_end, n_record, nbytes=nbytes)
-            inner = inner_records(grid.n_steps, n_record)
-            assert grid.buffer(nbytes) == 20 < grid.degree + 1
-            assert TERM_BLOCK <= 20 - inner < (grid.degree + 1) // 2
-            inside = [sum(j * n_record < k * grid.n_steps < (j + 1) * n_record
-                          for k in range(n_record)) for j in range(grid.n_steps)]
-            assert set(inside) == ({3} if n_record == 40 else {5, 6}) and inner == max(inside)
+        t_end, n_record = 0.02, 40
+        plan = TimeGrid.taylor(norm_bound(lv), 0.0, t_end, n_record)
+        grid = TimeGrid(0.0, t_end, n_record - 1, n_record, plan.degree)
+        assert inner_records(grid.n_steps, n_record) == 1
+        assert grid.buffer == grid.degree + 1
         self.check_against_expm(grid, t_end, n_record)
 
     @pytest.mark.parametrize("case", ["rk4 grid", "degree 50, records at step ends",
@@ -899,7 +866,7 @@ class TestTaylorPlan:
         else:
             grid = TimeGrid(0.0, 0.02, 20, 10 if "ends" in case else 30, degree=50)
         y0 = DensityMatrix.basis(SpaceDims((2, 6)), 1, 0).mat.reshape(-1)
-        assert grid.buffer(y0.nbytes) == (0 if "inside" not in case else 51)
+        assert grid.buffer == (0 if "inside" not in case else 51)
         seen = {}
 
         def rhs(y):

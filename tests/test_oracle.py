@@ -90,6 +90,21 @@ class TestSampling:
         assert s.g_collective == pytest.approx(fig_params.g_collective, rel=1e-12)
         assert np.ptp(s.couplings) > 0.0
 
+    # g_j = G / sqrt(N) squares to below the smallest normal double from G
+    # about 1e-154 on: the plain sum of squares underflows there, and only
+    # there is the norm scaled by max |g_j|
+    @pytest.mark.parametrize("coupling", ["default", "lognormal", "tiny", "tiny lognormal"])
+    def test_collective_coupling_survives_underflow(self, fig_params, coupling):
+        g = TWO_PI * 1e-300 if "tiny" in coupling else fig_params.g_collective
+        s = sample_frequencies(2000, fig_params.omega_bar, fig_params.gamma, seed=11,
+                               g_collective=g,
+                               coupling_sigma=0.5 if "lognormal" in coupling else 0.0)
+        assert abs(s.g_collective - g) <= 1e-15 * g
+        if "tiny" in coupling:
+            assert np.sum(s.couplings**2) < np.finfo(float).tiny
+        else:  # the plain formula, to the bit
+            assert s.g_collective == float(np.sqrt(np.sum(s.couplings**2)))
+
     def test_preconditions(self, fig_params):
         with pytest.raises(ValueError):
             sample_frequencies(0, 0.0, 1.0, seed=1)
@@ -106,9 +121,8 @@ class TestSampling:
 
 def oracle_plan(s, delta_target, t_end, n_record):
     """validate's plan for the single-excitation solve: the Taylor plan on
-    the arrowhead's 2-norm bound, for its complex amplitudes."""
-    return dynamics.TimeGrid.taylor(arrowhead_norm(s, delta_target), 0.0, t_end,
-                                    n_record, nbytes=16 * (s.n + 1))
+    the arrowhead's 2-norm bound."""
+    return dynamics.TimeGrid.taylor(arrowhead_norm(s, delta_target), 0.0, t_end, n_record)
 
 
 class TestSingleExcitation:
