@@ -48,7 +48,13 @@ with R through scipy's compiled CSR kernel, ``csr_matvec``, loaded from its
 extension file alone, so that no scipy package module is imported.
 Expectation values and the trace are real dot products with u, one matrix
 product per block of records, and each block is rebuilt into rho once for
-its eigenvalues.
+its positivity guard. A run either measures positivity (``eigvalsh`` on
+every block, kept in ``Trajectory.min_eig``) or only certifies it (one
+batched Cholesky of rho + POSITIVITY_TOL I per block, and min_eig None);
+the guard refuses the same records either way (``evolve``). In ``cli`` the
+runs written to a CSV and validate's conservation run measure, since the
+sidecar's ``min_eig_min`` and validate's ``positivity`` read the value; the
+convergence reruns and validate's other runs certify.
 
 Plans and guards take ``norm_bound``, sqrt(||L||_1 ||L||_inf) >= ||L||_2.
 It bounds R in the norm that gives u the Frobenius norm of the rho it
@@ -250,7 +256,10 @@ class Trajectory:
     gamma times the step-accumulated integral of collective_n. herm_err is
     one number for the run: the part of the generator that does not keep
     rho Hermitian, which the real coordinates drop (``real_generator``),
-    relative to ||L||_1.
+    relative to ||L||_1. min_eig is the smallest eigenvalue of rho at each
+    record on a measured run, and None on a certified one (``evolve``'s
+    ``positivity``), whose records were only shown to lie above
+    -POSITIVITY_TOL.
     """
 
     times: np.ndarray
@@ -258,7 +267,7 @@ class Trajectory:
     qubit_excited: np.ndarray
     subradiant_n: np.ndarray
     trace_err: np.ndarray
-    min_eig: np.ndarray
+    min_eig: np.ndarray | None
     herm_err: float
     extra: np.ndarray | None = None
 
@@ -556,10 +565,14 @@ def _dropped(lv: CsrMatrix, dim: int) -> float:
 def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
            grid: TimeGrid, observables: list[Operator],
            gamma: float = 0.0, generator: tuple[CsrMatrix, float] | None = None,
-           norm: float | None = None) -> Trajectory:
+           norm: float | None = None, positivity: str = "measure") -> Trajectory:
     """Integrate drho/dt = -i[H,rho] + sum_k (L rho L† - {L†L, rho}/2) in the
     real coordinates of rho (``hermitian_coords``), one product with the real
     generator (``real_generator``) per Taylor term.
+
+    Every record is guarded: a record with an eigenvalue of rho below
+    -POSITIVITY_TOL ends the run with an IntegrationError that names the
+    first such record.
 
     Parameters
     ----------
@@ -590,7 +603,19 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
         ``omega_max(h, collapse)`` at degree 4; only the one it reads is
         computed here. The Liouvillian built for either is dropped before
         the run starts.
+    positivity : {"measure", "certify"}
+        How the guard reads each block of records. "measure" runs
+        ``eigvalsh`` on every block and keeps the smallest eigenvalues in
+        Trajectory.min_eig. "certify", for runs whose min_eig nothing reads,
+        runs one batched Cholesky of rho + POSITIVITY_TOL I per block, which
+        succeeds exactly when no eigenvalue lies below -POSITIVITY_TOL, up to
+        rounding of order dim * eps * ||rho|| (Higham, Accuracy and Stability
+        of Numerical Algorithms, 2002, ch. 10), about 1e-14 here; a block it
+        fails on is measured with ``eigvalsh`` and raises as a measured run
+        would. Trajectory.min_eig is then None.
     """
+    if positivity not in ("measure", "certify"):
+        raise ValueError(f'positivity must be "measure" or "certify", got {positivity!r}')
     if not observables:
         raise ValueError("need at least the collective number observable")
     for op in [h, *collapse, *observables]:
@@ -625,12 +650,13 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
 
     n_rec = grid.n_record
     n_extra = max(0, len(observables) - 2)
+    measure = positivity == "measure"
     rec = {
         "collective_n": np.empty(n_rec + 1),
         "qubit_excited": np.zeros(n_rec + 1),
         "subradiant_n": np.empty(n_rec + 1),
         "trace_err": np.empty(n_rec + 1),
-        "min_eig": np.empty(n_rec + 1),
+        "min_eig": np.empty(n_rec + 1) if measure else None,
     }
     extra = np.empty((n_rec + 1, n_extra)) if n_extra else None
 
@@ -644,14 +670,23 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
             extra[block] = values[:, 2:]
         rec["subradiant_n"][block] = gamma * integrals
         rec["trace_err"][block] = np.abs(us[:, diag].sum(axis=1) - 1.0)
+        if not measure:
+            shifted = density_matrices(us, dim)
+            shifted.reshape(len(us), -1)[:, diag] += POSITIVITY_TOL  # in place
+            try:
+                np.linalg.cholesky(shifted)
+                return  # no record of the block has an eigenvalue below -tol
+            except np.linalg.LinAlgError:
+                pass  # some record may have one: measure the block
         min_eig = np.linalg.eigvalsh(density_matrices(us, dim))[:, 0]
-        rec["min_eig"][block] = min_eig
+        if measure:
+            rec["min_eig"][block] = min_eig
         bad = np.flatnonzero(min_eig < -POSITIVITY_TOL)
         if bad.size:
-            i = first + int(bad[0])
+            i = int(bad[0])
             raise IntegrationError(
-                f"positivity violated at t={grid.times[i]:.6g}: "
-                f"min eig {rec['min_eig'][i]:.3g}, trace err {rec['trace_err'][i]:.3g}")
+                f"positivity violated at t={grid.times[first + i]:.6g}: "
+                f"min eig {min_eig[i]:.3g}, trace err {rec['trace_err'][first + i]:.3g}")
 
     n = gen.shape[0]
     out = np.empty(n)

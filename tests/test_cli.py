@@ -466,6 +466,22 @@ class TestConfigHoles:
         assert code == (0 if all(c["passed"] for c in report["checks"]) else 1)
         assert "Traceback" not in capsys.readouterr().err
 
+    # at both couplings the reduced model's collective amplitude underflows
+    # to 0 at every record (at 1e-150 the oracle's peaks at 4.8e-153), so no
+    # envelope deviation can be measured: the check fails with no value
+    # instead of reading 0 (1e-300) or about 5e147 (1e-150)
+    @pytest.mark.parametrize("g", ["1e-150", "1e-300"])
+    def test_vanishing_coupling_fails_the_traceout_check(self, tmp_path, g):
+        out = str(tmp_path / "report.json")
+        assert main(["validate", *SMALL_RUN, "--override", f"params.g={g}",
+                     "--out", out]) == 1
+        report = json.loads(Path(out).read_text(encoding="utf-8"))
+        [check] = [c for c in report["checks"] if c["name"] == "oracle_traceout"]
+        assert check["value"] is None and check["passed"] is False
+        assert "no positive normal value" in check["error"]
+        assert report["oracle"]["11"]["envelope_deviation"] is None
+        assert report["passed"] is False
+
 
 SRC = os.path.dirname(os.path.dirname(spinamp.__file__))
 REPO = os.path.dirname(SRC)
@@ -654,6 +670,78 @@ class TestHygieneExtrema:
         assert hygiene["min_eig_min"] >= -POSITIVITY_TOL
 
 
+class TestCertifiedReruns:
+    """Only the runs whose min_eig an artifact reads measure it: the records
+    of the runs written to the CSV and of validate's conservation run. The
+    other runs certify positivity (a Cholesky per block), and the step
+    halving reruns the model its base run took."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Count the matrices numpy's eigvalsh takes in blocks of records,
+        and keep each evolve call's positivity, trajectory and state
+        dimension and each Liouvillian build's dimension."""
+        seen = {"eigvalsh": 0, "runs": [], "builds": []}
+        eigvalsh, evolve, build = np.linalg.eigvalsh, dynamics.evolve, dynamics.liouvillian
+
+        def counted_eigvalsh(a, *args, **kwargs):
+            if np.ndim(a) == 3:  # evolve's record blocks (a single matrix is a state check)
+                seen["eigvalsh"] += len(a)
+            return eigvalsh(a, *args, **kwargs)
+
+        def recorded_evolve(h, *args, positivity="measure", **kwargs):
+            traj = evolve(h, *args, positivity=positivity, **kwargs)
+            seen["runs"].append((positivity, traj, h.dim))
+            return traj
+
+        def counted_build(h, ops):
+            seen["builds"].append(h.dim)
+            return build(h, ops)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        monkeypatch.setattr(dynamics, "evolve", recorded_evolve)
+        monkeypatch.setattr(dynamics, "liouvillian", counted_build)
+        return seen
+
+    def test_figure2_measures_only_the_production_records(self, tmp_path, monkeypatch):
+        seen = self.spy(monkeypatch)
+        out = str(tmp_path / "out.csv")
+        assert main(["figure2", "--override", "fock_cutoff=6",
+                     "--override", "grid.t_end_us=0.005", "--override", "grid.n_record=10",
+                     "--override", "convergence_checks=true", "--out", out]) == 0
+        measured = [traj for how, traj, _ in seen["runs"] if how == "measure"]
+        reruns = [(traj, dim) for how, traj, dim in seen["runs"] if how == "certify"]
+        # the two production branches; two cutoff-doubling reruns at d=12 and
+        # the step-halving rerun at d=6
+        assert len(measured) == 2 and all(t.min_eig.shape == (11,) for t in measured)
+        assert sorted(dim for _, dim in reruns) == [12, 24, 24]
+        assert all(traj.min_eig is None for traj, _ in reruns)
+        assert seen["eigvalsh"] == 2 * 11
+        # one d=6 model for the branches and the step halving, one d=12 model
+        assert seen["builds"] == [12, 24]
+        meta = json.loads(Path(out + ".meta.json").read_text(encoding="utf-8"))
+        assert meta["hygiene"]["min_eig_min"] == min(float(t.min_eig.min())
+                                                     for t in measured)
+
+    def test_validate_measures_only_the_conservation_run(self, tmp_path, monkeypatch):
+        seen = self.spy(monkeypatch)
+        out = str(tmp_path / "report.json")
+        assert main(["validate", *SMALL_RUN, "--override", "fock_cutoff=6",
+                     "--override", "oracle_n=500", "--out", out]) == 0
+        [(conservation, dim)] = [(traj, dim) for how, traj, dim in seen["runs"]
+                                 if how == "measure"]
+        assert dim == 12 and seen["eigvalsh"] == len(conservation.min_eig) == 11
+        # the two frozen-qubit steady runs, the short window and its step
+        # halving, and its cutoff doubling
+        certified = [dim for how, _, dim in seen["runs"] if how == "certify"]
+        assert sorted(certified) == [6, 6, 12, 12, 24]
+        # the step halving reruns the short window's model: the two d=6
+        # models are the conservation run's and the short window's
+        assert sorted(seen["builds"]) == [6, 6, 12, 12, 24]
+        report = json.loads(Path(out).read_text(encoding="utf-8"))
+        [positivity] = [c for c in report["checks"] if c["name"] == "positivity"]
+        assert positivity["value"] == -float(conservation.min_eig.min())
+
+
 # Imports spinamp.cli and prints the scipy modules it loaded; with the
 # argument "then scipy.sparse", imports scipy.sparse after it and prints the
 # name of scipy's own _sparsetools module and whether scipy's product and
@@ -735,7 +823,8 @@ class TestPlanChoice:
 
     def test_step_halving_of_a_plan_whose_steps_span_records(self, fig_params,
                                                               monkeypatch):
-        base, grid = cli._run_branch_meta(fig_params, 6, "e", 0.0, 0.005, 50)
+        model = cli._model(fig_params, 6)
+        base, grid = cli._run_branch_meta(fig_params, 6, "e", 0.0, 0.005, 50, model=model)
         assert 50 % grid.n_steps and 50 % (2 * grid.n_steps)  # records inside steps
         reruns = []
         branch = cli._run_branch_meta
@@ -745,7 +834,7 @@ class TestPlanChoice:
             reruns.append(result[1])
             return result
         monkeypatch.setattr(cli, "_run_branch_meta", recorded)
-        dev, plan = cli._check_timestep(fig_params, 6, base, grid)
+        dev, plan = cli._check_timestep(fig_params, 6, base, grid, model)
         [half] = reruns
         assert (half.n_steps, half.n_record, half.degree) == (2 * grid.n_steps, 50,
                                                               grid.degree)

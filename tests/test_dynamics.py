@@ -214,7 +214,10 @@ class TestEvolve:
         with pytest.raises(ValueError, match="observable"):
             evolve(h, [], rho0, grid, [])
 
-    def test_positivity_failure_names_the_first_bad_record_of_a_block(self):
+    # a certified run fails the block's Cholesky, measures the block and
+    # names the same record with the same text as a measured run
+    @pytest.mark.parametrize("positivity", ["measure", "certify"])
+    def test_positivity_failure_names_the_first_bad_record_of_a_block(self, positivity):
         # a negative jump rate gives the non-physical rho_00(t) = expm1(-gamma t)
         # from |1><1|; one step holds records 1..19 as one block, and the
         # first record past -POSITIVITY_TOL is the 8th of them
@@ -230,7 +233,24 @@ class TestEvolve:
                            match=f"positivity violated at t={t:.6g}: min eig "
                                  f"{np.expm1(-gamma * t):.3g}, trace err "):
             evolve(h, [jump], DensityMatrix.basis(dims, 1), grid, [mode_number(2)],
-                   generator=real_generator(canonical(lv)))
+                   generator=real_generator(canonical(lv)), positivity=positivity)
+
+    def test_certified_run_keeps_the_measured_curves(self, fig_params):
+        d = 6
+        h = build_hc(fig_params, d) + build_drive(fig_params, d)
+        ops = collapse_ops(fig_params, d)
+        rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1, 0)
+        grid = TimeGrid.taylor(norm_bound(liouvillian(h, ops)), 0.0, 0.005, 50)
+        runs = {positivity: evolve(h, ops, rho0, grid, list(joint_observables(d)),
+                                   gamma=fig_params.gamma, positivity=positivity)
+                for positivity in ("measure", "certify")}
+        for name in ("collective_n", "qubit_excited", "subradiant_n", "trace_err"):
+            np.testing.assert_array_equal(getattr(runs["certify"], name),
+                                          getattr(runs["measure"], name))
+        assert runs["measure"].min_eig.min() >= -POSITIVITY_TOL
+        assert runs["certify"].min_eig is None
+        with pytest.raises(ValueError, match='positivity must be "measure" or "certify"'):
+            evolve(h, ops, rho0, grid, list(joint_observables(d)), positivity="skip")
 
 
 class TestConvergence:
