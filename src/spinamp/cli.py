@@ -31,27 +31,6 @@ CONSERVATION_TOL = 1e-6
 ORACLE_TOL = 0.05
 ANALYTIC_STEADY_TOL = 1e-4
 
-DEFAULT_CONFIG = {
-    "experiment": None,
-    "params": {
-        "nu_t": 412.5,
-        "nu_bar": 0.0,
-        "g": 75.0,
-        "lambda_d": 40.0,
-        "gamma": 12.5,
-        "gamma_s": 0.0,
-        "drive": "matched",
-    },
-    "fock_cutoff": 16,
-    "grid": {"t_start_us": 0.0, "t_end_us": None, "n_record": 500},
-    "gamma_sweep_mhz": [5.0, 10.0, 12.5, 25.0, 50.0],
-    "seeds": [11, 13, 17],
-    "oracle_n": 2000,
-    "n_levels": 11,
-    "convergence_checks": True,
-    "output_path": None,
-}
-
 T_END_DEFAULT = {"figure2": 0.5, "figure3": 1.0, "sweep": 1.0,
                  "validate": 1.0, "spectrum": 0.5}
 
@@ -73,31 +52,34 @@ def _at_least(lo, kind=_finite):
     return lambda v: kind(v) and v >= lo
 
 
-# dot path -> (test, what the value must be); resolve_config checks every
-# entry, in this order, before it reads any value
+# dot path -> (default, test, what the value must be): the one place where a
+# config key is declared. DEFAULT_CONFIG nests the defaults, and
+# resolve_config checks every entry, in this order, before it reads any value
 CONFIG_SCHEMA = {
-    "params.nu_t": (_finite, "a finite number"),
-    "params.nu_bar": (_finite, "a finite number"),
-    "params.g": (lambda v: _finite(v) and v > 0, "a finite number > 0"),
-    "params.lambda_d": (_finite, "a finite number"),
-    "params.gamma": (_at_least(0), "a finite number >= 0"),
-    "params.gamma_s": (_at_least(0), "a finite number >= 0"),
-    "params.drive": (lambda v: v == "matched" or _finite(v),
+    "params.nu_t": (412.5, _finite, "a finite number"),
+    "params.nu_bar": (0.0, _finite, "a finite number"),
+    "params.g": (75.0, lambda v: _finite(v) and v > 0, "a finite number > 0"),
+    "params.lambda_d": (40.0, _finite, "a finite number"),
+    "params.gamma": (12.5, _at_least(0), "a finite number >= 0"),
+    "params.gamma_s": (0.0, _at_least(0), "a finite number >= 0"),
+    "params.drive": ("matched", lambda v: v == "matched" or _finite(v),
                      '"matched" or a nu_d value in MHz'),
-    "fock_cutoff": (_at_least(2, _integral), "an integer >= 2"),
-    "grid.t_start_us": (_finite, "a finite number"),
-    "grid.t_end_us": (lambda v: v is None or _finite(v), "null or a finite number"),
-    "grid.n_record": (_at_least(1, _integral), "an integer >= 1"),
-    "gamma_sweep_mhz": (lambda v: isinstance(v, list) and all(map(_at_least(0), v))
+    "fock_cutoff": (16, _at_least(2, _integral), "an integer >= 2"),
+    "grid.t_start_us": (0.0, _finite, "a finite number"),
+    "grid.t_end_us": (None, lambda v: v is None or _finite(v), "null or a finite number"),
+    "grid.n_record": (500, _at_least(1, _integral), "an integer >= 1"),
+    "gamma_sweep_mhz": ([5.0, 10.0, 12.5, 25.0, 50.0],
+                        lambda v: isinstance(v, list) and all(map(_at_least(0), v))
                         and len(set(map(float, v))) == len(v),
                         "a list of distinct numbers >= 0"),
-    "seeds": (lambda v: isinstance(v, list) and bool(v)
+    "seeds": ([11, 13, 17],
+              lambda v: isinstance(v, list) and bool(v)
               and all(map(_at_least(0, _integral), v)) and len(set(v)) == len(v),
               "a non-empty list of distinct integers >= 0"),
-    "oracle_n": (_at_least(1, _integral), "an integer >= 1"),
-    "n_levels": (_at_least(1, _integral), "an integer >= 1"),
-    "convergence_checks": (lambda v: isinstance(v, bool), "true or false"),
-    "output_path": (lambda v: v is None or isinstance(v, str), "null or a path"),
+    "oracle_n": (2000, _at_least(1, _integral), "an integer >= 1"),
+    "n_levels": (11, _at_least(1, _integral), "an integer >= 1"),
+    "convergence_checks": (True, lambda v: isinstance(v, bool), "true or false"),
+    "output_path": (None, lambda v: v is None or isinstance(v, str), "null or a path"),
 }
 
 # dot path -> why a key that configs once took is now refused
@@ -107,8 +89,20 @@ RETIRED_KEYS = {
 }
 
 
-def _retired(path: str) -> "ConfigError":
-    return ConfigError(f"{path} must be left out: {RETIRED_KEYS[path]}")
+def _nest(flat: dict) -> dict:
+    """The nested dict of the {dot path: value} dict `flat`."""
+    out = {}
+    for path, value in flat.items():
+        *sections, key = path.split(".")
+        node = out
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[key] = value
+    return out
+
+
+DEFAULT_CONFIG = _nest({"experiment": None,
+                        **{path: row[0] for path, row in CONFIG_SCHEMA.items()}})
 
 
 class ConfigError(ValueError):
@@ -137,21 +131,23 @@ class RunConfig:
     resolved: dict
 
 
-def _merge(defaults: dict, user: dict, path: str = "") -> dict:
-    out = copy.deepcopy(defaults)
+def _merge(cfg: dict, user: dict, unknown: str = "config key", path: str = "") -> dict:
+    """Merge the nested dict `user` into `cfg` in place, copying its values,
+    and return cfg. A retired key is refused with its reason, a key not in
+    cfg as an unknown `unknown`, and a section of cfg takes only an object."""
     for key, value in user.items():
         here = f"{path}.{key}" if path else key
         if here in RETIRED_KEYS:
-            raise _retired(here)
-        if key not in defaults:
-            raise ConfigError(f"unknown config key: {here}")
-        if isinstance(defaults[key], dict):
+            raise ConfigError(f"{here} must be left out: {RETIRED_KEYS[here]}")
+        if key not in cfg:
+            raise ConfigError(f"unknown {unknown}: {here}")
+        if isinstance(cfg[key], dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"{here} must be an object")
-            out[key] = _merge(defaults[key], value, here)
+            _merge(cfg[key], value, unknown, here)
         else:
-            out[key] = copy.deepcopy(value)
-    return out
+            cfg[key] = copy.deepcopy(value)
+    return cfg
 
 
 def load_config(path: str | None) -> dict:
@@ -168,40 +164,28 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
-    return _merge(DEFAULT_CONFIG, user)
+    return _merge(copy.deepcopy(DEFAULT_CONFIG), user)
 
 
 def apply_overrides(cfg: dict, overrides: list[str]) -> dict:
+    """Merge each `key=value` (a dot path and a JSON value, else a string)
+    into cfg in place, as a config file's nested key would be."""
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override must look like key=value, got {item!r}")
         key, raw = item.split("=", 1)
-        if key in RETIRED_KEYS:
-            raise _retired(key)
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node = cfg
-        parts = key.split(".")
-        for part in parts[:-1]:
-            if not isinstance(node, dict) or part not in node:
-                raise ConfigError(f"unknown override path: {key}")
-            node = node[part]
-        if not isinstance(node, dict) or parts[-1] not in node:
-            raise ConfigError(f"unknown override path: {key}")
-        if isinstance(node[parts[-1]], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{key} must be an object")
-            value = _merge(node[parts[-1]], value, key)
-        node[parts[-1]] = value
+        _merge(cfg, _nest({key: value}), "override path")
     return cfg
 
 
 def resolve_config(cfg: dict, experiment: str) -> RunConfig:
     if not isinstance(cfg, dict):
         raise ConfigError(f"config must be a dict of settings, got {type(cfg).__name__}")
-    cfg = _merge(DEFAULT_CONFIG, cfg)
+    cfg = _merge(copy.deepcopy(DEFAULT_CONFIG), cfg)
     if cfg["experiment"] is not None and cfg["experiment"] != experiment:
         raise ConfigError(
             f"config experiment {cfg['experiment']!r} conflicts with subcommand {experiment!r}")
@@ -209,7 +193,7 @@ def resolve_config(cfg: dict, experiment: str) -> RunConfig:
         raise ConfigError(f"unknown experiment {experiment!r}")
     cfg["experiment"] = experiment
 
-    for path, (test, requirement) in CONFIG_SCHEMA.items():
+    for path, (_, test, requirement) in CONFIG_SCHEMA.items():
         section, _, key = path.rpartition(".")
         value = cfg[section][key] if section else cfg[key]
         if not test(value):
@@ -586,10 +570,10 @@ def run_spectrum(rc: RunConfig, out: str) -> dict:
 # validate
 # ---------------------------------------------------------------------------
 
-def _check(name, value, threshold, lower_is_pass=True):
-    passed = bool(value <= threshold) if lower_is_pass else bool(value >= threshold)
+def _check(name, value, threshold):
+    """A measured check: it passes when value <= threshold."""
     return {"name": name, "value": float(value), "threshold": float(threshold),
-            "passed": passed}
+            "passed": bool(value <= threshold)}
 
 
 def _failed(name, threshold, error: str) -> dict:

@@ -105,6 +105,10 @@ ENTRY_BLOCK = 2048       # entries of a Liouvillian read at a time by real_gener
 # the highest degree a plan takes: at degree 55 the terms of a full step peak
 # near e^9.9 ~ 2e4 times the state, and their cancellation shows above rounding
 PLAN_MAX_DEGREE = 50
+# the most generator products a plan may take: 1e9 products at the 10-36 us
+# each of a d=16 or d=32 product is 3-10 hours, where the default 1 us runs
+# plan 46,000 (d=16) and 66,950 (d=32)
+PLAN_MAX_PRODUCTS = 10**9
 
 
 def _load_sparsetools():
@@ -149,7 +153,8 @@ TAYLOR_THETA = {
 
 class StabilityError(ValueError):
     """A step too long for the stability guard, or a generator norm times
-    window that is not finite, so that no step count can be planned."""
+    window that is not finite or needs more than PLAN_MAX_PRODUCTS products,
+    so that no step count can be planned."""
 
 
 class IntegrationError(RuntimeError):
@@ -240,11 +245,18 @@ class TimeGrid:
         over the whole window: degree 4 <= m <= PLAN_MAX_DEGREE and s steps
         minimising m * s subject to s * TAYLOR_THETA[m] >= norm * (t_end -
         t_start), where norm bounds the generator in any consistent norm
-        (ties go to the lower degree)."""
-        span = _span(norm, t_start, t_end)
+        (ties go to the lower degree). A StabilityError when that plan takes
+        more than PLAN_MAX_PRODUCTS products."""
+        # every plan takes more than span products (m > theta_m), so a span
+        # past the budget is cut to it before span / theta could overflow
+        span = min(_span(norm, t_start, t_end), PLAN_MAX_PRODUCTS)
         plans = [(max(1, ceil(span / theta)), m) for m, theta in TAYLOR_THETA.items()
                  if m <= PLAN_MAX_DEGREE]
         s, m = min(plans, key=lambda sm: (sm[0] * sm[1], sm[1]))
+        if m * s > PLAN_MAX_PRODUCTS:
+            raise StabilityError(f"generator norm {norm:.3g} times window [{t_start:.3g}, "
+                                 f"{t_end:.3g}] needs more than PLAN_MAX_PRODUCTS = "
+                                 f"{PLAN_MAX_PRODUCTS:.0e} generator products")
         return cls(t_start, t_end, s, n_record, m)
 
 

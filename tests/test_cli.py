@@ -171,6 +171,53 @@ class TestConfig:
         assert capsys.readouterr().err == message
 
 
+def _leaf_paths(cfg: dict, path: str = "") -> list[str]:
+    """The dot paths of the values of a nested config dict that are not dicts."""
+    paths = []
+    for key, value in cfg.items():
+        here = f"{path}.{key}" if path else key
+        paths += _leaf_paths(value, here) if isinstance(value, dict) else [here]
+    return paths
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize("path", list(cli.CONFIG_SCHEMA))
+    def test_every_default_passes_its_own_test(self, path):
+        default, test, _ = cli.CONFIG_SCHEMA[path]
+        assert test(default)
+
+    def test_default_config_nests_the_schema(self):
+        assert _leaf_paths(DEFAULT_CONFIG) == ["experiment", *cli.CONFIG_SCHEMA]
+        for path, (default, _, _) in cli.CONFIG_SCHEMA.items():
+            section, _, key = path.rpartition(".")
+            assert (DEFAULT_CONFIG[section][key] if section else DEFAULT_CONFIG[key]) == default
+
+
+class TestOneMergeWalk:
+    # an override and the config file that holds the same nested key take the
+    # same walk, so they resolve alike and are refused alike
+    @pytest.mark.parametrize("override, payload", [
+        ('params={"gamma": 10}', {"params": {"gamma": 10}}),
+        ("grid.n_record=7", {"grid": {"n_record": 7}}),
+    ])
+    def test_same_resolved_config(self, tmp_path, override, payload):
+        by_override = resolve_config(apply_overrides(load_config(None), [override]), "figure2")
+        by_file = resolve_config(load_config(write_config(tmp_path, payload)), "figure2")
+        assert by_override.resolved == by_file.resolved
+
+    @pytest.mark.parametrize("override, payload, message", [
+        ("grid.n_steps=1", {"grid": {"n_steps": 1}}, "grid.n_steps must be left out"),
+        ("params=5", {"params": 5}, "params must be an object"),
+    ])
+    def test_same_refusal(self, tmp_path, override, payload, message):
+        with pytest.raises(ConfigError) as by_override:
+            apply_overrides(load_config(None), [override])
+        with pytest.raises(ConfigError) as by_file:
+            load_config(write_config(tmp_path, payload))
+        assert str(by_override.value) == str(by_file.value)
+        assert str(by_override.value).startswith(message)
+
+
 def _fmt(x) -> str:
     """The per-cell CSV format that the row format replaced, as reference."""
     x = float(x)
@@ -453,6 +500,21 @@ class TestConfigHoles:
         assert err.startswith("validation failure: ") and "is not finite" in err
         assert "Traceback" not in err
 
+    # a finite config whose plan would take about 1e102 generator products
+    # (50 x 2.0e100 steps) is refused before it steps, in a fresh interpreter
+    # under a timeout so that a regression cannot hang the suite
+    @pytest.mark.parametrize("experiment", ["figure2", "validate"])
+    def test_astronomical_plan_exits_1(self, tmp_path, experiment):
+        args = ["-m", "spinamp.cli", experiment, "--override", "params.gamma=1e100",
+                "--override", "fock_cutoff=4", "--out", str(tmp_path / "out")]
+        env = {**os.environ, "PYTHONPATH": SRC}
+        done = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert done.returncode == 1
+        assert done.stderr.startswith("validation failure: ")
+        assert "needs more than PLAN_MAX_PRODUCTS" in done.stderr
+        assert "Traceback" not in done.stderr
+
     # couplings so weak that the sampled spins' sum of squares underflows
     # (g = 1e-300 MHz) or comes near it: validate reports all 12 checks and
     # exits on them, without a traceback
@@ -499,11 +561,11 @@ def run_python(args, blas_threads=None, cwd=None):
                           env=env, cwd=cwd, check=True, timeout=300)
 
 
-def readme_block(heading: str) -> str:
-    """The first python code block under a README heading."""
+def readme_block(heading: str, language: str = "python") -> str:
+    """The first code block fenced as `language` under a README heading."""
     text = Path(REPO, "README.md").read_text(encoding="utf-8")
     section = text.split(f"\n## {heading}\n", 1)[1]
-    return section.split("```python\n", 1)[1].split("```", 1)[0]
+    return section.split(f"```{language}\n", 1)[1].split("```", 1)[0]
 
 
 class TestReadme:
@@ -512,6 +574,11 @@ class TestReadme:
         printed = done.stdout.split()
         assert len(printed) == 1
         assert math.isfinite(float(printed[0]))
+
+    def test_config_keys_block_lists_the_defaults(self):
+        # the README's copy of the config keys and their defaults
+        block = json.loads(readme_block("CLI", "jsonc"))
+        assert block == {k: v for k, v in DEFAULT_CONFIG.items() if k != "experiment"}
 
 
 class TestThreadDeterminism:

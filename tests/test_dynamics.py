@@ -778,6 +778,23 @@ class TestTaylorPlan:
             for steps in range(max(1, int(np.ceil(span / theta))), m * s // other + 1):
                 assert (other * steps, other) >= (m * s, m)
 
+    def test_a_plan_past_the_product_budget_is_refused(self, monkeypatch):
+        # the budget bounds the plan's m * s exactly: a plan at it is taken,
+        # one product below it is refused
+        plan = TimeGrid.taylor(11423.2, 0.0, 0.5, 500)
+        monkeypatch.setattr(dynamics, "PLAN_MAX_PRODUCTS", plan.applications)
+        assert TimeGrid.taylor(11423.2, 0.0, 0.5, 500) == plan
+        monkeypatch.setattr(dynamics, "PLAN_MAX_PRODUCTS", plan.applications - 1)
+        with pytest.raises(StabilityError, match="needs more than PLAN_MAX_PRODUCTS"):
+            TimeGrid.taylor(11423.2, 0.0, 0.5, 500)
+
+    @pytest.mark.parametrize("norm, t_end", [(3.44e101, 1.0), (4.6e3, 1e301), (4.6e3, 1e304)])
+    def test_an_astronomical_plan_is_refused(self, norm, t_end):
+        # finite spans whose plans would take 4e100 steps or more, the last
+        # one so long that span / theta_4 overflows: refused before any step
+        with pytest.raises(StabilityError, match=r"needs more than PLAN_MAX_PRODUCTS = 1e\+09"):
+            TimeGrid.taylor(norm, 0.0, t_end, 500)
+
     @pytest.mark.parametrize("degree", [1, 3, 31, 56])
     def test_degree_outside_theta_table_rejected(self, degree):
         with pytest.raises(ValueError, match="degree"):
