@@ -588,11 +588,6 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
     checks = []
     plans = {}
 
-    h, ops = build_hc(p, d) + build_drive(p, d), collapse_ops(p, d)
-    grid = dynamics.TimeGrid.auto(h, rc.t_start, rc.t_end, rc.n_record, ops)
-    checks.append(_check("timestep_guard", grid.dt * dynamics.omega_max(h, ops),
-                         dynamics.STABILITY_LIMIT))
-
     # conservation bookkeeping (undriven, initial |e,0>) plus state hygiene
     p0 = replace(p, lambda_d=0.0, gamma_s=0.0)
     traj0, grid0 = _run_branch_meta(p0, d, "e", rc.t_start, rc.t_end, rc.n_record)
@@ -611,6 +606,11 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
     base, g_short = _run_branch_meta(p, d, "e", rc.t_start, t_short, 200, model=model,
                                      positivity="certify")
     plans["short_window"] = _plan(g_short)
+    # that plan's dt * norm, the bound its guard reads above degree 4, scaled
+    # so that 0.25 is theta_m: a correct program passes it by construction
+    guard = dynamics.STABILITY_LIMIT * (g_short.dt * model[3])
+    checks.insert(0, _check("timestep_guard", guard / dynamics.TAYLOR_THETA[g_short.degree],
+                            dynamics.STABILITY_LIMIT))
     try:
         dev_c, plans["short_window_cutoff_doubling"] = _check_cutoff(p, d, {"e": base},
                                                                      g_short)
@@ -694,18 +694,18 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
 def envelope_deviation(times: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     """Max relative deviation between the oscillation envelopes of two
     nonnegative series (local maxima, linearly interpolated, compared on the
-    interior where both envelopes are defined)."""
+    interior where both envelopes are defined); pointwise, relative to max(b),
+    when either has fewer than two maxima or the envelopes share no time."""
     ia = _local_maxima(a)
     ib = _local_maxima(b)
-    if len(ia) < 2 or len(ib) < 2:
-        scale = max(float(np.max(b)), 1e-300)
-        return float(np.max(np.abs(a - b))) / scale
-    lo = max(times[ia[0]], times[ib[0]])
-    hi = min(times[ia[-1]], times[ib[-1]])
-    mask = (times >= lo) & (times <= hi)
-    env_a = np.interp(times[mask], times[ia], a[ia])
-    env_b = np.interp(times[mask], times[ib], b[ib])
-    return float(np.max(np.abs(env_a - env_b) / np.maximum(env_b, 1e-300)))
+    if len(ia) >= 2 and len(ib) >= 2:
+        mask = ((times >= max(times[ia[0]], times[ib[0]]))
+                & (times <= min(times[ia[-1]], times[ib[-1]])))
+        if mask.any():
+            env_a = np.interp(times[mask], times[ia], a[ia])
+            env_b = np.interp(times[mask], times[ib], b[ib])
+            return float(np.max(np.abs(env_a - env_b) / np.maximum(env_b, 1e-300)))
+    return float(np.max(np.abs(a - b))) / max(float(np.max(b)), 1e-300)
 
 
 def _local_maxima(y: np.ndarray) -> np.ndarray:

@@ -22,8 +22,8 @@ step's Taylor terms, with vector sums instead of generator products; a plan
 spans as many records per step as its bound allows. A step with a record
 inside it keeps its m + 1 terms in the step buffer (``TimeGrid.buffer``), so
 step memory is bounded by degree + 1 state vectors whatever the state's
-size. Every ``cli`` run, the validate oracle included, is a Taylor plan; RK4
-grids serve library callers that size steps on omega_max.
+size. Every ``cli`` run is a Taylor plan, and validate's timestep_guard
+reads its short-window plan; RK4 grids serve library callers and tests.
 
 Records reach the caller in blocks: ``rk4`` hands its recorder a (k, size)
 array of k consecutive records, k = 1 at a step end and up to

@@ -254,6 +254,15 @@ class TestFormatting:
         dev = envelope_deviation(t, 1.04 * y, y)
         assert dev == pytest.approx(0.04, abs=0.005)
 
+    # both curves have two maxima, but all of a's come before all of b's: the
+    # envelopes share no time, so the curves are compared pointwise
+    def test_envelope_deviation_disjoint_envelopes(self):
+        t = np.linspace(0, 1, 21)
+        a, b = np.zeros(21), np.zeros(21)
+        a[[2, 4]] = 1.0, 0.5
+        b[[12, 16]] = 2.0, 1.0
+        assert envelope_deviation(t, a, b) == 1.0
+
 
 class TestFigure2Command:
     def test_writes_csv_and_meta(self, tmp_path):
@@ -501,11 +510,18 @@ class TestConfigHoles:
         assert "Traceback" not in err
 
     # a finite config whose plan would take about 1e102 generator products
-    # (50 x 2.0e100 steps) is refused before it steps, in a fresh interpreter
-    # under a timeout so that a regression cannot hang the suite
-    @pytest.mark.parametrize("experiment", ["figure2", "validate"])
-    def test_astronomical_plan_exits_1(self, tmp_path, experiment):
-        args = ["-m", "spinamp.cli", experiment, "--override", "params.gamma=1e100",
+    # (50 x 2.0e100 steps), or a 1e304 or 3e304 us window whose norm times
+    # span is still finite (4.3e307 and 1.3e308 at d=4), is refused before it
+    # steps, in a fresh interpreter under a timeout so that a regression
+    # cannot hang the suite
+    @pytest.mark.parametrize("experiment, override", [
+        ("figure2", "params.gamma=1e100"), ("validate", "params.gamma=1e100"),
+        ("figure2", "grid.t_end_us=1e304"), ("validate", "grid.t_end_us=1e304"),
+        ("figure2", "grid.t_end_us=3e304"), ("validate", "grid.t_end_us=3e304"),
+    ], ids=["figure2", "validate", "figure2-1e304", "validate-1e304", "figure2-3e304",
+            "validate-3e304"])
+    def test_astronomical_plan_exits_1(self, tmp_path, experiment, override):
+        args = ["-m", "spinamp.cli", experiment, "--override", override,
                 "--override", "fock_cutoff=4", "--out", str(tmp_path / "out")]
         env = {**os.environ, "PYTHONPATH": SRC}
         done = subprocess.run([sys.executable, *args], capture_output=True, text=True,
@@ -695,15 +711,53 @@ class TestThreadPolicy:
         assert grid.degree > 4  # planned on the norm of that one build
 
 
+# a small config on which validate passes, so every check's path runs
+PASSING_RUN = [*SMALL_RUN, "--override", "fock_cutoff=6", "--override", "oracle_n=500"]
+
+
+@pytest.mark.parametrize("experiment", ["figure2", "figure3", "sweep", "spectrum",
+                                        "validate"])
+def test_no_cli_run_sizes_an_rk4_grid(tmp_path, monkeypatch, experiment):
+    """Every run plans on TimeGrid.taylor, and a guard above degree 4 (every
+    plan here) reads the plan's norm, so no subcommand sizes an RK4 grid or
+    reads omega_max."""
+    def rk4_sizing(*args, **kwargs):
+        raise AssertionError("a CLI run sized an RK4 grid")
+    monkeypatch.setattr(dynamics.TimeGrid, "auto", classmethod(rk4_sizing))
+    monkeypatch.setattr(dynamics, "omega_max", rk4_sizing)
+    assert main([experiment, *PASSING_RUN, "--out", str(tmp_path / "out")]) == 0
+
+
+# the tiny window plans every Lindblad run at degree 4, one step each
+@pytest.mark.parametrize("window", [[], ["--override", "grid.t_end_us=1e-8"]],
+                         ids=["small", "tiny_window"])
+def test_timestep_guard_reads_the_short_window_plan(tmp_path, window):
+    """timestep_guard is the short-window run's dt * norm over theta_m,
+    scaled by STABILITY_LIMIT: it passes exactly when dt * norm <= theta_m,
+    the bound that run's plan is sized on."""
+    argv = [*PASSING_RUN, *window]
+    out = tmp_path / "report.json"
+    assert main(["validate", *argv, "--out", str(out)]) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    rc = resolve_config(apply_overrides(load_config(None), argv[1::2]), "validate")
+    plan = report["plans"]["short_window"]
+    norm = cli._model(rc.params, rc.fock_cutoff)[3]
+    expected = (dynamics.STABILITY_LIMIT * (plan["dt_us"] * norm)
+                / dynamics.TAYLOR_THETA[plan["degree"]])
+    guard = report["checks"][0]
+    assert guard["name"] == "timestep_guard"
+    assert guard["value"] == expected and expected <= guard["threshold"] == 0.25
+    assert (plan["degree"] == 4) == bool(window)
+
+
 @pytest.mark.parametrize("experiment, overrides, traced", [
     ("figure2", [], {"cli._pmap", "cli._pmap.task", "cli._run_branch_meta"}),
     ("figure3", [], {"cli._pmap", "cli._pmap.task", "cli._run_branch_meta"}),
-    # a validate config that passes, so every check's path runs; its
-    # timestep_guard is the one caller of TimeGrid.auto and omega_max, as
-    # planned runs need neither
+    # a validate config that passes, so every check's path runs; no run
+    # sizes an RK4 grid, so the TimeGrid.auto and omega_max wrappers see no
+    # call, but a rename of either still fails the hook's install
     ("validate", ["fock_cutoff=6", "oracle_n=500"],
-     {"cli._check_cutoff", "cli._run_branch_meta", "dynamics.omega_max",
-      "dynamics.TimeGrid.auto", "oracle.single_excitation_evolve"}),
+     {"cli._check_cutoff", "cli._run_branch_meta", "oracle.single_excitation_evolve"}),
 ], ids=["figure2", "figure3", "validate"])
 def test_benchmark_hook_traces_a_serial_figure2(tmp_path, experiment, overrides, traced):
     """The benchmark's invoke.py wraps cli, dynamics and oracle names
