@@ -340,9 +340,11 @@ def _check_cutoff(p, d, base: dict, grid) -> tuple[float, dict]:
     def dev(state):
         doubled, rerun = _run_branch_meta(p, 2 * d, state, grid.t_start, grid.t_end,
                                           grid.n_record, model=model, positivity="certify")
-        return _max_normalized_dev(base[state].collective_n, doubled.collective_n), rerun
+        return (_max_normalized_dev(base[state].collective_n, doubled.collective_n),
+                doubled, rerun)
     devs = _pmap(dev, base)
-    return max(dev for dev, _ in devs), _plan(devs[0][1])
+    return (max(dev for dev, _, _ in devs),
+            _plan(devs[0][2], *(doubled for _, doubled, _ in devs)))
 
 
 def _check_timestep(p, d, base, grid, model: tuple) -> tuple[float, dict]:
@@ -354,7 +356,7 @@ def _check_timestep(p, d, base, grid, model: tuple) -> tuple[float, dict]:
     half, rerun = _run_branch_meta(p, d, "e", grid.t_start, grid.t_end, grid.n_record,
                                    n_steps=2 * grid.n_steps, model=model,
                                    positivity="certify")
-    return _max_normalized_dev(base.collective_n, half.collective_n), _plan(rerun)
+    return _max_normalized_dev(base.collective_n, half.collective_n), _plan(rerun, half)
 
 
 def _convergence(rc: RunConfig, runs: list, model: tuple | None) -> dict:
@@ -385,19 +387,22 @@ def _convergence(rc: RunConfig, runs: list, model: tuple | None) -> dict:
                                   "step_halving": halving}}
 
 
-def _plan(grid) -> dict:
-    """A run's plan, with the state vectors its step buffer held."""
+def _plan(grid, *runs) -> dict:
+    """A plan, with the state vectors its step buffer held, the products it
+    caps (``applications``) and the products that `runs`, the Trajectory or
+    oracle result of each branch run on it, applied."""
     return {"degree": grid.degree, "n_steps": grid.n_steps, "dt_us": grid.dt,
-            "applications": grid.applications, "step_buffer": grid.buffer}
+            "applications": grid.applications, "step_buffer": grid.buffer,
+            "products": sum(run.products for run in runs)}
 
 
 def _runs_meta(runs: list, d: int, per_gamma: bool = True) -> dict:
     """Sidecar entries of the written (gamma_mhz, params, {state: Trajectory},
     grid) runs: each run's ``_plan`` (keyed by gamma, or bare for a single
     run), the extrema of the per-record state diagnostics, and the generator
-    products summed over every branch with the dimension of the Liouvillian
+    products applied over every branch with the dimension of the Liouvillian
     they apply (the real coordinates of rho at cutoff d)."""
-    plans = {str(g): _plan(grid) for g, _, _, grid in runs}
+    plans = {str(g): _plan(grid, *branches.values()) for g, _, branches, grid in runs}
     if per_gamma:
         meta = {key: {g: plan[key] for g, plan in plans.items()}
                 for key in next(iter(plans.values()))}
@@ -407,8 +412,7 @@ def _runs_meta(runs: list, d: int, per_gamma: bool = True) -> dict:
     meta["hygiene"] = {"trace_err_max": max(float(t.trace_err.max()) for t in trajs),
                        "herm_err_max": max(t.herm_err for t in trajs),
                        "min_eig_min": min(float(t.min_eig.min()) for t in trajs)}
-    meta["generator_applications"] = sum(grid.applications * len(branches)
-                                         for _, _, branches, grid in runs)
+    meta["generator_applications"] = sum(plan["products"] for plan in plans.values())
     meta["generator_dim"] = (2 * d) ** 2
     return meta
 
@@ -591,7 +595,7 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
     # conservation bookkeeping (undriven, initial |e,0>) plus state hygiene
     p0 = replace(p, lambda_d=0.0, gamma_s=0.0)
     traj0, grid0 = _run_branch_meta(p0, d, "e", rc.t_start, rc.t_end, rc.n_record)
-    plans["conservation"] = _plan(grid0)
+    plans["conservation"] = _plan(grid0, traj0)
     q = traj0.qubit_excited + traj0.total_n
     checks.append(_check("conservation", np.max(np.abs(q - 1.0)), CONSERVATION_TOL))
     checks.append(_check("trace_error", traj0.trace_err.max(), dynamics.TRACE_TOL))
@@ -605,9 +609,10 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
     model = _model(p, d)
     base, g_short = _run_branch_meta(p, d, "e", rc.t_start, t_short, 200, model=model,
                                      positivity="certify")
-    plans["short_window"] = _plan(g_short)
-    # that plan's dt * norm, the bound its guard reads above degree 4, scaled
-    # so that 0.25 is theta_m: a correct program passes it by construction
+    plans["short_window"] = _plan(g_short, base)
+    # that plan's dt * norm, the bound its guard reads (every plan is above
+    # degree 4), scaled so that 0.25 is theta_m: a correct program passes it
+    # by construction
     guard = dynamics.STABILITY_LIMIT * (g_short.dt * model[3])
     checks.insert(0, _check("timestep_guard", guard / dynamics.TAYLOR_THETA[g_short.degree],
                             dynamics.STABILITY_LIMIT))
@@ -638,7 +643,7 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
                        ("g", analytic.ground_population)):
         traj, steady = _run(build_anc(p, state, d), anc_ops, rho0, [num], p.gamma, 0.0,
                             t_steady, 200, positivity="certify")
-        plans[f"analytic_steady_{state}"] = _plan(steady)
+        plans[f"analytic_steady_{state}"] = _plan(steady, traj)
         ref = float(ana(np.array([t_steady]), p)[0])
         checks.append(_check(f"analytic_steady_{state}",
                              abs(traj.collective_n[-1] - ref), ANALYTIC_STEADY_TOL))
@@ -651,8 +656,8 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
                                            seed, g_collective=p.g_collective)
         bound = oracle.arrowhead_norm(sample, p.delta)
         s_grid = dynamics.TimeGrid.taylor(bound, 0.0, t_oracle, 400)
-        plans[f"oracle_seed_{seed}"] = _plan(s_grid)
         res = oracle.single_excitation_evolve(sample, p.delta, s_grid)
+        plans[f"oracle_seed_{seed}"] = _plan(s_grid, res)
         _, c_red = oracle.reduced_single_excitation(p.delta, p.g_collective,
                                                     p.gamma, res.times)
         ref = np.abs(c_red)

@@ -14,13 +14,19 @@ picks the rule:
   dt * ||A|| <= TAYLOR_THETA[m], the unit-roundoff bound of Al-Mohy &
   Higham (SIAM J. Sci. Comput. 2011), which holds in any consistent norm
   (a 2-norm bound for the Liouvillian and for the arrowhead oracle);
-  ``check_stability`` guards that bound.
+  ``check_stability`` guards that bound. theta_m bounds the worst state,
+  so m is a cap: given beta >= ||A||_inf, ``rk4`` ends a step after the
+  term T_k once a proved bound on the terms after it, tail_k ||T_k||_inf,
+  falls to unit roundoff of the state's ||y||_inf. ``evolve`` passes
+  beta = ||R||_inf, and its runs stop at about half the plan's products;
+  the oracle passes none and takes every term.
 
 Steps and records are independent. The theta_m bound holds at every point
 inside a step, so ``rk4`` reads a record that falls inside a step off that
-step's Taylor terms, with vector sums instead of generator products; a plan
-spans as many records per step as its bound allows. A step with a record
-inside it keeps its m + 1 terms in the step buffer (``TimeGrid.buffer``), so
+step's Taylor terms (those it took before it stopped), with vector sums
+instead of generator products; a plan spans as many records per step as its
+bound allows. A step with a record inside it keeps its terms, at most m + 1,
+in the step buffer (``TimeGrid.buffer``), so
 step memory is bounded by degree + 1 state vectors whatever the state's
 size. Every ``cli`` run is a Taylor plan, and validate's timestep_guard
 reads its short-window plan; RK4 grids serve library callers and tests.
@@ -66,7 +72,8 @@ refuses a generator where it exceeds HERMITICITY_TOL.
 
 ``evolve`` tracks, alongside the density matrix, the running integral
 of the first observable, integrating each Taylor term exactly (at degree 4
-these are the RK4 stage weights), up to a record inside a step too. For the
+these are the RK4 stage weights), up to a record inside a step too, for a
+Taylor polynomial of whatever degree its step stopped at. For the
 collective number operator and a sqrt(gamma)*A collapse channel this makes
 the quanta bookkeeping
 
@@ -109,6 +116,9 @@ PLAN_MAX_DEGREE = 50
 # each of a d=16 or d=32 product is 3-10 hours, where the default 1 us runs
 # plan 46,000 (d=16) and 66,950 (d=32)
 PLAN_MAX_PRODUCTS = 10**9
+# the double-precision unit roundoff, the size of the terms a step may drop
+# relative to its state
+UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def _load_sparsetools():
@@ -211,7 +221,8 @@ class TimeGrid:
 
     @property
     def applications(self) -> int:
-        """Generator products over the whole grid: degree per step."""
+        """Generator products over the whole grid at degree per step: the
+        cap on what ``rk4`` applies when its steps stop early."""
         return self.degree * self.n_steps
 
     @property
@@ -242,16 +253,18 @@ class TimeGrid:
     def taylor(cls, norm: float, t_start: float, t_end: float,
                n_record: int) -> "TimeGrid":
         """The unit-roundoff Taylor plan with the fewest generator products
-        over the whole window: degree 4 <= m <= PLAN_MAX_DEGREE and s steps
+        over the whole window: degree 5 <= m <= PLAN_MAX_DEGREE and s steps
         minimising m * s subject to s * TAYLOR_THETA[m] >= norm * (t_end -
         t_start), where norm bounds the generator in any consistent norm
-        (ties go to the lower degree). A StabilityError when that plan takes
-        more than PLAN_MAX_PRODUCTS products."""
+        (ties go to the lower degree). Degree 4 is left to RK4 grids, so every
+        plan is guarded on its own bound and may stop its steps early
+        (``rk4``). A StabilityError when that plan takes more than
+        PLAN_MAX_PRODUCTS products."""
         # every plan takes more than span products (m > theta_m), so a span
         # past the budget is cut to it before span / theta could overflow
         span = min(_span(norm, t_start, t_end), PLAN_MAX_PRODUCTS)
         plans = [(max(1, ceil(span / theta)), m) for m, theta in TAYLOR_THETA.items()
-                 if m <= PLAN_MAX_DEGREE]
+                 if 4 < m <= PLAN_MAX_DEGREE]
         s, m = min(plans, key=lambda sm: (sm[0] * sm[1], sm[1]))
         if m * s > PLAN_MAX_PRODUCTS:
             raise StabilityError(f"generator norm {norm:.3g} times window [{t_start:.3g}, "
@@ -271,7 +284,8 @@ class Trajectory:
     relative to ||L||_1. min_eig is the smallest eigenvalue of rho at each
     record on a measured run, and None on a certified one (``evolve``'s
     ``positivity``), whose records were only shown to lie above
-    -POSITIVITY_TOL.
+    -POSITIVITY_TOL. products is the number of generator products the run
+    applied, at most grid.applications (``rk4``'s stop).
     """
 
     times: np.ndarray
@@ -281,6 +295,7 @@ class Trajectory:
     trace_err: np.ndarray
     min_eig: np.ndarray | None
     herm_err: float
+    products: int
     extra: np.ndarray | None = None
 
     @property
@@ -315,10 +330,30 @@ def check_stability(grid: TimeGrid, wmax: float, bound: float | None = None) -> 
         raise StabilityError(f"dt*{name} = {grid.dt * scale:.3g} exceeds {shown}")
 
 
-def rk4(rhs, y0: np.ndarray, grid: TimeGrid, record, integrand=None) -> None:
+def _tails(h_bound: float, m: int) -> list[float]:
+    """tail[k] = sum_{i=1}^{m-k} (h beta)^i k! / (k + i)! for k = 0..m, with
+    h_bound = h beta: since ||T_{k+i}|| <= ||T_k|| (h beta)^i k! / (k + i)!
+    for beta >= ||A||, the terms after T_k sum to at most tail[k] ||T_k||."""
+    tail = [0.0] * (m + 1)
+    for k in range(m - 1, -1, -1):
+        tail[k] = h_bound / (k + 1) * (1.0 + tail[k + 1])
+    return tail
+
+
+def rk4(rhs, y0: np.ndarray, grid: TimeGrid, record, integrand=None,
+        bound: float | None = None) -> int:
     """Taylor steps of degree m = grid.degree for the linear dy/dt = rhs(y) = A y
     from y0 over grid: with h = grid.dt and the terms T_k = (hA)^k y / k!, a
     step maps y to sum_{k<=m} T_k, which at m = 4 is the classical RK4 map.
+    Returns the number of rhs products applied.
+
+    With bound = beta >= ||A||_inf on a grid of degree m > 4, m is a cap: a
+    step stops after the term T_k, at degree k, once tail_k ||T_k||_inf <=
+    UNIT_ROUNDOFF ||y||_inf, y the state at the step's start (``_tails``), so
+    the terms it drops sum to at most unit roundoff of the state. The test
+    runs only where tail_k < 1, and reads only max-abs values, which are
+    exact, so the stop does not depend on the BLAS thread count.
+    Without a bound, or at degree 4, every step takes its m terms.
 
     record(first, ys, integrals) receives the recorded points in blocks of
     consecutive records: row j of the (k, size) array ys is record first + j
@@ -327,18 +362,20 @@ def rk4(rhs, y0: np.ndarray, grid: TimeGrid, record, integrand=None) -> None:
     updates in place; the records inside a step come in blocks of at most
     RECORD_BLOCK_BYTES. The recorder copies what it keeps.
 
-    The running integral is that of the linear scalar integrand(y): a step
-    adds h * sum_{k<m} integrand(T_k) / (k + 1), the exact integral over the
-    step of the Taylor polynomial (at m = 4, RK4's stage-weighted sum); 0
-    without an integrand. A record at fraction x in (0, 1) of a step is read
-    off the step's terms without further generator products: y = sum_k x^k
-    T_k and integral + h * sum_{k<m} x^(k+1) integrand(T_k) / (k + 1), the
-    same polynomial and its exact integral.
+    The running integral is that of the linear scalar integrand(y): a step of
+    degree m' (m, or where it stopped) adds h * sum_{k<m'} integrand(T_k) /
+    (k + 1), the exact integral over the step of its Taylor polynomial (at
+    m = 4, RK4's stage-weighted sum); 0 without an integrand. A record at
+    fraction x in (0, 1) of a step is read off the step's terms without
+    further generator products: y = sum_{k<=m'} x^k T_k and integral + h *
+    sum_{k<m'} x^(k+1) integrand(T_k) / (k + 1), the same polynomial and its
+    exact integral.
 
     A step with a record inside it writes T_k into row k of the m + 1 rows of
     the step buffer (``TimeGrid.buffer``), and each block of records is one
-    product of their weights x^k with those rows; a step with none writes
-    every term into one row. Either way each term is added into y in place,
+    product of their weights x^k with the step's m' + 1 rows (rows above m'
+    hold an earlier step's terms); a step with none writes every term into
+    one row. Either way each term is added into y in place,
     in the plain step's arithmetic: term = (h / k) * rhs(term); y += term.
 
     The state keeps the dtype of y0, float or complex. rhs may return a
@@ -353,7 +390,12 @@ def rk4(rhs, y0: np.ndarray, grid: TimeGrid, record, integrand=None) -> None:
     # records costs real products on complex terms too
     terms_f = terms.view(float)
     r, chunk = len(terms), _block_rows(y.nbytes)
+    tested = m  # the first degree at which a step may stop; m: none
+    if bound is not None and m > 4:
+        tail = _tails(h * bound, m)
+        tested = next(k for k in range(1, m + 1) if tail[k] < 1.0)
     acc = 0.0
+    products = 0
     record(0, y[None], np.zeros(1))
     i = 1  # the next record
     for step in range(n_steps):
@@ -361,28 +403,36 @@ def rk4(rhs, y0: np.ndarray, grid: TimeGrid, record, integrand=None) -> None:
         while i <= n_rec and i * n_steps < (step + 1) * n_rec:
             i += 1
         n = i - first
+        if tested < m:
+            limit = UNIT_ROUNDOFF * float(np.max(np.abs(y)))
         term = terms[0]
         term[:] = y
         gains = []
+        deg = m
         for k in range(1, m + 1):
             if integrand is not None:
                 gains.append(integrand(term))
             term = np.multiply(rhs(term), h / k, out=terms[k % r])
             y += term
+            if tested <= k < m and tail[k] * float(np.max(np.abs(term))) <= limit:
+                deg = k
+                break
+        products += deg
         gain = sum(g / k for k, g in enumerate(gains, 1))
         if n:
             x = (np.arange(first, i) * n_steps - step * n_rec) / n_rec
-            powers = x[:, None] ** np.arange(m + 1)
-            integrals = (acc + h * ((powers[:, 1:] / np.arange(1, m + 1)) @ gains)
+            powers = x[:, None] ** np.arange(deg + 1)
+            integrals = (acc + h * ((powers[:, 1:] / np.arange(1, deg + 1)) @ gains)
                          if gains else np.full(n, acc))
             for lo in range(0, n, chunk):
                 hi = min(n, lo + chunk)
-                record(first + lo, (powers[lo:hi] @ terms_f).view(y.dtype),
+                record(first + lo, (powers[lo:hi] @ terms_f[:deg + 1]).view(y.dtype),
                        integrals[lo:hi])
         acc += h * gain
         if i <= n_rec and i * n_steps == (step + 1) * n_rec:
             record(i, y[None], np.array([acc]))
             i += 1
+    return products
 
 
 @dataclass(frozen=True)
@@ -580,7 +630,11 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
            norm: float | None = None, positivity: str = "measure") -> Trajectory:
     """Integrate drho/dt = -i[H,rho] + sum_k (L rho L† - {L†L, rho}/2) in the
     real coordinates of rho (``hermitian_coords``), one product with the real
-    generator (``real_generator``) per Taylor term.
+    generator R (``real_generator``) per Taylor term. Above degree 4 the
+    grid's degree is a cap: ``rk4`` ends each step once its remaining terms
+    fall below unit roundoff of the state, on the bound ||R||_inf, the
+    largest absolute row sum of R, and Trajectory.products counts the
+    products taken.
 
     Every record is guarded: a record with an eigenvalue of rho below
     -POSITIVITY_TOL ends the run with an IntegrationError that names the
@@ -702,6 +756,8 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
 
     n = gen.shape[0]
     out = np.empty(n)
+    # ||R||_inf, the largest absolute row sum, which bounds the terms a step drops
+    row_sum = float(np.bincount(_rows(gen.indptr), np.abs(gen.data), n).max())
 
     def product(u):
         # scipy's kernel behind gen @ u, into one scratch row: out += gen u
@@ -709,13 +765,14 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
         csr_matvec(n, n, gen.indptr, gen.indices, gen.data, u, out)
         return out
 
-    rk4(product, hermitian_coords(rho0.mat), grid, record,
-        integrand=lambda u: float(np.dot(num_vec, u)))
+    products = rk4(product, hermitian_coords(rho0.mat), grid, record,
+                   integrand=lambda u: float(np.dot(num_vec, u)), bound=row_sum)
 
     if rec["trace_err"][-1] > TRACE_TOL:
         raise IntegrationError(f"final trace error {rec['trace_err'][-1]:.3g} > {TRACE_TOL}")
 
-    return Trajectory(times=grid.times, extra=extra, herm_err=herm_err, **rec)
+    return Trajectory(times=grid.times, extra=extra, herm_err=herm_err,
+                      products=products, **rec)
 
 
 def readout_gain(traj_e: Trajectory, traj_g: Trajectory) -> np.ndarray:

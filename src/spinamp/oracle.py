@@ -7,7 +7,8 @@ Both run on the density-matrix integrator's Taylor core: ``dynamics.rk4``
 steps them and ``dynamics.check_stability`` guards them. The RK4 rule takes
 each generator's row sum (also its exact 1-norm). Single-excitation Taylor
 plans and their guard take ``arrowhead_norm``, a 2-norm bound that does not
-grow with N.
+grow with N. Their steps take every term of the plan: ``rk4``'s early stop
+needs an infinity-norm bound, and the arrowhead's grows as sqrt(N).
 """
 
 from __future__ import annotations
@@ -113,12 +114,14 @@ def sample_frequencies(n: int, omega_bar: float, gamma: float, seed: int,
 @dataclass(frozen=True)
 class SingleExcitationResult:
     """Amplitudes of the undriven single-excitation system (frame at omega_bar):
-    c_e on the qubit, collective = (1/G) sum_j g_j c_j, and the total norm."""
+    c_e on the qubit, collective = (1/G) sum_j g_j c_j, and the total norm,
+    with the number of generator products the run applied."""
 
     times: np.ndarray
     c_e: np.ndarray
     collective: np.ndarray
     norm: np.ndarray
+    products: int
 
 
 def arrowhead_omega_max(sample: EnsembleSample, delta_target: float,
@@ -197,9 +200,9 @@ def single_excitation_evolve(sample: EnsembleSample, delta_target: float,
         coll[block] = (cs[:, 1:] @ g) / g_norm
         norm[block] = np.sum(np.abs(cs) ** 2, axis=1)
 
-    dynamics.rk4(rhs, c0, grid, record)
+    products = dynamics.rk4(rhs, c0, grid, record)
     return SingleExcitationResult(times=grid.times, c_e=c_e, collective=coll,
-                                  norm=norm)
+                                  norm=norm, products=products)
 
 
 def reduced_single_excitation(delta_target: float, g_collective: float,

@@ -715,22 +715,49 @@ class TestThreadPolicy:
 PASSING_RUN = [*SMALL_RUN, "--override", "fock_cutoff=6", "--override", "oracle_n=500"]
 
 
-@pytest.mark.parametrize("experiment", ["figure2", "figure3", "sweep", "spectrum",
-                                        "validate"])
-def test_no_cli_run_sizes_an_rk4_grid(tmp_path, monkeypatch, experiment):
+# a window so short (norm * window <= theta_4) that the fewest products
+# over all degrees would be one degree-4 step
+TINY_WINDOW = ["--override", "grid.t_end_us=1e-8"]
+
+
+@pytest.mark.parametrize("experiment, window", [
+    ("figure2", []), ("figure3", []), ("sweep", []), ("spectrum", []), ("validate", []),
+    ("validate", TINY_WINDOW)],
+    ids=["figure2", "figure3", "sweep", "spectrum", "validate", "validate-tiny_window"])
+def test_no_cli_run_sizes_an_rk4_grid(tmp_path, monkeypatch, experiment, window):
     """Every run plans on TimeGrid.taylor, and a guard above degree 4 (every
-    plan here) reads the plan's norm, so no subcommand sizes an RK4 grid or
-    reads omega_max."""
+    plan, the tiny window's too) reads the plan's norm, so no subcommand
+    sizes an RK4 grid or reads omega_max."""
     def rk4_sizing(*args, **kwargs):
         raise AssertionError("a CLI run sized an RK4 grid")
     monkeypatch.setattr(dynamics.TimeGrid, "auto", classmethod(rk4_sizing))
     monkeypatch.setattr(dynamics, "omega_max", rk4_sizing)
+    assert main([experiment, *PASSING_RUN, *window, "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("experiment", ["figure2", "figure3", "sweep", "validate"])
+def test_every_cli_run_applies_at_most_its_plan(tmp_path, monkeypatch, experiment):
+    """Each run's steps stop early (the Lindblad runs) or take their plan's
+    every term (the oracle), so no run applies more than grid.applications,
+    and the Lindblad runs apply fewer."""
+    runs = []
+    stepper = dynamics.rk4
+
+    def counted(rhs, y0, grid, *args, **kwargs):
+        products = stepper(rhs, y0, grid, *args, **kwargs)
+        runs.append((np.iscomplexobj(y0), products, grid.applications))
+        return products
+    monkeypatch.setattr(dynamics, "rk4", counted)
     assert main([experiment, *PASSING_RUN, "--out", str(tmp_path / "out")]) == 0
+    lindblad = [(products, cap) for oracle, products, cap in runs if not oracle]
+    assert lindblad and all(0 < products <= cap for products, cap in lindblad)
+    assert sum(products for products, _ in lindblad) < sum(cap for _, cap in lindblad)
+    assert all(products == cap for oracle, products, cap in runs if oracle)
 
 
-# the tiny window plans every Lindblad run at degree 4, one step each
-@pytest.mark.parametrize("window", [[], ["--override", "grid.t_end_us=1e-8"]],
-                         ids=["small", "tiny_window"])
+# the tiny window plans every Lindblad run at degree 5, one step each: plans
+# start above degree 4, which is left to RK4 grids
+@pytest.mark.parametrize("window", [[], TINY_WINDOW], ids=["small", "tiny_window"])
 def test_timestep_guard_reads_the_short_window_plan(tmp_path, window):
     """timestep_guard is the short-window run's dt * norm over theta_m,
     scaled by STABILITY_LIMIT: it passes exactly when dt * norm <= theta_m,
@@ -747,7 +774,7 @@ def test_timestep_guard_reads_the_short_window_plan(tmp_path, window):
     guard = report["checks"][0]
     assert guard["name"] == "timestep_guard"
     assert guard["value"] == expected and expected <= guard["threshold"] == 0.25
-    assert (plan["degree"] == 4) == bool(window)
+    assert (plan["degree"] == 5) == bool(window)
 
 
 @pytest.mark.parametrize("experiment, overrides, traced", [
@@ -952,15 +979,16 @@ class TestPlanChoice:
 
         def recorded(*args, **kwargs):
             result = branch(*args, **kwargs)
-            reruns.append(result[1])
+            reruns.append(result)
             return result
         monkeypatch.setattr(cli, "_run_branch_meta", recorded)
         dev, plan = cli._check_timestep(fig_params, 6, base, grid, model)
-        [half] = reruns
+        [(traj, half)] = reruns
         assert (half.n_steps, half.n_record, half.degree) == (2 * grid.n_steps, 50,
                                                               grid.degree)
         assert 0.0 < dev < cli.TIMESTEP_TOL
-        assert plan == cli._plan(half)
+        assert plan == cli._plan(half, traj)
+        assert 0 < plan["products"] == traj.products <= half.applications
 
     # the benchmark shapes, the default figure 2 and figure 3 windows at the
     # production cutoff and its doubling, for every swept gamma: the step
@@ -1000,18 +1028,20 @@ class TestPlanTelemetry:
         assert main([experiment, *self.ARGV, "--out", out]) == 0
         meta = json.loads(Path(out + ".meta.json").read_text(encoding="utf-8"))
         assert meta["generator_dim"] == (2 * 6) ** 2
-        keys = ("degree", "n_steps", "dt_us", "applications", "step_buffer")
+        keys = ("degree", "n_steps", "dt_us", "applications", "step_buffer", "products")
         if experiment == "figure2":
             per_run = [tuple(meta[key] for key in keys)]
             assert "record_every" not in meta
         else:
             assert all(set(meta[key]) == {"10.0", "25.0"} for key in keys)
             per_run = [tuple(meta[key][g] for key in keys) for g in meta["degree"]]
-        # two branches (excited and ground) per written run
-        assert meta["generator_applications"] == sum(2 * a for _, _, _, a, _ in per_run)
+        # the products the two branches (excited and ground) of each written
+        # run applied, at most the plan's cap on each
+        assert meta["generator_applications"] == sum(run[5] for run in per_run)
+        assert meta["generator_applications"] <= sum(2 * run[3] for run in per_run)
         # the state vectors the step buffer held on each run's grid: a step
         # with records inside keeps its terms
-        for m, n, dt, applications, held in per_run:
+        for m, n, dt, applications, held, _ in per_run:
             assert m > 4  # a Taylor plan
             grid = TimeGrid(0.0, 0.01, n, degree=m, n_record=10)
             assert dt == grid.dt and applications == m * n
@@ -1036,12 +1066,17 @@ class TestPlanTelemetry:
         for plan in [*plans["cutoff_doubling"].values(), plans["step_halving"]]:
             assert plan["degree"] > 4
             assert plan["applications"] == plan["degree"] * plan["n_steps"]
+        # both branches rerun at doubled cutoff, the excited one at half step
+        for plan in plans["cutoff_doubling"].values():
+            assert 0 < plan["products"] <= 2 * plan["applications"]
+        halving = plans["step_halving"]
+        assert 0 < halving["products"] <= halving["applications"]
         smallest = min(gammas, key=float)
         degree = meta["degree"] if experiment == "figure2" else meta["degree"][smallest]
         n_steps = (meta["n_steps"] if experiment == "figure2"
                    else meta["n_steps"][smallest])
-        assert plans["step_halving"] == cli._plan(
-            TimeGrid(0.0, 0.01, 2 * n_steps, 10, degree))
+        assert halving == {**cli._plan(TimeGrid(0.0, 0.01, 2 * n_steps, 10, degree)),
+                           "products": halving["products"]}
 
     def test_validate_report_records_the_plans(self, tmp_path):
         cfg = write_config(tmp_path, {"fock_cutoff": 8, "seeds": [11],
@@ -1056,11 +1091,13 @@ class TestPlanTelemetry:
                                         "oracle_seed_11"}
         for plan in report["plans"].values():
             assert set(plan) == {"degree", "n_steps", "dt_us", "applications",
-                                 "step_buffer"}
+                                 "step_buffer", "products"}
             assert plan["degree"] > 4  # the reruns' plans too
+            assert 0 < plan["products"] <= 2 * plan["applications"]
             assert plan["applications"] == plan["degree"] * plan["n_steps"]
         # 400 oracle records over fewer steps, read off the steps' terms
         oracle_plan = report["plans"]["oracle_seed_11"]
+        assert oracle_plan["products"] == oracle_plan["applications"]  # no early stop
         assert oracle_plan["n_steps"] < 400
         assert oracle_plan["step_buffer"] == oracle_plan["degree"] + 1
         assert len(report["checks"]) == 12

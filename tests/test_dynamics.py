@@ -770,10 +770,11 @@ class TestTaylorPlan:
         span = norm * t_end
         grid = TimeGrid.taylor(norm, 0.0, t_end, n_record)
         s, m = grid.n_steps, grid.degree
-        assert grid.n_record == n_record and m <= PLAN_MAX_DEGREE
+        assert grid.n_record == n_record and 4 < m <= PLAN_MAX_DEGREE
         assert s * TAYLOR_THETA[m] >= span
+        # over the degrees a plan may take: degree 4 is left to RK4 grids
         for other, theta in TAYLOR_THETA.items():
-            if other > PLAN_MAX_DEGREE:
+            if not 4 < other <= PLAN_MAX_DEGREE:
                 continue
             for steps in range(max(1, int(np.ceil(span / theta))), m * s // other + 1):
                 assert (other * steps, other) >= (m * s, m)
@@ -956,3 +957,135 @@ class TestTaylorPlan:
         for name in ("collective_n", "qubit_excited", "subradiant_n"):
             x, y = getattr(a, name), getattr(b, name)
             assert np.max(np.abs(x - y)) <= 1e-9 * np.max(np.abs(y)), name
+
+
+class TestEarlyStop:
+    """``rk4`` with a bound beta >= ||A||_inf ends a step after T_k once
+    tail_k ||T_k||_inf <= 2^-53 ||y||_inf, tail_k = sum_{i=1}^{m-k} (h beta)^i
+    k! / (k + i)!, testing only where tail_k < 1."""
+
+    @staticmethod
+    def criterion(h_beta, m, ratio):
+        """{k: tail_k ||T_k|| / (2^-53 ||y||)} for the k in 1..m-1 where tail_k
+        < 1, when ||T_k|| / ||y|| = ratio(k), with the tails summed term by
+        term: a step stops at the first k whose value is at most 1."""
+        values = {}
+        for k in range(1, m):
+            tail = sum(h_beta**i * factorial(k) / factorial(k + i)
+                       for i in range(1, m - k + 1))
+            if tail < 1.0:
+                values[k] = tail * ratio(k) / 2.0 ** -53
+        return values
+
+    # y' = lam y: ||T_k|| / ||y|| = |h lam|^k / k! on every step
+    @pytest.mark.parametrize("lam, h, degree", [(-2.0, 0.5, 30), (-16.0, 0.5, 50),
+                                                (3.0, 0.25, 20), (-40.0, 0.1, 45)])
+    def test_scalar_step_stops_at_the_first_degree_the_bound_allows(self, lam, h, degree):
+        values = self.criterion(abs(h * lam), degree,
+                                lambda k: abs(h * lam)**k / factorial(k))
+        k = min(j for j, value in values.items() if value <= 1.0)
+        # far from a tie, so that rounding of the terms cannot move the stop
+        assert values[k] < 0.9 and all(values[j] > 1.1 for j in values if j < k)
+        grid = TimeGrid(0.0, 3 * h, 3, 3, degree)
+        calls = []
+
+        def rhs(y):
+            calls.append(1)
+            return lam * y
+
+        runs = []
+        for bound in (abs(lam), None):
+            seen = {}
+
+            def record(first, ys, integrals):
+                for j, (y, integral) in enumerate(zip(ys, integrals)):
+                    seen[first + j] = (float(y[0]), integral)
+            runs.append((rk4(rhs, np.array([1.0]), grid, record,
+                             integrand=lambda y: y[0], bound=bound), seen))
+        (stopped, seen), (full, seen_full) = runs
+        assert stopped == 3 * k and full == grid.applications
+        assert len(calls) == stopped + full
+        # the terms a step drops are below unit roundoff of its starting state,
+        # beside which the rounding of the sum's terms, up to e^(h |lam|) times
+        # that state, is all that tells the runs apart
+        assert seen[0] == seen_full[0]
+        for i in range(1, 4):
+            for j in range(2):  # the state and its integral
+                scale = np.exp(h * abs(lam)) * max(abs(seen_full[i - 1][j]),
+                                                   abs(seen_full[i][j]))
+                assert abs(seen[i][j] - seen_full[i][j]) <= 4 * np.finfo(float).eps * scale
+
+    def test_records_of_a_step_whose_degree_fell_read_only_its_terms(self):
+        # y' = diag(-99, -1) y from (1e-3, 1): the fast part decays by e^-9.9
+        # a step, relative to the slow part, so each step stops earlier than
+        # the last; rows above a step's degree still hold the previous step's
+        # terms, of order e^9.9 * 2^-53, which a record must not read
+        rates = np.array([-99.0, -1.0])
+        y0 = np.array([1e-3, 1.0])
+        grid = TimeGrid(0.0, 0.4, 4, 200, degree=55)
+        assert grid.buffer == 56
+        calls, degrees = [0], []
+        seen = {}
+
+        def rhs(y):
+            calls[0] += 1
+            return rates * y
+
+        def record(first, ys, integrals):
+            for j, y in enumerate(ys):
+                seen[first + j] = y.copy()
+            if first + len(ys) - 1 in (50, 100, 150, 200):  # a step end
+                degrees.append(calls[0] - sum(degrees))
+
+        products = rk4(rhs, y0, grid, record, bound=99.0)
+        assert products == sum(degrees) < grid.applications
+        assert all(a > b for a, b in zip(degrees, degrees[1:])), degrees
+        assert sorted(seen) == list(range(201))
+        for i, y in seen.items():
+            np.testing.assert_allclose(y, np.exp(rates * grid.times[i]) * y0,
+                                       rtol=0.0, atol=1e-13, err_msg=f"record {i}")
+
+    def test_stopped_driven_run_matches_expm_and_the_full_plan(self, monkeypatch):
+        p, h, ops = driven_model()
+        num, qubit = joint_observables(6)
+        rho0 = DensityMatrix.basis(SpaceDims((2, 6)), 1, 0)
+        lv = liouvillian(h, ops)
+        t_end, n_record = 0.02, 40
+        grid = TimeGrid.taylor(norm_bound(lv), 0.0, t_end, n_record)
+        stopped = evolve(h, ops, rho0, grid, [num, qubit], gamma=p.gamma)
+        monkeypatch.setattr(dynamics, "rk4",
+                            lambda *args, bound=None, **kwargs: rk4(*args, **kwargs))
+        full = evolve(h, ops, rho0, grid, [num, qubit], gamma=p.gamma)
+        assert stopped.products < full.products == grid.applications
+        ref = TestTaylorPlan.expm_records(lv, rho0, num, qubit, p.gamma, t_end, n_record)
+        for name, values in ref.items():
+            np.testing.assert_allclose(getattr(stopped, name), values,
+                                       rtol=0.0, atol=1e-12, err_msg=name)
+            np.testing.assert_allclose(getattr(stopped, name), getattr(full, name),
+                                       rtol=0.0, atol=1e-13, err_msg=name)
+
+    @pytest.mark.parametrize("records", ["at step ends", "inside steps"])
+    def test_rk4_grids_keep_their_bits_with_a_bound(self, records):
+        _, h, ops = driven_model()
+        lv = scipy_csr(liouvillian(h, ops))
+        grid = TimeGrid.auto(h, 0.0, 0.002, n_record=10, collapse=ops)
+        if records == "inside steps":
+            grid = TimeGrid(0.0, 0.002, grid.n_steps, grid.n_steps + 1)
+        num_vec = joint_observables(6)[0].mat.T.reshape(-1)
+        y0 = DensityMatrix.basis(SpaceDims((2, 6)), 1, 0).mat.reshape(-1)
+        runs = []
+        for bound in (None, float(abs(lv).sum(axis=1).max())):
+            seen = {}
+
+            def record(first, ys, integrals):
+                for j, (y, integral) in enumerate(zip(ys, integrals)):
+                    seen[first + j] = (y.copy(), integral)
+            products = rk4(lambda y: lv @ y, y0, grid, record,
+                           lambda y: float(np.dot(num_vec, y).real), bound=bound)
+            runs.append((products, seen))
+        (a, seen_a), (b, seen_b) = runs
+        assert a == b == grid.applications
+        assert sorted(seen_a) == sorted(seen_b) == list(range(grid.n_record + 1))
+        for i in seen_a:
+            assert np.array_equal(seen_a[i][0], seen_b[i][0])
+            assert seen_a[i][1] == seen_b[i][1]
