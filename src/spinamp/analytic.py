@@ -72,30 +72,34 @@ def jc_spectrum(n: int, p: SystemParams) -> JcLevel:
 
 
 def excited_population(t, p: SystemParams):
-    """<A†A>(t) for the target in |e> under the matched drive:
-    (4 lambda_eff^2 / gamma^2) (1 - exp(-gamma t / 2))^2.
+    """<A†A>(t) for the target in |e> under the matched drive, with the
+    mode's decay rate Gamma = gamma + gamma_s (``model.collapse_ops``):
+    (4 lambda_eff^2 / Gamma^2) (1 - exp(-Gamma t / 2))^2.
 
-    For gamma = 0 the gamma->0 limit lambda_eff^2 t^2 is returned instead of
+    For Gamma = 0 the Gamma->0 limit lambda_eff^2 t^2 is returned instead of
     raising, so sweep tooling can touch gamma = 0.
     """
     t = np.asarray(t, dtype=float)
     lam = lambda_eff(p)
-    if p.gamma == 0.0:
+    rate = p.gamma + p.gamma_s  # the sqrt(gamma) A and sqrt(gamma_s) A channels
+    if rate == 0.0:
         return lam**2 * t**2
-    return (4.0 * lam**2 / p.gamma**2) * (1.0 - np.exp(-0.5 * p.gamma * t)) ** 2
+    return (4.0 * lam**2 / rate**2) * (1.0 - np.exp(-0.5 * rate * t)) ** 2
 
 
 def ground_population(t, p: SystemParams):
-    """<A†A>(t) for the target in |g> under the matched drive:
-    lambda_eff^2 / ((2G^2/Delta)^2 + (gamma/2)^2)
-        * [1 - 2 cos(2G^2 t/Delta) exp(-gamma t/2) + exp(-gamma t)].
+    """<A†A>(t) for the target in |g> under the matched drive, with the
+    decay rate Gamma = gamma + gamma_s:
+    lambda_eff^2 / ((2G^2/Delta)^2 + (Gamma/2)^2)
+        * [1 - 2 cos(2G^2 t/Delta) exp(-Gamma t/2) + exp(-Gamma t)].
     """
     t = np.asarray(t, dtype=float)
     lam = lambda_eff(p)
+    rate = p.gamma + p.gamma_s
     det = 2.0 * p.g_collective**2 / p.delta
-    pref = lam**2 / (det**2 + (0.5 * p.gamma) ** 2)
-    bracket = (1.0 - 2.0 * np.cos(det * t) * np.exp(-0.5 * p.gamma * t)
-               + np.exp(-p.gamma * t))
+    pref = lam**2 / (det**2 + (0.5 * rate) ** 2)
+    bracket = (1.0 - 2.0 * np.cos(det * t) * np.exp(-0.5 * rate * t)
+               + np.exp(-rate * t))
     return pref * bracket
 
 

@@ -15,11 +15,12 @@ picks the rule:
   Higham (SIAM J. Sci. Comput. 2011), which holds in any consistent norm
   (a 2-norm bound for the Liouvillian and for the arrowhead oracle);
   ``check_stability`` guards that bound. theta_m bounds the worst state,
-  so m is a cap: given beta >= ||A||_inf, ``rk4`` ends a step after the
-  term T_k once a proved bound on the terms after it, tail_k ||T_k||_inf,
-  falls to unit roundoff of the state's ||y||_inf. ``evolve`` passes
-  beta = ||R||_inf, and its runs stop at about half the plan's products;
-  the oracle passes none and takes every term.
+  so m is a cap: given beta >= ||A|| in the infinity norm or the 2-norm,
+  ``rk4`` ends a step after the term T_k once a proved bound on the terms
+  after it, tail_k ||T_k||, falls to unit roundoff of the state's ||y||, in
+  the norm beta bounds. ``evolve`` passes beta = ||R||_inf, and its runs
+  stop at about half the plan's products; the oracle passes its 2-norm
+  bound ``arrowhead_norm``, and its steps stop at 40-41 of 50 terms.
 
 Steps and records are independent. The theta_m bound holds at every point
 inside a step, so ``rk4`` reads a record that falls inside a step off that
@@ -340,19 +341,33 @@ def _tails(h_bound: float, m: int) -> list[float]:
     return tail
 
 
+def _norm(v: np.ndarray, ord: float) -> float:
+    """||v|| of order `ord`: max |v_i| (inf), which is exact, or the 2-norm,
+    the square root of the sum of squares of the float view of a contiguous
+    v, real or complex, which einsum takes without a temporary the size of v
+    and without BLAS."""
+    if ord == 2:
+        f = v.view(float)
+        return sqrt(float(np.einsum("i,i->", f, f)))
+    return float(np.max(np.abs(v)))
+
+
 def rk4(rhs, y0: np.ndarray, grid: TimeGrid, record, integrand=None,
-        bound: float | None = None) -> int:
+        bound: float | None = None, ord: float = np.inf) -> int:
     """Taylor steps of degree m = grid.degree for the linear dy/dt = rhs(y) = A y
     from y0 over grid: with h = grid.dt and the terms T_k = (hA)^k y / k!, a
     step maps y to sum_{k<=m} T_k, which at m = 4 is the classical RK4 map.
     Returns the number of rhs products applied.
 
-    With bound = beta >= ||A||_inf on a grid of degree m > 4, m is a cap: a
-    step stops after the term T_k, at degree k, once tail_k ||T_k||_inf <=
-    UNIT_ROUNDOFF ||y||_inf, y the state at the step's start (``_tails``), so
-    the terms it drops sum to at most unit roundoff of the state. The test
-    runs only where tail_k < 1, and reads only max-abs values, which are
-    exact, so the stop does not depend on the BLAS thread count.
+    With bound = beta >= ||A|| on a grid of degree m > 4, m is a cap: a step
+    stops after the term T_k, at degree k, once tail_k ||T_k|| <=
+    UNIT_ROUNDOFF ||y||, y the state at the step's start (``_tails``), so the
+    terms it drops sum to at most unit roundoff of the state. The norm is
+    the one beta bounds, of order `ord`: inf (max-abs values, which are
+    exact) or 2 (the square root of a sum of squares, exact up to its own
+    rounding). The proof holds in either, as ||A^i|| <= ||A||^i in any
+    consistent norm. The test runs only where tail_k < 1, and neither norm
+    calls BLAS, so the stop does not depend on the BLAS thread count.
     Without a bound, or at degree 4, every step takes its m terms.
 
     record(first, ys, integrals) receives the recorded points in blocks of
@@ -382,6 +397,8 @@ def rk4(rhs, y0: np.ndarray, grid: TimeGrid, record, integrand=None,
     scratch array that its next call overwrites: each term is copied into
     the buffer as it is scaled.
     """
+    if ord not in (2, np.inf):
+        raise ValueError(f"ord must be inf or 2, got {ord!r}")
     h, m = grid.dt, grid.degree
     n_steps, n_rec = grid.n_steps, grid.n_record
     y = np.array(y0, dtype=complex if np.iscomplexobj(y0) else float)
@@ -404,7 +421,9 @@ def rk4(rhs, y0: np.ndarray, grid: TimeGrid, record, integrand=None,
             i += 1
         n = i - first
         if tested < m:
-            limit = UNIT_ROUNDOFF * float(np.max(np.abs(y)))
+            limit = UNIT_ROUNDOFF * _norm(y, ord)
+            if not isfinite(limit):  # a sum of squares past the float range
+                limit = 0.0          # bounds nothing: the step takes every term
         term = terms[0]
         term[:] = y
         gains = []
@@ -414,7 +433,7 @@ def rk4(rhs, y0: np.ndarray, grid: TimeGrid, record, integrand=None,
                 gains.append(integrand(term))
             term = np.multiply(rhs(term), h / k, out=terms[k % r])
             y += term
-            if tested <= k < m and tail[k] * float(np.max(np.abs(term))) <= limit:
+            if tested <= k < m and tail[k] * _norm(term, ord) <= limit:
                 deg = k
                 break
         products += deg

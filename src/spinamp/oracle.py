@@ -6,9 +6,10 @@ product-space model for tiny ensembles (n <= 4 modes) including the drive.
 Both run on the density-matrix integrator's Taylor core: ``dynamics.rk4``
 steps them and ``dynamics.check_stability`` guards them. The RK4 rule takes
 each generator's row sum (also its exact 1-norm). Single-excitation Taylor
-plans and their guard take ``arrowhead_norm``, a 2-norm bound that does not
-grow with N. Their steps take every term of the plan: ``rk4``'s early stop
-needs an infinity-norm bound, and the arrowhead's grows as sqrt(N).
+plans, their guard and ``rk4``'s early stop take ``arrowhead_norm``, a
+2-norm bound that does not grow with N (the arrowhead's infinity norm grows
+as sqrt(N)), so each step ends once its remaining terms fall below unit
+roundoff of the state in the 2-norm.
 """
 
 from __future__ import annotations
@@ -169,11 +170,15 @@ def single_excitation_evolve(sample: EnsembleSample, delta_target: float,
         dc_j/dt = -i (delta_j - i gamma_s/2) c_j - i g_j c_e
 
     with delta_j = omega_j - omega_bar (qubit and spins measured from the
-    ensemble center; the overall frame only shifts a global phase).
+    ensemble center; the overall frame only shifts a global phase). Above
+    degree 4 each step stops once its remaining terms fall below unit
+    roundoff of the state in the 2-norm, on ``arrowhead_norm``, and
+    products counts the products taken.
     """
     g = sample.couplings
+    bound = arrowhead_norm(sample, delta_target, gamma_s)
     dynamics.check_stability(grid, arrowhead_omega_max(sample, delta_target, gamma_s),
-                             arrowhead_norm(sample, delta_target, gamma_s))
+                             bound)
     # the generator's entries, complex once here rather than on every call
     ig = -1j * g
     idj = -1j * ((sample.freqs - sample.omega_bar) - 0.5j * gamma_s)
@@ -200,7 +205,7 @@ def single_excitation_evolve(sample: EnsembleSample, delta_target: float,
         coll[block] = (cs[:, 1:] @ g) / g_norm
         norm[block] = np.sum(np.abs(cs) ** 2, axis=1)
 
-    products = dynamics.rk4(rhs, c0, grid, record)
+    products = dynamics.rk4(rhs, c0, grid, record, bound=bound, ord=2)
     return SingleExcitationResult(times=grid.times, c_e=c_e, collective=coll,
                                   norm=norm, products=products)
 

@@ -598,15 +598,24 @@ class TestReadme:
 
 
 class TestThreadDeterminism:
-    def test_figure2_bytes_independent_of_thread_count(self, tmp_path):
-        cfg = write_config(tmp_path, FAST_FIG2)
+    @staticmethod
+    def outputs(tmp_path, argv, suffixes):
+        """The bytes of each output file, for BLAS thread settings None, 1 and 2."""
         outputs = []
         for threads in (None, "1", "2"):
-            out = str(tmp_path / f"fig2-{threads}.csv")
-            run_python(["-m", "spinamp.cli", "figure2", "--config", cfg, "--out", out],
-                       blas_threads=threads)
-            outputs.append((Path(out).read_bytes(),
-                            Path(out + ".meta.json").read_bytes()))
+            out = str(tmp_path / f"out-{threads}")
+            run_python(["-m", "spinamp.cli", *argv, "--out", out], blas_threads=threads)
+            outputs.append([Path(out + suffix).read_bytes() for suffix in suffixes])
+        return outputs
+
+    def test_figure2_bytes_independent_of_thread_count(self, tmp_path):
+        cfg = write_config(tmp_path, FAST_FIG2)
+        outputs = self.outputs(tmp_path, ["figure2", "--config", cfg], ["", ".meta.json"])
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_validate_report_independent_of_thread_count(self, tmp_path):
+        # the oracle's and the Lindblad runs' early stops read no BLAS result
+        outputs = self.outputs(tmp_path, ["validate", *PASSING_RUN], [""])
         assert outputs[0] == outputs[1] == outputs[2]
 
 
@@ -737,9 +746,9 @@ def test_no_cli_run_sizes_an_rk4_grid(tmp_path, monkeypatch, experiment, window)
 
 @pytest.mark.parametrize("experiment", ["figure2", "figure3", "sweep", "validate"])
 def test_every_cli_run_applies_at_most_its_plan(tmp_path, monkeypatch, experiment):
-    """Each run's steps stop early (the Lindblad runs) or take their plan's
-    every term (the oracle), so no run applies more than grid.applications,
-    and the Lindblad runs apply fewer."""
+    """Each run's steps stop early, the Lindblad runs' on the infinity norm
+    and the oracle's on the 2-norm, so no run applies more than
+    grid.applications, and each kind of run applies fewer in all."""
     runs = []
     stepper = dynamics.rk4
 
@@ -749,10 +758,23 @@ def test_every_cli_run_applies_at_most_its_plan(tmp_path, monkeypatch, experimen
         return products
     monkeypatch.setattr(dynamics, "rk4", counted)
     assert main([experiment, *PASSING_RUN, "--out", str(tmp_path / "out")]) == 0
-    lindblad = [(products, cap) for oracle, products, cap in runs if not oracle]
-    assert lindblad and all(0 < products <= cap for products, cap in lindblad)
-    assert sum(products for products, _ in lindblad) < sum(cap for _, cap in lindblad)
-    assert all(products == cap for oracle, products, cap in runs if oracle)
+    for kind in (False, True) if experiment == "validate" else (False,):
+        counts = [(products, cap) for oracle, products, cap in runs if oracle == kind]
+        assert counts and all(0 < products <= cap for products, cap in counts)
+        assert sum(products for products, _ in counts) < sum(cap for _, cap in counts)
+
+
+def test_validate_closed_forms_decay_at_gamma_plus_gamma_s(tmp_path):
+    """The frozen-qubit runs decay at gamma + gamma_s (collapse_ops adds
+    sqrt(gamma_s) A), and so do the closed forms they are checked against."""
+    out = tmp_path / "report.json"
+    assert main(["validate", *PASSING_RUN, "--override", "params.gamma_s=20",
+                 "--out", str(out)]) == 0
+    checks = {c["name"]: c["value"] for c in
+              json.loads(out.read_text(encoding="utf-8"))["checks"]}
+    # the 6-level cutoff leaves about 1e-9; at the rate gamma alone they read
+    # 0.28 and 0.004
+    assert checks["analytic_steady_e"] < 1e-8 and checks["analytic_steady_g"] < 1e-8
 
 
 # the tiny window plans every Lindblad run at degree 5, one step each: plans
@@ -897,7 +919,8 @@ class TestCertifiedReruns:
 IMPORT_GRAPH = """
 import json, sys
 import spinamp.cli
-result = {"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}
+result = {"scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+          "numpy.random": "numpy.random" in sys.modules}
 if sys.argv[1:] == ["then scipy.sparse"]:
     import numpy as np
     import scipy.sparse
@@ -917,13 +940,15 @@ print(json.dumps(result))
 def test_cli_import_leaves_out_scipy_integrate(case):
     # no scipy module at all: dynamics loads scipy's sparse kernels from
     # their extension file, which a later import of scipy.sparse must not
-    # disturb
+    # disturb; nor numpy.random, which the oracle's sampling loads when it
+    # runs (its import costs 9-22 ms and about 5.4 MB of peak RSS)
     src = os.path.dirname(os.path.dirname(spinamp.__file__))
     res = subprocess.run([sys.executable, "-c", IMPORT_GRAPH, case], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
                          timeout=120)
     result = json.loads(res.stdout)
     assert result.pop("scipy") == []
+    assert result.pop("numpy.random") is False
     if case == "then scipy.sparse":
         assert result == {"sparsetools": "scipy.sparse._sparsetools", "same_bits": True}
 
@@ -1097,7 +1122,7 @@ class TestPlanTelemetry:
             assert plan["applications"] == plan["degree"] * plan["n_steps"]
         # 400 oracle records over fewer steps, read off the steps' terms
         oracle_plan = report["plans"]["oracle_seed_11"]
-        assert oracle_plan["products"] == oracle_plan["applications"]  # no early stop
+        assert oracle_plan["products"] < oracle_plan["applications"]  # the 2-norm stop
         assert oracle_plan["n_steps"] < 400
         assert oracle_plan["step_buffer"] == oracle_plan["degree"] + 1
         assert len(report["checks"]) == 12

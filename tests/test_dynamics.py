@@ -166,6 +166,25 @@ class TestEvolve:
                                    ground_population(traj.times, fig_params),
                                    atol=1e-4)
 
+    @pytest.mark.parametrize("state, closed_form", [("e", excited_population),
+                                                    ("g", ground_population)])
+    def test_anc_closed_forms_decay_at_gamma_plus_gamma_s(self, fig_params, state,
+                                                          closed_form):
+        # collapse_ops adds sqrt(gamma_s) A beside sqrt(gamma) A, so the mode
+        # decays at gamma + gamma_s; on a unit-roundoff plan over 10/gamma the
+        # run and the closed form agree to rounding
+        p = SystemParams.from_mhz(nu_t=412.5, nu_bar=0.0, g=75.0, lambda_d=40.0,
+                                  gamma=12.5, gamma_s=20.0)
+        d = 12
+        h = build_anc(p, state, d)
+        ops = collapse_ops(p, d, include_qubit=False)
+        assert len(ops) == 2
+        grid = TimeGrid.taylor(norm_bound(liouvillian(h, ops)), 0.0, 10.0 / p.gamma, 50)
+        traj = evolve(h, ops, DensityMatrix.basis(SpaceDims((d,)), 0), grid,
+                      [mode_number(d)])
+        np.testing.assert_allclose(traj.collective_n, closed_form(traj.times, p),
+                                   rtol=0.0, atol=1e-12)
+
     def test_trajectory_bookkeeping_invariants(self, fig_params):
         d = 6
         h = build_hc(fig_params, d) + build_drive(fig_params, d)
@@ -960,9 +979,10 @@ class TestTaylorPlan:
 
 
 class TestEarlyStop:
-    """``rk4`` with a bound beta >= ||A||_inf ends a step after T_k once
-    tail_k ||T_k||_inf <= 2^-53 ||y||_inf, tail_k = sum_{i=1}^{m-k} (h beta)^i
-    k! / (k + i)!, testing only where tail_k < 1."""
+    """``rk4`` with a bound beta >= ||A|| ends a step after T_k once
+    tail_k ||T_k|| <= 2^-53 ||y||, tail_k = sum_{i=1}^{m-k} (h beta)^i
+    k! / (k + i)!, testing only where tail_k < 1, in the norm beta bounds:
+    the infinity norm, or the 2-norm with ord=2."""
 
     @staticmethod
     def criterion(h_beta, m, ratio):
@@ -1063,6 +1083,87 @@ class TestEarlyStop:
                                        rtol=0.0, atol=1e-12, err_msg=name)
             np.testing.assert_allclose(getattr(stopped, name), getattr(full, name),
                                        rtol=0.0, atol=1e-13, err_msg=name)
+
+    def test_skew_hermitian_step_stops_at_the_first_degree_the_2_norm_allows(self):
+        # A = -i Q diag(w) Q† is skew-Hermitian: ||A||_2 = max |w|, while its
+        # row sums exceed it, and the steps keep |Q† y| = z, so ||T_k||_2 /
+        # ||y||_2 = ||(h w)^k z|| / (k! ||z||) on every step
+        rng = np.random.default_rng(5)
+        w = np.array([-30.0, -4.0, 7.0, 18.0])
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        a = q @ np.diag(-1j * w) @ q.conj().T
+        z = np.array([0.1, 1.0, 0.6, 0.3])
+        h, beta, degree = 0.15, 30.0, 40  # h beta = 4.5 <= theta_40
+        assert np.linalg.norm(a, 2) == pytest.approx(beta, rel=1e-14)
+        values = self.criterion(h * beta, degree, lambda k: np.linalg.norm(
+            np.abs(h * w)**k * z) / (factorial(k) * np.linalg.norm(z)))
+        k = min(j for j, value in values.items() if value <= 1.0)
+        assert values[k] < 0.9 and all(values[j] > 1.1 for j in values if j < k)
+        grid = TimeGrid(0.0, 3 * h, 3, 12, degree)  # records inside steps too
+        seen = {}
+
+        def record(first, ys, _):
+            for j, y in enumerate(ys):
+                seen[first + j] = y.copy()
+
+        y0 = q @ z
+        products = rk4(lambda y: a @ y, y0, grid, record, bound=beta, ord=2)
+        assert products == 3 * k < grid.applications
+        assert sorted(seen) == list(range(13))
+        for i, y in seen.items():
+            np.testing.assert_allclose(y, expm(grid.times[i] * a) @ y0, rtol=0.0,
+                                       atol=1e-13, err_msg=f"record {i}")
+
+    def test_the_stop_reads_the_norm_its_bound_is_in(self):
+        # A = -i diag(w) with beta = 30 = ||A||_2 = ||A||_inf; from a flat
+        # state, ||y||_2 = 10 ||y||_inf while the fast entry carries the late
+        # terms in both norms, so the 2-norm test stops a degree earlier
+        h, beta, degree = 0.15, 30.0, 40
+        w = np.concatenate([[-beta], np.linspace(-3.0, 3.0, 99)])
+        y0 = np.ones(100, dtype=complex)
+        expected = {}
+        for ord, size in ((2, np.linalg.norm), (np.inf, np.max)):
+            values = self.criterion(h * beta, degree, lambda k: size(
+                np.abs(h * w)**k) / (factorial(k) * size(np.abs(y0))))
+            k = min(j for j, value in values.items() if value <= 1.0)
+            assert values[k] < 0.9 and all(values[j] > 1.1 for j in values if j < k)
+            expected[ord] = k
+        assert expected == {2: 32, np.inf: 33}
+        grid = TimeGrid(0.0, 3 * h, 3, 3, degree)
+        for ord, k in expected.items():
+            products = rk4(lambda y: -1j * w * y, y0, grid, lambda *args: None,
+                           bound=beta, ord=ord)
+            assert products == 3 * k, ord
+
+    def test_two_norm_takes_no_temporary_the_size_of_the_state(self):
+        v = np.random.default_rng(3).normal(size=(10**5, 2)) @ np.array([1.0, 1j])
+        tracemalloc.start()
+        try:
+            value = dynamics._norm(v, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value == pytest.approx(np.linalg.norm(v), rel=1e-14)
+        assert peak < v.nbytes // 100
+
+    def test_a_state_whose_sum_of_squares_overflows_takes_every_term(self):
+        # ||y||_2^2 = 2e320 is past the float range: the bound it would give
+        # is infinite, so a step may not stop on it
+        grid = TimeGrid(0.0, 1.0, 2, 2, degree=30)
+        ends = {}
+
+        def record(first, ys, _):
+            ends[first] = ys[0].copy()
+
+        y0 = np.full(2, 1e160)
+        products = rk4(lambda y: -4.0 * y, y0, grid, record, bound=4.0, ord=2)
+        assert products == grid.applications
+        np.testing.assert_allclose(ends[2], np.exp(-4.0) * y0, rtol=1e-14)
+
+    def test_an_unknown_norm_order_is_refused(self):
+        grid = TimeGrid(0.0, 1.0, 1, 1, degree=10)
+        with pytest.raises(ValueError, match="ord must be inf or 2"):
+            rk4(lambda y: -y, np.ones(2), grid, lambda *args: None, bound=1.0, ord=1)
 
     @pytest.mark.parametrize("records", ["at step ends", "inside steps"])
     def test_rk4_grids_keep_their_bits_with_a_bound(self, records):

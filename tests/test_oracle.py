@@ -316,23 +316,34 @@ class TestArrowheadNorm:
                                    rtol=0.0, atol=1e-12)
         assert np.max(np.abs(res.norm - 1.0)) < 1e-13
 
-    def test_decaying_spins_match_the_matrix_exponential(self, fig_params):
+    @staticmethod
+    def stopped_run_against_expm(p, gamma_s):
+        """A 60-spin run over gamma t <= 3 whose steps stop early (the 2-norm
+        stop on arrowhead_norm), checked within 1e-12 of the dense expm."""
         from scipy.linalg import expm
 
-        p = fig_params
-        gamma_s = TWO_PI * 20.0
         s = sample_frequencies(60, p.omega_bar, p.gamma, seed=13,
                                g_collective=p.g_collective, coupling_sigma=0.5)
         grid = dynamics.TimeGrid.taylor(arrowhead_norm(s, p.delta, gamma_s), 0.0,
                                         3.0 / p.gamma, 40)
         assert grid.degree > 4
         res = single_excitation_evolve(s, p.delta, grid, gamma_s=gamma_s)
+        assert res.products < grid.applications
 
         a = dense_arrowhead(s, p.delta, gamma_s)
         c = np.array([expm(a * t)[:, 0] for t in res.times])
         np.testing.assert_allclose(res.c_e, c[:, 0], rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(res.collective, c[:, 1:] @ s.couplings / s.g_collective,
                                    rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(res.norm, np.sum(np.abs(c)**2, axis=1), rtol=0.0,
+                                   atol=1e-12)
+        return res
+
+    def test_closed_spins_match_the_matrix_exponential(self, fig_params):
+        self.stopped_run_against_expm(fig_params, 0.0)  # the norm stays 1 too
+
+    def test_decaying_spins_match_the_matrix_exponential(self, fig_params):
+        res = self.stopped_run_against_expm(fig_params, TWO_PI * 20.0)
         assert res.norm[-1] < 0.9  # the spins' decay shows
 
     def test_fused_right_hand_side_is_bitwise_the_plain_one(self, fig_params):
@@ -367,7 +378,10 @@ class TestArrowheadNorm:
 
         c0 = np.zeros(s.n + 1, dtype=complex)
         c0[0] = 1.0
-        dynamics.rk4(rhs, c0, grid, record)
+        # the same 2-norm stop: each step ends where the oracle's does
+        products = dynamics.rk4(rhs, c0, grid, record, bound=arrowhead_norm(s, p.delta),
+                                ord=2)
+        assert products == res.products < grid.applications
         np.testing.assert_array_equal(res.c_e, c_e)
         np.testing.assert_array_equal(res.collective, coll)
 
