@@ -72,35 +72,40 @@ def jc_spectrum(n: int, p: SystemParams) -> JcLevel:
 
 
 def excited_population(t, p: SystemParams):
-    """<A†A>(t) for the target in |e> under the matched drive, with the
-    mode's decay rate Gamma = gamma + gamma_s (``model.collapse_ops``):
-    (4 lambda_eff^2 / Gamma^2) (1 - exp(-Gamma t / 2))^2.
+    """<A†A>(t) for the target frozen in |e> (``model.build_anc``) at the
+    configured drive, ``_population`` with sign +1 (delta = 0 when matched)."""
+    return _population(t, p, 1.0)
 
-    For Gamma = 0 the Gamma->0 limit lambda_eff^2 t^2 is returned instead of
-    raising, so sweep tooling can touch gamma = 0.
+
+def ground_population(t, p: SystemParams):
+    """<A†A>(t) for the target frozen in |g> at the configured drive,
+    ``_population`` with sign -1 (delta = -2G^2/Delta when matched)."""
+    return _population(t, p, -1.0)
+
+
+def _population(t, p: SystemParams, sign: float):
+    """<A†A>(t) of the driven damped mode from vacuum, with detuning delta =
+    wbar - w_d + sign G^2/Delta and the mode's decay rate Gamma = gamma +
+    gamma_s (``model.collapse_ops``):
+
+        lambda_eff^2 / (delta^2 + Gamma^2/4)
+            * [1 - 2 cos(delta t) exp(-Gamma t/2) + exp(-Gamma t)],
+
+    with the bracket summed as (1 - exp(-Gamma t/2))^2 + 4 exp(-Gamma t/2)
+    sin^2(delta t/2): at delta = 0 that is the excited branch's matched-drive
+    form, and no sum of terms near 1 cancels at small t. For delta = Gamma =
+    0 the limit lambda_eff^2 t^2 is returned instead of raising, so sweep
+    tooling can touch gamma = 0.
     """
     t = np.asarray(t, dtype=float)
     lam = lambda_eff(p)
     rate = p.gamma + p.gamma_s  # the sqrt(gamma) A and sqrt(gamma_s) A channels
-    if rate == 0.0:
+    det = p.omega_bar - p.omega_d + sign * dispersive_shift(p)
+    if det == 0.0 and rate == 0.0:
         return lam**2 * t**2
-    return (4.0 * lam**2 / rate**2) * (1.0 - np.exp(-0.5 * rate * t)) ** 2
-
-
-def ground_population(t, p: SystemParams):
-    """<A†A>(t) for the target in |g> under the matched drive, with the
-    decay rate Gamma = gamma + gamma_s:
-    lambda_eff^2 / ((2G^2/Delta)^2 + (Gamma/2)^2)
-        * [1 - 2 cos(2G^2 t/Delta) exp(-Gamma t/2) + exp(-Gamma t)].
-    """
-    t = np.asarray(t, dtype=float)
-    lam = lambda_eff(p)
-    rate = p.gamma + p.gamma_s
-    det = 2.0 * p.g_collective**2 / p.delta
-    pref = lam**2 / (det**2 + (0.5 * rate) ** 2)
-    bracket = (1.0 - 2.0 * np.cos(det * t) * np.exp(-0.5 * rate * t)
-               + np.exp(-rate * t))
-    return pref * bracket
+    decay = np.exp(-0.5 * rate * t)
+    bracket = (1.0 - decay) ** 2 + 4.0 * decay * np.sin(0.5 * det * t) ** 2
+    return lam**2 / (det**2 + (0.5 * rate) ** 2) * bracket
 
 
 def _require_detuned(p: SystemParams):

@@ -66,10 +66,12 @@ convergence reruns and validate's other runs certify.
 Plans and guards take ``norm_bound``, sqrt(||L||_1 ||L||_inf) >= ||L||_2.
 It bounds R in the norm that gives u the Frobenius norm of the rho it
 stands for, and theta_m holds in that norm too; ||R||_1 is about 1.3 times
-||L||_1 and would cost as many more products. The coordinates drop the
-part of L that does not keep rho Hermitian. ``real_generator`` measures
-that part once per generator (``Trajectory.herm_err``), and ``evolve``
-refuses a generator where it exceeds HERMITICITY_TOL.
+||L||_1 and would cost as many more products. ``generator_gap`` asks
+whether R is L on the coordinates, T R u = L T u, on fixed probes u: it is
+rounding for every generator ``real_generator`` builds from ``liouvillian``,
+and it flags both a generator that does not keep rho Hermitian, whose
+non-Hermitian part the coordinates would drop, and a slip in R (validate's
+hermiticity check reads it against HERMITICITY_TOL).
 
 ``evolve`` tracks, alongside the density matrix, the running integral
 of the first observable, integrating each Taylor term exactly (at degree 4
@@ -103,8 +105,8 @@ STABILITY_LIMIT = 0.25   # hard guard on dt * omega_max
 DT_FACTOR = 0.015        # default accuracy target for production curves
 TRACE_TOL = 1e-7
 POSITIVITY_TOL = 1e-6
-# the largest part of L that does not keep rho Hermitian, which the real
-# coordinates drop, relative to ||L||_1
+# the largest gap between the real generator and the Liouvillian on the
+# coordinates (``generator_gap``), relative to ||L||_inf
 HERMITICITY_TOL = 1e-9
 # the most memory one block of records handed to a recorder may take; the
 # recorder's temporaries (eigvalsh's among them) scale with it
@@ -279,14 +281,12 @@ class Trajectory:
     """Recorded expectation values and per-point diagnostics.
 
     total_n = collective_n + subradiant_n by construction; subradiant_n is
-    gamma times the step-accumulated integral of collective_n. herm_err is
-    one number for the run: the part of the generator that does not keep
-    rho Hermitian, which the real coordinates drop (``real_generator``),
-    relative to ||L||_1. min_eig is the smallest eigenvalue of rho at each
-    record on a measured run, and None on a certified one (``evolve``'s
-    ``positivity``), whose records were only shown to lie above
-    -POSITIVITY_TOL. products is the number of generator products the run
-    applied, at most grid.applications (``rk4``'s stop).
+    gamma times the step-accumulated integral of collective_n. min_eig is
+    the smallest eigenvalue of rho at each record on a measured run, and
+    None on a certified one (``evolve``'s ``positivity``), whose records
+    were only shown to lie above -POSITIVITY_TOL. products is the number of
+    generator products the run applied, at most grid.applications
+    (``rk4``'s stop).
     """
 
     times: np.ndarray
@@ -295,7 +295,6 @@ class Trajectory:
     subradiant_n: np.ndarray
     trace_err: np.ndarray
     min_eig: np.ndarray | None
-    herm_err: float
     products: int
     extra: np.ndarray | None = None
 
@@ -567,11 +566,9 @@ def density_matrices(us: np.ndarray, dim: int) -> np.ndarray:
     return rho.view(complex).reshape(-1, dim, dim)
 
 
-def real_generator(lv: CsrMatrix) -> tuple[CsrMatrix, float]:
+def real_generator(lv: CsrMatrix) -> CsrMatrix:
     """The real sparse generator R of the coordinates u (``hermitian_coords``)
-    under the Liouvillian lv of a dim x dim rho, and the part of lv that
-    does not keep rho Hermitian, which R cannot hold, relative to ||lv||_1
-    (``_dropped``).
+    under the Liouvillian lv of a dim x dim rho.
 
     With T the map from u to vec(rho), column (a, b) of L T is column (a, b)
     of L for a = b; for a != b, column (a, b) of L feeds the coordinates of
@@ -579,12 +576,11 @@ def real_generator(lv: CsrMatrix) -> tuple[CsrMatrix, float]:
     (a < b) or -i (a > b). Row (i, j) of R is Re of row (i, j) of L T for
     i <= j, and -Im of it for i > j, where coordinate (i, j) holds
     Im rho_ji = -Im rho_ij; each entry of R is an entry of L or the sum of
-    two, and T R = L T when L keeps rho Hermitian.
+    two, and T R = L T when L keeps rho Hermitian (``generator_gap``).
 
     The entries of L are read ENTRY_BLOCK at a time, a block of whole rows,
     so that the build takes little memory beyond R's."""
     dim = isqrt(lv.shape[0])
-    dropped = _dropped(lv, dim)
     all_rows = _rows(lv.indptr)
     parts = []
     for lo, hi in _row_blocks(lv.indptr):
@@ -600,10 +596,9 @@ def real_generator(lv: CsrMatrix) -> tuple[CsrMatrix, float]:
                               (rows[off], (b * dim + a)[off], np.where(a < b, -im, re)[off])],
                              lv.shape))
     # the blocks hold disjoint rows: their row pointers add up
-    gen = CsrMatrix(np.concatenate([p.data for p in parts]),
-                    np.concatenate([p.indices for p in parts]),
-                    sum(p.indptr for p in parts), lv.shape)
-    return gen, dropped
+    return CsrMatrix(np.concatenate([p.data for p in parts]),
+                     np.concatenate([p.indices for p in parts]),
+                     sum(p.indptr for p in parts), lv.shape)
 
 
 def _rows(indptr: np.ndarray) -> np.ndarray:
@@ -618,34 +613,31 @@ def _row_blocks(indptr: np.ndarray):
     return zip(bounds[:-1], bounds[1:])
 
 
-def _dropped(lv: CsrMatrix, dim: int) -> float:
-    """The part of the Liouvillian lv that does not keep rho Hermitian,
-    relative to ||lv||_1: the 1-norm of L - conj(P L P), P the
-    transposition (i, j) -> (j, i) of vec(rho), whose entry ((j, i), (b, a))
-    is that entry of L minus the conjugate of entry ((i, j), (a, b)). It is
-    0 exactly when T R = L T. Each mirror entry is found by a search of the
-    row-major sorted entries, ENTRY_BLOCK entries at a time."""
-    n, nnz = lv.shape[0], len(lv.data)
-    rows = _rows(lv.indptr)
-    key = rows.astype(np.int64) * n + lv.indices
-    column = np.zeros(n)
-    for lo in range(0, nnz, ENTRY_BLOCK):
-        block = slice(lo, lo + ENTRY_BLOCK)
-        r, c, v = rows[block].astype(np.int64), lv.indices[block], lv.data[block]
-        mirror = c % dim * dim + c // dim
-        mirror_key = (r % dim * dim + r // dim) * n + mirror
-        at = np.minimum(np.searchsorted(key, mirror_key), nnz - 1)
-        found = key[at] == mirror_key
-        column += np.bincount(c, np.abs(v - np.where(found, lv.data[at], 0).conj()), n)
-        # where the mirror entry is missing, its difference is its partner's modulus
-        column += np.bincount(mirror[~found], np.abs(v[~found]), n)
-    scale = float(_abs_sums(lv)[0].max())
-    return float(column.max()) / scale if scale else 0.0
+def generator_gap(lv: CsrMatrix, gen: CsrMatrix) -> float:
+    """How far the real generator gen is from the Liouvillian lv on the
+    coordinates: max |T R u - L T u| / (||L||_inf max |T u|) over the fixed
+    probes u = 1 and u_k = (k + 1) / D², which touch every coordinate, with
+    T u the rho of u (``density_matrices``). It is rounding, near 1e-16,
+    when gen is ``real_generator(lv)`` and lv keeps rho Hermitian; a lv
+    that does not, or a slip in gen, moves it. It takes no random numbers
+    and calls no BLAS."""
+    n = lv.shape[0]
+    dim = isqrt(n)
+    probes = np.stack([np.ones(n), np.arange(1, n + 1) / n])
+    scale = float(_abs_sums(lv)[1].max())
+    gap = 0.0
+    for u, rho in zip(probes, density_matrices(probes, dim).reshape(len(probes), n)):
+        ru, lrho = np.zeros(n), np.zeros(n, complex)
+        csr_matvec(n, n, gen.indptr, gen.indices, gen.data, u, ru)
+        csr_matvec(n, n, lv.indptr, lv.indices, lv.data, rho, lrho)
+        diff = np.abs(density_matrices(ru[None], dim).reshape(n) - lrho).max()
+        gap = max(gap, float(diff) / (scale * float(np.abs(rho).max())))
+    return gap
 
 
 def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
            grid: TimeGrid, observables: list[Operator],
-           gamma: float = 0.0, generator: tuple[CsrMatrix, float] | None = None,
+           gamma: float = 0.0, generator: CsrMatrix | None = None,
            norm: float | None = None, positivity: str = "measure") -> Trajectory:
     """Integrate drho/dt = -i[H,rho] + sum_k (L rho L† - {L†L, rho}/2) in the
     real coordinates of rho (``hermitian_coords``), one product with the real
@@ -677,11 +669,9 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
     gamma : float
         Bookkeeping rate for the subradiant accounting,
         subradiant_n(t) = gamma * int_0^t <observables[0]> dt'.
-    generator : (CsrMatrix, float), optional
+    generator : CsrMatrix, optional
         ``real_generator(liouvillian(h, collapse))``, when the caller has
-        built it already, so that runs of one model share it. A generator
-        whose dropped part exceeds HERMITICITY_TOL is refused with an
-        IntegrationError.
+        built it already, so that runs of one model share it.
     norm : float, optional
         ``norm_bound(liouvillian(h, collapse))``, when the caller has
         computed it already. The guard reads it above degree 4 and
@@ -720,10 +710,6 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
         del lv
     wmax = omega_max(h, collapse) if grid.degree == 4 else None
     check_stability(grid, wmax, norm)
-    gen, herm_err = generator
-    if herm_err > HERMITICITY_TOL:
-        raise IntegrationError(f"the generator does not keep rho Hermitian: that part "
-                               f"is {herm_err:.3g} of ||L||_1 > {HERMITICITY_TOL:g}")
     dim = rho0.dims.dim
     index, sign = _scatter(dim)
     diag = np.arange(dim) * (dim + 1)
@@ -773,15 +759,15 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
                 f"positivity violated at t={grid.times[first + i]:.6g}: "
                 f"min eig {min_eig[i]:.3g}, trace err {rec['trace_err'][first + i]:.3g}")
 
-    n = gen.shape[0]
+    n = generator.shape[0]
     out = np.empty(n)
     # ||R||_inf, the largest absolute row sum, which bounds the terms a step drops
-    row_sum = float(np.bincount(_rows(gen.indptr), np.abs(gen.data), n).max())
+    row_sum = float(np.bincount(_rows(generator.indptr), np.abs(generator.data), n).max())
 
     def product(u):
-        # scipy's kernel behind gen @ u, into one scratch row: out += gen u
+        # scipy's kernel behind R @ u, into one scratch row: out += R u
         out.fill(0.0)
-        csr_matvec(n, n, gen.indptr, gen.indices, gen.data, u, out)
+        csr_matvec(n, n, generator.indptr, generator.indices, generator.data, u, out)
         return out
 
     products = rk4(product, hermitian_coords(rho0.mat), grid, record,
@@ -790,8 +776,7 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
     if rec["trace_err"][-1] > TRACE_TOL:
         raise IntegrationError(f"final trace error {rec['trace_err'][-1]:.3g} > {TRACE_TOL}")
 
-    return Trajectory(times=grid.times, extra=extra, herm_err=herm_err,
-                      products=products, **rec)
+    return Trajectory(times=grid.times, extra=extra, products=products, **rec)
 
 
 def readout_gain(traj_e: Trajectory, traj_g: Trajectory) -> np.ndarray:

@@ -177,8 +177,9 @@ def single_excitation_evolve(sample: EnsembleSample, delta_target: float,
     """
     g = sample.couplings
     bound = arrowhead_norm(sample, delta_target, gamma_s)
-    dynamics.check_stability(grid, arrowhead_omega_max(sample, delta_target, gamma_s),
-                             bound)
+    # the guard reads the row sum only at degree 4
+    wmax = arrowhead_omega_max(sample, delta_target, gamma_s) if grid.degree == 4 else None
+    dynamics.check_stability(grid, wmax, bound)
     # the generator's entries, complex once here rather than on every call
     ig = -1j * g
     idj = -1j * ((sample.freqs - sample.omega_bar) - 0.5j * gamma_s)

@@ -241,7 +241,16 @@ class TestCriterion7NumericalHygiene:
                  + list(fig3["traj"].values()) + list(fig3["doubled"].values())
                  + [conservation_run] + list(anc_runs.values()))
         trace = max(t.trace_err.max() for t in trajs)
-        herm = max(t.herm_err for t in trajs)
+        # the runs' models: the driven fig2 and fig3 models at cutoffs 16 and
+        # 32, the undriven one at 8 and the frozen-qubit pair at 16
+        p = fig2["p"]
+        models = [(build_hc(q, d) + build_drive(q, d), collapse_ops(q, d))
+                  for q, d in [(p, 16), (p, 32), (fig3["p"], 16), (fig3["p"], 32),
+                               (params(lambda_d=0.0), 8)]]
+        models += [(build_anc(p, s, 16), collapse_ops(p, 16, include_qubit=False))
+                   for s in ("e", "g")]
+        lvs = [dynamics.liouvillian(h, ops) for h, ops in models]
+        herm = max(dynamics.generator_gap(lv, dynamics.real_generator(lv)) for lv in lvs)
         eig = min(t.min_eig.min() for t in trajs)
         passed = trace < 1e-7 and herm < 1e-9 and eig >= -1e-6
         report("criterion-7 state hygiene", passed,

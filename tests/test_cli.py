@@ -406,6 +406,10 @@ class TestValidateCommand:
         assert report["passed"] is True
         assert len(report["checks"]) == 12
         assert all(c["passed"] for c in report["checks"])
+        # the model's real generator is its Liouvillian on the coordinates,
+        # to rounding
+        [herm] = [c["value"] for c in report["checks"] if c["name"] == "hermiticity"]
+        assert herm <= 1e-14
 
     def test_conservation_run_is_the_undriven_model(self, tmp_path, monkeypatch):
         # the run behind the conservation check, recorded from inside validate,
@@ -429,7 +433,7 @@ class TestValidateCommand:
                               DensityMatrix.basis(SpaceDims((2, d)), 1, 0), grid,
                               [num, qubit], gamma=p.gamma)
         for name in ("collective_n", "qubit_excited", "subradiant_n", "trace_err",
-                     "min_eig", "herm_err"):
+                     "min_eig"):
             np.testing.assert_array_equal(getattr(traj, name), getattr(ref, name))
 
     def test_window_ending_at_zero_matches_the_window_from_zero(self, tmp_path):
@@ -777,6 +781,36 @@ def test_validate_closed_forms_decay_at_gamma_plus_gamma_s(tmp_path):
     assert checks["analytic_steady_e"] < 1e-8 and checks["analytic_steady_g"] < 1e-8
 
 
+def test_validate_closed_forms_follow_the_configured_drive(tmp_path):
+    """The frozen-qubit runs detune the mode by wbar - w_d +- G^2/Delta at the
+    configured drive, and so do the closed forms they are checked against."""
+    out = tmp_path / "report.json"
+    assert main(["validate", *PASSING_RUN, "--override", "params.drive=0",
+                 "--out", str(out)]) == 0
+    checks = {c["name"]: c["value"] for c in
+              json.loads(out.read_text(encoding="utf-8"))["checks"]}
+    # under the matched drive's closed forms they read 0.275 and 0.042
+    assert checks["analytic_steady_e"] < 1e-8 and checks["analytic_steady_g"] < 1e-8
+
+
+def test_hermiticity_fails_on_a_sign_slipped_generator(tmp_path, monkeypatch, capsys):
+    """R built with the sign of Im L slipped is the generator of H -> -H: its
+    runs stay physical and every other check passes, but it is not L on the
+    coordinates, so hermiticity fails and validate exits 1."""
+    real_generator = dynamics.real_generator
+
+    def slipped(lv):
+        return real_generator(dynamics.CsrMatrix(lv.data.conj(), lv.indices, lv.indptr,
+                                                 lv.shape))
+    monkeypatch.setattr(dynamics, "real_generator", slipped)
+    out = tmp_path / "report.json"
+    assert main(["validate", *PASSING_RUN, "--out", str(out)]) == 1
+    checks = {c["name"]: c for c in json.loads(out.read_text(encoding="utf-8"))["checks"]}
+    assert checks["hermiticity"]["value"] > dynamics.HERMITICITY_TOL
+    assert [name for name, c in checks.items() if not c["passed"]] == ["hermiticity"]
+    assert "FAIL hermiticity" in capsys.readouterr().out
+
+
 # the tiny window plans every Lindblad run at degree 5, one step each: plans
 # start above degree 4, which is left to RK4 grids
 @pytest.mark.parametrize("window", [[], TINY_WINDOW], ids=["small", "tiny_window"])
@@ -834,9 +868,8 @@ class TestHygieneExtrema:
                      "--override", "convergence_checks=false", "--out", out]) == 0
         meta = json.loads(Path(out + ".meta.json").read_text(encoding="utf-8"))
         hygiene = meta["hygiene"]
-        assert set(hygiene) == {"trace_err_max", "herm_err_max", "min_eig_min"}
+        assert set(hygiene) == {"trace_err_max", "min_eig_min"}
         assert 0.0 <= hygiene["trace_err_max"] <= TRACE_TOL
-        assert 0.0 <= hygiene["herm_err_max"] <= 1e-9
         assert hygiene["min_eig_min"] >= -POSITIVITY_TOL
 
 
@@ -904,9 +937,10 @@ class TestCertifiedReruns:
         # halving, and its cutoff doubling
         certified = [dim for how, _, dim in seen["runs"] if how == "certify"]
         assert sorted(certified) == [6, 6, 12, 12, 24]
-        # the step halving reruns the short window's model: the two d=6
-        # models are the conservation run's and the short window's
-        assert sorted(seen["builds"]) == [6, 6, 12, 12, 24]
+        # the step halving reruns the short window's model: the d=6 builds
+        # are the conservation run's, the short window's and its rebuild for
+        # the hermiticity check
+        assert sorted(seen["builds"]) == [6, 6, 12, 12, 12, 24]
         report = json.loads(Path(out).read_text(encoding="utf-8"))
         [positivity] = [c for c in report["checks"] if c["name"] == "positivity"]
         assert positivity["value"] == -float(conservation.min_eig.min())

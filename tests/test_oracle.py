@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import cauchy, kstest
 
-from spinamp import dynamics
+from spinamp import dynamics, oracle
 from spinamp.cli import envelope_deviation
 from spinamp.hilbert import DensityMatrix, Operator, SpaceDims, identity, kron, ladder
 from spinamp.model import SystemParams, build_drive, build_hc, collapse_ops
@@ -296,6 +296,22 @@ class TestArrowheadNorm:
         # the row sum over the 0.1 us steps, not the smaller 2-norm bound
         assert str(err.value).startswith(
             f"dt*omega_max = {0.1 * arrowhead_omega_max(s, p.delta):.3g} ")
+
+    def test_only_the_rk4_guard_takes_the_row_sum(self, fig_params, monkeypatch):
+        # a plan above degree 4 is guarded on arrowhead_norm alone, so the
+        # solve skips the row sum's pass over the spins
+        p = fig_params
+        s = sample_frequencies(50, p.omega_bar, p.gamma, seed=8,
+                               g_collective=p.g_collective)
+        calls = []
+        monkeypatch.setattr(oracle, "arrowhead_omega_max",
+                            lambda *args: calls.append(args) or arrowhead_omega_max(*args))
+        single_excitation_evolve(s, p.delta, dynamics.TimeGrid.taylor(
+            arrowhead_norm(s, p.delta), 0.0, 0.01, 10))
+        assert calls == []
+        with pytest.raises(dynamics.StabilityError, match="omega_max"):
+            single_excitation_evolve(s, p.delta, dynamics.TimeGrid(0.0, 1.0, 10, 10))
+        assert len(calls) == 1
 
     def test_spectral_plan_matches_arrowhead_eigendecomposition(self, fig_params):
         p = fig_params
