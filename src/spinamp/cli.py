@@ -613,9 +613,8 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
     base, g_short = _run_branch_meta(p, d, "e", rc.t_start, t_short, 200, model=model,
                                      positivity="certify")
     plans["short_window"] = _plan(g_short, base)
-    # that plan's dt * norm, the bound its guard reads (every plan is above
-    # degree 4), scaled so that 0.25 is theta_m: a correct program passes it
-    # by construction
+    # that plan's dt * norm, the bound its guard reads, scaled so that 0.25
+    # is theta_m: a correct program passes it by construction
     guard = dynamics.STABILITY_LIMIT * (g_short.dt * model[3])
     checks.insert(0, _check("timestep_guard", guard / dynamics.TAYLOR_THETA[g_short.degree],
                             dynamics.STABILITY_LIMIT))
@@ -671,8 +670,7 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
         per_seed[str(seed)] = {
             "envelope_deviation": deviation,
             "norm_drift": float(np.max(np.abs(res.norm - 1.0))),
-            "plan_norm": bound,
-            "row_sum": oracle.arrowhead_omega_max(sample, p.delta)}
+            "plan_norm": bound}
     deviations = [r["envelope_deviation"] for r in per_seed.values()]
     if None in deviations:
         checks.append(_failed("oracle_traceout", ORACLE_TOL,

@@ -2,38 +2,30 @@
 core every solver in the package shares.
 
 Every generator here is constant, so one step of size h is the degree-m
-truncated Taylor series of exp(hA) applied to y. ``rk4`` is that one loop;
-at the default degree m = 4 it is the classical RK4 map. A grid's degree
-picks the rule:
-
-- degree 4: ``TimeGrid.auto`` sizes the step so that dt * omega_max <=
-  dt_factor, and ``check_stability`` guards dt * omega_max <=
-  STABILITY_LIMIT (the row-sum RK4 stability bound);
-- degree m > 4: ``TimeGrid.taylor`` picks, over the whole window, the degree
-  and step count with the fewest generator products such that
-  dt * ||A|| <= TAYLOR_THETA[m], the unit-roundoff bound of Al-Mohy &
-  Higham (SIAM J. Sci. Comput. 2011), which holds in any consistent norm
-  (a 2-norm bound for the Liouvillian and for the arrowhead oracle);
-  ``check_stability`` guards that bound. theta_m bounds the worst state,
-  so m is a cap: given beta >= ||A|| in the infinity norm or the 2-norm,
-  ``rk4`` ends a step after the term T_k once a proved bound on the terms
-  after it, tail_k ||T_k||, falls to unit roundoff of the state's ||y||, in
-  the norm beta bounds. ``evolve`` passes beta = ||R||_inf, and its runs
-  stop at about half the plan's products; the oracle passes its 2-norm
-  bound ``arrowhead_norm``, and its steps stop at 40-41 of 50 terms.
+truncated Taylor series of exp(hA) applied to y, and ``taylor_steps`` is
+that one loop. ``TimeGrid.taylor`` picks, over the whole window, the degree
+and step count with the fewest generator products such that dt * ||A|| <=
+TAYLOR_THETA[m], the unit-roundoff bound of Al-Mohy & Higham (SIAM J. Sci.
+Comput. 2011), which holds in any consistent norm (a 2-norm bound for the
+Liouvillian and for the arrowhead oracle); ``check_stability`` guards that
+bound, the one guard of every run. theta_m bounds the worst state, so m is
+a cap: given beta >= ||A|| in the infinity norm or the 2-norm,
+``taylor_steps`` ends a step after the term T_k once a proved bound on the
+terms after it, tail_k ||T_k||, falls to unit roundoff of the state's ||y||,
+in the norm beta bounds. ``evolve`` passes beta = ||R||_inf, and its runs
+stop at about half the plan's products; the oracle passes its 2-norm bound
+``arrowhead_norm``, and its steps stop at 40-41 of 50 terms.
 
 Steps and records are independent. The theta_m bound holds at every point
-inside a step, so ``rk4`` reads a record that falls inside a step off that
-step's Taylor terms (those it took before it stopped), with vector sums
-instead of generator products; a plan spans as many records per step as its
-bound allows. A step with a record inside it keeps its terms, at most m + 1,
-in the step buffer (``TimeGrid.buffer``), so
-step memory is bounded by degree + 1 state vectors whatever the state's
-size. Every ``cli`` run is a Taylor plan, and validate's timestep_guard
-reads its short-window plan; RK4 grids serve library callers and tests.
+inside a step, so ``taylor_steps`` reads a record that falls inside a step
+off that step's Taylor terms (those it took before it stopped), with vector
+sums instead of generator products; a plan spans as many records per step
+as its bound allows. A step with a record inside it keeps its terms, at
+most m + 1, in the step buffer (``TimeGrid.buffer``), so step memory is
+bounded by degree + 1 state vectors whatever the state's size.
 
-Records reach the caller in blocks: ``rk4`` hands its recorder a (k, size)
-array of k consecutive records, k = 1 at a step end and up to
+Records reach the caller in blocks: ``taylor_steps`` hands its recorder a
+(k, size) array of k consecutive records, k = 1 at a step end and up to
 RECORD_BLOCK_BYTES of them inside a step, so the per-record work (readout,
 traces, eigenvalues) runs as batched array operations. A step-end block is
 a view of the state, which the next step overwrites, so a recorder copies
@@ -74,11 +66,10 @@ non-Hermitian part the coordinates would drop, and a slip in R (validate's
 hermiticity check reads it against HERMITICITY_TOL).
 
 ``evolve`` tracks, alongside the density matrix, the running integral
-of the first observable, integrating each Taylor term exactly (at degree 4
-these are the RK4 stage weights), up to a record inside a step too, for a
-Taylor polynomial of whatever degree its step stopped at. For the
-collective number operator and a sqrt(gamma)*A collapse channel this makes
-the quanta bookkeeping
+of the first observable, integrating each Taylor term exactly, up to a
+record inside a step too, for a Taylor polynomial of whatever degree its
+step stopped at. For the collective number operator and a sqrt(gamma)*A
+collapse channel this makes the quanta bookkeeping
 
     <s+s->(t) + <A†A>(t) + gamma * int_0^t <A†A> dt'
 
@@ -101,8 +92,9 @@ import numpy as np
 
 from .hilbert import HERM_TOL, DensityMatrix, Operator
 
-STABILITY_LIMIT = 0.25   # hard guard on dt * omega_max
-DT_FACTOR = 0.015        # default accuracy target for production curves
+# validate's timestep_guard reads dt * norm / theta_m scaled by this, and
+# passes up to it: exactly when the step is within theta_m
+STABILITY_LIMIT = 0.25
 TRACE_TOL = 1e-7
 POSITIVITY_TOL = 1e-6
 # the largest gap between the real generator and the Liouvillian on the
@@ -156,11 +148,11 @@ csr_matvec = _load_sparsetools().csr_matvec
 # (Higham, Functions of Matrices, 2008, Table A.3 for m <= 30; Al-Mohy &
 # Higham, SIAM J. Sci. Comput. 2011, Table 3.1 for m >= 35)
 TAYLOR_THETA = {
-    4: 3.40e-4, 5: 2.40e-3, 6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2,
-    10: 1.44e-1, 11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1,
-    15: 6.41e-1, 16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44,
-    21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43, 26: 2.64, 27: 2.86,
-    28: 3.08, 29: 3.31, 30: 3.54, 35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
+    5: 2.40e-3, 6: 9.07e-3, 7: 2.38e-2, 8: 5.00e-2, 9: 8.96e-2, 10: 1.44e-1,
+    11: 2.14e-1, 12: 3.00e-1, 13: 4.00e-1, 14: 5.14e-1, 15: 6.41e-1,
+    16: 7.81e-1, 17: 9.31e-1, 18: 1.09, 19: 1.26, 20: 1.44, 21: 1.62,
+    22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43, 26: 2.64, 27: 2.86, 28: 3.08,
+    29: 3.31, 30: 3.54, 35: 4.7, 40: 6.0, 45: 7.2, 50: 8.5, 55: 9.9,
 }
 
 
@@ -174,16 +166,6 @@ class IntegrationError(RuntimeError):
     pass
 
 
-def _span(norm: float, t_start: float, t_end: float) -> float:
-    """norm * (t_end - t_start), the generator's reach over the window that a
-    step count is sized on; a StabilityError when it is not finite."""
-    span = norm * (t_end - t_start)
-    if not isfinite(span):
-        raise StabilityError(f"generator norm {norm:.3g} times window "
-                             f"[{t_start:.3g}, {t_end:.3g}] is not finite")
-    return span
-
-
 def _block_rows(nbytes: int) -> int:
     """Records of `nbytes` bytes each in one block handed to a recorder."""
     return max(1, RECORD_BLOCK_BYTES // nbytes)
@@ -192,10 +174,10 @@ def _block_rows(nbytes: int) -> int:
 @dataclass(frozen=True)
 class TimeGrid:
     """Integration grid over [t_start, t_end]: n_steps Taylor steps of the
-    given degree (4: classical RK4) and n_record + 1 records (the initial
-    point included) at t_start + k (t_end - t_start) / n_record. The two
-    counts are independent: a record that falls inside a step is read off
-    that step's Taylor terms.
+    given degree, a key of TAYLOR_THETA, and n_record + 1 records (the
+    initial point included) at t_start + k (t_end - t_start) / n_record. The
+    two counts are independent: a record that falls inside a step is read
+    off that step's Taylor terms.
 
     The recorded times depend only on (t_start, t_end, n_record), not on
     n_steps, so two grids over the same window with the same number of
@@ -205,7 +187,7 @@ class TimeGrid:
     t_end: float
     n_steps: int
     n_record: int
-    degree: int = 4
+    degree: int
 
     def __post_init__(self):
         if self.t_end <= self.t_start:
@@ -225,13 +207,13 @@ class TimeGrid:
     @property
     def applications(self) -> int:
         """Generator products over the whole grid at degree per step: the
-        cap on what ``rk4`` applies when its steps stop early."""
+        cap on what ``taylor_steps`` applies when its steps stop early."""
         return self.degree * self.n_steps
 
     @property
     def buffer(self) -> int:
-        """State vectors in the step buffer of ``rk4`` on this grid: the
-        degree + 1 terms of a step when some record falls inside a step,
+        """State vectors in the step buffer of ``taylor_steps`` on this grid:
+        the degree + 1 terms of a step when some record falls inside a step,
         else 0 (every record falls on a step end exactly when n_record
         divides n_steps)."""
         return self.degree + 1 if self.n_steps % self.n_record else 0
@@ -243,31 +225,32 @@ class TimeGrid:
 
     @classmethod
     def auto(cls, h: Operator, t_start: float, t_end: float, n_record: int = 500,
-             collapse: list[Operator] | None = None,
-             dt_factor: float = DT_FACTOR) -> "TimeGrid":
-        """RK4 grid with dt chosen so dt * omega_max <= dt_factor, rounded up
-        to a multiple of n_record."""
-        span = _span(omega_max(h, collapse or []), t_start, t_end)
-        n = max(n_record, ceil(span / dt_factor))
-        n = ((n + n_record - 1) // n_record) * n_record
-        return cls(t_start, t_end, n, n_record)
+             collapse: list[Operator] | None = None) -> "TimeGrid":
+        """The Taylor plan (``taylor``) of the Lindblad run of h and
+        collapse, on norm_bound(liouvillian(h, collapse)), the norm that
+        ``evolve``'s guard reads."""
+        norm = norm_bound(liouvillian(h, collapse or []))
+        return cls.taylor(norm, t_start, t_end, n_record)
 
     @classmethod
     def taylor(cls, norm: float, t_start: float, t_end: float,
                n_record: int) -> "TimeGrid":
         """The unit-roundoff Taylor plan with the fewest generator products
-        over the whole window: degree 5 <= m <= PLAN_MAX_DEGREE and s steps
-        minimising m * s subject to s * TAYLOR_THETA[m] >= norm * (t_end -
-        t_start), where norm bounds the generator in any consistent norm
-        (ties go to the lower degree). Degree 4 is left to RK4 grids, so every
-        plan is guarded on its own bound and may stop its steps early
-        (``rk4``). A StabilityError when that plan takes more than
+        over the whole window: a degree m <= PLAN_MAX_DEGREE of TAYLOR_THETA
+        and s steps minimising m * s subject to s * TAYLOR_THETA[m] >= norm *
+        (t_end - t_start), where norm bounds the generator in any consistent
+        norm (ties go to the lower degree). A StabilityError when norm times
+        the window is not finite, or when that plan takes more than
         PLAN_MAX_PRODUCTS products."""
+        span = norm * (t_end - t_start)
+        if not isfinite(span):
+            raise StabilityError(f"generator norm {norm:.3g} times window "
+                                 f"[{t_start:.3g}, {t_end:.3g}] is not finite")
         # every plan takes more than span products (m > theta_m), so a span
         # past the budget is cut to it before span / theta could overflow
-        span = min(_span(norm, t_start, t_end), PLAN_MAX_PRODUCTS)
+        span = min(span, PLAN_MAX_PRODUCTS)
         plans = [(max(1, ceil(span / theta)), m) for m, theta in TAYLOR_THETA.items()
-                 if 4 < m <= PLAN_MAX_DEGREE]
+                 if m <= PLAN_MAX_DEGREE]
         s, m = min(plans, key=lambda sm: (sm[0] * sm[1], sm[1]))
         if m * s > PLAN_MAX_PRODUCTS:
             raise StabilityError(f"generator norm {norm:.3g} times window [{t_start:.3g}, "
@@ -286,7 +269,7 @@ class Trajectory:
     None on a certified one (``evolve``'s ``positivity``), whose records
     were only shown to lie above -POSITIVITY_TOL. products is the number of
     generator products the run applied, at most grid.applications
-    (``rk4``'s stop).
+    (``taylor_steps``'s stop).
     """
 
     times: np.ndarray
@@ -303,31 +286,21 @@ class Trajectory:
         return self.collective_n + self.subradiant_n
 
 
-def omega_max(h: Operator, collapse: list[Operator] | None = None) -> float:
-    """Row-sum estimate of the fastest angular frequency, including the
-    dissipative drift scale of the collapse channels."""
-    w = float(np.max(np.sum(np.abs(h.mat), axis=1)))
-    for ell in collapse or []:
-        ldl = ell.mat.conj().T @ ell.mat
-        w += float(np.max(np.sum(np.abs(ldl), axis=1)))
-    return w
+def omega_max(h: Operator) -> float:
+    """The largest absolute row sum of H: the exact 1-norm, and infinity
+    norm, of a Hermitian H and of -iH."""
+    return float(np.max(np.sum(np.abs(h.mat), axis=1)))
 
 
-def check_stability(grid: TimeGrid, wmax: float, bound: float | None = None) -> None:
-    """Raise StabilityError when the step is too long for the grid's degree:
-    dt * wmax > STABILITY_LIMIT at degree 4 (RK4), or dt * bound >
-    TAYLOR_THETA[m] at degree m > 4. bound is an upper bound on the
-    generator in any consistent norm, since the theta_m backward-error bound
-    holds in every such norm; it defaults to wmax, the row sum, which is the
-    exact 1-norm of a Hermitian or complex-symmetric generator."""
-    m = grid.degree
-    if m == 4:
-        name, scale, limit = "omega_max", wmax, STABILITY_LIMIT
-    else:
-        name, scale, limit = "norm", wmax if bound is None else bound, TAYLOR_THETA[m]
-    if grid.dt * scale > limit:
-        shown = limit if m == 4 else f"theta_{m} = {limit}"
-        raise StabilityError(f"dt*{name} = {grid.dt * scale:.3g} exceeds {shown}")
+def check_stability(grid: TimeGrid, norm: float) -> None:
+    """Raise StabilityError when dt * norm > TAYLOR_THETA[m], the longest
+    step of the grid's degree m at unit roundoff. norm is an upper bound on
+    the generator in any consistent norm, since the theta_m backward-error
+    bound holds in every such norm."""
+    limit = TAYLOR_THETA[grid.degree]
+    if grid.dt * norm > limit:
+        raise StabilityError(f"dt*norm = {grid.dt * norm:.3g} exceeds "
+                             f"theta_{grid.degree} = {limit}")
 
 
 def _tails(h_bound: float, m: int) -> list[float]:
@@ -351,23 +324,23 @@ def _norm(v: np.ndarray, ord: float) -> float:
     return float(np.max(np.abs(v)))
 
 
-def rk4(rhs, y0: np.ndarray, grid: TimeGrid, record, integrand=None,
-        bound: float | None = None, ord: float = np.inf) -> int:
+def taylor_steps(rhs, y0: np.ndarray, grid: TimeGrid, record, integrand=None, *,
+                 bound: float, ord: float = np.inf) -> int:
     """Taylor steps of degree m = grid.degree for the linear dy/dt = rhs(y) = A y
     from y0 over grid: with h = grid.dt and the terms T_k = (hA)^k y / k!, a
-    step maps y to sum_{k<=m} T_k, which at m = 4 is the classical RK4 map.
-    Returns the number of rhs products applied.
+    step maps y to sum_{k<=m} T_k. Returns the number of rhs products
+    applied.
 
-    With bound = beta >= ||A|| on a grid of degree m > 4, m is a cap: a step
-    stops after the term T_k, at degree k, once tail_k ||T_k|| <=
-    UNIT_ROUNDOFF ||y||, y the state at the step's start (``_tails``), so the
-    terms it drops sum to at most unit roundoff of the state. The norm is
-    the one beta bounds, of order `ord`: inf (max-abs values, which are
-    exact) or 2 (the square root of a sum of squares, exact up to its own
-    rounding). The proof holds in either, as ||A^i|| <= ||A||^i in any
-    consistent norm. The test runs only where tail_k < 1, and neither norm
-    calls BLAS, so the stop does not depend on the BLAS thread count.
-    Without a bound, or at degree 4, every step takes its m terms.
+    bound = beta >= ||A|| makes m a cap: a step stops after the term T_k, at
+    degree k, once tail_k ||T_k|| <= UNIT_ROUNDOFF ||y||, y the state at the
+    step's start (``_tails``), so the terms it drops sum to at most unit
+    roundoff of the state. The norm is the one beta bounds, of order `ord`:
+    inf (max-abs values, which are exact) or 2 (the square root of a sum of
+    squares, exact up to its own rounding). The proof holds in either, as
+    ||A^i|| <= ||A||^i in any consistent norm. The test runs only where
+    tail_k < 1, and neither norm calls BLAS, so the stop does not depend on
+    the BLAS thread count. An infinite bound proves nothing, and every step
+    takes its m terms.
 
     record(first, ys, integrals) receives the recorded points in blocks of
     consecutive records: row j of the (k, size) array ys is record first + j
@@ -378,12 +351,11 @@ def rk4(rhs, y0: np.ndarray, grid: TimeGrid, record, integrand=None,
 
     The running integral is that of the linear scalar integrand(y): a step of
     degree m' (m, or where it stopped) adds h * sum_{k<m'} integrand(T_k) /
-    (k + 1), the exact integral over the step of its Taylor polynomial (at
-    m = 4, RK4's stage-weighted sum); 0 without an integrand. A record at
-    fraction x in (0, 1) of a step is read off the step's terms without
-    further generator products: y = sum_{k<=m'} x^k T_k and integral + h *
-    sum_{k<m'} x^(k+1) integrand(T_k) / (k + 1), the same polynomial and its
-    exact integral.
+    (k + 1), the exact integral over the step of its Taylor polynomial; 0
+    without an integrand. A record at fraction x in (0, 1) of a step is read
+    off the step's terms without further generator products: y =
+    sum_{k<=m'} x^k T_k and integral + h * sum_{k<m'} x^(k+1) integrand(T_k)
+    / (k + 1), the same polynomial and its exact integral.
 
     A step with a record inside it writes T_k into row k of the m + 1 rows of
     the step buffer (``TimeGrid.buffer``), and each block of records is one
@@ -406,10 +378,9 @@ def rk4(rhs, y0: np.ndarray, grid: TimeGrid, record, integrand=None,
     # records costs real products on complex terms too
     terms_f = terms.view(float)
     r, chunk = len(terms), _block_rows(y.nbytes)
-    tested = m  # the first degree at which a step may stop; m: none
-    if bound is not None and m > 4:
-        tail = _tails(h * bound, m)
-        tested = next(k for k in range(1, m + 1) if tail[k] < 1.0)
+    tail = _tails(h * bound, m)
+    # the first degree at which a step may stop; m (tail[m] = 0): none
+    tested = next(k for k in range(1, m + 1) if tail[k] < 1.0)
     acc = 0.0
     products = 0
     record(0, y[None], np.zeros(1))
@@ -641,11 +612,11 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
            norm: float | None = None, positivity: str = "measure") -> Trajectory:
     """Integrate drho/dt = -i[H,rho] + sum_k (L rho L† - {L†L, rho}/2) in the
     real coordinates of rho (``hermitian_coords``), one product with the real
-    generator R (``real_generator``) per Taylor term. Above degree 4 the
-    grid's degree is a cap: ``rk4`` ends each step once its remaining terms
-    fall below unit roundoff of the state, on the bound ||R||_inf, the
-    largest absolute row sum of R, and Trajectory.products counts the
-    products taken.
+    generator R (``real_generator``) per Taylor term. The grid's degree is
+    a cap: ``taylor_steps`` ends each step once its remaining terms fall
+    below unit roundoff of the state, on the bound ||R||_inf, the largest
+    absolute row sum of R, and Trajectory.products counts the products
+    taken.
 
     Every record is guarded: a record with an eigenvalue of rho below
     -POSITIVITY_TOL ends the run with an IntegrationError that names the
@@ -660,7 +631,7 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
     rho0 : DensityMatrix
         Initial state.
     grid : TimeGrid
-        Fixed-step grid of any degree; rejected by ``check_stability``.
+        Taylor grid, rejected by ``check_stability`` on norm.
     observables : list of Operator
         observables[0] must be the collective number operator (it feeds the
         subradiant accumulator); observables[1], when present, the qubit
@@ -674,10 +645,8 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
         built it already, so that runs of one model share it.
     norm : float, optional
         ``norm_bound(liouvillian(h, collapse))``, when the caller has
-        computed it already. The guard reads it above degree 4 and
-        ``omega_max(h, collapse)`` at degree 4; only the one it reads is
-        computed here. The Liouvillian built for either is dropped before
-        the run starts.
+        computed it already; the guard reads it. The Liouvillian built here
+        for it or for the generator is dropped before the run starts.
     positivity : {"measure", "certify"}
         How the guard reads each block of records. "measure" runs
         ``eigvalsh`` on every block and keeps the smallest eigenvalues in
@@ -701,15 +670,14 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
     if not h.hermitian:
         raise ValueError(f"the Hamiltonian must be Hermitian: |H - H†| exceeds {HERM_TOL:g}")
 
-    if generator is None or (norm is None and grid.degree > 4):
+    if generator is None or norm is None:
         lv = liouvillian(h, collapse)
         if generator is None:
             generator = real_generator(lv)
-        if norm is None and grid.degree > 4:
+        if norm is None:
             norm = norm_bound(lv)
         del lv
-    wmax = omega_max(h, collapse) if grid.degree == 4 else None
-    check_stability(grid, wmax, norm)
+    check_stability(grid, norm)
     dim = rho0.dims.dim
     index, sign = _scatter(dim)
     diag = np.arange(dim) * (dim + 1)
@@ -770,8 +738,8 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
         csr_matvec(n, n, generator.indptr, generator.indices, generator.data, u, out)
         return out
 
-    products = rk4(product, hermitian_coords(rho0.mat), grid, record,
-                   integrand=lambda u: float(np.dot(num_vec, u)), bound=row_sum)
+    products = taylor_steps(product, hermitian_coords(rho0.mat), grid, record,
+                            integrand=lambda u: float(np.dot(num_vec, u)), bound=row_sum)
 
     if rec["trace_err"][-1] > TRACE_TOL:
         raise IntegrationError(f"final trace error {rec['trace_err'][-1]:.3g} > {TRACE_TOL}")

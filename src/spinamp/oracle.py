@@ -3,13 +3,14 @@
 Two regimes: an exact single-excitation solver for large sampled ensembles
 (N ~ thousands, closed (N+1)-dimensional Schrodinger system), and a full
 product-space model for tiny ensembles (n <= 4 modes) including the drive.
-Both run on the density-matrix integrator's Taylor core: ``dynamics.rk4``
-steps them and ``dynamics.check_stability`` guards them. The RK4 rule takes
-each generator's row sum (also its exact 1-norm). Single-excitation Taylor
-plans, their guard and ``rk4``'s early stop take ``arrowhead_norm``, a
-2-norm bound that does not grow with N (the arrowhead's infinity norm grows
-as sqrt(N)), so each step ends once its remaining terms fall below unit
-roundoff of the state in the 2-norm.
+Both run on the density-matrix integrator's Taylor core:
+``dynamics.taylor_steps`` steps them and ``dynamics.check_stability`` guards
+them, each on one norm that also bounds the steps' early stop.
+Single-excitation plans take ``arrowhead_norm``, a 2-norm bound that does
+not grow with N (the arrowhead's row sums grow as sqrt(N)), so each step
+ends once its remaining terms fall below unit roundoff of the state in the
+2-norm. The full model's pure-state runs take ``dynamics.omega_max``, the
+exact 1-norm of its Hermitian H.
 """
 
 from __future__ import annotations
@@ -125,19 +126,6 @@ class SingleExcitationResult:
     products: int
 
 
-def arrowhead_omega_max(sample: EnsembleSample, delta_target: float,
-                        gamma_s: float = 0.0) -> float:
-    """Row-sum frequency estimate of the single-excitation system, the norm
-    of its degree-4 (RK4) rule. The generator is complex symmetric, so this
-    is also its exact 1-norm; the coupling row alone adds G sqrt(N) for
-    uniform couplings."""
-    g = sample.couplings
-    deltas = sample.freqs - sample.omega_bar
-    row_e = abs(delta_target) + float(np.sum(np.abs(g)))
-    row_j = float(np.max(np.abs(deltas - 0.5j * gamma_s) + np.abs(g)))
-    return max(row_e, row_j)
-
-
 def arrowhead_norm(sample: EnsembleSample, delta_target: float,
                    gamma_s: float = 0.0) -> float:
     """Upper bound on the 2-norm of the single-excitation generator, the norm
@@ -170,16 +158,14 @@ def single_excitation_evolve(sample: EnsembleSample, delta_target: float,
         dc_j/dt = -i (delta_j - i gamma_s/2) c_j - i g_j c_e
 
     with delta_j = omega_j - omega_bar (qubit and spins measured from the
-    ensemble center; the overall frame only shifts a global phase). Above
-    degree 4 each step stops once its remaining terms fall below unit
-    roundoff of the state in the 2-norm, on ``arrowhead_norm``, and
-    products counts the products taken.
+    ensemble center; the overall frame only shifts a global phase). Each
+    step stops once its remaining terms fall below unit roundoff of the
+    state in the 2-norm, on ``arrowhead_norm``, and products counts the
+    products taken.
     """
     g = sample.couplings
     bound = arrowhead_norm(sample, delta_target, gamma_s)
-    # the guard reads the row sum only at degree 4
-    wmax = arrowhead_omega_max(sample, delta_target, gamma_s) if grid.degree == 4 else None
-    dynamics.check_stability(grid, wmax, bound)
+    dynamics.check_stability(grid, bound)
     # the generator's entries, complex once here rather than on every call
     ig = -1j * g
     idj = -1j * ((sample.freqs - sample.omega_bar) - 0.5j * gamma_s)
@@ -206,7 +192,7 @@ def single_excitation_evolve(sample: EnsembleSample, delta_target: float,
         coll[block] = (cs[:, 1:] @ g) / g_norm
         norm[block] = np.sum(np.abs(cs) ** 2, axis=1)
 
-    products = dynamics.rk4(rhs, c0, grid, record, bound=bound, ord=2)
+    products = dynamics.taylor_steps(rhs, c0, grid, record, bound=bound, ord=2)
     return SingleExcitationResult(times=grid.times, c_e=c_e, collective=coll,
                                   norm=norm, products=products)
 
@@ -284,8 +270,9 @@ def full_model_evolve(sample: EnsembleSample, per_mode_cutoff: int,
                       initial_qubit: str = "e") -> FullModelRecord:
     """Evolve the full model from |initial_qubit, vac>.
 
-    Pure-state (Schrodinger) integration when gamma_s = 0; otherwise the
-    density-matrix Lindblad core with a sqrt(gamma_s) a_j channel per mode.
+    Pure-state (Schrodinger) integration when gamma_s = 0, guarded and
+    stopped on ``dynamics.omega_max(h)``; otherwise the density-matrix
+    Lindblad core with a sqrt(gamma_s) a_j channel per mode.
     """
     if initial_qubit not in ("e", "g"):
         raise ValueError(f"initial_qubit must be 'e' or 'g', got {initial_qubit!r}")
@@ -305,7 +292,8 @@ def full_model_evolve(sample: EnsembleSample, per_mode_cutoff: int,
                                qubit_excited=traj.qubit_excited,
                                total_mode_n=total, per_mode_n=per_mode)
 
-    dynamics.check_stability(grid, dynamics.omega_max(h))
+    norm = dynamics.omega_max(h)
+    dynamics.check_stability(grid, norm)
     m = -1j * h.mat
     psi0 = np.zeros(dims.dim, dtype=complex)
     psi0[dims.index(q, *([0] * sample.n))] = 1.0
@@ -325,6 +313,6 @@ def full_model_evolve(sample: EnsembleSample, per_mode_cutoff: int,
         for j, op in enumerate(mode_nums):
             per_mode[block, j] = expect(op, psis)
 
-    dynamics.rk4(lambda psi: m @ psi, psi0, grid, record)
+    dynamics.taylor_steps(lambda psi: m @ psi, psi0, grid, record, bound=norm)
     return FullModelRecord(times=grid.times, bright_n=bright, qubit_excited=qubit,
                            total_mode_n=per_mode.sum(axis=1), per_mode_n=per_mode)

@@ -27,6 +27,8 @@ from spinamp.model import (SystemParams, build_anc, build_drive, build_hc,
 from spinamp.oracle import (arrowhead_norm, reduced_single_excitation,
                             sample_frequencies, single_excitation_evolve)
 
+from conftest import expm_records, rk4_lindblad, rk4_steps
+
 TWO_PI = 2.0 * np.pi
 FIG_GAMMA_MHZ = 12.5
 GAIN_GAMMA_MHZ = 10.0
@@ -259,23 +261,21 @@ class TestCriterion7NumericalHygiene:
         assert passed
 
     def test_step_halving_is_fourth_order(self):
+        # the RK4 reference the plans are checked against is fourth order
         p = params()
         d = 6
         h = build_hc(p, d)
         ops = collapse_ops(p, d)
         num, qubit = joint_observables(d)
         rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1, 0)
-        wmax = dynamics.omega_max(h, ops)
+        lv = dynamics.liouvillian(h, ops)
         t_end = 0.05
 
-        def run(factor):
-            n = int(np.ceil(t_end * wmax / factor))
-            n = ((n + 49) // 50) * 50
-            grid = dynamics.TimeGrid(0.0, t_end, n, 50)
-            return dynamics.evolve(h, ops, rho0, grid, [num, qubit],
-                                   gamma=p.gamma).collective_n
+        def run(step):
+            n = rk4_steps(dynamics.norm_bound(lv), t_end, 50, step)
+            return rk4_lindblad(lv, rho0, num, qubit, p.gamma, t_end, 50, n)["collective_n"]
 
-        coarse, half, ref = run(0.2), run(0.1), run(0.0125)
+        coarse, half, ref = run(0.32), run(0.16), run(0.04)
         ratio = np.max(np.abs(coarse - ref)) / np.max(np.abs(half - ref))
         passed = 16.0 * 0.7 <= ratio <= 16.0 * 1.3
         report("criterion-7 RK4 order", passed,
@@ -284,24 +284,48 @@ class TestCriterion7NumericalHygiene:
 
 
 class TestPlanAgainstRK4:
-    def test_figure2_plan_matches_rk4(self):
-        # the production plan against the RK4 grid it replaced, at the
-        # figure 2 working point over the first 0.05 us
+    """The production plan at the figure 2 working point, d=16, over the
+    first 0.05 us with 50 records, against the tests' RK4 reference and
+    against Van Loan's exact augmented expm."""
+
+    @pytest.fixture(scope="class")
+    def figure2(self):
         p = params()
         d = 16
         plan, grid = _run_branch_meta(p, d, "e", 0.0, 0.05, 50)
         h = build_hc(p, d) + build_drive(p, d)
-        ops = collapse_ops(p, d)
-        rk4 = dynamics.evolve(h, ops, DensityMatrix.basis(SpaceDims((2, d)), 1, 0),
-                              dynamics.TimeGrid.auto(h, 0.0, 0.05, 50, ops),
-                              list(joint_observables(d)), gamma=p.gamma)
-        worst = max(np.max(np.abs(getattr(plan, c) - getattr(rk4, c)))
-                    / np.max(np.abs(getattr(rk4, c)))
-                    for c in ("collective_n", "qubit_excited", "subradiant_n"))
-        passed = grid.degree > 4 and worst < 1e-9
+        lv = dynamics.liouvillian(h, collapse_ops(p, d))
+        return p, d, plan, grid, lv
+
+    @staticmethod
+    def gap(plan, ref):
+        """The plan's largest gap to ref over the three curves, relative to
+        each curve's maximum."""
+        return max(np.max(np.abs(getattr(plan, c) - ref[c])) / np.max(np.abs(ref[c]))
+                   for c in ("collective_n", "qubit_excited", "subradiant_n"))
+
+    def test_figure2_plan_matches_rk4(self, figure2):
+        p, d, plan, grid, lv = figure2
+        n_steps = rk4_steps(dynamics.norm_bound(lv), 0.05, 50)
+        ref = rk4_lindblad(lv, DensityMatrix.basis(SpaceDims((2, d)), 1, 0),
+                           *joint_observables(d), p.gamma, 0.05, 50, n_steps)
+        worst = self.gap(plan, ref)
+        passed = worst < 1e-9
         report("plan against RK4", passed,
-               f"degree-{grid.degree} plan vs RK4 at d=16 over t<=0.05us: "
-               f"{worst:.2e} of the curve maximum (limit 1e-9)")
+               f"degree-{grid.degree} plan vs {n_steps} RK4 steps at d=16 over "
+               f"t<=0.05us: {worst:.2e} of the curve maximum (limit 1e-9)")
+        assert passed
+
+    def test_figure2_plan_matches_augmented_expm(self, figure2):
+        # one expm over one record interval, applied record to record
+        p, d, plan, grid, lv = figure2
+        ref = expm_records(lv, DensityMatrix.basis(SpaceDims((2, d)), 1, 0),
+                           *joint_observables(d), p.gamma, 0.05, 50)
+        worst = self.gap(plan, ref)
+        passed = worst < 1e-12
+        report("plan against expm", passed,
+               f"degree-{grid.degree} plan vs augmented expm at d=16 over t<=0.05us: "
+               f"{worst:.2e} of the curve maximum (limit 1e-12)")
         assert passed
 
 

@@ -8,15 +8,17 @@ from scipy.linalg import expm
 
 from spinamp import dynamics
 from spinamp.analytic import excited_population, ground_population
-from spinamp.dynamics import (DT_FACTOR, PLAN_MAX_DEGREE, POSITIVITY_TOL,
+from spinamp.dynamics import (PLAN_MAX_DEGREE, POSITIVITY_TOL,
                               RECORD_BLOCK_BYTES, TAYLOR_THETA, IntegrationError,
                               StabilityError, TimeGrid,
                               check_stability, csr_sum, density_matrices, evolve,
                               generator_gap, hermitian_coords, liouvillian, norm_bound,
-                              omega_max, real_generator, rk4, readout_gain)
+                              real_generator, readout_gain, taylor_steps)
 from spinamp.hilbert import (DensityMatrix, Operator, SpaceDims, identity,
                              kron, ladder)
 from spinamp.model import SystemParams, build_anc, build_drive, build_hc, collapse_ops
+
+from conftest import expm_records, rk4, rk4_lindblad, rk4_steps
 
 TWO_PI = 2.0 * np.pi
 
@@ -94,31 +96,43 @@ def scipy_real_generator(lv):
 class TestTimeGrid:
     def test_validation(self):
         with pytest.raises(ValueError, match="t_end"):
-            TimeGrid(0.0, 0.0, 10, 10)
+            TimeGrid(0.0, 0.0, 10, 10, 16)
         with pytest.raises(ValueError, match="n_steps"):
-            TimeGrid(0.0, 1.0, 0, 10)
+            TimeGrid(0.0, 1.0, 0, 10, 16)
         with pytest.raises(ValueError, match="n_record"):
-            TimeGrid(0.0, 1.0, 10, 0)
+            TimeGrid(0.0, 1.0, 10, 0, 16)
+        with pytest.raises(TypeError, match="degree"):
+            TimeGrid(0.0, 1.0, 10, 5)  # no default degree
 
     def test_times(self):
-        grid = TimeGrid(0.0, 1.0, 10, 2)
+        grid = TimeGrid(0.0, 1.0, 10, 2, 16)
         np.testing.assert_allclose(grid.times, [0.0, 0.5, 1.0])
         assert grid.dt == 0.1
 
     def test_times_independent_of_step_count(self):
-        # the figure-2 production and doubled-cutoff grids: same window and
-        # record count, different step counts; curves are compared pointwise
-        fine = TimeGrid(0.0, 0.5, 189_000, 500)
-        coarse = TimeGrid(0.0, 0.5, 57_000, 500)
+        # a run and its step-halving rerun: same window and record count,
+        # different step counts; curves are compared pointwise
+        fine = TimeGrid(0.0, 0.5, 920, 500, 50)
+        coarse = TimeGrid(0.0, 0.5, 460, 500, 50)
         np.testing.assert_array_equal(fine.times, coarse.times)
         assert fine.times[-1] == 0.5
 
-    def test_auto_respects_factor(self, fig_params):
-        h = build_hc(fig_params, 8)
+    def test_degree_4_is_refused_and_auto_is_the_taylor_plan(self, fig_params):
+        # one propagator: no grid takes degree 4 (the classical RK4 map, kept
+        # only as the tests' reference), TimeGrid.auto is the Taylor plan on
+        # the norm evolve's guard reads, and every plan is of degree 5 or more
+        with pytest.raises(ValueError, match="degree must be one of"):
+            TimeGrid(0.0, 1.0, 10, 5, 4)
+        assert min(TAYLOR_THETA) == 5
+        h = build_hc(fig_params, 8) + build_drive(fig_params, 8)
         ops = collapse_ops(fig_params, 8)
-        grid = TimeGrid.auto(h, 0.0, 0.1, n_record=50, collapse=ops)
-        assert grid.dt * omega_max(h, ops) <= 0.015 + 1e-12
-        assert grid.n_steps % 50 == 0
+        for t_end, n_record in [(1e-9, 1), (0.1, 50), (1.0, 500)]:
+            grid = TimeGrid.auto(h, 0.0, t_end, n_record, ops)
+            assert grid == TimeGrid.taylor(norm_bound(liouvillian(h, ops)), 0.0, t_end,
+                                           n_record)
+            assert grid.degree >= 5
+        for span in (1e-300, 1e-3, 1.0, 1e3, 1e8):
+            assert TimeGrid.taylor(span, 0.0, 1.0, 10).degree >= 5
 
 
 class TestEvolve:
@@ -222,7 +236,7 @@ class TestEvolve:
     def test_dimension_mismatch(self, fig_params):
         h = build_hc(fig_params, 4)
         rho0 = DensityMatrix.basis(SpaceDims((2, 5)), 0, 0)
-        grid = TimeGrid(0.0, 0.01, 1000, 10)
+        grid = TimeGrid(0.0, 0.01, 1000, 10, 16)
         with pytest.raises(ValueError, match="mismatch"):
             evolve(h, [], rho0, grid, [joint_observables(4)[0]])
 
@@ -232,22 +246,23 @@ class TestEvolve:
         ops = collapse_ops(fig_params, d)
         rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1, 0)
         num, _ = joint_observables(d)
-        grid = TimeGrid(0.0, 1.0, 100, 10)
-        with pytest.raises(StabilityError, match=r"^dt\*omega_max = \S+ exceeds 0\.25$"):
+        grid = TimeGrid(0.0, 1.0, 100, 10, 16)
+        with pytest.raises(StabilityError,
+                           match=r"^dt\*norm = \S+ exceeds theta_16 = 0\.781$"):
             evolve(h, ops, rho0, grid, [num])
         # the fewest steps the guard admits, and ten fewer, which it refuses
-        wmax = omega_max(h, ops)
-        need = fewest_passing_steps(wmax, 1.0, 0.25, 10)
+        norm = norm_bound(liouvillian(h, ops))
+        need = fewest_passing_steps(norm, 1.0, TAYLOR_THETA[16], 10)
         assert need > 100
-        check_stability(TimeGrid(0.0, 1.0, need, 10), wmax)
+        check_stability(TimeGrid(0.0, 1.0, need, 10, 16), norm)
         with pytest.raises(StabilityError):
-            check_stability(TimeGrid(0.0, 1.0, need - 10, 10), wmax)
+            check_stability(TimeGrid(0.0, 1.0, need - 10, 10, 16), norm)
 
     def test_requires_an_observable(self, fig_params):
         d = 4
         h = build_hc(fig_params, d)
         rho0 = DensityMatrix.basis(SpaceDims((2, d)), 0, 0)
-        grid = TimeGrid(0.0, 0.001, 1000, 10)
+        grid = TimeGrid(0.0, 0.001, 1000, 10, 16)
         with pytest.raises(ValueError, match="observable"):
             evolve(h, [], rho0, grid, [])
 
@@ -298,7 +313,7 @@ class TestConvergence:
         num, qubit = joint_observables(d)
         rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1, 0)
         grid = TimeGrid.auto(h, 0.0, 0.1, n_record=100, collapse=ops)
-        fine = TimeGrid(0.0, 0.1, 2 * grid.n_steps, grid.n_record)
+        fine = TimeGrid(0.0, 0.1, 2 * grid.n_steps, grid.n_record, grid.degree)
         t1 = evolve(h, ops, rho0, grid, [num, qubit], gamma=fig_params.gamma)
         t2 = evolve(h, ops, rho0, fine, [num, qubit], gamma=fig_params.gamma)
         for a, b in ((t1.collective_n, t2.collective_n),
@@ -308,23 +323,22 @@ class TestConvergence:
             assert np.max(np.abs(a - b)) / scale < 1e-6
 
     def test_rk4_order_ratio(self, fig_params):
-        # deliberately coarse steps so truncation error dominates roundoff
+        # the tests' RK4 reference is fourth order: deliberately coarse steps
+        # so truncation error dominates roundoff
         d = 6
         h = build_hc(fig_params, d)
         ops = collapse_ops(fig_params, d)
         num, qubit = joint_observables(d)
         rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1, 0)
-        wmax = omega_max(h, ops)
+        lv = liouvillian(h, ops)
         t_end = 0.05
 
-        def run(factor):
-            n = int(np.ceil(t_end * wmax / factor))
-            n = ((n + 49) // 50) * 50
-            grid = TimeGrid(0.0, t_end, n, 50)
-            return evolve(h, ops, rho0, grid, [num, qubit],
-                          gamma=fig_params.gamma).collective_n
+        def run(step):
+            n = rk4_steps(norm_bound(lv), t_end, 50, step)
+            return rk4_lindblad(lv, rho0, num, qubit, fig_params.gamma, t_end, 50,
+                                n)["collective_n"]
 
-        coarse, half, ref = run(0.2), run(0.1), run(0.0125)
+        coarse, half, ref = run(0.32), run(0.16), run(0.04)
         e1 = np.max(np.abs(coarse - ref))
         e2 = np.max(np.abs(half - ref))
         assert e1 / e2 == pytest.approx(16.0, rel=0.30)
@@ -374,7 +388,8 @@ class TestReadoutGain:
 
 
 class TestRK4Core:
-    """The shared RK4 driver on the scalar ODE y' = lam * y."""
+    """The tests' RK4 reference (``conftest.rk4``) on the scalar ODE
+    y' = lam * y."""
 
     LAM = -3.0 + 40.0j
 
@@ -382,44 +397,40 @@ class TestRK4Core:
         z = self.LAM * dt
         return 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
 
-    def run(self, grid, integrand=None):
-        seen = {}
-
-        def record(first, ys, integrals):
-            for j, (y, integral) in enumerate(zip(ys, integrals)):
-                seen[first + j] = (complex(y[0]), integral)
-
-        rk4(lambda y: self.LAM * y, np.array([1.0 + 0.0j]), grid, record, integrand)
-        return seen
+    def run(self, n_steps, n_record, integrand=None):
+        return rk4(lambda y: self.LAM * y, np.array([1.0 + 0.0j]), 0.01, n_steps,
+                   n_record, integrand)
 
     def test_one_step_is_the_fourth_order_taylor_factor(self):
-        grid = TimeGrid(0.0, 0.01, 1, 1)
-        seen = self.run(grid)
-        assert sorted(seen) == [0, 1]
-        assert seen[0] == (1.0, 0.0)
-        factor = self.taylor4(grid.dt)
-        assert abs(seen[1][0] - factor) <= 4 * np.finfo(float).eps * abs(factor)
-        assert seen[1][1] == 0.0  # no integrand, no accumulation
+        ys, integrals = self.run(1, 1)
+        assert ys.shape == (2, 1)
+        assert ys[0, 0] == 1.0 and integrals[0] == 0.0
+        factor = self.taylor4(0.01)
+        assert abs(ys[1, 0] - factor) <= 4 * np.finfo(float).eps * abs(factor)
+        assert integrals[1] == 0.0  # no integrand, no accumulation
 
     def test_accumulator_is_the_stage_weighted_sum(self):
-        grid = TimeGrid(0.0, 0.01, 1, 1)
-        dt = grid.dt
+        dt = 0.01
         z = self.LAM * dt
         y1 = 1.0
         y2 = 1 + z / 2 * y1
         y3 = 1 + z / 2 * y2
         y4 = 1 + z * y3
         expected = dt / 6 * (y1 + 2 * y2 + 2 * y3 + y4)
-        seen = self.run(grid, integrand=lambda y: y[0])
-        assert abs(seen[1][1] - expected) <= 4 * np.finfo(float).eps * abs(expected)
+        # which is the exact integral of the step's degree-4 Taylor polynomial
+        assert expected == pytest.approx(dt * (1 + z / 2 + z**2 / 6 + z**3 / 24),
+                                         rel=1e-14)
+        _, integrals = self.run(1, 1, integrand=lambda y: y[0])
+        assert abs(integrals[1] - expected) <= 4 * np.finfo(float).eps * abs(expected)
 
     def test_records_every_record_every_steps(self):
-        grid = TimeGrid(0.0, 0.01, 12, 3)
-        factor = self.taylor4(grid.dt)
-        seen = self.run(grid)
-        assert sorted(seen) == [0, 1, 2, 3]
+        ys, _ = self.run(12, 3)
+        factor = self.taylor4(0.01 / 12)
+        assert len(ys) == 4
         for i in range(4):
-            np.testing.assert_allclose(seen[i][0], factor ** (4 * i), rtol=1e-13)
+            np.testing.assert_allclose(ys[i, 0], factor ** (4 * i), rtol=1e-13)
+        with pytest.raises(ValueError, match="n_record must divide n_steps"):
+            self.run(12, 5)
 
 
 class TestLiouvillian:
@@ -476,6 +487,9 @@ class TestLiouvillian:
                                          * float(mod.sum(axis=1).max()))
 
     def test_evolve_matches_matrix_form_rk4(self):
+        # a plan with two channels and an observable that is not diagonal,
+        # against the tests' RK4 on the matrix form, with its stage-weighted
+        # integral, on steps so short that its own error is below rounding
         p = SystemParams.from_mhz(nu_t=412.5, nu_bar=0.0, g=75.0, lambda_d=40.0,
                                   gamma=12.5, gamma_s=3.0)
         d = 4
@@ -486,36 +500,17 @@ class TestLiouvillian:
         quad = kron(identity(SpaceDims((2,))), a + a.dag())  # not diagonal
         _, qubit = joint_observables(d)
         rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1, 0)
-        grid = TimeGrid.auto(h, 0.0, 0.005, n_record=20, collapse=ops)
+        grid = TimeGrid.auto(h, 0.0, 0.002, n_record=20, collapse=ops)
         traj = evolve(h, ops, rho0, grid, [quad, qubit], gamma=p.gamma)
 
-        # classical RK4 on the matrix form, with the stage-weighted integral
         jumps = [j.mat for j in ops]
-
-        def rhs(rho):
-            return self.lindblad(h.mat, jumps, rho)
-
-        def observe(rho, integral):
-            ref["collective_n"].append(np.trace(quad.mat @ rho).real)
-            ref["qubit_excited"].append(np.trace(qubit.mat @ rho).real)
-            ref["subradiant_n"].append(p.gamma * integral)
-
-        ref = {"collective_n": [], "qubit_excited": [], "subradiant_n": []}
-        dt, rho, acc = grid.dt, rho0.mat.copy(), 0.0
-        observe(rho, acc)
-        for step in range(grid.n_steps):
-            k1 = rhs(rho)
-            r2 = rho + 0.5 * dt * k1
-            k2 = rhs(r2)
-            r3 = rho + 0.5 * dt * k2
-            k3 = rhs(r3)
-            r4 = rho + dt * k3
-            k4 = rhs(r4)
-            n = [np.trace(quad.mat @ r).real for r in (rho, r2, r3, r4)]
-            acc += dt / 6 * (n[0] + 2 * n[1] + 2 * n[2] + n[3])
-            rho = rho + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            if (step + 1) % (grid.n_steps // grid.n_record) == 0:
-                observe(rho, acc)
+        n_steps = rk4_steps(norm_bound(liouvillian(h, ops)), 0.002, 20, step=0.004)
+        rhos, integrals = rk4(lambda rho: self.lindblad(h.mat, jumps, rho), rho0.mat,
+                              0.002, n_steps, 20,
+                              integrand=lambda rho: np.trace(quad.mat @ rho).real)
+        ref = {"collective_n": [np.trace(quad.mat @ rho).real for rho in rhos],
+               "qubit_excited": [np.trace(qubit.mat @ rho).real for rho in rhos],
+               "subradiant_n": p.gamma * integrals}
         for name, values in ref.items():
             np.testing.assert_allclose(getattr(traj, name), values,
                                        rtol=0.0, atol=1e-12, err_msg=name)
@@ -667,7 +662,8 @@ class TestRealCoordinates:
 
 
 class TestTaylorCore:
-    """The shared stepper at degrees above 4, on y' = lam * y."""
+    """The shared stepper on y' = lam * y, on an infinite bound, which
+    proves nothing: every step takes its m terms."""
 
     LAM = -3.0 + 40.0j
 
@@ -684,8 +680,8 @@ class TestTaylorCore:
             for j, (y, acc) in enumerate(zip(ys, integrals)):
                 seen[first + j] = (complex(y[0]), acc)
 
-        rk4(lambda y: self.LAM * y, np.array([1.0 + 0.0j]), grid, record,
-            integrand=lambda y: y[0])
+        taylor_steps(lambda y: self.LAM * y, np.array([1.0 + 0.0j]), grid, record,
+                     integrand=lambda y: y[0], bound=np.inf)
         eps = np.finfo(float).eps
         assert abs(seen[1][0] - factor) <= 4 * eps * abs(factor)
         assert abs(seen[1][1] - integral) <= 4 * eps * abs(integral)
@@ -711,8 +707,8 @@ class TestTaylorCore:
                 for j, (y, acc) in enumerate(zip(ys, integrals)):
                     seen[first + j] = (complex(y[0]), complex(acc))
 
-            rk4(lambda y: self.LAM * y, np.array([1.0 + 0.0j]), grid, record,
-                integrand=lambda y: y[0])
+            taylor_steps(lambda y: self.LAM * y, np.array([1.0 + 0.0j]), grid, record,
+                         integrand=lambda y: y[0], bound=np.inf)
             assert sorted(seen) == list(range(n_record + 1))
             assert max(blocks) == min(inner, block // 16)
             for i in range(1, n_record + 1):
@@ -766,7 +762,7 @@ class TestTaylorPlan:
         # the degree + 1 terms when some record falls inside a step, whatever
         # the state's size; none when every record falls on a step end
         inner = inner_records(n_steps, n_record)
-        for degree in (4, 16, 50):
+        for degree in (5, 16, 50):
             grid = TimeGrid(0.0, 1.0, n_steps, n_record, degree)
             assert grid.buffer == (degree + 1 if inner else 0)
 
@@ -784,7 +780,8 @@ class TestTaylorPlan:
 
         tracemalloc.start()
         try:
-            rk4(lambda y: np.multiply(y, -1.0, out=out), y0, grid, record)
+            taylor_steps(lambda y: np.multiply(y, -1.0, out=out), y0, grid, record,
+                         bound=np.inf)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -805,11 +802,11 @@ class TestTaylorPlan:
         span = norm * t_end
         grid = TimeGrid.taylor(norm, 0.0, t_end, n_record)
         s, m = grid.n_steps, grid.degree
-        assert grid.n_record == n_record and 4 < m <= PLAN_MAX_DEGREE
+        assert grid.n_record == n_record and m <= PLAN_MAX_DEGREE
         assert s * TAYLOR_THETA[m] >= span
-        # over the degrees a plan may take: degree 4 is left to RK4 grids
+        # over the degrees a plan may take
         for other, theta in TAYLOR_THETA.items():
-            if not 4 < other <= PLAN_MAX_DEGREE:
+            if other > PLAN_MAX_DEGREE:
                 continue
             for steps in range(max(1, int(np.ceil(span / theta))), m * s // other + 1):
                 assert (other * steps, other) >= (m * s, m)
@@ -827,7 +824,7 @@ class TestTaylorPlan:
     @pytest.mark.parametrize("norm, t_end", [(3.44e101, 1.0), (4.6e3, 1e301), (4.6e3, 1e304)])
     def test_an_astronomical_plan_is_refused(self, norm, t_end):
         # finite spans whose plans would take 4e100 steps or more, the last
-        # one so long that span / theta_4 overflows: refused before any step
+        # one so long that span / theta_5 overflows: refused before any step
         with pytest.raises(StabilityError, match=r"needs more than PLAN_MAX_PRODUCTS = 1e\+09"):
             TimeGrid.taylor(norm, 0.0, t_end, 500)
 
@@ -841,11 +838,10 @@ class TestTaylorPlan:
         rho0 = DensityMatrix.basis(SpaceDims((2, 6)), 1, 0)
         num, _ = joint_observables(6)
         norm = norm_bound(liouvillian(h, ops))
-        # 1.1 times the longest degree-16 step: too long for ||L||_1, though
-        # not for the smaller row-sum bound omega_max
+        # 1.1 times the longest degree-16 step on the norm bound
         t_end = 11 * TAYLOR_THETA[16] / norm
         grid = TimeGrid(0.0, t_end, 10, 10, degree=16)
-        assert grid.dt * omega_max(h, ops) < TAYLOR_THETA[16] < grid.dt * norm
+        assert TAYLOR_THETA[16] < grid.dt * norm
         with pytest.raises(StabilityError, match=r"exceeds theta_16 = \S+$"):
             evolve(h, ops, rho0, grid, [num])
         need = fewest_passing_steps(norm, t_end, TAYLOR_THETA[16], 10)
@@ -853,33 +849,12 @@ class TestTaylorPlan:
         ok = TimeGrid(0.0, t_end, need, 10, degree=16)
         evolve(h, ops, rho0, ok, [num])
 
-    @staticmethod
-    def expm_records(lv, rho0, num, qubit, gamma, t_end, n_record):
-        """Van Loan: exp(dt [[L, 0], [n, 0]]) carries [vec rho; int <n>] over
-        one record interval exactly; the records of that propagation."""
-        n_row = num.mat.T.reshape(-1)
-        q_row = qubit.mat.T.reshape(-1)
-        dim = lv.shape[0]
-        aug = np.zeros((dim + 1, dim + 1), dtype=complex)
-        aug[:dim, :dim] = scipy_csr(lv).toarray()
-        aug[dim, :dim] = n_row
-        step = expm(aug * (t_end / n_record))
-        z = np.append(rho0.mat.reshape(-1), 0.0)
-        ref = {"collective_n": [], "qubit_excited": [], "subradiant_n": []}
-        for _ in range(n_record + 1):
-            ref["collective_n"].append((n_row @ z[:dim]).real)
-            ref["qubit_excited"].append((q_row @ z[:dim]).real)
-            ref["subradiant_n"].append(gamma * z[dim].real)
-            z = step @ z
-        return ref
-
     def check_against_expm(self, grid, t_end, n_record):
         p, h, ops = driven_model()
         num, qubit = joint_observables(6)
         rho0 = DensityMatrix.basis(SpaceDims((2, 6)), 1, 0)
         traj = evolve(h, ops, rho0, grid, [num, qubit], gamma=p.gamma)
-        ref = self.expm_records(liouvillian(h, ops), rho0, num, qubit, p.gamma, t_end,
-                                n_record)
+        ref = expm_records(liouvillian(h, ops), rho0, num, qubit, p.gamma, t_end, n_record)
         for name, values in ref.items():
             np.testing.assert_allclose(getattr(traj, name), values,
                                        rtol=0.0, atol=1e-12, err_msg=name)
@@ -888,7 +863,6 @@ class TestTaylorPlan:
         _, h, ops = driven_model()
         t_end, n_record = 0.02, 40
         grid = TimeGrid.taylor(norm_bound(liouvillian(h, ops)), 0.0, t_end, n_record)
-        assert grid.degree > 4
         self.check_against_expm(grid, t_end, n_record)
 
     @pytest.mark.parametrize("n_record", [40, 1000])
@@ -904,7 +878,7 @@ class TestTaylorPlan:
         nbytes = 8 * lv.shape[0]  # the real coordinates of rho
         t_end = 0.02
         grid = TimeGrid.taylor(norm_bound(lv), 0.0, t_end, n_record)
-        assert grid.degree > 4 and grid.n_steps < n_record
+        assert grid.n_steps < n_record
         assert grid.buffer == grid.degree + 1
         inner = inner_records(grid.n_steps, n_record)
         if n_record == 40:
@@ -926,16 +900,18 @@ class TestTaylorPlan:
         assert grid.buffer == grid.degree + 1
         self.check_against_expm(grid, t_end, n_record)
 
-    @pytest.mark.parametrize("case", ["rk4 grid", "degree 50, records at step ends",
+    @pytest.mark.parametrize("case", ["degree 5, records at step ends",
+                                      "degree 50, records at step ends",
                                       "degree 50, records inside steps"])
     def test_step_end_records_keep_the_plain_step_bits(self, case):
         # the one term loop gives a record at a step end the bits of the
         # plain step, whether or not the step also holds records inside it
+        # (an infinite bound: every step takes its m terms, as a plain one)
         _, h, ops = driven_model()
         lv = scipy_csr(liouvillian(h, ops))
         num_vec = joint_observables(6)[0].mat.T.reshape(-1)
-        if case == "rk4 grid":
-            grid = TimeGrid.auto(h, 0.0, 0.002, n_record=10, collapse=ops)
+        if case.startswith("degree 5,"):
+            grid = TimeGrid(0.0, 0.002, 40, 10, degree=5)
         else:
             grid = TimeGrid(0.0, 0.02, 20, 10 if "ends" in case else 30, degree=50)
         y0 = DensityMatrix.basis(SpaceDims((2, 6)), 1, 0).mat.reshape(-1)
@@ -952,7 +928,7 @@ class TestTaylorPlan:
             for j, (y, integral) in enumerate(zip(ys, integrals)):
                 seen[first + j] = (y.copy(), integral)
 
-        rk4(rhs, y0, grid, record, integrand)
+        taylor_steps(rhs, y0, grid, record, integrand, bound=np.inf)
         ends = plain_steps(rhs, y0, grid, integrand)
         assert sorted(seen) == list(range(grid.n_record + 1))
         # 20 steps over 30 records end on every third record
@@ -984,18 +960,19 @@ class TestTaylorPlan:
         ops = collapse_ops(fig_params, d)
         num, qubit = joint_observables(d)
         rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1, 0)
-        plan = TimeGrid.taylor(norm_bound(liouvillian(h, ops)), 0.0, 0.005, 50)
-        rk = TimeGrid.auto(h, 0.0, 0.005, 50, ops, DT_FACTOR)
-        assert plan.applications < rk.applications
+        lv = liouvillian(h, ops)
+        plan = TimeGrid.taylor(norm_bound(lv), 0.0, 0.005, 50)
+        n_rk4 = rk4_steps(norm_bound(lv), 0.005, 50)
+        assert plan.applications < 4 * n_rk4
         a = evolve(h, ops, rho0, plan, [num, qubit], gamma=fig_params.gamma)
-        b = evolve(h, ops, rho0, rk, [num, qubit], gamma=fig_params.gamma)
+        b = rk4_lindblad(lv, rho0, num, qubit, fig_params.gamma, 0.005, 50, n_rk4)
         for name in ("collective_n", "qubit_excited", "subradiant_n"):
-            x, y = getattr(a, name), getattr(b, name)
+            x, y = getattr(a, name), b[name]
             assert np.max(np.abs(x - y)) <= 1e-9 * np.max(np.abs(y)), name
 
 
 class TestEarlyStop:
-    """``rk4`` with a bound beta >= ||A|| ends a step after T_k once
+    """``taylor_steps`` with a bound beta >= ||A|| ends a step after T_k once
     tail_k ||T_k|| <= 2^-53 ||y||, tail_k = sum_{i=1}^{m-k} (h beta)^i
     k! / (k + i)!, testing only where tail_k < 1, in the norm beta bounds:
     the infinity norm, or the 2-norm with ord=2."""
@@ -1030,14 +1007,14 @@ class TestEarlyStop:
             return lam * y
 
         runs = []
-        for bound in (abs(lam), None):
+        for bound in (abs(lam), np.inf):
             seen = {}
 
             def record(first, ys, integrals):
                 for j, (y, integral) in enumerate(zip(ys, integrals)):
                     seen[first + j] = (float(y[0]), integral)
-            runs.append((rk4(rhs, np.array([1.0]), grid, record,
-                             integrand=lambda y: y[0], bound=bound), seen))
+            runs.append((taylor_steps(rhs, np.array([1.0]), grid, record,
+                                      integrand=lambda y: y[0], bound=bound), seen))
         (stopped, seen), (full, seen_full) = runs
         assert stopped == 3 * k and full == grid.applications
         assert len(calls) == stopped + full
@@ -1073,7 +1050,7 @@ class TestEarlyStop:
             if first + len(ys) - 1 in (50, 100, 150, 200):  # a step end
                 degrees.append(calls[0] - sum(degrees))
 
-        products = rk4(rhs, y0, grid, record, bound=99.0)
+        products = taylor_steps(rhs, y0, grid, record, bound=99.0)
         assert products == sum(degrees) < grid.applications
         assert all(a > b for a, b in zip(degrees, degrees[1:])), degrees
         assert sorted(seen) == list(range(201))
@@ -1089,11 +1066,11 @@ class TestEarlyStop:
         t_end, n_record = 0.02, 40
         grid = TimeGrid.taylor(norm_bound(lv), 0.0, t_end, n_record)
         stopped = evolve(h, ops, rho0, grid, [num, qubit], gamma=p.gamma)
-        monkeypatch.setattr(dynamics, "rk4",
-                            lambda *args, bound=None, **kwargs: rk4(*args, **kwargs))
+        monkeypatch.setattr(dynamics, "taylor_steps", lambda *args, bound, **kwargs:
+                            taylor_steps(*args, bound=np.inf, **kwargs))
         full = evolve(h, ops, rho0, grid, [num, qubit], gamma=p.gamma)
         assert stopped.products < full.products == grid.applications
-        ref = TestTaylorPlan.expm_records(lv, rho0, num, qubit, p.gamma, t_end, n_record)
+        ref = expm_records(lv, rho0, num, qubit, p.gamma, t_end, n_record)
         for name, values in ref.items():
             np.testing.assert_allclose(getattr(stopped, name), values,
                                        rtol=0.0, atol=1e-12, err_msg=name)
@@ -1123,7 +1100,7 @@ class TestEarlyStop:
                 seen[first + j] = y.copy()
 
         y0 = q @ z
-        products = rk4(lambda y: a @ y, y0, grid, record, bound=beta, ord=2)
+        products = taylor_steps(lambda y: a @ y, y0, grid, record, bound=beta, ord=2)
         assert products == 3 * k < grid.applications
         assert sorted(seen) == list(range(13))
         for i, y in seen.items():
@@ -1147,8 +1124,8 @@ class TestEarlyStop:
         assert expected == {2: 32, np.inf: 33}
         grid = TimeGrid(0.0, 3 * h, 3, 3, degree)
         for ord, k in expected.items():
-            products = rk4(lambda y: -1j * w * y, y0, grid, lambda *args: None,
-                           bound=beta, ord=ord)
+            products = taylor_steps(lambda y: -1j * w * y, y0, grid, lambda *args: None,
+                                    bound=beta, ord=ord)
             assert products == 3 * k, ord
 
     def test_two_norm_takes_no_temporary_the_size_of_the_state(self):
@@ -1172,37 +1149,17 @@ class TestEarlyStop:
             ends[first] = ys[0].copy()
 
         y0 = np.full(2, 1e160)
-        products = rk4(lambda y: -4.0 * y, y0, grid, record, bound=4.0, ord=2)
+        products = taylor_steps(lambda y: -4.0 * y, y0, grid, record, bound=4.0, ord=2)
         assert products == grid.applications
         np.testing.assert_allclose(ends[2], np.exp(-4.0) * y0, rtol=1e-14)
+
+    def test_every_stepper_call_passes_its_bound(self):
+        grid = TimeGrid(0.0, 1.0, 1, 1, degree=10)
+        with pytest.raises(TypeError, match="bound"):
+            taylor_steps(lambda y: -y, np.ones(2), grid, lambda *args: None)
 
     def test_an_unknown_norm_order_is_refused(self):
         grid = TimeGrid(0.0, 1.0, 1, 1, degree=10)
         with pytest.raises(ValueError, match="ord must be inf or 2"):
-            rk4(lambda y: -y, np.ones(2), grid, lambda *args: None, bound=1.0, ord=1)
-
-    @pytest.mark.parametrize("records", ["at step ends", "inside steps"])
-    def test_rk4_grids_keep_their_bits_with_a_bound(self, records):
-        _, h, ops = driven_model()
-        lv = scipy_csr(liouvillian(h, ops))
-        grid = TimeGrid.auto(h, 0.0, 0.002, n_record=10, collapse=ops)
-        if records == "inside steps":
-            grid = TimeGrid(0.0, 0.002, grid.n_steps, grid.n_steps + 1)
-        num_vec = joint_observables(6)[0].mat.T.reshape(-1)
-        y0 = DensityMatrix.basis(SpaceDims((2, 6)), 1, 0).mat.reshape(-1)
-        runs = []
-        for bound in (None, float(abs(lv).sum(axis=1).max())):
-            seen = {}
-
-            def record(first, ys, integrals):
-                for j, (y, integral) in enumerate(zip(ys, integrals)):
-                    seen[first + j] = (y.copy(), integral)
-            products = rk4(lambda y: lv @ y, y0, grid, record,
-                           lambda y: float(np.dot(num_vec, y).real), bound=bound)
-            runs.append((products, seen))
-        (a, seen_a), (b, seen_b) = runs
-        assert a == b == grid.applications
-        assert sorted(seen_a) == sorted(seen_b) == list(range(grid.n_record + 1))
-        for i in seen_a:
-            assert np.array_equal(seen_a[i][0], seen_b[i][0])
-            assert seen_a[i][1] == seen_b[i][1]
+            taylor_steps(lambda y: -y, np.ones(2), grid, lambda *args: None, bound=1.0,
+                         ord=1)

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from scipy.stats import cauchy, kstest
 
-from spinamp import dynamics, oracle
+from spinamp import dynamics
 from spinamp.cli import envelope_deviation
 from spinamp.hilbert import DensityMatrix, Operator, SpaceDims, identity, kron, ladder
 from spinamp.model import SystemParams, build_drive, build_hc, collapse_ops
-from spinamp.oracle import (EnsembleSample, arrowhead_norm, arrowhead_omega_max,
-                            build_full_model, full_model_evolve, lorentzian_ppf,
+from spinamp.oracle import (EnsembleSample, arrowhead_norm, build_full_model,
+                            full_model_evolve, lorentzian_ppf,
                             reduced_single_excitation, sample_frequencies,
                             single_excitation_evolve)
 
@@ -164,7 +164,7 @@ class TestSingleExcitation:
     def test_stability_guard(self, fig_params):
         s = sample_frequencies(50, fig_params.omega_bar, fig_params.gamma,
                                seed=8, g_collective=fig_params.g_collective)
-        grid = dynamics.TimeGrid(0.0, 1.0, 10, 10)
+        grid = dynamics.TimeGrid(0.0, 1.0, 10, 10, 50)
         with pytest.raises(dynamics.StabilityError):
             single_excitation_evolve(s, fig_params.delta, grid)
 
@@ -178,8 +178,7 @@ class TestSingleExcitation:
         proj = Operator(SpaceDims((2,)), np.diag([0.0, 1.0]))
         qubit = kron(proj, identity(SpaceDims((d,))))
         rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1, 0)
-        grid = dynamics.TimeGrid.auto(h, 0.0, 0.1, n_record=100, collapse=ops,
-                                      dt_factor=0.005)
+        grid = dynamics.TimeGrid.auto(h, 0.0, 0.1, n_record=100, collapse=ops)
         traj = dynamics.evolve(h, ops, rho0, grid, [num, qubit],
                                gamma=fig_params.gamma)
         c_e, c_a = reduced_single_excitation(fig_params.delta,
@@ -211,9 +210,8 @@ class TestTaylorPlanOracle:
         s = sample_frequencies(200, p.omega_bar, p.gamma, seed=11,
                                g_collective=p.g_collective)
         t_end = 3.0 / p.gamma
-        grid = dynamics.TimeGrid.taylor(arrowhead_omega_max(s, p.delta), 0.0,
-                                        t_end, 100)
-        assert grid.degree > 4
+        # a plan on the row sum, larger than the bound the guard reads
+        grid = dynamics.TimeGrid.taylor(arrowhead_row_sum(s, p.delta), 0.0, t_end, 100)
         res = single_excitation_evolve(s, p.delta, grid)
 
         arrow = np.diag(np.concatenate(([p.delta], s.freqs - s.omega_bar)))
@@ -232,6 +230,15 @@ def dense_arrowhead(s, delta_target, gamma_s=0.0):
                                     s.freqs - s.omega_bar - 0.5j * gamma_s)))
     arrow[0, 1:] = arrow[1:, 0] = s.couplings
     return -1j * arrow
+
+
+def arrowhead_row_sum(s, delta_target):
+    """The largest absolute row sum of the single-excitation generator at
+    gamma_s = 0, its exact 1-norm (it is complex symmetric): the coupling
+    row alone adds G sqrt(N) for uniform couplings."""
+    g = np.abs(s.couplings)
+    return max(abs(delta_target) + float(np.sum(g)),
+               float(np.max(np.abs(s.freqs - s.omega_bar) + g)))
 
 
 class TestArrowheadNorm:
@@ -262,8 +269,7 @@ class TestArrowheadNorm:
         s = sample_frequencies(2000, p.omega_bar, p.gamma, seed=11,
                                g_collective=p.g_collective)
         grid = dynamics.TimeGrid.taylor(arrowhead_norm(s, p.delta), 0.0, 0.01, 20)
-        assert grid.degree > 4
-        assert grid.dt * arrowhead_omega_max(s, p.delta) > dynamics.TAYLOR_THETA[grid.degree]
+        assert grid.dt * arrowhead_row_sum(s, p.delta) > dynamics.TAYLOR_THETA[grid.degree]
         res = single_excitation_evolve(s, p.delta, grid)
         assert np.max(np.abs(res.norm - 1.0)) < 1e-12
 
@@ -285,43 +291,16 @@ class TestArrowheadNorm:
         assert ok.dt * bound <= dynamics.TAYLOR_THETA[m]
         single_excitation_evolve(s, p.delta, ok)
 
-    def test_rk4_guard_keeps_the_row_sum_and_its_message(self, fig_params):
-        p = fig_params
-        s = sample_frequencies(50, p.omega_bar, p.gamma, seed=8,
-                               g_collective=p.g_collective)
-        grid = dynamics.TimeGrid(0.0, 1.0, 10, 10)
-        with pytest.raises(dynamics.StabilityError,
-                           match=r"^dt\*omega_max = \S+ exceeds 0\.25$") as err:
-            single_excitation_evolve(s, p.delta, grid)
-        # the row sum over the 0.1 us steps, not the smaller 2-norm bound
-        assert str(err.value).startswith(
-            f"dt*omega_max = {0.1 * arrowhead_omega_max(s, p.delta):.3g} ")
-
-    def test_only_the_rk4_guard_takes_the_row_sum(self, fig_params, monkeypatch):
-        # a plan above degree 4 is guarded on arrowhead_norm alone, so the
-        # solve skips the row sum's pass over the spins
-        p = fig_params
-        s = sample_frequencies(50, p.omega_bar, p.gamma, seed=8,
-                               g_collective=p.g_collective)
-        calls = []
-        monkeypatch.setattr(oracle, "arrowhead_omega_max",
-                            lambda *args: calls.append(args) or arrowhead_omega_max(*args))
-        single_excitation_evolve(s, p.delta, dynamics.TimeGrid.taylor(
-            arrowhead_norm(s, p.delta), 0.0, 0.01, 10))
-        assert calls == []
-        with pytest.raises(dynamics.StabilityError, match="omega_max"):
-            single_excitation_evolve(s, p.delta, dynamics.TimeGrid(0.0, 1.0, 10, 10))
-        assert len(calls) == 1
-
     def test_spectral_plan_matches_arrowhead_eigendecomposition(self, fig_params):
         p = fig_params
         s = sample_frequencies(200, p.omega_bar, p.gamma, seed=11,
                                g_collective=p.g_collective)
         t_end = 3.0 / p.gamma
         grid = dynamics.TimeGrid.taylor(arrowhead_norm(s, p.delta), 0.0, t_end, 100)
-        row_sum_plan = dynamics.TimeGrid.taylor(arrowhead_omega_max(s, p.delta), 0.0,
-                                                t_end, 100)
-        assert grid.degree > 4
+        row_sum = arrowhead_row_sum(s, p.delta)
+        assert row_sum == pytest.approx(np.abs(dense_arrowhead(s, p.delta)).sum(axis=1).max(),
+                                        rel=1e-14)
+        row_sum_plan = dynamics.TimeGrid.taylor(row_sum, 0.0, t_end, 100)
         assert grid.applications < row_sum_plan.applications
         res = single_excitation_evolve(s, p.delta, grid)
 
@@ -342,7 +321,6 @@ class TestArrowheadNorm:
                                g_collective=p.g_collective, coupling_sigma=0.5)
         grid = dynamics.TimeGrid.taylor(arrowhead_norm(s, p.delta, gamma_s), 0.0,
                                         3.0 / p.gamma, 40)
-        assert grid.degree > 4
         res = single_excitation_evolve(s, p.delta, grid, gamma_s=gamma_s)
         assert res.products < grid.applications
 
@@ -395,11 +373,17 @@ class TestArrowheadNorm:
         c0 = np.zeros(s.n + 1, dtype=complex)
         c0[0] = 1.0
         # the same 2-norm stop: each step ends where the oracle's does
-        products = dynamics.rk4(rhs, c0, grid, record, bound=arrowhead_norm(s, p.delta),
-                                ord=2)
+        products = dynamics.taylor_steps(rhs, c0, grid, record,
+                                         bound=arrowhead_norm(s, p.delta), ord=2)
         assert products == res.products < grid.applications
         np.testing.assert_array_equal(res.c_e, c_e)
         np.testing.assert_array_equal(res.collective, coll)
+
+
+def pure_state_plan(h, t_end, n_record):
+    """The Taylor plan of a full-model run at gamma_s = 0, on the norm its
+    guard and its steps' stop read: dynamics.omega_max(h)."""
+    return dynamics.TimeGrid.taylor(dynamics.omega_max(h), 0.0, t_end, n_record)
 
 
 class TestFullModel:
@@ -429,16 +413,14 @@ class TestFullModel:
         p = self.small_params()
         s = self.degenerate_sample(p, 3)
         h, bright, qubit, mode_nums, _ = build_full_model(s, p, 3)
-        grid = dynamics.TimeGrid.auto(h, 0.0, 0.05, n_record=100, dt_factor=0.05)
-        rec = full_model_evolve(s, 3, p, grid)
+        rec = full_model_evolve(s, 3, p, pure_state_plan(h, 0.05, 100))
         assert np.max(np.abs(rec.subradiant_n)) < 1e-10
 
     def test_undriven_conservation(self, fig_params):
         s = self.spread_sample(self.small_params())
         p = self.small_params()
         h, *_ = build_full_model(s, p, 3)
-        grid = dynamics.TimeGrid.auto(h, 0.0, 0.05, n_record=100, dt_factor=0.02)
-        rec = full_model_evolve(s, 3, p, grid)
+        rec = full_model_evolve(s, 3, p, pure_state_plan(h, 0.05, 100))
         total = rec.qubit_excited + rec.total_mode_n
         assert np.max(np.abs(total - total[0])) < 1e-8
 
@@ -450,8 +432,7 @@ class TestFullModel:
         s = self.spread_sample(p)
         h, *_ = build_full_model(s, p, 3)
         t_end = 0.08  # about half the revival period 2*pi/(gamma/2)
-        grid = dynamics.TimeGrid.auto(h, 0.0, t_end, n_record=1600, dt_factor=0.05)
-        rec = full_model_evolve(s, 3, p, grid)
+        rec = full_model_evolve(s, 3, p, pure_state_plan(h, t_end, 1600))
         omega_jc = np.sqrt(p.delta**2 + 4 * p.g_collective**2)
         dt = rec.times[1] - rec.times[0]
         w = max(1, int(round(TWO_PI / omega_jc / dt)))
@@ -473,8 +454,9 @@ class TestFullModel:
         p_driven = SystemParams.from_mhz(nu_t=412.5, nu_bar=0.0, g=75.0,
                                          lambda_d=40.0, gamma=12.5)
         h_red = build_hc(p_driven, d) + build_drive(p_driven, d)
-        grid = dynamics.TimeGrid.auto(h_red, 0.0, 0.02, n_record=100,
-                                      dt_factor=0.005)
+        # the Lindblad plan of the same H, within the pure-state guard too
+        grid = dynamics.TimeGrid.auto(h_red, 0.0, 0.02, n_record=100)
+        assert grid.dt * dynamics.omega_max(h_red) <= dynamics.TAYLOR_THETA[grid.degree]
         rec = full_model_evolve(s, d, p_driven, grid)
         num = kron(identity(SpaceDims((2,))), ladder(d).dag() @ ladder(d))
         proj = Operator(SpaceDims((2,)), np.diag([0.0, 1.0]))
@@ -493,7 +475,7 @@ class TestFullModel:
             couplings=np.full(2, p.g_collective / np.sqrt(2)), seed=0,
             truncation=50.0, omega_bar=p.omega_bar, gamma=p.gamma)
         h, *_ = build_full_model(s, p, 3)
-        grid = dynamics.TimeGrid.auto(h, 0.0, 0.05, n_record=100, dt_factor=0.05)
+        grid = pure_state_plan(h, 0.05, 100)
         rec_e = full_model_evolve(s, 3, p, grid, initial_qubit="e")
         rec_g = full_model_evolve(s, 3, p, grid, initial_qubit="g")
         assert rec_e.total_mode_n[-1] > 5 * rec_g.total_mode_n[-1]
@@ -503,8 +485,9 @@ class TestFullModel:
         p = SystemParams.from_mhz(nu_t=412.5, nu_bar=0.0, g=75.0, lambda_d=0.0,
                                   gamma=12.5, gamma_s=20.0)
         s = self.degenerate_sample(p, 2)
-        h, *_ = build_full_model(s, p, 2)
-        grid = dynamics.TimeGrid.auto(h, 0.0, 0.05, n_record=50, dt_factor=0.05)
+        h, *_, modes = build_full_model(s, p, 2)
+        collapse = [np.sqrt(p.gamma_s) * aj for aj in modes]
+        grid = dynamics.TimeGrid.auto(h, 0.0, 0.05, n_record=50, collapse=collapse)
         rec = full_model_evolve(s, 2, p, grid)
         total = rec.qubit_excited + rec.total_mode_n
         assert total[-1] < total[0] - 0.1
@@ -513,12 +496,54 @@ class TestFullModel:
         p = self.small_params()  # gamma_s = 0: the pure-state branch
         s = self.spread_sample(p)
         h, *_ = build_full_model(s, p, 3)
-        grid = dynamics.TimeGrid(0.0, 0.01, 40, 10)
-        with pytest.raises(dynamics.StabilityError, match="omega_max"):
+        norm, theta = dynamics.omega_max(h), dynamics.TAYLOR_THETA[16]
+        grid = dynamics.TimeGrid(0.0, 0.01, 10, 10, 16)
+        with pytest.raises(dynamics.StabilityError,
+                           match=r"^dt\*norm = \S+ exceeds theta_16 = 0\.781$"):
             full_model_evolve(s, 3, p, grid)
         # the fewest steps, with records at step ends, that the guard admits
-        need = 10 * int(np.ceil(0.01 * dynamics.omega_max(h) / 0.25 / 10))
-        assert need > 40
-        ok = dynamics.TimeGrid(0.0, 0.01, need, 10)
-        assert ok.dt * dynamics.omega_max(h) <= 0.25 + 1e-12
+        need = 10 * int(np.ceil(0.01 * norm / theta / 10))
+        assert need > 10
+        ok = dynamics.TimeGrid(0.0, 0.01, need, 10, 16)
+        assert ok.dt * norm <= theta
         assert full_model_evolve(s, 3, p, ok).bright_n.shape == (11,)
+
+    def test_pure_state_norm_is_the_exact_one_norm(self):
+        # omega_max is the row sum of |H|, which for a Hermitian H is its
+        # 1-norm and infinity norm exactly, and bounds its 2-norm
+        p = SystemParams.from_mhz(nu_t=412.5, nu_bar=0.0, g=75.0, lambda_d=40.0,
+                                  gamma=12.5)
+        h, *_ = build_full_model(self.spread_sample(p), p, 3)
+        norm = dynamics.omega_max(h)
+        assert norm == pytest.approx(np.linalg.norm(h.mat, 1), rel=1e-15)
+        assert norm == pytest.approx(np.linalg.norm(h.mat, np.inf), rel=1e-15)
+        assert norm >= np.linalg.norm(h.mat, 2)
+
+    def test_pure_state_steps_stop_early_and_match_expm(self, monkeypatch):
+        # the pure-state steps stop on the 1-norm of H, so they apply fewer
+        # products than the plan's cap and still meet exp(-iHt) to rounding
+        from scipy.linalg import expm
+
+        p = self.small_params()
+        s = self.spread_sample(p)
+        h, bright, qubit, *_ = build_full_model(s, p, 3)
+        grid = pure_state_plan(h, 0.05, 20)
+        runs = []
+        stepper = dynamics.taylor_steps
+
+        def counted(*args, **kwargs):
+            runs.append(stepper(*args, **kwargs))
+            return runs[-1]
+        monkeypatch.setattr(dynamics, "taylor_steps", counted)
+        rec = full_model_evolve(s, 3, p, grid)
+        assert 0 < runs[0] < grid.applications
+        psi0 = np.zeros(h.dim, dtype=complex)
+        psi0[h.dims.index(1, 0, 0, 0)] = 1.0
+        step = expm(-1j * (grid.times[1] - grid.times[0]) * h.mat)
+        psis = [psi0]
+        for _ in range(grid.n_record):
+            psis.append(step @ psis[-1])
+        psis = np.array(psis)
+        for got, op in ((rec.bright_n, bright), (rec.qubit_excited, qubit)):
+            want = np.einsum("ki,ij,kj->k", psis.conj(), op.mat, psis).real
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
