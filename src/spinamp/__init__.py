@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .analytic import (JcLevel, dispersive_shift, excited_population,
                        ground_population, jc_spectrum, lambda_eff,
                        lorentzian_pdf)
-from .dynamics import TimeGrid, Trajectory, evolve, readout_gain
+from .dynamics import Lindblad, TimeGrid, Trajectory, evolve, readout_gain
 from .hilbert import (DensityMatrix, Operator, SpaceDims, eig_hermitian,
                       identity, kron, ladder)
 from .model import (SystemParams, build_anc, build_dispersive, build_drive,
@@ -20,7 +20,7 @@ __all__ = [
     "kron", "ladder",
     "SystemParams", "build_anc", "build_dispersive", "build_drive", "build_hc",
     "collapse_ops",
-    "TimeGrid", "Trajectory", "evolve", "readout_gain",
+    "Lindblad", "TimeGrid", "Trajectory", "evolve", "readout_gain",
     "JcLevel", "dispersive_shift", "excited_population", "ground_population",
     "jc_spectrum", "lambda_eff", "lorentzian_pdf",
     "EnsembleSample", "full_model_evolve", "sample_frequencies",

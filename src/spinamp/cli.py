@@ -206,6 +206,9 @@ def resolve_config(cfg: dict, experiment: str) -> RunConfig:
         params = SystemParams.from_mhz(**pm)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if experiment in ("figure2", "validate") and params.delta == 0.0:
+        raise ConfigError(f"params.nu_t must differ from params.nu_bar for {experiment}: "
+                          "its closed forms divide by the qubit-ensemble detuning")
 
     grid = cfg["grid"]
     t_start = float(grid["t_start_us"])
@@ -281,48 +284,36 @@ def _joint_observables(d: int):
     return [num, qubit]
 
 
-def _generator(h: Operator, ops: list[Operator]) -> tuple:
-    """(`dynamics.real_generator` of the Liouvillian of h and ops, and its
-    `dynamics.norm_bound`). The Liouvillian is built once and not kept."""
-    lv = dynamics.liouvillian(h, ops)
-    return dynamics.real_generator(lv), dynamics.norm_bound(lv)
-
-
-def _run(h: Operator, ops: list[Operator], rho0: DensityMatrix, observables: list,
-         gamma: float, t_start: float, t_end: float, n_record: int, n_steps: int = 0,
-         built: tuple | None = None, positivity: str = "measure"):
-    """One Lindblad run; returns (Trajectory, grid). `built` is
-    `_generator(h, ops)` when runs of one model share it, else it is built
-    here. The grid is the `TimeGrid.taylor` plan on the run's 2-norm bound,
-    which `evolve`'s guard reuses; with n_steps set (the step-halving rerun)
-    it takes n_steps steps of the plan's degree. `positivity` is `evolve`'s:
-    a run whose min_eig no artifact reads only certifies it."""
-    generator, norm = built or _generator(h, ops)
-    grid = dynamics.TimeGrid.taylor(norm, t_start, t_end, n_record)
+def _run(model: dynamics.Lindblad, rho0: DensityMatrix, observables: list, gamma: float,
+         t_start: float, t_end: float, n_record: int, n_steps: int = 0,
+         positivity: str = "measure"):
+    """One run of `model`; returns (Trajectory, grid). The grid is the
+    `TimeGrid.taylor` plan on the model's 2-norm bound, which `evolve`'s
+    guard reuses; with n_steps set (the step-halving rerun) it takes n_steps
+    steps of the plan's degree. `positivity` is `evolve`'s: a run whose
+    min_eig no artifact reads only certifies it."""
+    grid = dynamics.TimeGrid.taylor(model.norm, t_start, t_end, n_record)
     if n_steps:
         grid = replace(grid, n_steps=n_steps)
-    traj = dynamics.evolve(h, ops, rho0, grid, observables, gamma=gamma,
-                           generator=generator, norm=norm, positivity=positivity)
+    traj = dynamics.evolve(model, rho0, grid, observables, gamma=gamma, positivity=positivity)
     return traj, grid
 
 
-def _model(p: SystemParams, d: int) -> tuple:
-    """(h, ops, generator, norm) of the driven reduced model at cutoff d
-    (`_generator`), for one run or for the branches that share it."""
-    h = build_hc(p, d) + build_drive(p, d)
-    ops = collapse_ops(p, d)
-    return (h, ops, *_generator(h, ops))
+def _model(p: SystemParams, d: int) -> dynamics.Lindblad:
+    """The driven reduced model at cutoff d, for one run or for the branches
+    that share it."""
+    return dynamics.Lindblad.build(build_hc(p, d) + build_drive(p, d), collapse_ops(p, d))
 
 
 def _run_branch_meta(p: SystemParams, d: int, state: str, t_start: float,
                      t_end: float, n_record: int, n_steps: int = 0,
-                     model: tuple | None = None, positivity: str = "measure"):
+                     model: dynamics.Lindblad | None = None, positivity: str = "measure"):
     """One driven reduced-model run from |state, 0>, on `_model(p, d)` when
     the caller shares it between branches; returns (Trajectory, grid)."""
-    h, ops, *built = model or _model(p, d)
+    model = model or _model(p, d)
     rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1 if state == "e" else 0, 0)
-    return _run(h, ops, rho0, _joint_observables(d), p.gamma, t_start, t_end, n_record,
-                n_steps, built, positivity)
+    return _run(model, rho0, _joint_observables(d), p.gamma, t_start, t_end, n_record,
+                n_steps, positivity)
 
 
 def _max_normalized_dev(a: np.ndarray, b: np.ndarray) -> float:
@@ -347,7 +338,7 @@ def _check_cutoff(p, d, base: dict, grid) -> tuple[float, dict]:
             _plan(devs[0][2], *(doubled for _, doubled, _ in devs)))
 
 
-def _check_timestep(p, d, base, grid, model: tuple) -> tuple[float, dict]:
+def _check_timestep(p, d, base, grid, model: dynamics.Lindblad) -> tuple[float, dict]:
     """Max-normalized change of the excited-branch <A†A> curve `base`, run
     on `grid` and on `model` (`_model(p, d)`), under step halving, and the
     rerun's `_plan`: the rerun plans the same model over the same window and
@@ -359,7 +350,7 @@ def _check_timestep(p, d, base, grid, model: tuple) -> tuple[float, dict]:
     return _max_normalized_dev(base.collective_n, half.collective_n), _plan(rerun, half)
 
 
-def _convergence(rc: RunConfig, runs: list, model: tuple | None) -> dict:
+def _convergence(rc: RunConfig, runs: list, model: dynamics.Lindblad | None) -> dict:
     """Sidecar entries of the convergence reruns of the (gamma_mhz, params,
     {state: Trajectory}, grid) runs: cutoff doubling of every run, its
     deviation and plan kept per gamma, then step halving of the
@@ -454,13 +445,13 @@ def write_meta(out_path: str, rc: RunConfig, extra: dict) -> None:
 # experiments
 # ---------------------------------------------------------------------------
 
-def _branch_runs(rc: RunConfig, gammas, halving: bool = False) -> tuple[list, tuple | None]:
+def _branch_runs(rc: RunConfig, gammas,
+                 halving: bool = False) -> tuple[list, dynamics.Lindblad | None]:
     """(gamma_mhz, params, {state: Trajectory}, grid) per gamma value, one
     `_pmap` task each, and, with `halving`, the `_model` of the smallest
     gamma value, which `_convergence` reruns at half the step (else None).
     Both branches of a gamma value share its grid and its model; no other
     model outlives its task."""
-    keep = min(gammas) if halving else None
     kept = []
 
     def run(g_mhz):
@@ -468,7 +459,7 @@ def _branch_runs(rc: RunConfig, gammas, halving: bool = False) -> tuple[list, tu
         model = _model(p, rc.fock_cutoff)
         runs = {s: _run_branch_meta(p, rc.fock_cutoff, s, rc.t_start, rc.t_end,
                                     rc.n_record, model=model) for s in ("e", "g")}
-        if g_mhz == keep:
+        if halving and g_mhz == min(gammas):
             kept.append(model)
         return g_mhz, p, {s: traj for s, (traj, _) in runs.items()}, runs["e"][1]
     runs = _pmap(run, gammas)
@@ -594,7 +585,8 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
     # the driven model of the short windows below, and how far its real
     # generator is from its Liouvillian on the coordinates
     model = _model(p, d)
-    herm = dynamics.generator_gap(dynamics.liouvillian(*model[:2]), model[2])
+    herm = dynamics.generator_gap(dynamics.liouvillian(model.h, model.collapse),
+                                  model.generator)
 
     # conservation bookkeeping (undriven, initial |e,0>) plus state hygiene
     p0 = replace(p, lambda_d=0.0, gamma_s=0.0)
@@ -615,7 +607,7 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
     plans["short_window"] = _plan(g_short, base)
     # that plan's dt * norm, the bound its guard reads, scaled so that 0.25
     # is theta_m: a correct program passes it by construction
-    guard = dynamics.STABILITY_LIMIT * (g_short.dt * model[3])
+    guard = dynamics.STABILITY_LIMIT * (g_short.dt * model.norm)
     checks.insert(0, _check("timestep_guard", guard / dynamics.TAYLOR_THETA[g_short.degree],
                             dynamics.STABILITY_LIMIT))
     try:
@@ -643,8 +635,8 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
     rho0 = DensityMatrix.basis(SpaceDims((d,)), 0)
     for state, ana in (("e", analytic.excited_population),
                        ("g", analytic.ground_population)):
-        traj, steady = _run(build_anc(p, state, d), anc_ops, rho0, [num], p.gamma, 0.0,
-                            t_steady, 200, positivity="certify")
+        traj, steady = _run(dynamics.Lindblad.build(build_anc(p, state, d), anc_ops),
+                            rho0, [num], p.gamma, 0.0, t_steady, 200, positivity="certify")
         plans[f"analytic_steady_{state}"] = _plan(steady, traj)
         ref = float(ana(np.array([t_steady]), p)[0])
         checks.append(_check(f"analytic_steady_{state}",

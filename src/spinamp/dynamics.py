@@ -12,9 +12,10 @@ bound, the one guard of every run. theta_m bounds the worst state, so m is
 a cap: given beta >= ||A|| in the infinity norm or the 2-norm,
 ``taylor_steps`` ends a step after the term T_k once a proved bound on the
 terms after it, tail_k ||T_k||, falls to unit roundoff of the state's ||y||,
-in the norm beta bounds. ``evolve`` passes beta = ||R||_inf, and its runs
-stop at about half the plan's products; the oracle passes its 2-norm bound
-``arrowhead_norm``, and its steps stop at 40-41 of 50 terms.
+in the norm beta bounds. ``evolve`` passes beta = ||R||_inf
+(``Lindblad.stop``), and its runs stop at about half the plan's products;
+the oracle passes its 2-norm bound ``arrowhead_norm``, and its steps stop
+at 40-41 of 50 terms.
 
 Steps and records are independent. The theta_m bound holds at every point
 inside a step, so ``taylor_steps`` reads a record that falls inside a step
@@ -38,11 +39,13 @@ array whose diagonal and upper triangle hold rho_ii and Re rho_ij and whose
 lower triangle holds Im rho_ij at (j, i) (``hermitian_coords``; rebuilding
 rho is a pure scatter, ``density_matrices``). Every generator here maps
 Hermitian rho to Hermitian rho, so the Lindblad map acts on u as a real
-sparse matrix R (``real_generator``), built once per run from the
-Liouvillian that ``liouvillian`` builds on the row-major vec(rho) =
-rho.reshape(-1), from vec(A rho B) = (A ⊗ Bᵀ) vec(rho). Both are assembled
-in numpy as canonical CSR arrays (``CsrMatrix``, ``csr_sum``), with the sums
-in the order and the bits of scipy.sparse. Each Taylor term is one product
+sparse matrix R (``real_generator``), built from the Liouvillian that
+``liouvillian`` builds on the row-major vec(rho) = rho.reshape(-1), from
+vec(A rho B) = (A ⊗ Bᵀ) vec(rho). Both are assembled in numpy as canonical
+CSR arrays (``CsrMatrix``, ``csr_sum``), with the sums in the order and the
+bits of scipy.sparse. ``Lindblad.build`` builds them once per model, keeps
+R with its two norms and drops L; ``evolve`` runs that value, and runs of
+one model share it. Each Taylor term is one product
 with R through scipy's compiled CSR kernel, ``csr_matvec``, loaded from its
 extension file alone, so that no scipy package module is imported.
 Expectation values and the trace are real dot products with u, one matrix
@@ -228,9 +231,11 @@ class TimeGrid:
              collapse: list[Operator] | None = None) -> "TimeGrid":
         """The Taylor plan (``taylor``) of the Lindblad run of h and
         collapse, on norm_bound(liouvillian(h, collapse)), the norm that
-        ``evolve``'s guard reads."""
-        norm = norm_bound(liouvillian(h, collapse or []))
-        return cls.taylor(norm, t_start, t_end, n_record)
+        ``evolve``'s guard reads (``Lindblad.norm``). It builds a Liouvillian
+        of its own, so a caller that holds the model plans on
+        ``taylor(model.norm, ...)``; no CLI run calls it, and it stays because
+        perfbench's tracing hook wraps it."""
+        return cls.taylor(norm_bound(liouvillian(h, collapse or [])), t_start, t_end, n_record)
 
     @classmethod
     def taylor(cls, norm: float, t_start: float, t_end: float,
@@ -606,17 +611,46 @@ def generator_gap(lv: CsrMatrix, gen: CsrMatrix) -> float:
     return gap
 
 
-def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
-           grid: TimeGrid, observables: list[Operator],
-           gamma: float = 0.0, generator: CsrMatrix | None = None,
-           norm: float | None = None, positivity: str = "measure") -> Trajectory:
-    """Integrate drho/dt = -i[H,rho] + sum_k (L rho L† - {L†L, rho}/2) in the
-    real coordinates of rho (``hermitian_coords``), one product with the real
-    generator R (``real_generator``) per Taylor term. The grid's degree is
-    a cap: ``taylor_steps`` ends each step once its remaining terms fall
-    below unit roundoff of the state, on the bound ||R||_inf, the largest
-    absolute row sum of R, and Trajectory.products counts the products
-    taken.
+@dataclass(frozen=True)
+class Lindblad:
+    """A Lindblad model in the form ``evolve`` runs it: the Hamiltonian h, its
+    collapse channels, the real generator R of its Liouvillian L
+    (``real_generator``), the plan-and-guard norm ``norm_bound(L)`` and the
+    stop bound ||R||_inf, R's largest absolute row sum, on which each Taylor
+    step ends. ``build`` makes it; runs of one model share it, and L is
+    dropped once R and its norms are taken."""
+
+    h: Operator
+    collapse: tuple[Operator, ...]
+    generator: CsrMatrix
+    norm: float
+    stop: float
+
+    @classmethod
+    def build(cls, h: Operator, collapse: list[Operator]) -> "Lindblad":
+        """The model of drho/dt = -i[H,rho] + sum_k (L rho L† - {L†L, rho}/2),
+        rates folded into the channels L_k; refused unless h reads
+        ``h.hermitian`` and every channel acts on h's space."""
+        if any(op.dims != h.dims for op in collapse):
+            raise ValueError(f"dimension mismatch: a channel is off H's space {h.dims.factors}")
+        if not h.hermitian:
+            raise ValueError(f"the Hamiltonian must be Hermitian to {HERM_TOL:g}")
+        lv = liouvillian(h, collapse)
+        gen, norm = real_generator(lv), norm_bound(lv)
+        del lv  # before the row sums' temporaries, which then take its memory
+        stop = float(np.bincount(_rows(gen.indptr), np.abs(gen.data), gen.shape[0]).max())
+        return cls(h, tuple(collapse), gen, norm, stop)
+
+
+def evolve(model: Lindblad, rho0: DensityMatrix, grid: TimeGrid,
+           observables: list[Operator], gamma: float = 0.0,
+           positivity: str = "measure") -> Trajectory:
+    """Integrate the Lindblad model in the real coordinates of rho
+    (``hermitian_coords``), one product with its real generator R per Taylor
+    term. The grid's degree is a cap: ``taylor_steps`` ends each step once
+    its remaining terms fall below unit roundoff of the state, on the
+    model's stop bound ||R||_inf, and Trajectory.products counts the
+    products taken.
 
     Every record is guarded: a record with an eigenvalue of rho below
     -POSITIVITY_TOL ends the run with an IntegrationError that names the
@@ -624,14 +658,12 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
 
     Parameters
     ----------
-    h : Operator
-        Hamiltonian; refused unless it reads ``h.hermitian``.
-    collapse : list of Operator
-        Collapse channels L_k (rates folded into the operators).
+    model : Lindblad
+        The model, ``Lindblad.build(h, collapse)``.
     rho0 : DensityMatrix
-        Initial state.
+        Initial state, on the model's space.
     grid : TimeGrid
-        Taylor grid, rejected by ``check_stability`` on norm.
+        Taylor grid, rejected by ``check_stability`` on model.norm.
     observables : list of Operator
         observables[0] must be the collective number operator (it feeds the
         subradiant accumulator); observables[1], when present, the qubit
@@ -640,13 +672,6 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
     gamma : float
         Bookkeeping rate for the subradiant accounting,
         subradiant_n(t) = gamma * int_0^t <observables[0]> dt'.
-    generator : CsrMatrix, optional
-        ``real_generator(liouvillian(h, collapse))``, when the caller has
-        built it already, so that runs of one model share it.
-    norm : float, optional
-        ``norm_bound(liouvillian(h, collapse))``, when the caller has
-        computed it already; the guard reads it. The Liouvillian built here
-        for it or for the generator is dropped before the run starts.
     positivity : {"measure", "certify"}
         How the guard reads each block of records. "measure" runs
         ``eigvalsh`` on every block and keeps the smallest eigenvalues in
@@ -662,22 +687,10 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
         raise ValueError(f'positivity must be "measure" or "certify", got {positivity!r}')
     if not observables:
         raise ValueError("need at least the collective number observable")
-    for op in [h, *collapse, *observables]:
-        if op.dims != rho0.dims:
-            raise ValueError(
-                f"dimension mismatch: {op.dims.factors} vs state {rho0.dims.factors}"
-            )
-    if not h.hermitian:
-        raise ValueError(f"the Hamiltonian must be Hermitian: |H - H†| exceeds {HERM_TOL:g}")
-
-    if generator is None or norm is None:
-        lv = liouvillian(h, collapse)
-        if generator is None:
-            generator = real_generator(lv)
-        if norm is None:
-            norm = norm_bound(lv)
-        del lv
-    check_stability(grid, norm)
+    if any(op.dims != model.h.dims for op in [rho0, *observables]):
+        raise ValueError("dimension mismatch: the state or an observable is off the "
+                         f"model's space {model.h.dims.factors}")
+    check_stability(grid, model.norm)
     dim = rho0.dims.dim
     index, sign = _scatter(dim)
     diag = np.arange(dim) * (dim + 1)
@@ -727,10 +740,9 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
                 f"positivity violated at t={grid.times[first + i]:.6g}: "
                 f"min eig {min_eig[i]:.3g}, trace err {rec['trace_err'][first + i]:.3g}")
 
+    generator = model.generator
     n = generator.shape[0]
     out = np.empty(n)
-    # ||R||_inf, the largest absolute row sum, which bounds the terms a step drops
-    row_sum = float(np.bincount(_rows(generator.indptr), np.abs(generator.data), n).max())
 
     def product(u):
         # scipy's kernel behind R @ u, into one scratch row: out += R u
@@ -739,7 +751,8 @@ def evolve(h: Operator, collapse: list[Operator], rho0: DensityMatrix,
         return out
 
     products = taylor_steps(product, hermitian_coords(rho0.mat), grid, record,
-                            integrand=lambda u: float(np.dot(num_vec, u)), bound=row_sum)
+                            integrand=lambda u: float(np.dot(num_vec, u)),
+                            bound=model.stop)
 
     if rec["trace_err"][-1] > TRACE_TOL:
         raise IntegrationError(f"final trace error {rec['trace_err'][-1]:.3g} > {TRACE_TOL}")

@@ -151,20 +151,13 @@ def build_anc(p: SystemParams, qubit_state: str, d: int) -> Operator:
 
 def collapse_ops(p: SystemParams, d: int, include_qubit: bool = True) -> list[Operator]:
     """Collapse channels of the reduced model: sqrt(gamma) A for the
-    inhomogeneous broadening, plus sqrt(gamma_s) A when gamma_s > 0
-    (collective-level approximation of per-spin energy relaxation).
+    inhomogeneous broadening and sqrt(gamma_s) A (collective-level
+    approximation of per-spin energy relaxation), each when its rate is > 0.
 
     include_qubit=False builds them on the bare d-dimensional mode space,
     matching build_anc.
     """
-    if p.gamma < 0:
-        raise ValueError("gamma must be >= 0")
     a = ladder(d)
     if include_qubit:
         a = kron(identity(SpaceDims((2,))), a)
-    ops = []
-    if p.gamma > 0:
-        ops.append(np.sqrt(p.gamma) * a)
-    if p.gamma_s > 0:
-        ops.append(np.sqrt(p.gamma_s) * a)
-    return ops
+    return [np.sqrt(rate) * a for rate in (p.gamma, p.gamma_s) if rate > 0]

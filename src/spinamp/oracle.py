@@ -285,12 +285,10 @@ def full_model_evolve(sample: EnsembleSample, per_mode_cutoff: int,
         collapse = [np.sqrt(p.gamma_s) * aj for aj in modes]
         rho0 = DensityMatrix.basis(dims, q, *([0] * sample.n))
         obs = [bright_num, qubit_proj] + mode_nums
-        traj = dynamics.evolve(h, collapse, rho0, grid, obs)
-        per_mode = traj.extra
-        total = per_mode.sum(axis=1)
+        traj = dynamics.evolve(dynamics.Lindblad.build(h, collapse), rho0, grid, obs)
         return FullModelRecord(times=traj.times, bright_n=traj.collective_n,
                                qubit_excited=traj.qubit_excited,
-                               total_mode_n=total, per_mode_n=per_mode)
+                               total_mode_n=traj.extra.sum(axis=1), per_mode_n=traj.extra)
 
     norm = dynamics.omega_max(h)
     dynamics.check_stability(grid, norm)

@@ -92,8 +92,9 @@ def anc_runs():
     a = ladder(d)
     num = a.dag() @ a
     rho0 = DensityMatrix.basis(SpaceDims((d,)), 0)
-    return {state: _run(build_anc(p, state, d), collapse_ops(p, d, include_qubit=False),
-                        rho0, [num], p.gamma, 0.0, 0.3, 300)[0]
+    ops = collapse_ops(p, d, include_qubit=False)
+    return {state: _run(dynamics.Lindblad.build(build_anc(p, state, d), ops), rho0, [num],
+                        p.gamma, 0.0, 0.3, 300)[0]
             for state in ("e", "g")}
 
 

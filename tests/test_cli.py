@@ -431,7 +431,7 @@ class TestValidateCommand:
         (q, d, traj, grid), = [run for run in runs if run[0].lambda_d == 0.0]
         assert q == replace(p, lambda_d=0.0, gamma_s=0.0) and d == 6
         num, qubit = cli._joint_observables(d)
-        ref = dynamics.evolve(build_hc(p, d), collapse_ops(p, d),
+        ref = dynamics.evolve(dynamics.Lindblad.build(build_hc(p, d), collapse_ops(p, d)),
                               DensityMatrix.basis(SpaceDims((2, d)), 1, 0), grid,
                               [num, qubit], gamma=p.gamma)
         for name in ("collective_n", "qubit_excited", "subradiant_n", "trace_err",
@@ -501,6 +501,22 @@ class TestConfigHoles:
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
         assert message in err
+
+    # zero detuning under a numeric drive (a matched drive needs a detuning
+    # under every command): figure2's and validate's closed forms divide by
+    # it, so both refuse the config; figure3, sweep and spectrum run at it
+    @pytest.mark.parametrize("experiment, code", [
+        ("figure2", 2), ("validate", 2), ("figure3", 0), ("sweep", 0), ("spectrum", 0)])
+    def test_zero_detuning_with_a_numeric_drive(self, tmp_path, capsys, experiment, code):
+        argv = [experiment, *SMALL_RUN, "--override", "params.nu_t=0",
+                "--override", "params.drive=10", "--out", str(tmp_path / "out")]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code:
+            assert err == (f"config error: params.nu_t must differ from params.nu_bar "
+                           f"for {experiment}: its closed forms divide by the "
+                           f"qubit-ensemble detuning\n")
 
     # finite settings whose generator norm times window overflows: no step
     # count can be planned
@@ -830,7 +846,7 @@ def test_timestep_guard_reads_the_short_window_plan(tmp_path, window):
     report = json.loads(out.read_text(encoding="utf-8"))
     rc = resolve_config(apply_overrides(load_config(None), argv[1::2]), "validate")
     plan = report["plans"]["short_window"]
-    norm = cli._model(rc.params, rc.fock_cutoff)[3]
+    norm = cli._model(rc.params, rc.fock_cutoff).norm
     expected = (dynamics.STABILITY_LIMIT * (plan["dt_us"] * norm)
                 / dynamics.TAYLOR_THETA[plan["degree"]])
     guard = report["checks"][0]
@@ -898,9 +914,9 @@ class TestCertifiedReruns:
                 seen["eigvalsh"] += len(a)
             return eigvalsh(a, *args, **kwargs)
 
-        def recorded_evolve(h, *args, positivity="measure", **kwargs):
-            traj = evolve(h, *args, positivity=positivity, **kwargs)
-            seen["runs"].append((positivity, traj, h.dim))
+        def recorded_evolve(model, *args, positivity="measure", **kwargs):
+            traj = evolve(model, *args, positivity=positivity, **kwargs)
+            seen["runs"].append((positivity, traj, model.h.dim))
             return traj
 
         def counted_build(h, ops):
@@ -997,13 +1013,10 @@ class TestPlanChoice:
     def grid(self, fig_params, t_end, n_record, d=16):
         # the grid the production run path chooses, without integrating on
         # it, and the products of the tests' RK4 reference over its records
-        h = build_hc(fig_params, d) + build_drive(fig_params, d)
-        ops = collapse_ops(fig_params, d)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dynamics, "evolve", lambda *args, **kwargs: None)
             _, grid = cli._run_branch_meta(fig_params, d, "e", 0.0, t_end, n_record)
-        norm = dynamics.norm_bound(dynamics.liouvillian(h, ops))
-        return grid, 4 * rk4_steps(norm, t_end, n_record)
+        return grid, 4 * rk4_steps(cli._model(fig_params, d).norm, t_end, n_record)
 
     # records far denser than the dynamics: a Taylor step spans many records
     # and reads them off its kept terms, so the plan beats RK4's 4-8 products

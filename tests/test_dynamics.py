@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from math import factorial, isqrt
 
 import numpy as np
@@ -10,7 +11,7 @@ from spinamp import dynamics
 from spinamp.analytic import excited_population, ground_population
 from spinamp.dynamics import (PLAN_MAX_DEGREE, POSITIVITY_TOL,
                               RECORD_BLOCK_BYTES, TAYLOR_THETA, IntegrationError,
-                              StabilityError, TimeGrid,
+                              Lindblad, StabilityError, TimeGrid,
                               check_stability, csr_sum, density_matrices, evolve,
                               generator_gap, hermitian_coords, liouvillian, norm_bound,
                               real_generator, readout_gain, taylor_steps)
@@ -135,6 +136,49 @@ class TestTimeGrid:
             assert TimeGrid.taylor(span, 0.0, 1.0, 10).degree >= 5
 
 
+class TestLindblad:
+    """The model value evolve runs: built once, with its norms, from H and
+    its channels."""
+
+    @pytest.mark.parametrize("d", [4, 16])
+    def test_holds_the_generator_and_both_norms(self, d):
+        _, h, ops = driven_model(d)
+        model = Lindblad.build(h, ops)
+        lv = liouvillian(h, ops)
+        gen = real_generator(lv)
+        assert model.h is h and all(a is b for a, b in zip(model.collapse, ops, strict=True))
+        for got, want in [(model.generator.data, gen.data),
+                          (model.generator.indices, gen.indices),
+                          (model.generator.indptr, gen.indptr)]:
+            assert got.tobytes() == want.tobytes()
+        assert model.norm == norm_bound(lv)
+        # the stop bound is ||R||_inf, R's largest absolute row sum, each row
+        # summed one entry after another in the order they are stored
+        row_sums = []
+        for lo, hi in zip(gen.indptr[:-1], gen.indptr[1:]):
+            total = 0.0
+            for value in gen.data[lo:hi].tolist():
+                total += abs(value)
+            row_sums.append(total)
+        assert model.stop == max(row_sums)
+        assert max(row_sums) == pytest.approx(
+            np.abs(scipy_csr(gen).toarray()).sum(axis=1).max(), rel=1e-15, abs=0.0)
+
+    def test_channel_on_another_space_is_refused(self, fig_params):
+        with pytest.raises(ValueError, match=r"mismatch: a channel is off H's space \(2, 4\)"):
+            Lindblad.build(build_hc(fig_params, 4), collapse_ops(fig_params, 5))
+
+    def test_runs_of_one_model_share_its_build(self, monkeypatch):
+        # evolve reads the built generator and norms: it assembles nothing
+        model = Lindblad.build(*driven_model(4)[1:])
+        for name in ("liouvillian", "real_generator", "norm_bound"):
+            monkeypatch.setattr(dynamics, name, None)
+        rho0 = DensityMatrix.basis(SpaceDims((2, 4)), 1, 0)
+        grid = TimeGrid.taylor(model.norm, 0.0, 0.001, 10)
+        runs = [evolve(model, rho0, grid, list(joint_observables(4))) for _ in range(2)]
+        np.testing.assert_array_equal(runs[0].collective_n, runs[1].collective_n)
+
+
 class TestEvolve:
     def test_pure_decay(self, fig_params):
         d = 5
@@ -142,8 +186,9 @@ class TestEvolve:
         h = Operator(dims, np.zeros((d, d)))
         ops = collapse_ops(fig_params, d, include_qubit=False)
         rho0 = DensityMatrix.basis(dims, 1)
-        grid = TimeGrid.auto(h, 0.0, 0.05, n_record=100, collapse=ops)
-        traj = evolve(h, ops, rho0, grid, [mode_number(d)], gamma=fig_params.gamma)
+        model = Lindblad.build(h, ops)
+        grid = TimeGrid.taylor(model.norm, 0.0, 0.05, 100)
+        traj = evolve(model, rho0, grid, [mode_number(d)], gamma=fig_params.gamma)
         expected = np.exp(-fig_params.gamma * traj.times)
         np.testing.assert_allclose(traj.collective_n, expected, atol=1e-6)
 
@@ -153,8 +198,9 @@ class TestEvolve:
         ops = collapse_ops(fig_params, d)
         num, qubit = joint_observables(d)
         rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1, 0)
-        grid = TimeGrid.auto(h, 0.0, 0.1, n_record=200, collapse=ops)
-        traj = evolve(h, ops, rho0, grid, [num, qubit], gamma=fig_params.gamma)
+        model = Lindblad.build(h, ops)
+        grid = TimeGrid.taylor(model.norm, 0.0, 0.1, 200)
+        traj = evolve(model, rho0, grid, [num, qubit], gamma=fig_params.gamma)
         q = traj.qubit_excited + traj.collective_n + traj.subradiant_n
         assert np.max(np.abs(q - 1.0)) < 1e-6
 
@@ -163,8 +209,9 @@ class TestEvolve:
         h = build_anc(fig_params, "e", d)
         ops = collapse_ops(fig_params, d, include_qubit=False)
         rho0 = DensityMatrix.basis(SpaceDims((d,)), 0)
-        grid = TimeGrid.auto(h, 0.0, 0.15, n_record=150, collapse=ops)
-        traj = evolve(h, ops, rho0, grid, [mode_number(d)], gamma=fig_params.gamma)
+        model = Lindblad.build(h, ops)
+        grid = TimeGrid.taylor(model.norm, 0.0, 0.15, 150)
+        traj = evolve(model, rho0, grid, [mode_number(d)], gamma=fig_params.gamma)
         np.testing.assert_allclose(traj.collective_n,
                                    excited_population(traj.times, fig_params),
                                    atol=1e-4)
@@ -174,8 +221,9 @@ class TestEvolve:
         h = build_anc(fig_params, "g", d)
         ops = collapse_ops(fig_params, d, include_qubit=False)
         rho0 = DensityMatrix.basis(SpaceDims((d,)), 0)
-        grid = TimeGrid.auto(h, 0.0, 0.15, n_record=150, collapse=ops)
-        traj = evolve(h, ops, rho0, grid, [mode_number(d)], gamma=fig_params.gamma)
+        model = Lindblad.build(h, ops)
+        grid = TimeGrid.taylor(model.norm, 0.0, 0.15, 150)
+        traj = evolve(model, rho0, grid, [mode_number(d)], gamma=fig_params.gamma)
         np.testing.assert_allclose(traj.collective_n,
                                    ground_population(traj.times, fig_params),
                                    atol=1e-4)
@@ -193,8 +241,9 @@ class TestEvolve:
         h = build_anc(p, state, d)
         ops = collapse_ops(p, d, include_qubit=False)
         assert len(ops) == 2
-        grid = TimeGrid.taylor(norm_bound(liouvillian(h, ops)), 0.0, 10.0 / p.gamma, 50)
-        traj = evolve(h, ops, DensityMatrix.basis(SpaceDims((d,)), 0), grid,
+        model = Lindblad.build(h, ops)
+        grid = TimeGrid.taylor(model.norm, 0.0, 10.0 / p.gamma, 50)
+        traj = evolve(model, DensityMatrix.basis(SpaceDims((d,)), 0), grid,
                       [mode_number(d)])
         np.testing.assert_allclose(traj.collective_n, closed_form(traj.times, p),
                                    rtol=0.0, atol=1e-12)
@@ -212,8 +261,9 @@ class TestEvolve:
         d = 12
         h = build_anc(p, state, d)
         ops = collapse_ops(p, d, include_qubit=False)
-        grid = TimeGrid.taylor(norm_bound(liouvillian(h, ops)), 0.0, 10.0 / p.gamma, 50)
-        traj = evolve(h, ops, DensityMatrix.basis(SpaceDims((d,)), 0), grid,
+        model = Lindblad.build(h, ops)
+        grid = TimeGrid.taylor(model.norm, 0.0, 10.0 / p.gamma, 50)
+        traj = evolve(model, DensityMatrix.basis(SpaceDims((d,)), 0), grid,
                       [mode_number(d)])
         np.testing.assert_allclose(traj.collective_n, closed_form(traj.times, p),
                                    rtol=0.0, atol=1e-12)
@@ -224,8 +274,9 @@ class TestEvolve:
         ops = collapse_ops(fig_params, d)
         num, qubit = joint_observables(d)
         rho0 = DensityMatrix.basis(SpaceDims((2, d)), 0, 0)
-        grid = TimeGrid.auto(h, 0.0, 0.05, n_record=100, collapse=ops)
-        traj = evolve(h, ops, rho0, grid, [num, qubit], gamma=fig_params.gamma)
+        model = Lindblad.build(h, ops)
+        grid = TimeGrid.taylor(model.norm, 0.0, 0.05, 100)
+        traj = evolve(model, rho0, grid, [num, qubit], gamma=fig_params.gamma)
         assert np.all(traj.collective_n >= -1e-8)
         assert np.all(np.diff(traj.subradiant_n) >= -1e-15)
         np.testing.assert_array_equal(traj.total_n,
@@ -234,11 +285,16 @@ class TestEvolve:
         assert traj.min_eig.min() >= -1e-6
 
     def test_dimension_mismatch(self, fig_params):
-        h = build_hc(fig_params, 4)
-        rho0 = DensityMatrix.basis(SpaceDims((2, 5)), 0, 0)
+        # a state or an observable off the model's space is refused
+        model = Lindblad.build(build_hc(fig_params, 4), [])
+        rho0 = DensityMatrix.basis(SpaceDims((2, 4)), 0, 0)
         grid = TimeGrid(0.0, 0.01, 1000, 10, 16)
-        with pytest.raises(ValueError, match="mismatch"):
-            evolve(h, [], rho0, grid, [joint_observables(4)[0]])
+        off = r"mismatch: the state or an observable is off the model's space \(2, 4\)"
+        with pytest.raises(ValueError, match=off):
+            evolve(model, DensityMatrix.basis(SpaceDims((2, 5)), 0, 0), grid,
+                   [joint_observables(4)[0]])
+        with pytest.raises(ValueError, match=off):
+            evolve(model, rho0, grid, [joint_observables(4)[0], joint_observables(5)[1]])
 
     def test_stability_guard(self, fig_params):
         d = 6
@@ -247,11 +303,12 @@ class TestEvolve:
         rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1, 0)
         num, _ = joint_observables(d)
         grid = TimeGrid(0.0, 1.0, 100, 10, 16)
+        model = Lindblad.build(h, ops)
         with pytest.raises(StabilityError,
                            match=r"^dt\*norm = \S+ exceeds theta_16 = 0\.781$"):
-            evolve(h, ops, rho0, grid, [num])
+            evolve(model, rho0, grid, [num])
         # the fewest steps the guard admits, and ten fewer, which it refuses
-        norm = norm_bound(liouvillian(h, ops))
+        norm = model.norm
         need = fewest_passing_steps(norm, 1.0, TAYLOR_THETA[16], 10)
         assert need > 100
         check_stability(TimeGrid(0.0, 1.0, need, 10, 16), norm)
@@ -264,7 +321,7 @@ class TestEvolve:
         rho0 = DensityMatrix.basis(SpaceDims((2, d)), 0, 0)
         grid = TimeGrid(0.0, 0.001, 1000, 10, 16)
         with pytest.raises(ValueError, match="observable"):
-            evolve(h, [], rho0, grid, [])
+            evolve(Lindblad.build(h, []), rho0, grid, [])
 
     # a certified run fails the block's Cholesky, measures the block and
     # names the same record with the same text as a measured run
@@ -278,22 +335,28 @@ class TestEvolve:
         h = Operator(dims, np.zeros((2, 2)))
         jump = np.sqrt(gamma) * ladder(2)
         lv = scipy_csr(liouvillian(h, [jump])) - 2 * sparse.kron(jump.mat, jump.mat.conj())
+        # no channel has a negative rate: the generator of lv, and its stop
+        # bound, replace those of the model built on the jump
+        gen = real_generator(canonical(lv))
+        model = replace(Lindblad.build(h, [jump]), generator=gen,
+                        stop=float(abs(scipy_csr(gen)).sum(axis=1).max()))
         grid = TimeGrid(0.0, 1.0, 1, 20, degree=16)
         assert dynamics._block_rows(8 * 4) >= 19
         t = grid.times[8]
         with pytest.raises(IntegrationError,
                            match=f"positivity violated at t={t:.6g}: min eig "
                                  f"{np.expm1(-gamma * t):.3g}, trace err "):
-            evolve(h, [jump], DensityMatrix.basis(dims, 1), grid, [mode_number(2)],
-                   generator=real_generator(canonical(lv)), positivity=positivity)
+            evolve(model, DensityMatrix.basis(dims, 1), grid, [mode_number(2)],
+                   positivity=positivity)
 
     def test_certified_run_keeps_the_measured_curves(self, fig_params):
         d = 6
         h = build_hc(fig_params, d) + build_drive(fig_params, d)
         ops = collapse_ops(fig_params, d)
         rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1, 0)
-        grid = TimeGrid.taylor(norm_bound(liouvillian(h, ops)), 0.0, 0.005, 50)
-        runs = {positivity: evolve(h, ops, rho0, grid, list(joint_observables(d)),
+        model = Lindblad.build(h, ops)
+        grid = TimeGrid.taylor(model.norm, 0.0, 0.005, 50)
+        runs = {positivity: evolve(model, rho0, grid, list(joint_observables(d)),
                                    gamma=fig_params.gamma, positivity=positivity)
                 for positivity in ("measure", "certify")}
         for name in ("collective_n", "qubit_excited", "subradiant_n", "trace_err"):
@@ -302,7 +365,7 @@ class TestEvolve:
         assert runs["measure"].min_eig.min() >= -POSITIVITY_TOL
         assert runs["certify"].min_eig is None
         with pytest.raises(ValueError, match='positivity must be "measure" or "certify"'):
-            evolve(h, ops, rho0, grid, list(joint_observables(d)), positivity="skip")
+            evolve(model, rho0, grid, list(joint_observables(d)), positivity="skip")
 
 
 class TestConvergence:
@@ -312,10 +375,11 @@ class TestConvergence:
         ops = collapse_ops(fig_params, d)
         num, qubit = joint_observables(d)
         rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1, 0)
-        grid = TimeGrid.auto(h, 0.0, 0.1, n_record=100, collapse=ops)
+        model = Lindblad.build(h, ops)
+        grid = TimeGrid.taylor(model.norm, 0.0, 0.1, 100)
         fine = TimeGrid(0.0, 0.1, 2 * grid.n_steps, grid.n_record, grid.degree)
-        t1 = evolve(h, ops, rho0, grid, [num, qubit], gamma=fig_params.gamma)
-        t2 = evolve(h, ops, rho0, fine, [num, qubit], gamma=fig_params.gamma)
+        t1 = evolve(model, rho0, grid, [num, qubit], gamma=fig_params.gamma)
+        t2 = evolve(model, rho0, fine, [num, qubit], gamma=fig_params.gamma)
         for a, b in ((t1.collective_n, t2.collective_n),
                      (t1.qubit_excited, t2.qubit_excited),
                      (t1.subradiant_n, t2.subradiant_n)):
@@ -351,8 +415,9 @@ class TestReadoutGain:
         ops = collapse_ops(fig_params, d)
         num, qubit = joint_observables(d)
         rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1, 0)
-        grid = TimeGrid.auto(h, 0.0, 0.02, n_record=40, collapse=ops)
-        traj = evolve(h, ops, rho0, grid, [num, qubit], gamma=fig_params.gamma)
+        model = Lindblad.build(h, ops)
+        grid = TimeGrid.taylor(model.norm, 0.0, 0.02, 40)
+        traj = evolve(model, rho0, grid, [num, qubit], gamma=fig_params.gamma)
         np.testing.assert_array_equal(readout_gain(traj, traj), 0.0)
 
     def test_grid_mismatch(self, fig_params):
@@ -361,10 +426,11 @@ class TestReadoutGain:
         ops = collapse_ops(fig_params, d)
         num, qubit = joint_observables(d)
         rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1, 0)
-        g1 = TimeGrid.auto(h, 0.0, 0.02, n_record=40, collapse=ops)
-        g2 = TimeGrid.auto(h, 0.0, 0.04, n_record=40, collapse=ops)
-        t1 = evolve(h, ops, rho0, g1, [num, qubit], gamma=fig_params.gamma)
-        t2 = evolve(h, ops, rho0, g2, [num, qubit], gamma=fig_params.gamma)
+        model = Lindblad.build(h, ops)
+        g1 = TimeGrid.taylor(model.norm, 0.0, 0.02, 40)
+        g2 = TimeGrid.taylor(model.norm, 0.0, 0.04, 40)
+        t1 = evolve(model, rho0, g1, [num, qubit], gamma=fig_params.gamma)
+        t2 = evolve(model, rho0, g2, [num, qubit], gamma=fig_params.gamma)
         with pytest.raises(ValueError, match="grids"):
             readout_gain(t1, t2)
 
@@ -376,10 +442,11 @@ class TestReadoutGain:
         h = build_hc(p, d)
         ops = collapse_ops(p, d)
         num, qubit = joint_observables(d)
-        grid = TimeGrid.auto(h, 0.0, 0.05, n_record=100, collapse=ops)
-        traj_e = evolve(h, ops, DensityMatrix.basis(SpaceDims((2, d)), 1, 0),
+        model = Lindblad.build(h, ops)
+        grid = TimeGrid.taylor(model.norm, 0.0, 0.05, 100)
+        traj_e = evolve(model, DensityMatrix.basis(SpaceDims((2, d)), 1, 0),
                         grid, [num, qubit], gamma=p.gamma)
-        traj_g = evolve(h, ops, DensityMatrix.basis(SpaceDims((2, d)), 0, 0),
+        traj_g = evolve(model, DensityMatrix.basis(SpaceDims((2, d)), 0, 0),
                         grid, [num, qubit], gamma=p.gamma)
         assert np.max(np.abs(traj_g.total_n)) < 1e-9
         gain = readout_gain(traj_e, traj_g)
@@ -500,11 +567,12 @@ class TestLiouvillian:
         quad = kron(identity(SpaceDims((2,))), a + a.dag())  # not diagonal
         _, qubit = joint_observables(d)
         rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1, 0)
-        grid = TimeGrid.auto(h, 0.0, 0.002, n_record=20, collapse=ops)
-        traj = evolve(h, ops, rho0, grid, [quad, qubit], gamma=p.gamma)
+        model = Lindblad.build(h, ops)
+        grid = TimeGrid.taylor(model.norm, 0.0, 0.002, 20)
+        traj = evolve(model, rho0, grid, [quad, qubit], gamma=p.gamma)
 
         jumps = [j.mat for j in ops]
-        n_steps = rk4_steps(norm_bound(liouvillian(h, ops)), 0.002, 20, step=0.004)
+        n_steps = rk4_steps(model.norm, 0.002, 20, step=0.004)
         rhos, integrals = rk4(lambda rho: self.lindblad(h.mat, jumps, rho), rho0.mat,
                               0.002, n_steps, 20,
                               integrand=lambda rho: np.trace(quad.mat @ rho).real)
@@ -587,13 +655,12 @@ class TestRealCoordinates:
         assert np.array_equal(out, scipy_csr(a) @ x)
 
     def test_non_hermitian_hamiltonian_is_refused(self, fig_params):
+        # at build, before any Liouvillian is assembled
         d = 4
         h = build_hc(fig_params, d)
         skew = h + Operator(h.dims, 1e-6j * np.eye(2 * d))
-        rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1, 0)
-        grid = TimeGrid(0.0, 0.001, 1, 1, degree=16)
         with pytest.raises(ValueError, match="Hamiltonian must be Hermitian"):
-            evolve(skew, [], rho0, grid, [joint_observables(d)[0]])
+            Lindblad.build(skew, collapse_ops(fig_params, d))
 
     @pytest.mark.parametrize("extra", ["B rho", "i c rho", "Im rows negated"])
     def test_generator_that_breaks_hermiticity_is_refused(self, fig_params, extra):
@@ -633,10 +700,11 @@ class TestRealCoordinates:
         a = kron(identity(SpaceDims((2,))), ladder(4))
         quads = [a + a.dag(), 1j * (a.dag() - a)]
         lv = liouvillian(h, ops)
+        model = Lindblad.build(h, ops)
         rho0 = DensityMatrix.basis(SpaceDims((2, 4)), 1, 0)
         t_end, n_record = 0.01, 20
-        grid = TimeGrid.taylor(norm_bound(lv), 0.0, t_end, n_record)
-        traj = evolve(h, ops, rho0, grid, [*joint_observables(4), *quads], gamma=p.gamma)
+        grid = TimeGrid.taylor(model.norm, 0.0, t_end, n_record)
+        traj = evolve(model, rho0, grid, [*joint_observables(4), *quads], gamma=p.gamma)
         step = expm(scipy_csr(lv).toarray() * (t_end / n_record))
         y = rho0.mat.reshape(-1)
         for i in range(n_record + 1):
@@ -644,21 +712,6 @@ class TestRealCoordinates:
             for j, op in enumerate(quads):
                 assert abs(traj.extra[i, j] - np.trace(op.mat @ rho).real) <= 1e-12
             y = step @ y
-
-    def test_run_on_a_shared_generator_is_the_run_that_builds_it(self, fig_params):
-        # evolve takes R alone from a caller that built it, with the same bits
-        d = 4
-        h = build_hc(fig_params, d) + build_drive(fig_params, d)
-        ops = collapse_ops(fig_params, d)
-        lv = liouvillian(h, ops)
-        rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1, 0)
-        grid = TimeGrid.taylor(norm_bound(lv), 0.0, 0.001, 10)
-        obs = list(joint_observables(d))
-        shared = evolve(h, ops, rho0, grid, obs, generator=real_generator(lv))
-        built = evolve(h, ops, rho0, grid, obs)
-        for name in ("collective_n", "qubit_excited", "trace_err", "min_eig"):
-            np.testing.assert_array_equal(getattr(shared, name), getattr(built, name))
-        assert shared.products == built.products
 
 
 class TestTaylorCore:
@@ -837,23 +890,24 @@ class TestTaylorPlan:
         p, h, ops = driven_model()
         rho0 = DensityMatrix.basis(SpaceDims((2, 6)), 1, 0)
         num, _ = joint_observables(6)
-        norm = norm_bound(liouvillian(h, ops))
+        model = Lindblad.build(h, ops)
+        norm = model.norm
         # 1.1 times the longest degree-16 step on the norm bound
         t_end = 11 * TAYLOR_THETA[16] / norm
         grid = TimeGrid(0.0, t_end, 10, 10, degree=16)
         assert TAYLOR_THETA[16] < grid.dt * norm
         with pytest.raises(StabilityError, match=r"exceeds theta_16 = \S+$"):
-            evolve(h, ops, rho0, grid, [num])
+            evolve(model, rho0, grid, [num])
         need = fewest_passing_steps(norm, t_end, TAYLOR_THETA[16], 10)
         assert need == 20
         ok = TimeGrid(0.0, t_end, need, 10, degree=16)
-        evolve(h, ops, rho0, ok, [num])
+        evolve(model, rho0, ok, [num])
 
     def check_against_expm(self, grid, t_end, n_record):
         p, h, ops = driven_model()
         num, qubit = joint_observables(6)
         rho0 = DensityMatrix.basis(SpaceDims((2, 6)), 1, 0)
-        traj = evolve(h, ops, rho0, grid, [num, qubit], gamma=p.gamma)
+        traj = evolve(Lindblad.build(h, ops), rho0, grid, [num, qubit], gamma=p.gamma)
         ref = expm_records(liouvillian(h, ops), rho0, num, qubit, p.gamma, t_end, n_record)
         for name, values in ref.items():
             np.testing.assert_allclose(getattr(traj, name), values,
@@ -862,7 +916,8 @@ class TestTaylorPlan:
     def test_driven_run_matches_augmented_expm(self):
         _, h, ops = driven_model()
         t_end, n_record = 0.02, 40
-        grid = TimeGrid.taylor(norm_bound(liouvillian(h, ops)), 0.0, t_end, n_record)
+        model = Lindblad.build(h, ops)
+        grid = TimeGrid.taylor(model.norm, 0.0, t_end, n_record)
         self.check_against_expm(grid, t_end, n_record)
 
     @pytest.mark.parametrize("n_record", [40, 1000])
@@ -940,17 +995,18 @@ class TestTaylorPlan:
         p, h, ops = driven_model()
         rho0 = DensityMatrix.basis(SpaceDims((2, 6)), 1, 0)
         num, _ = joint_observables(6)
-        norm = norm_bound(liouvillian(h, ops))
+        model = Lindblad.build(h, ops)
+        norm = model.norm
         # three degree-16 steps over ten records, each step 1.1 times too long
         t_end = 3.3 * TAYLOR_THETA[16] / norm
         grid = TimeGrid(0.0, t_end, 3, 10, degree=16)
         with pytest.raises(StabilityError, match=r"exceeds theta_16 = \S+$"):
-            evolve(h, ops, rho0, grid, [num])
+            evolve(model, rho0, grid, [num])
         need = fewest_passing_steps(norm, t_end, TAYLOR_THETA[16], 10)
         assert need == 10  # records at step ends
         ok = TimeGrid(0.0, t_end, need, 10, degree=16)
         assert ok.dt * norm <= TAYLOR_THETA[16]
-        evolve(h, ops, rho0, ok, [num])
+        evolve(model, rho0, ok, [num])
 
     def test_plan_matches_the_rk4_production_grid(self, fig_params):
         # the figure-2 benchmark shape at the production cutoff: the plan
@@ -964,7 +1020,7 @@ class TestTaylorPlan:
         plan = TimeGrid.taylor(norm_bound(lv), 0.0, 0.005, 50)
         n_rk4 = rk4_steps(norm_bound(lv), 0.005, 50)
         assert plan.applications < 4 * n_rk4
-        a = evolve(h, ops, rho0, plan, [num, qubit], gamma=fig_params.gamma)
+        a = evolve(Lindblad.build(h, ops), rho0, plan, [num, qubit], gamma=fig_params.gamma)
         b = rk4_lindblad(lv, rho0, num, qubit, fig_params.gamma, 0.005, 50, n_rk4)
         for name in ("collective_n", "qubit_excited", "subradiant_n"):
             x, y = getattr(a, name), b[name]
@@ -1065,10 +1121,11 @@ class TestEarlyStop:
         lv = liouvillian(h, ops)
         t_end, n_record = 0.02, 40
         grid = TimeGrid.taylor(norm_bound(lv), 0.0, t_end, n_record)
-        stopped = evolve(h, ops, rho0, grid, [num, qubit], gamma=p.gamma)
+        model = Lindblad.build(h, ops)
+        stopped = evolve(model, rho0, grid, [num, qubit], gamma=p.gamma)
         monkeypatch.setattr(dynamics, "taylor_steps", lambda *args, bound, **kwargs:
                             taylor_steps(*args, bound=np.inf, **kwargs))
-        full = evolve(h, ops, rho0, grid, [num, qubit], gamma=p.gamma)
+        full = evolve(model, rho0, grid, [num, qubit], gamma=p.gamma)
         assert stopped.products < full.products == grid.applications
         ref = expm_records(lv, rho0, num, qubit, p.gamma, t_end, n_record)
         for name, values in ref.items():

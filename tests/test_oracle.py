@@ -178,9 +178,9 @@ class TestSingleExcitation:
         proj = Operator(SpaceDims((2,)), np.diag([0.0, 1.0]))
         qubit = kron(proj, identity(SpaceDims((d,))))
         rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1, 0)
-        grid = dynamics.TimeGrid.auto(h, 0.0, 0.1, n_record=100, collapse=ops)
-        traj = dynamics.evolve(h, ops, rho0, grid, [num, qubit],
-                               gamma=fig_params.gamma)
+        model = dynamics.Lindblad.build(h, ops)
+        grid = dynamics.TimeGrid.taylor(model.norm, 0.0, 0.1, 100)
+        traj = dynamics.evolve(model, rho0, grid, [num, qubit], gamma=fig_params.gamma)
         c_e, c_a = reduced_single_excitation(fig_params.delta,
                                              fig_params.g_collective,
                                              fig_params.gamma, traj.times)
@@ -455,14 +455,15 @@ class TestFullModel:
                                          lambda_d=40.0, gamma=12.5)
         h_red = build_hc(p_driven, d) + build_drive(p_driven, d)
         # the Lindblad plan of the same H, within the pure-state guard too
-        grid = dynamics.TimeGrid.auto(h_red, 0.0, 0.02, n_record=100)
+        model = dynamics.Lindblad.build(h_red, [])
+        grid = dynamics.TimeGrid.taylor(model.norm, 0.0, 0.02, 100)
         assert grid.dt * dynamics.omega_max(h_red) <= dynamics.TAYLOR_THETA[grid.degree]
         rec = full_model_evolve(s, d, p_driven, grid)
         num = kron(identity(SpaceDims((2,))), ladder(d).dag() @ ladder(d))
         proj = Operator(SpaceDims((2,)), np.diag([0.0, 1.0]))
         qubit = kron(proj, identity(SpaceDims((d,))))
         rho0 = DensityMatrix.basis(SpaceDims((2, d)), 1, 0)
-        traj = dynamics.evolve(h_red, [], rho0, grid, [num, qubit])
+        traj = dynamics.evolve(model, rho0, grid, [num, qubit])
         assert np.max(np.abs(rec.bright_n - traj.collective_n)) < 1e-8
         assert np.max(np.abs(rec.qubit_excited - traj.qubit_excited)) < 1e-8
 
