@@ -648,12 +648,12 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
     for seed in rc.seeds:
         sample = oracle.sample_frequencies(rc.oracle_n, p.omega_bar, p.gamma,
                                            seed, g_collective=p.g_collective)
-        bound = oracle.arrowhead_norm(sample, p.delta)
+        bound = oracle.arrowhead_norm(sample, p.delta, p.gamma_s)
         s_grid = dynamics.TimeGrid.taylor(bound, 0.0, t_oracle, 400)
-        res = oracle.single_excitation_evolve(sample, p.delta, s_grid)
+        res = oracle.single_excitation_evolve(sample, p.delta, s_grid, p.gamma_s)
         plans[f"oracle_seed_{seed}"] = _plan(s_grid, res)
         _, c_red = oracle.reduced_single_excitation(p.delta, p.g_collective,
-                                                    p.gamma, res.times)
+                                                    p.gamma, res.times, p.gamma_s)
         ref = np.abs(c_red)
         # a reference with no positive normal value (a coupling so weak that
         # it underflows) leaves no envelope to compare against
@@ -661,7 +661,7 @@ def run_validate(rc: RunConfig, out: str | None) -> tuple[list[dict], bool]:
                      if np.max(ref) >= np.finfo(float).tiny else None)
         per_seed[str(seed)] = {
             "envelope_deviation": deviation,
-            "norm_drift": float(np.max(np.abs(res.norm - 1.0))),
+            "norm_drift": res.norm_drift(p.gamma_s),
             "plan_norm": bound}
     deviations = [r["envelope_deviation"] for r in per_seed.values()]
     if None in deviations:
@@ -752,11 +752,6 @@ def main(argv: list[str] | None = None) -> int:
         if out is None and rc.experiment != "validate":
             out = f"{rc.experiment}.csv"
         _check_output(out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         if rc.experiment == "validate":
             _, ok = run_validate(rc, out)
             return 0 if ok else 1
@@ -765,8 +760,13 @@ def main(argv: list[str] | None = None) -> int:
         runner(rc, out)
         print(f"wrote {out} and {out}.meta.json")
         return 0
-    except (ConvergenceError, dynamics.IntegrationError,
-            dynamics.StabilityError) as exc:
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    # OverflowError: a finite parameter whose square leaves double range
+    # (G^2/Delta, Delta^2), where Python's float ** raises and numpy's gives inf
+    except (ConvergenceError, dynamics.IntegrationError, dynamics.StabilityError,
+            OverflowError) as exc:
         print(f"validation failure: {exc}", file=sys.stderr)
         return 1
 

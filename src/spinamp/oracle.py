@@ -15,6 +15,7 @@ exact 1-norm of its Hermitian H.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,69 @@ FULL_MODEL_MAX_DIM = 162  # 2 * 3^4
 def lorentzian_ppf(u, omega_bar: float, gamma: float):
     """Inverse CDF of the Lorentzian: omega_bar + (gamma/2) tan(pi (u - 1/2))."""
     return omega_bar + 0.5 * gamma * np.tan(np.pi * (np.asarray(u) - 0.5))
+
+
+# numpy's SeedSequence mixing and PCG64 constants; NEP 19 fixes the stream
+# they give for each seed
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _uniforms(seed, n: int) -> np.ndarray:
+    """``np.random.default_rng(seed).random(n)`` to the bit, drawn with
+    Python ints so that ``numpy.random`` (and the ``secrets`` and
+    ``hashlib`` modules it loads) is never imported: SeedSequence(seed)
+    mixes the seed's 32-bit words into a 4-word pool and hashes it into four
+    64-bit words, which seed PCG64; each draw steps the 128-bit LCG, takes
+    its XSL-RR output and keeps the top 53 bits. Seeds are refused as numpy
+    refuses them: a non-integer raises TypeError, a negative one ValueError."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"expected non-negative integer seed, got {seed}")
+    words = [(seed >> k) & _M32 for k in range(0, max(seed.bit_length(), 1), 32)]
+    hash_a = _HASH_INIT_A
+
+    def hashmix(value):
+        nonlocal hash_a
+        value ^= hash_a
+        hash_a = hash_a * _HASH_MULT_A & _M32
+        value = value * hash_a & _M32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+        return value ^ (value >> 16)
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    hash_b, state = _HASH_INIT_B, []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_b
+        hash_b = hash_b * _HASH_MULT_B & _M32
+        value = value * hash_b & _M32
+        state.append(value ^ (value >> 16))
+    # the 64-bit words are little-endian pairs; initstate = words 0:2 and
+    # initseq = words 2:4, each high word first
+    s0, s1, q0, q1 = (state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
+    inc = ((q0 << 64 | q1) << 1 | 1) & _M128
+    # one step from state 0 lands on inc; add initstate and step again
+    x = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _M128
+    top = []
+    for _ in range(n):
+        x = (x * _PCG_MULT + inc) & _M128
+        word = ((x >> 64) ^ x) & _M64
+        rot = x >> 122
+        top.append(((word >> rot | word << (64 - rot)) & _M64) >> 11)
+    return np.array(top, dtype=float) * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -77,14 +141,18 @@ def sample_frequencies(n: int, omega_bar: float, gamma: float, seed: int,
     inverse-CDF sampling, truncated to |omega - omega_bar| <= truncation_k * gamma.
 
     With [lo, hi] the CDF image of the truncation window, spin j (j = 0..n-1)
-    takes u_j = lo + (hi - lo) (j + U_j) / n with U_j ~ U[0, 1) drawn from the
-    seeded generator, and omega_j = lorentzian_ppf(u_j). Each of the n
-    equal-weight strata of the truncated CDF holds exactly one spin, so the
-    frequencies come out sorted and the sampled spectral density follows the
-    Lorentzian far more closely than n i.i.d. draws from its heavy tails.
+    takes u_j = lo + (hi - lo) (j + U_j) / n with U_j ~ U[0, 1) and
+    omega_j = lorentzian_ppf(u_j). The U_j are the first n draws of
+    ``np.random.default_rng(seed).random``, taken by ``_uniforms`` without
+    importing ``numpy.random``. Each of the n equal-weight strata of the
+    truncated CDF holds exactly one spin, so the frequencies come out sorted
+    and the sampled spectral density follows the Lorentzian far more closely
+    than n i.i.d. draws from its heavy tails.
 
     Couplings are uniform g_j = g_collective / sqrt(n) by default; a log-normal
-    spread (coupling_sigma > 0) is renormalized back to the target G.
+    spread (coupling_sigma > 0) is renormalized back to the target G. Its
+    draws continue numpy's stream after the n uniforms, so that path alone
+    imports ``numpy.random``.
     """
     if n < 1:
         raise ValueError("need at least one spin")
@@ -92,11 +160,10 @@ def sample_frequencies(n: int, omega_bar: float, gamma: float, seed: int,
         raise ValueError("gamma must be > 0")
     if truncation_k < 10:
         raise ValueError("truncation window must be at least 10 gamma")
-    rng = np.random.default_rng(seed)
     half_width = truncation_k * gamma
     edge = np.arctan(2.0 * truncation_k) / np.pi   # CDF window is 1/2 -+ edge
     lo, hi = 0.5 - edge, 0.5 + edge
-    u = lo + (hi - lo) * (np.arange(n) + rng.random(n)) / n
+    u = lo + (hi - lo) * (np.arange(n) + _uniforms(seed, n)) / n
     freqs = lorentzian_ppf(u, omega_bar, gamma)
     # the window edges map to +-half_width only up to rounding: step any
     # sample that landed past them back toward the center
@@ -105,6 +172,9 @@ def sample_frequencies(n: int, omega_bar: float, gamma: float, seed: int,
         freqs[outside] = np.nextafter(freqs[outside], omega_bar)
         outside = np.abs(freqs - omega_bar) > half_width
     if coupling_sigma > 0:
+        # numpy's generator for this seed, past the n uniforms drawn above
+        rng = np.random.default_rng(seed)
+        rng.bit_generator.advance(n)
         g = rng.lognormal(mean=0.0, sigma=coupling_sigma, size=n)
         g *= g_collective / np.sqrt(np.sum(g**2))
     else:
@@ -124,6 +194,15 @@ class SingleExcitationResult:
     collective: np.ndarray
     norm: np.ndarray
     products: int
+
+    def norm_drift(self, gamma_s: float = 0.0) -> float:
+        """How far ||c(t)||^2 strays outside the band that decay at gamma_s
+        allows, max over the records of
+        max(0, ||c||^2 - 1, exp(-gamma_s t) - ||c||^2): the generator's
+        Hermitian part is -(gamma_s/2) P_spins, so exp(-gamma_s t) <=
+        ||c(t)||^2 <= 1. At gamma_s = 0 it is max |||c||^2 - 1|."""
+        outside = np.maximum(self.norm - 1.0, np.exp(-gamma_s * self.times) - self.norm)
+        return float(max(0.0, np.max(outside)))
 
 
 def arrowhead_norm(sample: EnsembleSample, delta_target: float,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import spinamp
-from spinamp import cli, dynamics
+from spinamp import cli, dynamics, oracle
 from spinamp.cli import (ConfigError, DEFAULT_CONFIG, apply_overrides,
                          envelope_deviation, load_config, main,
                          resolve_config, _csv_lines, _n_workers)
@@ -531,6 +531,20 @@ class TestConfigHoles:
         assert err.startswith("validation failure: ") and "is not finite" in err
         assert "Traceback" not in err
 
+    # finite settings whose square leaves double range, where Python's float
+    # ** raises: G^2/Delta of the matched drive, Delta^2 and G^2 of the
+    # closed-form spectrum
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--override", "params.g=1e160", "--override", "params.drive=0"],
+        ["spectrum", "--override", "params.nu_t=1e160"],
+        ["validate", "--override", "params.g=1e200"],
+    ], ids=["spectrum-g", "spectrum-nu_t", "validate-matched-g"])
+    def test_overflowing_square_exits_1(self, tmp_path, capsys, argv):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation failure: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     # a finite config whose plan would take about 1e102 generator products
     # (50 x 2.0e100 steps), or a 1e304 or 3e304 us window whose norm times
     # span is still finite (4.3e307 and 1.3e308 at d=4), is refused before it
@@ -803,6 +817,52 @@ def test_validate_closed_forms_decay_at_gamma_plus_gamma_s(tmp_path):
     assert checks["analytic_steady_e"] < 1e-8 and checks["analytic_steady_g"] < 1e-8
 
 
+class TestOracleDecay:
+    """validate's oracle runs the configured gamma_s: its spins decay, and
+    oracle_norm checks that ||c(t)||^2 stays in [exp(-gamma_s t), 1]."""
+
+    ARGV = ["validate", *PASSING_RUN, "--override", "params.gamma_s=20"]
+
+    def test_report_matches_a_run_built_by_hand(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert main([*self.ARGV, "--out", str(out)]) == 0
+        report = json.loads(out.read_text(encoding="utf-8"))
+        rc = resolve_config(apply_overrides(load_config(None), self.ARGV[2::2]),
+                            "validate")
+        p = rc.params
+        sample = sample_frequencies(rc.oracle_n, p.omega_bar, p.gamma, 11,
+                                    g_collective=p.g_collective)
+        bound = arrowhead_norm(sample, p.delta, p.gamma_s)
+        assert bound > arrowhead_norm(sample, p.delta)
+        res = oracle.single_excitation_evolve(
+            sample, p.delta, TimeGrid.taylor(bound, 0.0, 3.0 / p.gamma, 400), p.gamma_s)
+        _, c_red = oracle.reduced_single_excitation(p.delta, p.g_collective, p.gamma,
+                                                    res.times, p.gamma_s)
+        # the spins decay: the norm leaves 1 by far more than the check allows
+        assert 1.0 - res.norm[-1] > 0.1
+        assert report["oracle"]["11"] == {
+            "envelope_deviation": envelope_deviation(res.times, np.abs(res.collective),
+                                                     np.abs(c_red)),
+            "norm_drift": res.norm_drift(p.gamma_s),
+            "plan_norm": bound}
+
+    @pytest.mark.parametrize("push", ["above 1", "below the decay"])
+    def test_norm_outside_the_band_fails(self, tmp_path, monkeypatch, push):
+        evolve = oracle.single_excitation_evolve
+
+        def pushed(sample, delta, grid, gamma_s):
+            res = evolve(sample, delta, grid, gamma_s)
+            norm = (res.norm + 2e-8 if push == "above 1"
+                    else np.exp(-gamma_s * res.times) - 2e-8)
+            return replace(res, norm=norm)
+        monkeypatch.setattr(oracle, "single_excitation_evolve", pushed)
+        out = tmp_path / "report.json"
+        assert main([*self.ARGV, "--out", str(out)]) == 1
+        checks = {c["name"]: c for c in json.loads(out.read_text(encoding="utf-8"))["checks"]}
+        assert [name for name, c in checks.items() if not c["passed"]] == ["oracle_norm"]
+        assert checks["oracle_norm"]["value"] == pytest.approx(2e-8, rel=1e-6)
+
+
 def test_validate_closed_forms_follow_the_configured_drive(tmp_path):
     """The frozen-qubit runs detune the mode by wbar - w_d +- G^2/Delta at the
     configured drive, and so do the closed forms they are checked against."""
@@ -996,8 +1056,8 @@ print(json.dumps(result))
 def test_cli_import_leaves_out_scipy_integrate(case):
     # no scipy module at all: dynamics loads scipy's sparse kernels from
     # their extension file, which a later import of scipy.sparse must not
-    # disturb; nor numpy.random, which the oracle's sampling loads when it
-    # runs (its import costs 9-22 ms and about 5.4 MB of peak RSS)
+    # disturb; nor numpy.random, which only the oracle's log-normal couplings
+    # load (its import costs 9-22 ms and about 5.4 MB of peak RSS)
     src = os.path.dirname(os.path.dirname(spinamp.__file__))
     res = subprocess.run([sys.executable, "-c", IMPORT_GRAPH, case], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
@@ -1007,6 +1067,31 @@ def test_cli_import_leaves_out_scipy_integrate(case):
     assert result.pop("numpy.random") is False
     if case == "then scipy.sparse":
         assert result == {"sparsetools": "scipy.sparse._sparsetools", "same_bits": True}
+
+
+# Runs validate on a short window, writes its report to the path given, and
+# prints its exit code and which of numpy.random and the modules it loads
+# were imported.
+VALIDATE_MODULES = """
+import json, sys
+from spinamp import cli
+code = cli.main(["validate", "--override", "grid.t_end_us=0.002", "--out", sys.argv[1]])
+print(json.dumps({"code": code, "loaded": [m for m in ("numpy.random", "secrets", "hashlib")
+                                           if m in sys.modules]}))
+"""
+
+
+def test_validate_samples_without_numpy_random(tmp_path):
+    # the oracle draws numpy's default_rng stream itself: numpy.random, with
+    # secrets and hashlib (OpenSSL), is 5.4 MB of validate's peak RSS
+    out = tmp_path / "report.json"
+    res = subprocess.run([sys.executable, "-c", VALIDATE_MODULES, str(out)],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+                         check=True, timeout=120)
+    assert json.loads(res.stdout.splitlines()[-1]) == {"code": 0, "loaded": []}
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["config"]["oracle_n"] == 2000
+    assert sorted(report["oracle"]) == ["11", "13", "17"]
 
 
 class TestPlanChoice:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import cauchy, kstest
 
-from spinamp import dynamics
+from spinamp import dynamics, oracle
 from spinamp.cli import envelope_deviation
 from spinamp.hilbert import DensityMatrix, Operator, SpaceDims, identity, kron, ladder
 from spinamp.model import SystemParams, build_drive, build_hc, collapse_ops
@@ -63,13 +63,12 @@ class TestSampling:
                                               omega_bar):
         # uniform draws at the very ends of [0, 1) put the outer samples on
         # the window edges, where tan() rounds past +-truncation_k * gamma
-        class EdgeRng:
-            def random(self, n):
-                u = np.full(n, 0.5)
-                u[0], u[-1] = 0.0, np.nextafter(1.0, 0.0)
-                return u
+        def edge_uniforms(seed, n):
+            u = np.full(n, 0.5)
+            u[0], u[-1] = 0.0, np.nextafter(1.0, 0.0)
+            return u
 
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: EdgeRng())
+        monkeypatch.setattr(oracle, "_uniforms", edge_uniforms)
         s = sample_frequencies(100, omega_bar, fig_params.gamma, seed=0,
                                g_collective=fig_params.g_collective)
         offsets = s.freqs[[0, -1]] - omega_bar
@@ -119,6 +118,49 @@ class TestSampling:
                            seed=0, truncation=10.0, omega_bar=0.0, gamma=1.0)
 
 
+class TestStream:
+    """The sampler's draws are numpy's default_rng stream for the seed, taken
+    without numpy.random."""
+
+    @pytest.mark.parametrize("n", [1, 2, 2000])
+    @pytest.mark.parametrize("seed", [0, 1, 11, 13, 17, 2**32 - 1, 2**32, 2**64 + 3,
+                                      2**128 + 7])
+    def test_uniforms_are_default_rngs_to_the_bit(self, seed, n):
+        expected = np.random.default_rng(seed).random(n)
+        got = oracle._uniforms(seed, n)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", [3, 11, 2**70 + 3])
+    def test_lognormal_couplings_continue_numpys_stream(self, fig_params, seed):
+        n, sigma = 137, 0.5
+        s = sample_frequencies(n, fig_params.omega_bar, fig_params.gamma, seed=seed,
+                               g_collective=fig_params.g_collective,
+                               coupling_sigma=sigma)
+        # the construction on one numpy generator: the n uniforms, then the
+        # couplings
+        rng = np.random.default_rng(seed)
+        edge = np.arctan(2.0 * 50.0) / np.pi
+        lo, hi = 0.5 - edge, 0.5 + edge
+        u = lo + (hi - lo) * (np.arange(n) + rng.random(n)) / n
+        freqs = lorentzian_ppf(u, fig_params.omega_bar, fig_params.gamma)
+        outside = np.abs(freqs - fig_params.omega_bar) > 50.0 * fig_params.gamma
+        while outside.any():
+            freqs[outside] = np.nextafter(freqs[outside], fig_params.omega_bar)
+            outside = np.abs(freqs - fig_params.omega_bar) > 50.0 * fig_params.gamma
+        g = rng.lognormal(mean=0.0, sigma=sigma, size=n)
+        g *= fig_params.g_collective / np.sqrt(np.sum(g**2))
+        assert s.freqs.tobytes() == freqs.tobytes()
+        assert s.couplings.tobytes() == g.tobytes()
+
+    @pytest.mark.parametrize("seed, error", [(1.5, TypeError), (-1, ValueError)])
+    def test_seeds_are_refused_as_numpy_refuses_them(self, seed, error):
+        with pytest.raises(error):
+            np.random.default_rng(seed)
+        with pytest.raises(error):
+            sample_frequencies(10, 0.0, 1.0, seed=seed)
+
+
 def oracle_plan(s, delta_target, t_end, n_record):
     """validate's plan for the single-excitation solve: the Taylor plan on
     the arrowhead's 2-norm bound."""
@@ -160,6 +202,19 @@ class TestSingleExcitation:
         grid = oracle_plan(s, fig_params.delta, 0.1, 250)
         res = single_excitation_evolve(s, fig_params.delta, grid)
         assert np.max(np.abs(res.norm - 1.0)) < 1e-8
+        # without decay the drift is the distance from 1, to the bit
+        assert res.norm_drift() == float(np.max(np.abs(res.norm - 1.0)))
+
+    def test_norm_stays_in_the_decay_band(self, fig_params):
+        gamma_s = TWO_PI * 20.0
+        s = sample_frequencies(400, fig_params.omega_bar, fig_params.gamma,
+                               seed=8, g_collective=fig_params.g_collective)
+        grid = dynamics.TimeGrid.taylor(arrowhead_norm(s, fig_params.delta, gamma_s),
+                                        0.0, 0.1, 250)
+        res = single_excitation_evolve(s, fig_params.delta, grid, gamma_s)
+        assert 1.0 - res.norm[-1] > 0.05
+        assert res.norm_drift(gamma_s) < 1e-12
+        assert res.norm_drift() > 0.05
 
     def test_stability_guard(self, fig_params):
         s = sample_frequencies(50, fig_params.omega_bar, fig_params.gamma,
